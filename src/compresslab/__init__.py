@@ -10,11 +10,13 @@ exhaustive enumeration under a configurable budget; nothing is sampled.
 from .budget import BudgetExceededError, enumeration_budget
 from .compression import (
     CompressiveMap,
+    HitCountCompression,
     OrCompression,
     SetEncodedCompression,
     ToyLanguage,
     bit_encode_subsets,
     canonical_set,
+    enumerate_subset_law,
     ideal_or_compression,
     noisy_or_compression,
     random_compressive_map,
@@ -67,6 +69,7 @@ from .sensitivity import (
 from .tournament import (
     DominatingSet,
     HypergraphTournament,
+    InvariantError,
     SelectorUndefinedError,
     block_selector,
     block_tournament,

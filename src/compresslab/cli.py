@@ -39,7 +39,7 @@ from .sensitivity import (
     verify_vajda_sensitivity,
 )
 from .tournament import (
-    SelectorUndefinedError,
+    InvariantError,
     greedy_dominating_set,
     random_tournament,
     selector_from_compression,
@@ -365,7 +365,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceededError as exc:
         print(json.dumps({"error": str(exc), "kind": "budget"}), file=sys.stderr)
         return EXIT_BUDGET
-    except SelectorUndefinedError as exc:
+    except InvariantError as exc:
         print(json.dumps({"error": str(exc), "kind": "invariant"}), file=sys.stderr)
         return EXIT_VIOLATION
     except (ValueError, FileNotFoundError) as exc:

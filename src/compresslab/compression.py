@@ -9,12 +9,16 @@ the canonical examples.
 
 Everything here is exact: output distributions are integer counts over a
 power-of-two denominator, so the resulting masses are exact rationals.
+Subset laws are memoised per compression under hashable law keys;
+compressions that only count hits in a language (OR and transformed-OR
+compressions) share one closed form, everything else enumerates.
 """
 
 from __future__ import annotations
 
 import base64
-from collections.abc import Collection, Iterable, Sequence
+import math
+from collections.abc import Collection, Hashable, Iterable, Sequence
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -337,6 +341,14 @@ class ToyLanguage:
             raise ValueError(f"{v!r} has length {len(v)}, expected {self.n}")
         return v in self._yes
 
+    def count_yes(self, xs: Iterable[str]) -> int:
+        """Number of members among the distinct strings of xs."""
+        xs = set(xs)
+        if not set(map(len, xs)) <= {self.n}:
+            v = min(v for v in xs if len(v) != self.n)
+            raise ValueError(f"{v!r} has length {len(v)}, expected {self.n}")
+        return len(self._yes.intersection(xs))
+
     @property
     def yes_set(self) -> frozenset[str]:
         return self._yes
@@ -375,8 +387,13 @@ class ToyLanguage:
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "ToyLanguage":
-        n = int(obj["n"])
-        yes = {format(int(h, 16), f"0{n}b") for h in obj["yes"]}
+        if not isinstance(obj, dict) or "n" not in obj or "yes" not in obj:
+            raise ValueError('a language needs an "n" and a "yes" entry')
+        try:
+            n = int(obj["n"])
+            yes = {format(int(h, 16), f"0{n}b") for h in obj["yes"]}
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"malformed language: {exc}") from None
         return cls(n, yes)
 
 
@@ -434,6 +451,9 @@ class SetEncodedCompression:
     accepted, and the output is an integer code below 2**output_bits.  The
     declared soundness/completeness error bounds e_s and e_c must satisfy
     e_s + e_c < 1, which is what the sensitivity of one-yes inputs rests on.
+
+    Subset output laws are looked up by :meth:`law_key` and memoised on the
+    instance, so evaluate must be a fixed function of (set, coin).
     """
 
     def __init__(
@@ -456,6 +476,7 @@ class SetEncodedCompression:
         self.coin_bits = coin_bits
         self.e_s = e_s
         self.e_c = e_c
+        self._laws: dict[tuple[Hashable, bool], FiniteDistribution] = {}
 
     @property
     def n_coins(self) -> int:
@@ -475,6 +496,46 @@ class SetEncodedCompression:
             counts[self.evaluate(canon, coin)] += 1
         return counts
 
+    def counts_to_distribution(self, counts: Sequence[int], denom: int, exact: bool = True) -> FiniteDistribution:
+        """Output law from per-code counts over a common denominator."""
+        codes = [c for c, cnt in enumerate(counts) if cnt]
+        labels = [self.output_label(c) for c in codes]
+        return FiniteDistribution.from_counts(labels, [counts[c] for c in codes], denom, exact)
+
+    # -- subset laws ---------------------------------------------------------
+
+    def law_key(self, ground: Sequence[str], forced: Sequence[str] = ()) -> Hashable:
+        """Hashable summary of a subset-law query; equal keys imply equal laws.
+
+        The default key is the canonical (ground minus forced, forced) pair.
+        """
+        return _split_ground(ground, forced)
+
+    def conditioned_law_keys(self, e: Sequence[str]) -> Iterable[tuple[Hashable, Hashable]]:
+        """For each element v of the canonical edge e, the law keys of e minus v
+        without and with v forced in, in edge order."""
+        for v in e:
+            rest = tuple(w for w in e if w != v)
+            yield self.law_key(rest), self.law_key(rest, (v,))
+
+    def law(self, key: Hashable, exact: bool = True) -> FiniteDistribution:
+        """Subset law of a law key, memoised per (key, exact) on the instance.
+
+        The memo lives as long as the compression.  Hit-count keys keep it
+        below (arity + 1)**2 entries per arithmetic; default keys add one
+        entry per distinct (ground, forced) pair asked for, about 2k per
+        edge of size k that a selector scans.
+        """
+        memo_key = (key, exact)
+        law = self._laws.get(memo_key)
+        if law is None:
+            law = self._laws[memo_key] = self._compute_law(key, exact)
+        return law
+
+    def _compute_law(self, key: Hashable, exact: bool) -> FiniteDistribution:
+        ground, forced = key
+        return enumerate_subset_law(self, ground, forced, exact)
+
     def subset_output_distribution(
         self, ground: Sequence[str], forced: Sequence[str] = (), exact: bool = True
     ) -> FiniteDistribution:
@@ -482,20 +543,82 @@ class SetEncodedCompression:
 
         Forced elements are removed from the ground set first, so forcing an
         element of the ground set in or out behaves like conditioning the
-        uniform subset distribution.  Exhaustive over subsets and coins.
+        uniform subset distribution.  Looked up by law key; a miss
+        enumerates subsets and coins unless a subclass has a closed form.
         """
-        ground = tuple(w for w in canonical_set(ground) if w not in set(forced))
-        forced = canonical_set(forced)
-        check_enumeration(2 ** len(ground) * self.n_coins, "subset output enumeration")
+        return self.law(self.law_key(ground, forced), exact)
+
+
+def _split_ground(ground: Sequence[str], forced: Sequence[str] = ()) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Canonical (ground minus forced, forced) pair of a subset-law query."""
+    forced = canonical_set(forced)
+    return tuple(w for w in canonical_set(ground) if w not in forced), forced
+
+
+def enumerate_subset_law(
+    a: SetEncodedCompression, ground: Sequence[str], forced: Sequence[str] = (), exact: bool = True
+) -> FiniteDistribution:
+    """Reference subset law: exhaustive over the subsets of ground and all coins.
+
+    No memo and no closed form; tests compare every faster route with it.
+    """
+    ground, forced = _split_ground(ground, forced)
+    check_enumeration(2 ** len(ground) * a.n_coins, "subset output enumeration")
+    acc = [0] * (2**a.output_bits)
+    for bits in range(2 ** len(ground)):
+        subset = tuple(w for k, w in enumerate(ground) if (bits >> k) & 1)
+        for code, cnt in enumerate(a.output_counts(subset + forced)):
+            acc[code] += cnt
+    return a.counts_to_distribution(acc, 2 ** len(ground) * a.n_coins, exact)
+
+
+class HitCountCompression(SetEncodedCompression):
+    """Compression whose output law depends only on the number of hits.
+
+    A hit is an input element that lies in ``hit_language``; subclasses give
+    :meth:`hit_counts`, the output-code counts over all coin strings for an
+    input with h hits.  A uniform subset of a ground set with k hits, plus
+    forced elements with h_f hits, then has the closed-form law
+    sum_j C(k, j) * hit_counts(h_f + j) / (2**k * n_coins), so the law key
+    is the pair (ground hits, forced hits).
+    """
+
+    def __init__(self, hit_language: ToyLanguage, arity: int, **kwargs: Any):
+        super().__init__(arity, **kwargs)
+        self.hit_language = hit_language
+
+    def hits(self, x: Iterable[str]) -> int:
+        """Number of distinct hit-language members in x."""
+        return self.hit_language.count_yes(x)
+
+    def hit_counts(self, h: int) -> list[int]:
+        raise NotImplementedError
+
+    def law_key(self, ground: Sequence[str], forced: Sequence[str] = ()) -> tuple[int, int]:
+        forced = set(forced)
+        ground = set(ground) - forced
+        if len(ground) + len(forced) > self.arity:
+            raise ValueError("ground plus forced elements exceed the arity")
+        return self.hits(ground), self.hits(forced)
+
+    def conditioned_law_keys(self, e: Sequence[str]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+        # one membership lookup per element: element i leaves the other
+        # elements' hits in the ground set and brings its own hit when forced
+        if len(e) > self.arity:
+            raise ValueError("ground plus forced elements exceed the arity")
+        is_yes = self.hit_language.is_yes
+        own = [1 if is_yes(v) else 0 for v in e]
+        total = sum(own)
+        return [((total - h, 0), (total - h, h)) for h in own]
+
+    def _compute_law(self, key: tuple[int, int], exact: bool) -> FiniteDistribution:
+        k, forced_hits = key
         acc = [0] * (2**self.output_bits)
-        for bits in range(2 ** len(ground)):
-            subset = tuple(w for k, w in enumerate(ground) if (bits >> k) & 1)
-            for cnt_code, cnt in enumerate(self.output_counts(subset + forced)):
-                acc[cnt_code] += cnt
-        denom = 2 ** len(ground) * self.n_coins
-        codes = [c for c, cnt in enumerate(acc) if cnt]
-        labels = [self.output_label(c) for c in codes]
-        return FiniteDistribution.from_counts(labels, [acc[c] for c in codes], denom, exact)
+        for j in range(k + 1):
+            ways = math.comb(k, j)
+            for code, cnt in enumerate(self.hit_counts(forced_hits + j)):
+                acc[code] += ways * cnt
+        return self.counts_to_distribution(acc, 2**k * self.n_coins, exact)
 
 
 class CallableSetCompression(SetEncodedCompression):
@@ -509,7 +632,7 @@ class CallableSetCompression(SetEncodedCompression):
         return self._fn(canonical_set(x), coin)
 
 
-class OrCompression(SetEncodedCompression):
+class OrCompression(HitCountCompression):
     """OR of language membership over the input set, with optional noise.
 
     The noiseless output bit is 1 exactly when the set intersects the
@@ -527,7 +650,7 @@ class OrCompression(SetEncodedCompression):
         e_c: Fraction | float = 0,
         coin_bits: int = 0,
     ):
-        super().__init__(arity, output_bits=1, coin_bits=coin_bits, e_s=e_s, e_c=e_c)
+        super().__init__(language, arity, output_bits=1, coin_bits=coin_bits, e_s=e_s, e_c=e_c)
         n_coins = 2**coin_bits
         for name, p in (("e_s", self.e_s), ("e_c", self.e_c)):
             if (p * n_coins).denominator != 1:
@@ -535,12 +658,6 @@ class OrCompression(SetEncodedCompression):
         self.language = language
         self._flip_no = int(self.e_s * n_coins)
         self._flip_yes = int(self.e_c * n_coins)
-        # the closed-form subset law only depends on the ground-hit count
-        # and whether a forced element hits, so it caches perfectly
-        self._law_cache: dict[tuple[int, bool, bool], FiniteDistribution] = {}
-
-    def _hits(self, x: Collection[str]) -> bool:
-        return any(self.language.is_yes(v) for v in x)
 
     def evaluate(self, x: Collection[str], coin: int = 0) -> int:
         x = canonical_set(x)
@@ -548,37 +665,16 @@ class OrCompression(SetEncodedCompression):
             raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
         if not 0 <= coin < self.n_coins:
             raise ValueError(f"coin {coin} outside {self.n_coins} coin strings")
-        ideal = 1 if self._hits(x) else 0
+        ideal = 1 if self.hits(x) else 0
         flip_below = self._flip_yes if ideal else self._flip_no
         return ideal ^ (1 if coin < flip_below else 0)
 
-    def subset_output_distribution(
-        self, ground: Sequence[str], forced: Sequence[str] = (), exact: bool = True
-    ) -> FiniteDistribution:
-        # Closed form: the output depends on the input set only through
-        # whether it hits the language, and a uniform subset of the ground
-        # set misses the language with probability 2**-k for k ground hits.
-        forced_set = set(forced)
-        ground = tuple(w for w in canonical_set(ground) if w not in forced_set)
-        if len(ground) + len(forced_set) > self.arity:
-            raise ValueError("ground plus forced elements exceed the arity")
-        forced_hit = self._hits(forced_set)
-        k = 0 if forced_hit else sum(1 for v in ground if self.language.is_yes(v))
-        key = (k, forced_hit, exact)
-        cached = self._law_cache.get(key)
-        if cached is not None:
-            return cached
-        p_miss = Fraction(0) if forced_hit else Fraction(1, 2**k)
-        p_one = p_miss * self.e_s + (1 - p_miss) * (1 - self.e_c)
-        items: list[tuple[str, Fraction]] = []
-        if p_one < 1:
-            items.append(("0", 1 - p_one))
-        if p_one > 0:
-            items.append(("1", p_one))
-        masses = [m if exact else float(m) for _, m in items]
-        law = FiniteDistribution([lbl for lbl, _ in items], masses)
-        self._law_cache[key] = law
-        return law
+    def hit_counts(self, h: int) -> list[int]:
+        ideal = 1 if h else 0
+        flips = self._flip_yes if ideal else self._flip_no
+        counts = [flips, flips]
+        counts[ideal] = self.n_coins - flips
+        return counts
 
 
 def ideal_or_compression(language: ToyLanguage, arity: int) -> OrCompression:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Collection, Sequence
 
-from .compression import SetEncodedCompression, ToyLanguage, canonical_set
+from .compression import HitCountCompression, ToyLanguage, canonical_set
 
 VIEW_IDENTITY = "f"
 VIEW_COMPLEMENT = "1-f"
@@ -146,7 +146,7 @@ class SymmetricCompression:
         return self.f.values[hits]
 
 
-class TransformedOrCompression(SetEncodedCompression):
+class TransformedOrCompression(HitCountCompression):
     """Relaxed OR compression obtained from a symmetric compression.
 
     Evaluation injects pivot-many pool instances (yes-instances of the
@@ -154,22 +154,41 @@ class TransformedOrCompression(SetEncodedCompression):
     transformed values at the resulting yes-count.  All-no inputs hit the
     pivot 0, one-yes inputs the following 1; sets with more source
     yes-instances follow whatever the transformed values say, which the
-    relaxed contract leaves free.
+    relaxed contract leaves free.  Since the injected instances are source
+    yes-instances outside the input, an input with h source hits always
+    reads the transformed value at h + pivot, which is the hit-count law.
+
+    The pool must consist of distinct yes-instances of the source language.
+    A positive pivot needs at least t of them so that every input of size
+    up to t - pivot leaves enough disjoint instances to inject; up to 2t are
+    kept.  Too small a pool means the source language is too lopsided to
+    transform ("trivial").
     """
 
     def __init__(
         self,
         base: SymmetricCompression,
         view: PivotView,
-        pool: tuple[str, ...],
+        pool: Sequence[str],
     ):
-        super().__init__(base.arity - view.pivot, output_bits=1, coin_bits=0, e_s=0, e_c=0)
+        source = base.language.complement() if view.complement_source else base.language
+        super().__init__(source, base.arity - view.pivot, output_bits=1, coin_bits=0, e_s=0, e_c=0)
+        t = base.arity
+        canon = canonical_set(pool)
+        if len(canon) != len(tuple(pool)):
+            raise ValueError("pool instances must be distinct")
+        for w in canon:
+            if not source.is_yes(w):
+                raise ValueError(f"pool instance {w!r} is not a yes-instance of the source language")
+        if view.pivot > 0 and len(canon) < t:
+            raise ValueError(
+                f"language trivial or pool too small: pivot {view.pivot} needs at least "
+                f"{t} source yes-instances, got {len(canon)}"
+            )
         self.base = base
         self.view = view
-        self.pool = pool
-        self.source_language = (
-            base.language.complement() if view.complement_source else base.language
-        )
+        self.pool = canon[: 2 * t]
+        self.source_language = source
 
     @property
     def arity_before(self) -> int:
@@ -187,9 +206,12 @@ class TransformedOrCompression(SetEncodedCompression):
         x = canonical_set(x)
         if len(x) > self.arity:
             raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
-        padded = x + self.injected_for(x)
-        hits = sum(1 for v in padded if self.source_language.is_yes(v))
-        return self.view.transformed.values[hits]
+        return self.view.transformed.values[self.hits(x + self.injected_for(x))]
+
+    def hit_counts(self, h: int) -> list[int]:
+        counts = [0, 0]
+        counts[self.view.transformed.values[h + self.view.pivot]] = 1
+        return counts
 
 
 def transform_to_relaxed_or(
@@ -197,29 +219,14 @@ def transform_to_relaxed_or(
 ) -> TransformedOrCompression:
     """Turn a non-constant symmetric compression into a relaxed OR.
 
-    The pool must consist of distinct yes-instances of the pivot view's
-    source language.  A positive pivot needs at least t of them so that
-    every input of size up to t - pivot leaves enough disjoint instances to
-    inject; up to 2t are kept when available.  Too small a pool means the
-    source language is too lopsided to transform ("trivial").
+    Without a pool, the first 2t yes-instances of the pivot view's source
+    language are used; the pool checks are the constructor's.
     """
     view = find_pivot_view(a.f)
-    source = a.language.complement() if view.complement_source else a.language
-    t = a.arity
     if yes_pool is None:
-        yes_pool = source.yes_instances()[: 2 * t]
-    pool = canonical_set(yes_pool)
-    if len(pool) != len(tuple(yes_pool)):
-        raise ValueError("pool instances must be distinct")
-    for w in pool:
-        if not source.is_yes(w):
-            raise ValueError(f"pool instance {w!r} is not a yes-instance of the source language")
-    if view.pivot > 0 and len(pool) < t:
-        raise ValueError(
-            f"language trivial or pool too small: pivot {view.pivot} needs at least "
-            f"{t} source yes-instances, got {len(pool)}"
-        )
-    return TransformedOrCompression(a, view, pool[: 2 * t])
+        source = a.language.complement() if view.complement_source else a.language
+        yes_pool = source.yes_instances()[: 2 * a.arity]
+    return TransformedOrCompression(a, view, yes_pool)
 
 
 def pivot_summary(f: SymmetricFunction) -> dict[str, Any]:

@@ -25,6 +25,7 @@ from .distributions import FiniteDistribution, statistical_distance
 from .sensitivity import pinsker_threshold
 from .tournament import (
     DominatingSet,
+    InvariantError,
     block_conditioned_distributions,
     block_tournament,
     greedy_dominating_set,
@@ -113,7 +114,8 @@ class Advice:
     def elements(self) -> tuple[tuple[str, ...], ...]:
         if self.mode == "FULL_V":
             return ()
-        assert self.dominating is not None
+        if self.dominating is None:
+            raise InvariantError("DOMSET advice without a dominating set")
         return self.dominating.elements
 
     @property
@@ -142,7 +144,8 @@ def build_advice(
         return Advice(language.n, "FULL_V", t, vertices=no_instances)
     tournament = selector_from_compression(a, no_instances, t, delta)
     dom = greedy_dominating_set(tournament)
-    assert dom.size <= t * 2 * language.n, "advice grew past the polynomial guardrail"
+    if dom.size > t * 2 * language.n:
+        raise InvariantError("advice grew past the polynomial guardrail")
     return Advice(language.n, "DOMSET", t, dominating=dom)
 
 
@@ -162,7 +165,8 @@ def build_block_advice(
         return Advice(language.n, "FULL_V", edge_size, vertices=no_instances, block_size=block_size)
     tournament = block_tournament(a, no_instances, num_blocks, block_size, delta)
     dom = greedy_dominating_set(tournament)
-    assert dom.size <= num_blocks * block_size * language.n, "advice grew past the guardrail"
+    if dom.size > num_blocks * block_size * language.n:
+        raise InvariantError("advice grew past the guardrail")
     return Advice(language.n, "DOMSET", edge_size, dominating=dom, block_size=block_size)
 
 
@@ -178,17 +182,26 @@ def queries_for(
     Delta: Number,
     delta: Number,
     exact: bool = True,
+    shared: dict[tuple, SDQuery] | None = None,
 ) -> list[SDQuery]:
     """The base-mode query batch for one input: one query per advice member.
 
     Pure in (v, advice); oracle answers never influence it.  Members
     containing v produce no queries (the decision rejects beforehand).
+    Equal queries are one object: within the batch, and across every call
+    that passes the same ``shared`` dict, so each distinct distance is
+    computed once.
     """
+    shared = {} if shared is None else shared
     queries = []
     for g in advice.elements:
         left = a.subset_output_distribution(g, exact=exact)
         right = a.subset_output_distribution(g, forced=(v,), exact=exact)
-        queries.append(SDQuery(left, right, Delta, delta))
+        key = (left, right, Delta, delta)
+        q = shared.get(key)
+        if q is None:
+            q = shared[key] = SDQuery(left, right, Delta, delta)
+        queries.append(q)
     return queries
 
 
@@ -334,10 +347,11 @@ def audit_language(
     tags = {"yes": 0, "no": 0, "gap": 0}
     matches = 0
     mismatches = []
+    shared: dict[tuple, SDQuery] = {}
     for v in language.universe():
         if advice.mode == "DOMSET" and not any(v in g for g in advice.elements):
             if mode == "base":
-                batch = queries_for(v, advice, a, Delta, delta, exact=exact)
+                batch = queries_for(v, advice, a, Delta, delta, exact=exact, shared=shared)
             else:
                 batch = block_queries_for(v, advice, a, delta, exact=exact)
             for q in batch:

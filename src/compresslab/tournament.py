@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -25,7 +25,15 @@ from .distributions import FiniteDistribution, statistical_distance
 Edge = tuple[str, ...]
 
 
-class SelectorUndefinedError(RuntimeError):
+class InvariantError(RuntimeError):
+    """A guaranteed property of the construction failed to hold.
+
+    Raised unconditionally, also under ``python -O``; the command line maps
+    it to exit code 1.
+    """
+
+
+class SelectorUndefinedError(InvariantError):
     """No element of a queried edge qualifies under the distance threshold.
 
     On edges of no-instances this signals a threshold below the guaranteed
@@ -59,7 +67,7 @@ class HypergraphTournament:
         # fast path for callers that already hold a sorted duplicate-free edge
         v = self._selector(e)
         if v not in e:
-            raise RuntimeError(f"selector returned {v!r} outside the edge")
+            raise InvariantError(f"selector returned {v!r} outside the edge")
         return v
 
 
@@ -77,21 +85,18 @@ def selector_from_compression(
     """
     if edge_size > a.arity:
         raise ValueError("edge size exceeds the compression arity")
-    # distances recur heavily during greedy scans; compressions with
-    # closed-form subset laws return value-equal distributions, so a
-    # value-keyed memo collapses the arithmetic
-    qualifies: dict[tuple[FiniteDistribution, FiniteDistribution], bool] = {}
+    # edges recur heavily during greedy scans, so the verdict is memoised
+    # per pair of law keys and laws and distances are built only on a miss;
+    # hit-count keys are few, but default keys name the edge itself, so for
+    # generic compressions this memo grows by about k entries per edge scanned
+    qualifies: dict[tuple[Hashable, Hashable], bool] = {}
 
     def selector(e: Edge) -> str:
-        for v in e:
-            rest = tuple(w for w in e if w != v)
-            left = a.subset_output_distribution(rest)
-            right = a.subset_output_distribution(rest, forced=(v,))
-            key = (left, right)
-            ok = qualifies.get(key)
+        for v, keys in zip(e, a.conditioned_law_keys(e)):
+            ok = qualifies.get(keys)
             if ok is None:
-                ok = statistical_distance(left, right) <= delta
-                qualifies[key] = ok
+                left, right = keys
+                ok = qualifies[keys] = statistical_distance(a.law(left), a.law(right)) <= delta
             if ok:
                 return v
         raise SelectorUndefinedError(
@@ -184,6 +189,7 @@ def _best_member_exhaustive(tournament: HypergraphTournament, remaining: Edge) -
     # charges exactly one candidate, so max count + (k-1) is the best
     # domination total, with lexicographic tie-break.
     k = tournament.edge_size
+    check_enumeration(math.comb(len(remaining), k), "greedy edge scan")
     counts: dict[Edge, int] = {}
     select = tournament._selector
     for e in combinations(remaining, k):
@@ -191,13 +197,13 @@ def _best_member_exhaustive(tournament: HypergraphTournament, remaining: Edge) -
         try:
             i = e.index(v)
         except ValueError:
-            raise RuntimeError(f"selector returned {v!r} outside the edge") from None
+            raise InvariantError(f"selector returned {v!r} outside the edge") from None
         g = e[:i] + e[i + 1 :]
         counts[g] = counts.get(g, 0) + 1
     best_g = min(counts, key=lambda g: (-counts[g], g))
     need = -(-len(remaining) // k)  # ceil(|R| / k)
     if counts[best_g] + (k - 1) < need:
-        raise RuntimeError(
+        raise InvariantError(
             "no candidate dominates a 1/k fraction; the selector is not a tournament"
         )
     return best_g
@@ -266,7 +272,8 @@ def greedy_dominating_set(
         remaining = tuple(v for v in remaining if not _dominates(tournament, g, v))
         trace.append(len(remaining))
     bound = k * math.log2(max(len(vertices), 2))
-    assert len(elements) <= bound + 1e-9, f"{len(elements)} members exceed {bound}"
+    if len(elements) > bound + 1e-9:
+        raise InvariantError(f"{len(elements)} members exceed {bound}")
     return DominatingSet(k, len(vertices[0]), tuple(elements), tuple(trace))
 
 
@@ -340,10 +347,7 @@ def block_conditioned_distributions(
                 rec(prefix + (w,), idx + 1)
 
         rec((), 0)
-        denom = rows * a.n_coins
-        codes = [c for c, cnt in enumerate(acc) if cnt]
-        labels = [a.output_label(c) for c in codes]
-        return FiniteDistribution.from_counts(labels, [acc[c] for c in codes], denom, exact)
+        return a.counts_to_distribution(acc, rows * a.n_coins, exact)
 
     without_v = tuple(w for w in blocks[j] if w != v)
     return law(without_v), law((v,))

@@ -176,3 +176,53 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["view"] == "f"
+
+
+def test_greedy_edge_scan_is_budget_guarded(capsys, monkeypatch):
+    # C(32, 4) = 35,960 edges in the first greedy step
+    monkeypatch.setenv("COMPLAB_BUDGET", "1000")
+    assert main(["tournament", "--random", "--num-vertices", "32", "--t", "4"]) == 3
+    err = capsys.readouterr().err
+    assert json.loads(err)["kind"] == "budget" and "greedy edge scan" in err
+
+
+def test_malformed_language_file_exit_2(tmp_path):
+    for name, obj in (("no-n", {"yes": ["1"]}), ("no-yes", {"n": 3}), ("bad-n", {"n": None, "yes": []})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        proc = subprocess.run(
+            [sys.executable, "-m", "compresslab.cli", "reduce", "--language", str(path), "--audit"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["kind"] == "usage"
+
+
+def test_guardrails_hold_under_python_O():
+    # assert statements vanish under -O; the invariant errors must not
+    script = """
+import sys
+from compresslab import InvariantError, ToyLanguage, ideal_or_compression
+from compresslab import reduction
+from compresslab.reduction import Advice, build_advice
+from compresslab.tournament import DominatingSet
+
+assert False, "assert statements are live"
+try:
+    Advice(3, "DOMSET", 3).elements
+except InvariantError:
+    pass
+else:
+    sys.exit("DOMSET advice without members passed")
+big = DominatingSet(3, 3, tuple(("000", "001") for _ in range(50)), (8, 0))
+reduction.greedy_dominating_set = lambda tournament: big
+lang = ToyLanguage(3, {"111"})
+try:
+    build_advice(lang, ideal_or_compression(lang, 3))
+except InvariantError:
+    sys.exit(0)
+sys.exit("oversized advice passed")
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Compressive maps, toy languages, subset distributions, OR compressions."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -10,18 +11,22 @@ from compresslab import (
     CompressiveMap,
     FiniteDistribution,
     ProductDistribution,
-    SetEncodedCompression,
+    SymmetricCompression,
+    SymmetricFunction,
     ToyLanguage,
     bit_encode_subsets,
     canonical_set,
+    enumerate_subset_law,
     ideal_or_compression,
     mixture,
     noisy_or_compression,
     random_compressive_map,
     statistical_distance,
     subset_distribution,
+    transform_to_relaxed_or,
     uniform,
 )
+from compresslab.fcompression import VIEW_ORDER
 
 F = Fraction
 
@@ -225,21 +230,90 @@ def test_noisy_or_requires_dyadic_noise():
         noisy_or_compression(lang, 2, e_s=F(1, 3), e_c=0, coin_bits=2)
 
 
+def _subset_law_configurations(lang, arity, rng, trials):
+    """(ground, forced) pairs with ground plus forced inside the arity: grounds
+    with and without yes-instances, forced yes, forced no, nothing forced, and
+    forced elements that also sit in the ground set."""
+    strings = lang.universe()
+    yes = [v for v in strings if lang.is_yes(v)]
+    no = [v for v in strings if not lang.is_yes(v)]
+    for trial in range(trials):
+        size = int(rng.integers(0, arity + 1))
+        picks = [strings[i] for i in rng.choice(len(strings), size=size, replace=False)]
+        if yes and trial % 2 and yes[trial % len(yes)] not in picks:
+            picks = picks[: max(0, size - 1)] + [yes[trial % len(yes)]]
+        kind = trial % 4
+        if kind == 0 or not picks:
+            yield tuple(picks), ()
+        elif kind == 1:
+            # forced element already in the ground set
+            yield tuple(picks), (picks[-1],)
+        else:
+            pool = yes if kind == 2 else no
+            outside = [v for v in pool if v not in picks]
+            if not outside:
+                yield tuple(picks), ()
+                continue
+            ground = tuple(picks[: arity - 1])
+            yield ground, (outside[trial % len(outside)],)
+
+
 def test_or_closed_form_matches_enumeration():
-    # dual route: the closed-form subset law must agree with brute-force
-    # enumeration of subsets and coins on every configuration
+    # dual route: the hit-count closed form must agree with brute-force
+    # enumeration of subsets and coins on every configuration, in both
+    # arithmetics, on a fresh compression and again from its memo
     rng = np.random.default_rng(21)
     for trial in range(30):
         lang = ToyLanguage.random(3, seed=trial)
-        a = noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 4), coin_bits=3)
-        strings = lang.universe()
-        picks = rng.choice(8, size=4, replace=False)
-        ground = tuple(strings[i] for i in picks[:3])
-        forced = (strings[picks[3]],)
-        fast = a.subset_output_distribution(ground, forced)
-        slow = SetEncodedCompression.subset_output_distribution(a, ground, forced)
-        assert fast == slow
-        assert a.subset_output_distribution(ground) == SetEncodedCompression.subset_output_distribution(a, ground)
+        for a in (
+            noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 4), coin_bits=3),
+            ideal_or_compression(lang, 4),
+        ):
+            for ground, forced in _subset_law_configurations(lang, 4, rng, 8):
+                for exact in (True, False):
+                    slow = enumerate_subset_law(a, ground, forced, exact)
+                    assert a.subset_output_distribution(ground, forced, exact) == slow
+                    assert a.subset_output_distribution(ground, forced, exact) == slow
+                    assert slow.exact == exact
+
+
+def test_transformed_or_closed_form_matches_enumeration():
+    # the non-constant symmetric functions for t=2..5 cover all four views and,
+    # from t=3 on, every pivot up to t/2 (at t=2 every function steps up at 0
+    # in some view)
+    rng = np.random.default_rng(5)
+    seen = set()
+    for t in range(2, 6):
+        for bits in itertools.product((0, 1), repeat=t + 1):
+            f = SymmetricFunction(bits)
+            if f.is_constant:
+                continue
+            members = rng.choice(16, size=8, replace=False)
+            lang = ToyLanguage(4, {format(int(i), "04b") for i in members})
+            a = transform_to_relaxed_or(SymmetricCompression(lang, f))
+            seen.add((t, a.view.view, a.view.pivot))
+            source = a.source_language
+            for ground, forced in _subset_law_configurations(source, a.arity, rng, 8):
+                for exact in (True, False):
+                    slow = enumerate_subset_law(a, ground, forced, exact)
+                    assert a.subset_output_distribution(ground, forced, exact) == slow
+    assert {view for _, view, _ in seen} == set(VIEW_ORDER)
+    for t in range(3, 6):
+        assert {pivot for tt, _, pivot in seen if tt == t} == set(range(t // 2 + 1))
+
+
+def test_law_keys_summarise_hit_counts():
+    lang = ToyLanguage(3, {"111", "110"})
+    a = noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
+    assert a.law_key(("000", "111", "110"), ("001",)) == (2, 0)
+    assert a.law_key(("000", "111"), ("111",)) == (0, 1)
+    e = ("000", "001", "110", "111")
+    assert list(a.conditioned_law_keys(e)) == [
+        (a.law_key(tuple(w for w in e if w != v)), a.law_key(tuple(w for w in e if w != v), (v,)))
+        for v in e
+    ]
+    with pytest.raises(ValueError, match="exceed the arity"):
+        a.law_key(("000", "001", "010", "011"), ("100",))
 
 
 def test_or_closed_form_handles_forced_overlap():
@@ -247,7 +321,7 @@ def test_or_closed_form_handles_forced_overlap():
     a = ideal_or_compression(lang, 3)
     ground = ("000", "001", "010")
     fast = a.subset_output_distribution(ground, forced=("001",))
-    slow = SetEncodedCompression.subset_output_distribution(a, ground, forced=("001",))
+    slow = enumerate_subset_law(a, ground, forced=("001",))
     assert fast == slow
 
 
