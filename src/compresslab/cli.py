@@ -39,6 +39,7 @@ from .sensitivity import (
     verify_vajda_sensitivity,
 )
 from .tournament import (
+    DominatingSearchError,
     InvariantError,
     greedy_dominating_set,
     random_tournament,
@@ -72,7 +73,22 @@ class _Report:
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
+def _at_least(minimum: int):
+    """argparse type: an integer no smaller than minimum."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _build_language(source: str, n: int, seed: int) -> ToyLanguage:
@@ -109,11 +125,15 @@ def _build_compression(source: str, language: ToyLanguage, t: int):
         return noisy_or_compression(language, t, e_s, e_c, coin_bits)
     with open(source, encoding="ascii") as fh:
         obj = json.load(fh)
-    if obj.get("kind") != "or":
-        raise ValueError(f"unsupported compression kind {obj.get('kind')!r}")
-    e_s = Fraction(*obj.get("es", [0, 1]))
-    e_c = Fraction(*obj.get("ec", [0, 1]))
-    coin_bits = int(obj.get("coin_bits", 0))
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind != "or":
+        raise ValueError(f"unsupported compression kind {kind!r}")
+    try:
+        e_s = Fraction(*obj.get("es", [0, 1]))
+        e_c = Fraction(*obj.get("ec", [0, 1]))
+        coin_bits = int(obj.get("coin_bits", 0))
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed compression: {exc}") from None
     return noisy_or_compression(language, t, e_s, e_c, coin_bits)
 
 
@@ -306,9 +326,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-lemma", help="run an inequality verifier over seeded random maps")
     p.add_argument("lemma", choices=["pinsker", "kl", "vajda"])
-    p.add_argument("--t", type=int, default=4, help="input arity")
-    p.add_argument("--m", type=int, default=1, help="output bits")
-    p.add_argument("--r", type=int, default=0, help="coin bits")
+    p.add_argument("--t", type=_at_least(1), default=4, help="input arity")
+    p.add_argument("--m", type=_at_least(1), default=1, help="output bits")
+    p.add_argument("--r", type=_at_least(0), default=0, help="coin bits")
     p.add_argument("--sigma", type=int, default=2, help="alphabet size (kl/vajda)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
@@ -318,11 +338,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tournament", help="build and verify a greedy dominating set")
     p.add_argument("--random", action="store_true", help="seeded arbitrary selector")
-    p.add_argument("--num-vertices", type=int, default=16)
+    p.add_argument("--num-vertices", type=_at_least(1), default=16)
     p.add_argument("--language", default="builtin:single-yes")
     p.add_argument("--compression", default="ideal-or")
-    p.add_argument("--n", type=int, default=3, help="input length for language-backed runs")
-    p.add_argument("--t", type=int, default=3, help="edge size")
+    p.add_argument("--n", type=_at_least(1), default=3, help="input length for language-backed runs")
+    p.add_argument("--t", type=_at_least(1), default=3, help="edge size")
     p.add_argument("--delta", type=float, default=None, help="selector threshold")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
@@ -330,9 +350,9 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reduce", help="oracle reduction: single decision or full audit")
     p.add_argument("--language", default="builtin:single-yes")
-    p.add_argument("--n", type=int, default=3)
+    p.add_argument("--n", type=_at_least(1), default=3)
     p.add_argument("--compression", default="ideal-or")
-    p.add_argument("--t", type=int, default=4)
+    p.add_argument("--t", type=_at_least(1), default=4)
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--Delta", type=float, default=None)
     p.add_argument("--mode", choices=["base", "tlogt"], default="base")
@@ -346,8 +366,8 @@ def _make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fcomp", help="pivot view of a symmetric compression, with audit")
     p.add_argument("--f", required=True, help="value bitstring or builtin:or|and|majority|parity")
-    p.add_argument("--t", type=int, default=4, help="arity for builtin functions")
-    p.add_argument("--n", type=int, default=3, help="toy-language input length for the audit")
+    p.add_argument("--t", type=_at_least(1), default=4, help="arity for builtin functions")
+    p.add_argument("--n", type=_at_least(1), default=3, help="toy-language input length for the audit")
     p.add_argument("--audit", action="store_true")
     p.add_argument("--delta", type=float, default=0.5, help="audit threshold")
     p.add_argument("--seed", type=int, default=0)
@@ -368,7 +388,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as exc:
         print(json.dumps({"error": str(exc), "kind": "invariant"}), file=sys.stderr)
         return EXIT_VIOLATION
-    except (ValueError, FileNotFoundError) as exc:
+    except DominatingSearchError as exc:
+        print(json.dumps({"error": str(exc), "kind": "search"}), file=sys.stderr)
+        return EXIT_VIOLATION
+    except (ValueError, OSError) as exc:
         print(json.dumps({"error": str(exc), "kind": "usage"}), file=sys.stderr)
         return EXIT_USAGE
 

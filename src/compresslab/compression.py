@@ -601,16 +601,6 @@ class HitCountCompression(SetEncodedCompression):
             raise ValueError("ground plus forced elements exceed the arity")
         return self.hits(ground), self.hits(forced)
 
-    def conditioned_law_keys(self, e: Sequence[str]) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-        # one membership lookup per element: element i leaves the other
-        # elements' hits in the ground set and brings its own hit when forced
-        if len(e) > self.arity:
-            raise ValueError("ground plus forced elements exceed the arity")
-        is_yes = self.hit_language.is_yes
-        own = [1 if is_yes(v) else 0 for v in e]
-        total = sum(own)
-        return [((total - h, 0), (total - h, h)) for h in own]
-
     def _compute_law(self, key: tuple[int, int], exact: bool) -> FiniteDistribution:
         k, forced_hits = key
         acc = [0] * (2**self.output_bits)

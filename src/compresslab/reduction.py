@@ -62,7 +62,7 @@ class SDQuery:
     def distance(self) -> Number:
         return statistical_distance(self.left, self.right)
 
-    @property
+    @cached_property
     def promise_tag(self) -> str:
         if self.distance >= self.Delta:
             return "YES"
@@ -182,7 +182,7 @@ def queries_for(
     Delta: Number,
     delta: Number,
     exact: bool = True,
-    shared: dict[tuple, SDQuery] | None = None,
+    shared: dict[tuple, Any] | None = None,
 ) -> list[SDQuery]:
     """The base-mode query batch for one input: one query per advice member.
 
@@ -190,12 +190,15 @@ def queries_for(
     containing v produce no queries (the decision rejects beforehand).
     Equal queries are one object: within the batch, and across every call
     that passes the same ``shared`` dict, so each distinct distance is
-    computed once.
+    computed once.  The dict also keeps each member's left law, which does
+    not depend on v.
     """
     shared = {} if shared is None else shared
     queries = []
     for g in advice.elements:
-        left = a.subset_output_distribution(g, exact=exact)
+        left = shared.get((g, exact))
+        if left is None:
+            left = shared[(g, exact)] = a.subset_output_distribution(g, exact=exact)
         right = a.subset_output_distribution(g, forced=(v,), exact=exact)
         key = (left, right, Delta, delta)
         q = shared.get(key)
@@ -347,7 +350,7 @@ def audit_language(
     tags = {"yes": 0, "no": 0, "gap": 0}
     matches = 0
     mismatches = []
-    shared: dict[tuple, SDQuery] = {}
+    shared: dict[tuple, Any] = {}
     for v in language.universe():
         if advice.mode == "DOMSET" and not any(v in g for g in advice.elements):
             if mode == "base":

@@ -14,12 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
 from .budget import check_enumeration
-from .compression import SetEncodedCompression, canonical_set
+from .compression import HitCountCompression, SetEncodedCompression, canonical_set
 from .distributions import FiniteDistribution, statistical_distance
 
 Edge = tuple[str, ...]
@@ -47,7 +47,12 @@ class DominatingSearchError(RuntimeError):
 
 
 class HypergraphTournament:
-    """Complete k-uniform hypergraph with one selected vertex per edge."""
+    """Complete k-uniform hypergraph with one selected vertex per edge.
+
+    Batches of edges are numpy rows of vertex indices: positions in the
+    canonical (sorted) vertex tuple, increasing along each row, so index
+    order is lexicographic order and a row is a canonical edge.
+    """
 
     def __init__(self, vertices: Sequence[str], edge_size: int, selector: Callable[[Edge], str]):
         self.vertices = canonical_set(vertices)
@@ -55,20 +60,72 @@ class HypergraphTournament:
             raise ValueError("edge size must be at least 1")
         self.edge_size = edge_size
         self._selector = selector
+        self._index = {v: i for i, v in enumerate(self.vertices)}
 
     def select(self, e: Sequence[str]) -> str:
         """Selected vertex of an edge; the edge is canonicalized first."""
         e = canonical_set(e)
         if len(e) != self.edge_size:
             raise ValueError(f"edge has {len(e)} distinct vertices, expected {self.edge_size}")
-        return self._select_canonical(e)
+        return e[_position(e, self._selector(e))]
 
-    def _select_canonical(self, e: Edge) -> str:
-        # fast path for callers that already hold a sorted duplicate-free edge
-        v = self._selector(e)
-        if v not in e:
-            raise InvariantError(f"selector returned {v!r} outside the edge")
-        return v
+    def select_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Selected position within each row of an (E, k) batch of index rows.
+
+        The default calls the per-edge selector once per row; tournaments
+        with a vectorised selector override it.
+        """
+        vertices = self.vertices
+        out = np.empty(len(rows), dtype=np.intp)
+        for j, row in enumerate(rows.tolist()):
+            e = tuple(vertices[i] for i in row)
+            out[j] = _position(e, self._selector(e))
+        return out
+
+    def indices(self, vs: Sequence[str]) -> np.ndarray:
+        """Vertex indices of vs, in the order given."""
+        try:
+            return np.array([self._index[v] for v in vs], dtype=np.intp)
+        except KeyError as exc:
+            raise ValueError(f"{exc.args[0]!r} is not a vertex of the tournament") from None
+
+
+def _position(e: Edge, v: str) -> int:
+    try:
+        return e.index(v)
+    except ValueError:
+        raise InvariantError(f"selector returned {v!r} outside the edge") from None
+
+
+class _VectorisedTournament(HypergraphTournament):
+    """Tournament whose selector is one function of per-vertex values.
+
+    ``positions(values, edge)`` maps an (E, k) array of per-vertex values to
+    the position selected in each row; ``edge(i)`` names row i for error
+    messages.  ``value(v)`` gives the value of any vertex string.  Batches
+    gather the values by vertex index; the per-edge selector handed to the
+    constructor is the same function on one row.
+    """
+
+    def __init__(
+        self,
+        vertices: Sequence[str],
+        edge_size: int,
+        value: Callable[[str], int],
+        positions: Callable[[np.ndarray, Callable[[int], Edge]], np.ndarray],
+    ):
+        self._value = value
+        self._positions = positions
+        super().__init__(vertices, edge_size, self._select_edge)
+        self._values = np.array([value(v) for v in self.vertices], dtype=np.int64)
+
+    def _select_edge(self, e: Edge) -> str:
+        values = np.array([[self._value(v) for v in e]], dtype=np.int64)
+        return e[int(self._positions(values, lambda i: e)[0])]
+
+    def select_rows(self, rows: np.ndarray) -> np.ndarray:
+        vertices = self.vertices
+        return self._positions(self._values[rows], lambda i: tuple(vertices[j] for j in rows[i]))
 
 
 def selector_from_compression(
@@ -82,6 +139,9 @@ def selector_from_compression(
     element is selected.  The caller asserts that the vertices are
     no-instances and that delta is at least the sensitivity ceiling, which
     together guarantee a qualifying element exists.
+
+    Hit-count compressions select whole batches at once from each vertex's
+    hit bit; other compressions are asked edge by edge.
     """
     if edge_size > a.arity:
         raise ValueError("edge size exceeds the compression arity")
@@ -91,21 +151,71 @@ def selector_from_compression(
     # generic compressions this memo grows by about k entries per edge scanned
     qualifies: dict[tuple[Hashable, Hashable], bool] = {}
 
-    def selector(e: Edge) -> str:
-        for v, keys in zip(e, a.conditioned_law_keys(e)):
-            ok = qualifies.get(keys)
-            if ok is None:
-                left, right = keys
-                ok = qualifies[keys] = statistical_distance(a.law(left), a.law(right)) <= delta
-            if ok:
-                return v
-        raise SelectorUndefinedError(
+    def verdict(keys: tuple[Hashable, Hashable]) -> bool:
+        ok = qualifies.get(keys)
+        if ok is None:
+            left, right = keys
+            ok = qualifies[keys] = statistical_distance(a.law(left), a.law(right)) <= delta
+        return ok
+
+    def undefined(e: Edge) -> SelectorUndefinedError:
+        return SelectorUndefinedError(
             f"no element of {e!r} is insensitive at threshold {delta}; the vertex set "
             "may contain a yes-instance, the threshold may be too small, or the "
             "compression may violate its error bounds"
         )
 
+    if isinstance(a, HitCountCompression):
+        is_yes = a.hit_language.is_yes
+
+        def positions(hits: np.ndarray, edge: Callable[[int], Edge]) -> np.ndarray:
+            # an element with hit bit `own` in an edge of h hits leaves a
+            # ground set of h - own hits and brings `own` when forced, so its
+            # law keys are ((h - own, 0), (h - own, own)); coded as
+            # 2 * (h - own) + own, verdicts are looked up per code present
+            codes = 2 * (hits.sum(axis=1, keepdims=True) - hits) + hits
+            table = np.zeros(2 * edge_size + 2, dtype=bool)
+            for c in np.flatnonzero(np.bincount(codes.ravel(), minlength=table.size)).tolist():
+                rest, own = divmod(c, 2)
+                table[c] = verdict(((rest, 0), (rest, own)))
+            ok = table[codes]
+            found = ok.any(axis=1)
+            if not found.all():
+                raise undefined(edge(int(np.argmin(found))))
+            return ok.argmax(axis=1)
+
+        return _VectorisedTournament(vertices, edge_size, lambda v: int(is_yes(v)), positions)
+
+    def selector(e: Edge) -> str:
+        for v, keys in zip(e, a.conditioned_law_keys(e)):
+            if verdict(keys):
+                return v
+        raise undefined(e)
+
     return HypergraphTournament(vertices, edge_size, selector)
+
+
+def _mix_positions(keys: np.ndarray, edge: Callable[[int], Edge] | None = None) -> np.ndarray:
+    """Random-tournament selection: h <- (h * P + key) mod M along each row,
+    then position h mod k, with M = 2**61 - 1 and P = 1099511628211.
+
+    Exact in uint64: M is a Mersenne prime and P = 2**40 + 435, so
+    h * 2**40 mod M is a 61-bit rotation of h, and h * 435 is split at
+    bit 32 so that no product overflows.
+    """
+    keys = keys.astype(np.uint64)
+    m = np.uint64(2**61 - 1)
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for key in keys.T:
+        high = (h >> 32) * 435  # below 2**38; its bits from 29 up wrap around
+        h = (
+            (((h << 40) & m) | (h >> 21))
+            + (h & 0xFFFFFFFF) * 435
+            + ((high << 32) & m)
+            + (high >> 29)
+            + key
+        ) % m
+    return (h % np.uint64(keys.shape[1])).astype(np.intp)
 
 
 def random_tournament(num_vertices: int, edge_size: int, seed: int) -> HypergraphTournament:
@@ -122,15 +232,7 @@ def random_tournament(num_vertices: int, edge_size: int, seed: int) -> Hypergrap
     rng = np.random.default_rng(seed)
     raw = rng.integers(0, 2**62, size=num_vertices, dtype=np.int64)
     keys = {v: int(k) for v, k in zip(vertices, raw)}
-    mod = 2**61 - 1
-
-    def selector(e: Edge) -> str:
-        h = 0
-        for v in e:
-            h = (h * 1099511628211 + keys[v]) % mod
-        return e[h % len(e)]
-
-    return HypergraphTournament(vertices, edge_size, selector)
+    return _VectorisedTournament(vertices, edge_size, keys.__getitem__, _mix_positions)
 
 
 # ---------------------------------------------------------------------------
@@ -175,38 +277,111 @@ class DominatingSet:
         return cls(int(obj["t"]), n, elements, tuple(int(c) for c in obj["trace"]))
 
 
-def _dominates(tournament: HypergraphTournament, g: Edge, v: str) -> bool:
-    if v in g:
-        return True
-    if len(g) != tournament.edge_size - 1:
-        return False
-    return tournament.select(g + (v,)) == v
+# Edges per batch of the exhaustive greedy scan, in whole prefixes of k-1
+# vertices (at least one prefix per batch).  It bounds the scan's working
+# memory (a few arrays of this many rows of k indices) on top of the
+# candidate counts, while keeping the per-batch overhead small.
+SCAN_CHUNK = 4096
+
+
+def _selected(tournament: HypergraphTournament, rows: np.ndarray) -> np.ndarray:
+    """select_rows, with every position checked to lie inside its row."""
+    positions = tournament.select_rows(rows)
+    if len(rows) and (positions.min() < 0 or positions.max() >= rows.shape[1]):
+        raise InvariantError("selector returned a position outside the edge")
+    return positions
+
+
+def _domination(
+    tournament: HypergraphTournament, members: Sequence[Edge], vs: Sequence[str]
+) -> np.ndarray:
+    """dom[j, i]: member i dominates vs[j], from one batch of selections.
+
+    A member dominates its own elements and, when it has k-1 elements, every
+    v whose edge member + (v,) selects v.
+    """
+    k = tournament.edge_size
+    dom = np.array([[v in g for g in members] for v in vs], dtype=bool).reshape(len(vs), len(members))
+    full = np.array([len(g) == k - 1 for g in members], dtype=bool)
+    g_idx = np.zeros((len(members), k - 1), dtype=np.intp)
+    for i in np.flatnonzero(full):
+        g_idx[i] = tournament.indices(members[i])
+    v_idx = tournament.indices(vs)
+    vj, gi = np.nonzero(~dom & full)
+    if vj.size:
+        g_rows, v_col = g_idx[gi], v_idx[vj]
+        rows = np.sort(np.column_stack([g_rows, v_col]), axis=1)
+        slot = (g_rows < v_col[:, None]).sum(axis=1)  # v's position in its sorted edge
+        dom[vj, gi] = _selected(tournament, rows) == slot
+    return dom
+
+
+def _prefix_batches(size: int, k: int) -> Iterator[list[tuple[int, ...]]]:
+    """The (k-1)-subsets of range(size) in lexicographic order, as prefixes
+    of edges, in lists holding at most SCAN_CHUNK edges (at least one prefix)."""
+    batch: list[tuple[int, ...]] = []
+    rows = 0
+    for prefix in combinations(range(size), k - 1):
+        edges = size - 1 - prefix[-1] if prefix else size
+        if batch and rows + edges > SCAN_CHUNK:
+            yield batch
+            batch, rows = [], 0
+        batch.append(prefix)
+        rows += edges
+    if batch:
+        yield batch
 
 
 def _best_member_exhaustive(tournament: HypergraphTournament, remaining: Edge) -> Edge:
     # One pass over all edges inside the remaining set: the edge e with
     # selected vertex v certifies that e minus v dominates v.  Every edge
     # charges exactly one candidate, so max count + (k-1) is the best
-    # domination total, with lexicographic tie-break.
+    # domination total, with lexicographic tie-break.  Edges are k-subsets
+    # of positions in `remaining`, scanned in lexicographic order: batches
+    # of prefixes p_0 < ... < p_{k-2}, each followed by every last position.
+    # A candidate c_0 < ... < c_{k-2} is counted under its colex rank
+    # sum_j C(c_j, j + 1), which numbers the C(|R|, k-1) candidates densely.
     k = tournament.edge_size
-    check_enumeration(math.comb(len(remaining), k), "greedy edge scan")
-    counts: dict[Edge, int] = {}
-    select = tournament._selector
-    for e in combinations(remaining, k):
-        v = select(e)
-        try:
-            i = e.index(v)
-        except ValueError:
-            raise InvariantError(f"selector returned {v!r} outside the edge") from None
-        g = e[:i] + e[i + 1 :]
-        counts[g] = counts.get(g, 0) + 1
-    best_g = min(counts, key=lambda g: (-counts[g], g))
-    need = -(-len(remaining) // k)  # ceil(|R| / k)
-    if counts[best_g] + (k - 1) < need:
+    size = len(remaining)
+    check_enumeration(math.comb(size, k), "greedy edge scan")
+    index = tournament.indices(remaining)
+    binom = np.array([[math.comb(c, j) for c in range(size)] for j in range(k + 1)], dtype=np.int64)
+    counts = np.zeros(math.comb(size, k - 1), dtype=np.int32)
+    cols = np.arange(k - 1)
+    for batch in _prefix_batches(size, k):
+        prefix = np.array(batch, dtype=np.intp).reshape(len(batch), k - 1)
+        start = prefix[:, -1] + 1 if k > 1 else np.zeros(1, dtype=np.intp)
+        lasts = size - start
+        owner = np.repeat(np.arange(len(prefix)), lasts)
+        last = np.arange(len(owner)) + np.repeat(start - (np.cumsum(lasts) - lasts), lasts)
+        picked = _selected(tournament, index[np.column_stack([prefix[owner], last])])
+        # by_pick[i, j]: colex rank of what prefix i keeps when column j of
+        # its edge is selected, before the last position's term: prefix
+        # columns before j keep their place, those after it move one place
+        # down; for j < k-1 the last position stays, as candidate column k-2
+        kept = binom[cols + 1, prefix]
+        moved = binom[cols, prefix]
+        by_pick = np.zeros((len(prefix), k), dtype=np.int64)
+        by_pick[:, 1:] = np.cumsum(kept, axis=1)
+        by_pick[:, :-1] += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved
+        ranks = by_pick[owner, picked] + np.where(picked < k - 1, binom[k - 1, last], 0)
+        found, times = np.unique(ranks, return_counts=True)
+        counts[found] += times.astype(np.int32)
+    best = int(counts.max())
+    need = -(-size // k)  # ceil(|R| / k)
+    if best + (k - 1) < need:
         raise InvariantError(
             "no candidate dominates a 1/k fraction; the selector is not a tournament"
         )
-    return best_g
+    # unrank the candidates of maximal count (c_j: the largest c with
+    # C(c, j + 1) <= the rank left) and keep the lexicographically least
+    left = np.flatnonzero(counts == best)
+    ties = np.empty((len(left), k - 1), dtype=np.intp)
+    for j in range(k - 2, -1, -1):
+        ties[:, j] = np.searchsorted(binom[j + 1], left, side="right") - 1
+        left = left - binom[j + 1, ties[:, j]]
+    least = np.lexsort(ties.T[::-1])[0] if len(ties) > 1 else 0
+    return tuple(remaining[i] for i in ties[least])
 
 
 def _best_member_sampled(
@@ -222,7 +397,7 @@ def _best_member_sampled(
     for _ in range(cap):
         picks = rng.choice(len(remaining), size=k - 1, replace=False)
         g = tuple(sorted(remaining[i] for i in picks))
-        dominated = sum(1 for v in remaining if _dominates(tournament, g, v))
+        dominated = int(_domination(tournament, [g], remaining).sum())
         if dominated >= need:
             return g
         best_fraction = max(best_fraction, dominated / len(remaining))
@@ -269,7 +444,8 @@ def greedy_dominating_set(
         else:
             g = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)
         elements.append(g)
-        remaining = tuple(v for v in remaining if not _dominates(tournament, g, v))
+        dominated = _domination(tournament, [g], remaining)[:, 0]
+        remaining = tuple(v for v, hit in zip(remaining, dominated) if not hit)
         trace.append(len(remaining))
     bound = k * math.log2(max(len(vertices), 2))
     if len(elements) > bound + 1e-9:
@@ -282,12 +458,14 @@ def verify_domination(
     dominating: DominatingSet,
     vertices: Sequence[str] | None = None,
 ) -> tuple[bool, list[str]]:
-    """Exhaustively check domination; returns (all dominated, undominated list)."""
+    """Exhaustively check domination; returns (all dominated, undominated list).
+
+    Checks the given vertices of the tournament (default: all of them).
+    """
     if vertices is None:
         vertices = tournament.vertices
-    undominated = [
-        v for v in vertices if not any(_dominates(tournament, g, v) for g in dominating.elements)
-    ]
+    dominated = _domination(tournament, dominating.elements, vertices).any(axis=1)
+    undominated = [v for v, hit in zip(vertices, dominated) if not hit]
     return not undominated, undominated
 
 

@@ -226,3 +226,79 @@ sys.exit("oversized advice passed")
 """
     proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_sampled_search_failure_exit_1(capsys, monkeypatch):
+    from functools import partial
+
+    from compresslab import cli
+
+    starved = partial(cli.greedy_dominating_set, exhaustive_limit=0, sample_cap_factor=0)
+    monkeypatch.setattr(cli, "greedy_dominating_set", starved)
+    assert main(["tournament", "--random", "--num-vertices", "12", "--t", "3"]) == 1
+    report = json.loads(capsys.readouterr().err)
+    assert report["kind"] == "search" and "fraction" in report["error"]
+
+
+def _fuzz_files(tmp_path):
+    files = {
+        "truncated": '{"n": 3, "yes": ["07"',
+        "list": "[1, 2]",
+        "null": "null",
+        "yes-int": '{"n": 3, "yes": 5}',
+        "bad-hex": '{"n": 3, "yes": ["zz"]}',
+        "too-wide": '{"n": 3, "yes": ["fff"]}',
+        "negative-n": '{"n": -2, "yes": []}',
+        "huge-n": '{"n": 40, "yes": []}',
+        "dict-yes": '{"n": "3", "yes": {"a": 1}}',
+        "bad-kind": '{"kind": "xor"}',
+        "bad-es": '{"kind": "or", "es": "ab"}',
+        "zero-denominator": '{"kind": "or", "es": [1, 0]}',
+    }
+    paths = []
+    for name, text in files.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(text)
+        paths.append(str(path))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    directory = tmp_path / "directory.json"
+    directory.mkdir()
+    return paths + [str(binary), str(directory), str(tmp_path / "missing.json")]
+
+
+def test_cli_fuzz_exit_codes_without_traceback(tmp_path, capsys, monkeypatch):
+    # every malformed file and bad flag ends in a contract exit code, with a
+    # usage message or a one-line JSON error, never an uncaught exception
+    monkeypatch.setenv("COMPLAB_BUDGET", "200000")
+    files = _fuzz_files(tmp_path)
+    argvs = []
+    for path in files:
+        argvs += [
+            ["reduce", "--audit", "--language", path],
+            ["tournament", "--language", path],
+            ["reduce", "--audit", "--compression", path],
+        ]
+    bad_flags = [
+        ["--t", "0"], ["--t", "-1"], ["--t", "x"], ["--n", "0"], ["--n", "-3"], ["--m", "0"],
+        ["--r", "-1"], ["--num-vertices", "0"], ["--delta", "nan"], ["--delta", "-1"],
+        ["--Delta", "0"], ["--sigma", "0"], ["--compression", "noisy-or:1/0,1/8"],
+        ["--compression", "noisy-or:1/3,1/8"], ["--compression", "noisy-or:1/8"],
+        ["--language", "builtin:nope"], ["--out", str(tmp_path / "no" / "such" / "dir")],
+        ["--bogus"],
+    ]
+    commands = [
+        ["verify-lemma", "pinsker", "--trials", "2"], ["tournament", "--random"], ["tournament"],
+        ["reduce", "--audit"], ["reduce", "--input", "101"], ["fcomp", "--f", "0101", "--audit"],
+    ]
+    argvs += [cmd + flags for cmd in commands for flags in bad_flags]
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the flags
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, argv
+        if code and not err.startswith("usage:"):
+            assert json.loads(err)["kind"] in {"invariant", "search", "usage", "budget"}, argv
