@@ -20,7 +20,7 @@ import base64
 import math
 from collections.abc import Collection, Hashable, Iterable, Sequence
 from fractions import Fraction
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -49,7 +49,7 @@ class CompressiveMap:
     column per coin string.  Deterministic maps have coin_bits = 0.
     """
 
-    __slots__ = ("arity", "output_bits", "coin_bits", "alphabet_size", "table", "_digits")
+    __slots__ = ("arity", "output_bits", "coin_bits", "alphabet_size", "table")
 
     def __init__(
         self,
@@ -79,7 +79,6 @@ class CompressiveMap:
         self.alphabet_size = alphabet_size
         self.table = table
         self.table.setflags(write=False)
-        self._digits: np.ndarray | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -163,17 +162,6 @@ class CompressiveMap:
             index //= self.alphabet_size
         return tuple(reversed(out))
 
-    def coordinate_digits(self) -> np.ndarray:
-        """Array of shape (arity, n_inputs) with the symbol at each coordinate."""
-        if self._digits is None:
-            idx = np.arange(self.n_inputs)
-            digits = np.empty((self.arity, self.n_inputs), dtype=np.int64)
-            for j in range(self.arity):
-                power = self.alphabet_size ** (self.arity - 1 - j)
-                digits[j] = (idx // power) % self.alphabet_size
-            self._digits = digits
-        return self._digits
-
     def evaluate(self, symbols: Sequence[int], coin: int = 0) -> int:
         return int(self.table[self.input_index(symbols), coin])
 
@@ -229,13 +217,20 @@ class CompressiveMap:
         alphabet_size**(arity-1) * 2**coin_bits.
         """
         t, s, m_codes = self.arity, self.alphabet_size, 2**self.output_bits
-        digits = self.coordinate_digits()
         out = np.empty((t, s, m_codes), dtype=np.int64)
-        flat_table = self.table
-        for j in range(t):
-            keyed = digits[j][:, None] * m_codes + flat_table
-            counts = np.bincount(keyed.ravel(), minlength=s * m_codes)
-            out[j] = counts.reshape(s, m_codes)
+        # Mixed radix, first coordinate most significant: block [:, x, :] of
+        # table.reshape(s**j, s, -1) holds exactly the rows with symbol x at
+        # coordinate j.  Coordinate 0 splits the table into s contiguous
+        # blocks, which together give the full counts; for every later
+        # coordinate the last symbol is the full counts minus the others.
+        for x, block in enumerate(self.table.reshape(s, -1)):
+            out[0, x] = np.bincount(block, minlength=m_codes)
+        full = out[0].sum(axis=0)
+        for j in range(1, t):
+            blocks = self.table.reshape(s**j, s, -1)
+            for x in range(s - 1):
+                out[j, x] = np.bincount(blocks[:, x, :].ravel(), minlength=m_codes)
+            out[j, s - 1] = full - out[j, : s - 1].sum(axis=0)
         return out
 
     def _counts_to_distribution(self, counts: np.ndarray, denom: int, exact: bool = True) -> FiniteDistribution:
@@ -246,24 +241,18 @@ class CompressiveMap:
     # -- serialization ----------------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:
-        """Row-major bit packing of the table, base64 encoded."""
-        bits: list[int] = []
-        for row in self.table:
-            for code in row:
-                for k in range(self.output_bits - 1, -1, -1):
-                    bits.append((int(code) >> k) & 1)
-        packed = bytearray()
-        for start in range(0, len(bits), 8):
-            byte = 0
-            for b in bits[start : start + 8]:
-                byte = (byte << 1) | b
-            byte <<= max(0, 8 - len(bits[start : start + 8]))
-            packed.append(byte)
+        """Row-major bit packing of the table, base64 encoded.
+
+        Each code is written as m bits, most significant first, and the bit
+        stream is packed big-endian into bytes with zero padding at the end.
+        """
+        shifts = np.arange(self.output_bits - 1, -1, -1)
+        bits = ((self.table.reshape(-1, 1) >> shifts) & 1).astype(np.uint8)
         obj: dict[str, Any] = {
             "t": self.arity,
             "m": self.output_bits,
             "r": self.coin_bits,
-            "table": base64.b64encode(bytes(packed)).decode("ascii"),
+            "table": base64.b64encode(np.packbits(bits, bitorder="big").tobytes()).decode("ascii"),
         }
         if self.alphabet_size != 2:
             obj["alphabet_size"] = self.alphabet_size
@@ -273,19 +262,13 @@ class CompressiveMap:
     def from_json(cls, obj: dict[str, Any]) -> "CompressiveMap":
         t, m, r = int(obj["t"]), int(obj["m"]), int(obj["r"])
         s = int(obj.get("alphabet_size", 2))
-        raw = base64.b64decode(obj["table"])
+        raw = np.frombuffer(base64.b64decode(obj["table"]), dtype=np.uint8)
         n_rows = (s**t) * (2**r)
-        codes = []
-        bitpos = 0
-        for _ in range(n_rows):
-            code = 0
-            for _ in range(m):
-                byte = raw[bitpos // 8]
-                code = (code << 1) | ((byte >> (7 - bitpos % 8)) & 1)
-                bitpos += 1
-            codes.append(code)
-        table = np.array(codes, dtype=np.int64).reshape(s**t, 2**r)
-        return cls(t, m, r, table, s)
+        if raw.size * 8 < n_rows * m:
+            raise ValueError(f"table holds {raw.size * 8} bits, {n_rows * m} needed")
+        bits = np.unpackbits(raw, count=n_rows * m, bitorder="big").reshape(n_rows, m)
+        codes = bits.astype(np.int64) @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
+        return cls(t, m, r, codes.reshape(s**t, 2**r), s)
 
 
 def random_compressive_map(
@@ -609,17 +592,6 @@ class HitCountCompression(SetEncodedCompression):
             for code, cnt in enumerate(self.hit_counts(forced_hits + j)):
                 acc[code] += ways * cnt
         return self.counts_to_distribution(acc, 2**k * self.n_coins, exact)
-
-
-class CallableSetCompression(SetEncodedCompression):
-    """Set compression backed by a plain function, mainly for tests."""
-
-    def __init__(self, fn: Callable[[tuple[str, ...], int], int], arity: int, **kwargs: Any):
-        super().__init__(arity, **kwargs)
-        self._fn = fn
-
-    def evaluate(self, x: Collection[str], coin: int = 0) -> int:
-        return self._fn(canonical_set(x), coin)
 
 
 class OrCompression(HitCountCompression):

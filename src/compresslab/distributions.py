@@ -105,10 +105,6 @@ class FiniteDistribution:
             mass = [int(c) / denominator for c in counts]
         return cls(outcomes, mass)
 
-    @classmethod
-    def from_items(cls, items: Mapping[Outcome, Mass]) -> "FiniteDistribution":
-        return cls(tuple(items.keys()), tuple(items.values()))
-
     # -- basic access ------------------------------------------------------
 
     @property

@@ -12,7 +12,7 @@ yields a relaxed OR compression of arity t - i: all-no inputs land on the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Collection, Sequence
+from typing import Collection, Sequence
 
 from .compression import HitCountCompression, ToyLanguage, canonical_set
 
@@ -190,10 +190,6 @@ class TransformedOrCompression(HitCountCompression):
         self.pool = canon[: 2 * t]
         self.source_language = source
 
-    @property
-    def arity_before(self) -> int:
-        return self.base.arity
-
     def injected_for(self, x: Collection[str]) -> tuple[str, ...]:
         """The pool instances fixed into this input: disjoint from it, sorted."""
         taken = set(canonical_set(x))
@@ -227,14 +223,3 @@ def transform_to_relaxed_or(
         source = a.language.complement() if view.complement_source else a.language
         yes_pool = source.yes_instances()[: 2 * a.arity]
     return TransformedOrCompression(a, view, yes_pool)
-
-
-def pivot_summary(f: SymmetricFunction) -> dict[str, Any]:
-    view = find_pivot_view(f)
-    return {
-        "view": view.view,
-        "i": view.pivot,
-        "t_prime": f.t - view.pivot,
-        "complement_source": view.complement_source,
-        "complement_target": view.complement_target,
-    }

@@ -119,8 +119,8 @@ def _count_entropy_bits(counts: np.ndarray, total: int) -> float:
 
 def _uniform_counts(f: CompressiveMap) -> tuple[np.ndarray, np.ndarray, int, int]:
     """(full counts, conditioned counts, full denom, conditioned denom)."""
-    full = f.output_counts()
     cond = f.conditioned_output_counts()
+    full = cond[0].sum(axis=0)
     n_full = f.n_inputs * f.n_coins
     n_cond = n_full // f.alphabet_size
     return full, cond, n_full, n_cond
@@ -162,17 +162,17 @@ def map_input_mutual_information(f: CompressiveMap, inputs: ProductDistribution 
     entropies; zero coin bits make the conditional term vanish.
     """
     _require_uniform(f, inputs)
-    full, _, n_full, _ = _uniform_counts(f)
-    h_out = _count_entropy_bits(full, n_full)
+    h_out = _count_entropy_bits(f.output_counts(), f.n_inputs * f.n_coins)
     if f.coin_bits == 0:
         return h_out
     m_codes = 2**f.output_bits
-    row_counts = np.zeros((f.n_inputs, m_codes), dtype=np.int64)
-    np.add.at(row_counts, (np.arange(f.n_inputs)[:, None], f.table), 1)
-    p = row_counts / f.n_coins
+    keyed = np.arange(f.n_inputs)[:, None] * m_codes + f.table
+    row_counts = np.bincount(keyed.ravel(), minlength=f.n_inputs * m_codes).reshape(f.n_inputs, m_codes)
+    # A row count is one of 0..n_coins, so -p log2 p is evaluated once per value.
+    p = np.arange(f.n_coins + 1) / f.n_coins
     with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    h_given_input = float(terms.sum(axis=1).mean())
+        term_of_count = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    h_given_input = float(term_of_count[row_counts].sum(axis=1).mean())
     return max(h_out - h_given_input, 0.0)
 
 

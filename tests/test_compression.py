@@ -1,5 +1,6 @@
 """Compressive maps, toy languages, subset distributions, OR compressions."""
 
+import base64
 import itertools
 from fractions import Fraction
 
@@ -79,6 +80,26 @@ def test_conditional_average_reconstructs_output():
         assert mixture(parts) == f.output_distribution(x)
 
 
+def _row_reference_conditioned_counts(f: CompressiveMap) -> np.ndarray:
+    """Per-row reference: add each row's code counts at every (j, symbol) it has."""
+    m_codes = 2**f.output_bits
+    ref = np.zeros((f.arity, f.alphabet_size, m_codes), dtype=np.int64)
+    coords = np.arange(f.arity)
+    for idx in range(f.n_inputs):
+        row = np.bincount(f.table[idx], minlength=m_codes)
+        ref[coords, list(f.input_symbols(idx))] += row
+    return ref
+
+
+def test_conditioned_counts_match_row_reference():
+    for t, s, r, m in itertools.product((1, 2, 3, 6), (2, 3, 4), (0, 1, 2), range(5)):
+        f = CompressiveMap.random(t, m, r, seed=1000 * t + 100 * s + 10 * r + m, alphabet_size=s)
+        cond = f.conditioned_output_counts()
+        assert cond.shape == (t, s, 2**m)
+        assert np.array_equal(cond, _row_reference_conditioned_counts(f)), (t, s, r, m)
+        assert (cond.sum(axis=2) == s ** (t - 1) * 2**r).all()
+
+
 def test_random_map_deterministic_in_seed():
     a = CompressiveMap.random(4, 2, 1, seed=123)
     b = CompressiveMap.random(4, 2, 1, seed=123)
@@ -123,6 +144,52 @@ def test_map_serialization_round_trip():
         g = CompressiveMap.from_json(f.to_json())
         assert np.array_equal(f.table, g.table)
         assert (g.arity, g.output_bits, g.coin_bits, g.alphabet_size) == (t, m, r, s)
+
+
+# Base64 tables written by the earlier bit-loop serializer: m=3 codes straddle
+# byte boundaries, sigma=3 tables carry "alphabet_size", m=0 tables are empty.
+PINNED_TABLES = [
+    ((3, 3, 1, 2, 5), "uGcq4TjI", [5, 6, 0, 6, 3, 4, 5, 2, 7, 0, 2, 3, 4, 3, 1, 0]),
+    ((2, 2, 1, 3, 6), "adlybaA=", [1, 2, 2, 1, 3, 1, 2, 1, 1, 3, 0, 2, 1, 2, 3, 1, 2, 2]),
+    ((3, 0, 1, 2, 7), "", [0] * 16),
+    ((4, 1, 0, 2, 8), "k8g=", [1, 0, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0, 1, 0, 0, 0]),
+    ((2, 5, 0, 3, 9), "bvyRzrig", [13, 27, 30, 9, 3, 19, 21, 24, 20]),
+]
+
+
+def test_map_serialization_format_is_pinned():
+    for (t, m, r, s, seed), packed, codes in PINNED_TABLES:
+        f = CompressiveMap.random(t, m, r, seed=seed, alphabet_size=s)
+        assert f.table.ravel().tolist() == codes
+        obj = f.to_json()
+        assert obj["table"] == packed
+        assert obj.get("alphabet_size", 2) == s and ("alphabet_size" in obj) == (s != 2)
+        g = CompressiveMap.from_json({"t": t, "m": m, "r": r, "alphabet_size": s, "table": packed})
+        assert g.table.ravel().tolist() == codes
+
+
+def _bit_loop_table(f: CompressiveMap) -> str:
+    """Reference packing: every code as m bits, MSB first, eight bits per byte."""
+    bits = [(int(code) >> k) & 1 for code in f.table.ravel() for k in range(f.output_bits - 1, -1, -1)]
+    bits += [0] * (-len(bits) % 8)
+    packed = bytes(int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8))
+    return base64.b64encode(packed).decode("ascii")
+
+
+def test_map_serialization_matches_bit_loop_reference():
+    for t, m, r, s in itertools.product((1, 3, 5), range(6), (0, 2), (2, 3)):
+        f = CompressiveMap.random(t, m, r, seed=31 * t + 7 * m + r + s, alphabet_size=s)
+        packed = f.to_json()["table"]
+        assert packed == _bit_loop_table(f), (t, m, r, s)
+        g = CompressiveMap.from_json({"t": t, "m": m, "r": r, "alphabet_size": s, "table": packed})
+        assert np.array_equal(g.table, f.table)
+
+
+def test_map_deserialization_rejects_short_table():
+    obj = CompressiveMap.random(3, 3, 1, seed=5).to_json()
+    obj["table"] = "uGcq"
+    with pytest.raises(ValueError, match="bits"):
+        CompressiveMap.from_json(obj)
 
 
 # -- toy languages ---------------------------------------------------------------

@@ -187,11 +187,61 @@ def test_information_bounded_by_output_bits():
 
 
 def test_information_dual_route():
-    for seed in range(8):
-        f = CompressiveMap.random(3, 2, 2, seed=seed)
-        fast = map_input_mutual_information(f)
-        slow = mutual_information(joint_output_input_distribution(f))
-        assert fast == pytest.approx(slow, abs=1e-9)
+    for sigma, r in [(2, 2), (2, 0), (3, 2), (3, 0), (4, 1), (4, 0)]:
+        for seed in range(8):
+            f = CompressiveMap.random(3, 2, r, seed=seed, alphabet_size=sigma)
+            fast = map_input_mutual_information(f)
+            slow = mutual_information(joint_output_input_distribution(f))
+            assert fast == pytest.approx(slow, abs=1e-9)
+
+
+def _per_entry_mutual_information(f: CompressiveMap) -> float:
+    """Reference: -p log2 p evaluated at every (input, code) entry."""
+    counts = np.bincount(f.table.ravel(), minlength=2**f.output_bits)
+    n_full = f.n_inputs * f.n_coins
+    h_out = 0.0
+    for c in counts[counts > 0]:
+        h_out -= int(c) / n_full * math.log2(int(c) / n_full)
+    if f.coin_bits == 0:
+        return h_out
+    row_counts = np.zeros((f.n_inputs, 2**f.output_bits), dtype=np.int64)
+    np.add.at(row_counts, (np.arange(f.n_inputs)[:, None], f.table), 1)
+    p = row_counts / f.n_coins
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    return max(h_out - float(terms.sum(axis=1).mean()), 0.0)
+
+
+def test_information_equals_per_entry_reference():
+    rng = np.random.default_rng(44)
+    for _ in range(60):
+        t, m, r, s = (int(v) for v in rng.integers((1, 0, 0, 2), (8, 5, 5, 5)))
+        if s**t * 2**r > 2**14:
+            continue
+        f = CompressiveMap.random(t, m, r, seed=int(rng.integers(0, 2**31)), alphabet_size=s)
+        assert map_input_mutual_information(f) == _per_entry_mutual_information(f), (t, m, r, s)
+
+
+def test_verifiers_build_the_conditioned_table_once(monkeypatch):
+    calls = []
+    build = CompressiveMap.conditioned_output_counts
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(CompressiveMap, "conditioned_output_counts", counted)
+    cases = [
+        (verify_pinsker_sensitivity, CompressiveMap.random(5, 2, 1, seed=1)),
+        (verify_kl_bound, CompressiveMap.random(4, 2, 0, seed=2)),
+        (verify_kl_bound, CompressiveMap.random(3, 2, 2, seed=3, alphabet_size=3)),
+        (verify_vajda_sensitivity, CompressiveMap.random(4, 1, 1, seed=4)),
+        (verify_vajda_sensitivity, CompressiveMap.random(3, 2, 0, seed=5, alphabet_size=4)),
+    ]
+    for verifier, f in cases:
+        calls.clear()
+        verifier(f)
+        assert calls == [f], verifier.__name__
 
 
 # -- conditioned-distance ceiling ----------------------------------------------
