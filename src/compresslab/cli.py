@@ -30,7 +30,7 @@ from .compression import (
     noisy_or_compression,
 )
 from .fcompression import SymmetricCompression, SymmetricFunction, find_pivot_view, transform_to_relaxed_or
-from .reduction import audit_language, build_advice, decide, queries_for
+from .reduction import audit_language, build_advice, decide_with_queries, promise_gap
 from .sensitivity import (
     SLACK_TOL,
     pinsker_threshold,
@@ -220,13 +220,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError("reduce needs --audit or --input BITS")
     if args.mode != "base":
         raise ValueError("single decisions are supported in base mode only")
-    advice = build_advice(language, compression, args.t, args.delta)
-    verdict = decide(args.input, advice, compression, args.Delta, args.delta, exact=exact)
-    big = 1 - (compression.e_s + compression.e_c) if args.Delta is None else args.Delta
-    small = pinsker_threshold(compression.output_bits, args.t) if args.delta is None else args.delta
-    batch = []
-    if advice.mode == "DOMSET" and not any(args.input in g for g in advice.elements):
-        batch = queries_for(args.input, advice, compression, big, small, exact=exact)
+    Delta, delta = promise_gap(compression, args.t, args.Delta, args.delta)
+    advice = build_advice(language, compression, args.t, delta)
+    verdict, batch = decide_with_queries(args.input, advice, compression, Delta, delta, exact=exact)
     report.emit(
         {
             "input": args.input,

@@ -494,6 +494,14 @@ class SetEncodedCompression:
         """
         return _split_ground(ground, forced)
 
+    def forced_class(self, v: str) -> Hashable:
+        """Class of an input forced into a subset law, for grouping audit queries.
+
+        For every ground set g not containing v, ``law_key(g, (v,))`` depends
+        on v only through this value.  The default is v itself.
+        """
+        return v
+
     def conditioned_law_keys(self, e: Sequence[str]) -> Iterable[tuple[Hashable, Hashable]]:
         """For each element v of the canonical edge e, the law keys of e minus v
         without and with v forced in, in edge order."""
@@ -583,6 +591,10 @@ class HitCountCompression(SetEncodedCompression):
         if len(ground) + len(forced) > self.arity:
             raise ValueError("ground plus forced elements exceed the arity")
         return self.hits(ground), self.hits(forced)
+
+    def forced_class(self, v: str) -> bool:
+        """The hit bit of v: a forced element adds one forced hit or none."""
+        return self.hit_language.is_yes(v)
 
     def _compute_law(self, key: tuple[int, int], exact: bool) -> FiniteDistribution:
         k, forced_hits = key

@@ -15,10 +15,11 @@ and the advice, and the verdict is the conjunction of the answers.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Literal
+from typing import Any, Callable, Hashable, Literal
 
 from .compression import SetEncodedCompression, ToyLanguage, canonical_set
 from .distributions import FiniteDistribution, statistical_distance
@@ -122,6 +123,30 @@ class Advice:
     def size(self) -> int:
         return len(self.vertices) if self.mode == "FULL_V" else len(self.elements)
 
+    @cached_property
+    def member_elements(self) -> frozenset[str]:
+        """Every string lying inside some member; the inputs rejected without queries."""
+        return frozenset(v for g in self.elements for v in g)
+
+
+def promise_gap(
+    a: SetEncodedCompression,
+    edge_size: int,
+    Delta: Number | None = None,
+    delta: Number | None = None,
+) -> tuple[Number, Number]:
+    """The base reduction's promise gap, filling in the defaults.
+
+    Delta defaults to 1 - (e_s + e_c), the distance every one-yes set keeps;
+    delta to the noise-sensitivity ceiling sqrt(2 ln 2 * m/t) at which the
+    selector runs.
+    """
+    if Delta is None:
+        Delta = 1 - (a.e_s + a.e_c)
+    if delta is None:
+        delta = pinsker_threshold(a.output_bits, edge_size)
+    return Delta, delta
+
 
 def build_advice(
     language: ToyLanguage,
@@ -137,8 +162,7 @@ def build_advice(
     dominating set becomes the advice.
     """
     t = a.arity if edge_size is None else edge_size
-    if delta is None:
-        delta = pinsker_threshold(a.output_bits, t)
+    _, delta = promise_gap(a, t, delta=delta)
     no_instances = language.no_instances()
     if len(no_instances) <= t:
         return Advice(language.n, "FULL_V", t, vertices=no_instances)
@@ -230,6 +254,36 @@ def _checked_input(v: str, advice: Advice) -> str:
     return v
 
 
+def decide_with_queries(
+    v: str,
+    advice: Advice,
+    a: SetEncodedCompression,
+    Delta: Number,
+    delta: Number,
+    oracle: Oracle = exact_sd_oracle,
+    exact: bool = True,
+    shared: dict[tuple, Any] | None = None,
+) -> tuple[bool, list[SDQuery]]:
+    """The decision procedure: the verdict on one input and its query batch.
+
+    FULL_V advice rejects exactly the listed no-instances, and DOMSET advice
+    rejects v when it lies inside a member; both return an empty batch and
+    call no oracle.  Otherwise the batch is the block batch for block advice
+    (a positive block size) and the base batch for the rest, and v is
+    accepted exactly when the oracle affirms every query in it.
+    """
+    v = _checked_input(v, advice)
+    if advice.mode == "FULL_V":
+        return v not in advice.vertices, []
+    if v in advice.member_elements:
+        return False, []
+    if advice.block_size:
+        batch = block_queries_for(v, advice, a, delta, exact=exact)
+    else:
+        batch = queries_for(v, advice, a, Delta, delta, exact=exact, shared=shared)
+    return all(oracle(q) for q in batch), batch
+
+
 def decide(
     v: str,
     advice: Advice,
@@ -241,20 +295,11 @@ def decide(
 ) -> bool:
     """Accept/reject one input using the advice and the distance oracle.
 
-    FULL_V advice rejects exactly the listed no-instances.  DOMSET advice
-    rejects when v lies inside a member (no oracle calls) and otherwise
-    accepts exactly when the oracle affirms every query in the batch.
+    The promise gap defaults as in :func:`promise_gap`; see
+    :func:`decide_with_queries` for the verdict.
     """
-    v = _checked_input(v, advice)
-    if advice.mode == "FULL_V":
-        return v not in advice.vertices
-    if any(v in g for g in advice.elements):
-        return False
-    if Delta is None:
-        Delta = 1 - (a.e_s + a.e_c)
-    if delta is None:
-        delta = pinsker_threshold(a.output_bits, advice.edge_size)
-    return all(oracle(q) for q in queries_for(v, advice, a, Delta, delta, exact=exact))
+    Delta, delta = promise_gap(a, advice.edge_size, Delta, delta)
+    return decide_with_queries(v, advice, a, Delta, delta, oracle, exact)[0]
 
 
 def decide_tlogt(
@@ -266,12 +311,7 @@ def decide_tlogt(
     exact: bool = True,
 ) -> bool:
     """Block-variant decision; the compression must be deterministic and exact."""
-    v = _checked_input(v, advice)
-    if advice.mode == "FULL_V":
-        return v not in advice.vertices
-    if any(v in g for g in advice.elements):
-        return False
-    return all(oracle(q) for q in block_queries_for(v, advice, a, delta, exact=exact))
+    return decide_with_queries(v, advice, a, 1, delta, oracle, exact)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -322,20 +362,27 @@ def audit_language(
 ) -> AuditReport:
     """Build advice once, decide every string of the input length, tally tags.
 
+    Inputs outside every member are grouped by forced-element class
+    (:meth:`SetEncodedCompression.forced_class`; in block mode each input is
+    its own class).  Every input of a class gets the same query batch, so
+    the batch is built and answered once, for the first input of the class,
+    and its tags are counted once per input.  An audit therefore costs one
+    query batch per class (two for hit-count compressions, one per input
+    otherwise) plus a set lookup and a membership test per input.  This
+    treats the oracle as a function of the query, as the shared query
+    objects already do: an oracle whose answer depends on anything else
+    gets one answer per class, not per input.
+
     Raises "empty promise gap" before any decision when delta >= Delta.
     Agreement below 1.0 on a compression within its error budget indicates
     a bug, not noise; every quantity here is exact.
     """
+    t = a.arity if edge_size is None else edge_size
     if mode == "base":
-        t = a.arity if edge_size is None else edge_size
-        if Delta is None:
-            Delta = 1 - (a.e_s + a.e_c)
-        if delta is None:
-            delta = pinsker_threshold(a.output_bits, t)
+        Delta, delta = promise_gap(a, t, Delta, delta)
     else:
         if block_size is None:
             raise ValueError("block mode needs a block size")
-        t = a.arity if edge_size is None else edge_size
         Delta = 1 if Delta is None else Delta
         if delta is None:
             raise ValueError("block mode needs an explicit delta below 1")
@@ -344,36 +391,37 @@ def audit_language(
 
     if mode == "base":
         advice = build_advice(language, a, t, float(delta))
+        forced_class = a.forced_class
     else:
         advice = build_block_advice(language, a, t, block_size, float(delta))
+        # a block batch partitions the member plus v, so it depends on v itself
+        forced_class = lambda v: v
 
-    tags = {"yes": 0, "no": 0, "gap": 0}
-    matches = 0
-    mismatches = []
+    decided: dict[Hashable, tuple[bool, list[SDQuery]]] = {}
+    class_inputs: Counter[Hashable] = Counter()
     shared: dict[tuple, Any] = {}
+    mismatches = []
     for v in language.universe():
-        if advice.mode == "DOMSET" and not any(v in g for g in advice.elements):
-            if mode == "base":
-                batch = queries_for(v, advice, a, Delta, delta, exact=exact, shared=shared)
-            else:
-                batch = block_queries_for(v, advice, a, delta, exact=exact)
-            for q in batch:
-                tags[q.promise_tag.lower()] += 1
-            verdict = all(oracle(q) for q in batch)
-        elif advice.mode == "DOMSET":
-            verdict = False
+        if advice.mode == "DOMSET" and v not in advice.member_elements:
+            key = forced_class(v)
+            if key not in decided:
+                decided[key] = decide_with_queries(v, advice, a, Delta, delta, oracle, exact, shared)
+            class_inputs[key] += 1
+            verdict = decided[key][0]
         else:
-            verdict = v not in advice.vertices
-        if verdict == language.is_yes(v):
-            matches += 1
-        else:
+            verdict, _ = decide_with_queries(v, advice, a, Delta, delta, oracle, exact)
+        if verdict != language.is_yes(v):
             mismatches.append(v)
+    tags = {"yes": 0, "no": 0, "gap": 0}
+    for key, (_, batch) in decided.items():
+        for q in batch:
+            tags[q.promise_tag.lower()] += class_inputs[key]
     total = 2**language.n
     return AuditReport(
         n=language.n,
         t=t,
         mode=mode,
-        agreement=matches / total,
+        agreement=(total - len(mismatches)) / total,
         advice_size=advice.size,
         advice_mode=advice.mode,
         query_tags=tags,

@@ -283,6 +283,12 @@ class DominatingSet:
 # candidate counts, while keeping the per-batch overhead small.
 SCAN_CHUNK = 4096
 
+# Most edges the greedy search scans exhaustively in one step; past it the
+# step samples.  Fixed at the default enumeration budget and deliberately not
+# read from COMPLAB_BUDGET: a larger budget leaves the exhaustive range as it
+# is, and a smaller one still stops an exhaustive scan with a budget error.
+EXHAUSTIVE_EDGE_LIMIT = 2**24
+
 
 def _selected(tournament: HypergraphTournament, rows: np.ndarray) -> np.ndarray:
     """select_rows, with every position checked to lie inside its row."""
@@ -418,8 +424,9 @@ def greedy_dominating_set(
     Each step adds a (k-1)-subset of the undominated vertices that dominates
     at least a 1/k fraction of them; such a member always exists by
     averaging over edges.  The search is exhaustive while the candidate
-    count stays below exhaustive_limit (ties broken toward more dominated
-    vertices, then lexicographically) and sampled beyond that.  Fewer than k
+    count stays below exhaustive_limit and the edge count below
+    EXHAUSTIVE_EDGE_LIMIT (ties broken toward more dominated vertices, then
+    lexicographically) and sampled beyond that.  Fewer than k
     undominated vertices are finished off with one padded member containing
     them all.
     """
@@ -439,7 +446,10 @@ def greedy_dominating_set(
             remaining = ()
             trace.append(0)
             break
-        if math.comb(len(remaining), k - 1) <= exhaustive_limit:
+        if (
+            math.comb(len(remaining), k - 1) <= exhaustive_limit
+            and math.comb(len(remaining), k) <= EXHAUSTIVE_EDGE_LIMIT
+        ):
             g = _best_member_exhaustive(tournament, remaining)
         else:
             g = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)

@@ -186,6 +186,14 @@ def test_greedy_edge_scan_is_budget_guarded(capsys, monkeypatch):
     assert json.loads(err)["kind"] == "budget" and "greedy edge scan" in err
 
 
+def test_audit_past_the_edge_scan_wall(capsys):
+    # C(4095, 4) edges are far past 2**24, so the first greedy steps sample
+    # instead of stopping on the budget
+    code, [line] = _run(capsys, "reduce", "--audit", "--t", "4", "--n", "12", "--seed", "1")
+    assert code == 0
+    assert line["agreement"] == 1.0 and line["advice_mode"] == "DOMSET"
+
+
 def test_malformed_language_file_exit_2(tmp_path):
     for name, obj in (("no-n", {"yes": ["1"]}), ("no-yes", {"n": 3}), ("bad-n", {"n": None, "yes": []})):
         path = tmp_path / f"{name}.json"

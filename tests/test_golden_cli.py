@@ -1,11 +1,16 @@
-"""Byte-identity of `verify-lemma` output against recorded NDJSON.
+"""Byte-identity of CLI output against recorded NDJSON.
 
 Each file under tests/golden/verify_lemma/ is the stdout of one command line
 below, recorded from the earlier implementation that built the conditioned
 count tables from a per-coordinate digit array.  The reports carry floats
 (KL sums, entropies, float-converted exact distances), so any change to the
-order of a float sum shows up here as a byte difference.  A difference is a
-regression to explain, not a file to re-record.
+order of a float sum shows up here as a byte difference.
+
+The files under tests/golden/examples/ are the stdout of the README's
+`tournament`, `reduce` and `fcomp` examples, recorded from the earlier
+implementation that built one query batch per audited input.
+
+A difference is a regression to explain, not a file to re-record.
 """
 
 from pathlib import Path
@@ -15,6 +20,7 @@ import pytest
 from compresslab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_lemma"
+EXAMPLES_GOLDEN = Path(__file__).parent / "golden" / "examples"
 
 CASES = {
     # the three README examples
@@ -31,8 +37,33 @@ CASES = {
 }
 
 
+# the README's tournament, reduce and fcomp lines, one file each
+EXAMPLES = {
+    "tournament_random_v32_t3_seed5": "tournament --random --num-vertices 32 --t 3 --seed 5",
+    "tournament_single_yes_n4_ideal_or_t3": (
+        "tournament --language builtin:single-yes --n 4 --compression ideal-or --t 3"
+    ),
+    "reduce_single_yes_ideal_or_t4_audit": (
+        "reduce --language builtin:single-yes --compression ideal-or --t 4 --audit"
+    ),
+    "reduce_random_n5_seed4_noisy_or_t16_audit": (
+        "reduce --language builtin:random --n 5 --seed 4 --compression noisy-or:1/8,1/8 --t 16 --audit"
+    ),
+    "reduce_single_yes_ideal_or_t2_tlogt_audit": (
+        "reduce --language builtin:single-yes --compression ideal-or"
+        " --t 2 --mode tlogt --sigma 2 --delta 0.5 --audit"
+    ),
+    "reduce_single_yes_ideal_or_t4_input111": (
+        "reduce --language builtin:single-yes --compression ideal-or --t 4 --input 111"
+    ),
+    "fcomp_and_t4_audit": "fcomp --f builtin:and --t 4 --audit",
+    "fcomp_00101_audit": "fcomp --f 00101 --audit",
+}
+
+
 def test_every_golden_file_has_a_case():
     assert sorted(p.stem for p in GOLDEN.glob("*.ndjson")) == sorted(CASES)
+    assert sorted(p.stem for p in EXAMPLES_GOLDEN.glob("*.ndjson")) == sorted(EXAMPLES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -41,3 +72,11 @@ def test_verify_lemma_matches_golden_bytes(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("ascii") == (GOLDEN / f"{name}.ndjson").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_readme_example_matches_golden_bytes(capsys, name):
+    code = main(EXAMPLES[name].split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.encode("ascii") == (EXAMPLES_GOLDEN / f"{name}.ndjson").read_bytes()

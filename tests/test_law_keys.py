@@ -4,8 +4,8 @@ The selector built by `selector_from_compression` and the audit's shared
 queries look laws up by law key.  Here every tournament is built again with a
 plain selector (reference enumeration plus statistical distance, no memo) and
 with the default law keys of a compression seen through evaluate only, and
-every audit is recomputed query by query; members, traces and reports must
-match exactly.
+every audit is recomputed query by query, input by input, also under
+deliberately wrong oracles; members, traces and reports must match exactly.
 """
 
 from fractions import Fraction
@@ -31,6 +31,7 @@ from compresslab import (
     pinsker_threshold,
     selector_from_compression,
     statistical_distance,
+    threshold_oracle,
     transform_to_relaxed_or,
 )
 
@@ -61,7 +62,7 @@ def plain_tournament(a, vertices, k, delta):
     return HypergraphTournament(vertices, k, selector)
 
 
-def plain_audit(language, a, t, Delta, delta):
+def plain_audit(language, a, t, Delta, delta, oracle=exact_sd_oracle):
     no_instances = language.no_instances()
     assert len(no_instances) > t, "the reference covers DOMSET advice only"
     dom = greedy_dominating_set(plain_tournament(a, no_instances, t, float(delta)))
@@ -76,7 +77,7 @@ def plain_audit(language, a, t, Delta, delta):
             ]
             for q in batch:
                 tags[q.promise_tag.lower()] += 1
-            verdict = all(exact_sd_oracle(q) for q in batch)
+            verdict = all(oracle(q) for q in batch)
         if verdict != language.is_yes(v):
             mismatches.append(v)
     total = 2**language.n
@@ -149,3 +150,40 @@ def test_law_key_audit_matches_plain_audit(case):
     report = audit_language(language, a, edge_size=t, Delta=Delta, delta=delta)
     assert report == plain_audit(language, a, t, Delta, delta)
     assert report.agreement == 1.0
+    # default law keys put every input in a class of its own
+    assert audit_language(language, Opaque(a), edge_size=t, Delta=Delta, delta=delta) == report
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_forced_class_determines_the_forced_law_key(case):
+    language, a, t, _, _ = CASES[case]()
+    universe = language.universe()
+    for g in combinations(universe[: t + 1], t - 1):
+        keys = {}
+        for v in universe:
+            if v not in g:
+                keys.setdefault(a.forced_class(v), set()).add(a.law_key(g, (v,)))
+        assert all(len(found) == 1 for found in keys.values())
+
+
+# wrong on purpose: the first accepts every no-instance outside the advice,
+# the second rejects every one-yes distance of 1 - (e_s + e_c)
+WRONG_ORACLES = {
+    "always-true": lambda Delta: (lambda q: True),
+    "above-Delta": lambda Delta: threshold_oracle(Delta + Fraction(1, 16)),
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(WRONG_ORACLES))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_grouped_audit_matches_per_input_loop_under_wrong_oracles(case, oracle):
+    language, a, t, Delta, delta = CASES[case]()
+    wrong = WRONG_ORACLES[oracle](Delta)
+    report = audit_language(language, a, edge_size=t, Delta=Delta, delta=delta, oracle=wrong)
+    reference = plain_audit(language, a, t, Delta, delta, oracle=wrong)
+    assert report.mismatches, "a wrong oracle must cost agreement"
+    assert (report.agreement, report.query_tags, report.mismatches) == (
+        reference.agreement,
+        reference.query_tags,
+        reference.mismatches,
+    )

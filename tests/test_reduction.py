@@ -21,6 +21,7 @@ from compresslab import (
     statistical_distance,
     threshold_oracle,
 )
+from compresslab import reduction
 from compresslab.reduction import block_queries_for, queries_for
 
 F = Fraction
@@ -211,6 +212,30 @@ def test_audit_noisy_within_budget():
     a = noisy_or_compression(lang, 16, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
     report = audit_language(lang, a)
     assert report.agreement == 1.0
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda lang: ideal_or_compression(lang, 4),
+        lambda lang: noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3),
+    ],
+    ids=["ideal-or", "noisy-or"],
+)
+def test_audit_builds_one_batch_per_hit_class(monkeypatch, make):
+    lang = ToyLanguage.random(5, seed=11)
+    a = make(lang)
+    batches = []
+
+    def counting(v, *args, **kwargs):
+        batches.append(v)
+        return queries_for(v, *args, **kwargs)
+
+    monkeypatch.setattr(reduction, "queries_for", counting)
+    report = audit_language(lang, a)
+    assert report.advice_mode == "DOMSET" and report.agreement == 1.0
+    assert sorted(lang.is_yes(v) for v in batches) == [False, True]
+    assert sum(report.query_tags.values()) > 2 * report.advice_size
 
 
 def test_audit_rejects_empty_promise_gap():
