@@ -50,7 +50,6 @@ from .reduction import (
     build_advice,
     build_block_advice,
     decide,
-    decide_tlogt,
     exact_sd_oracle,
     threshold_oracle,
 )

@@ -33,7 +33,6 @@ from .fcompression import SymmetricCompression, SymmetricFunction, find_pivot_vi
 from .reduction import audit_language, build_advice, decide_with_queries, promise_gap
 from .sensitivity import (
     SLACK_TOL,
-    pinsker_threshold,
     verify_kl_bound,
     verify_pinsker_sensitivity,
     verify_vajda_sensitivity,
@@ -173,9 +172,7 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     else:
         language = _build_language(args.language, args.n, args.seed)
         compression = _build_compression(args.compression, language, args.t)
-        delta = args.delta
-        if delta is None:
-            delta = pinsker_threshold(compression.output_bits, args.t)
+        _, delta = promise_gap(compression, args.t, delta=args.delta)
         vertices = language.no_instances()
         if len(vertices) < args.t:
             raise ValueError(

@@ -281,12 +281,6 @@ def random_compressive_map(
     return CompressiveMap.random(arity, output_bits, coin_bits, seed, alphabet_size)
 
 
-def output_distribution(
-    f: CompressiveMap, inputs: ProductDistribution | FiniteDistribution | None = None
-) -> FiniteDistribution:
-    return f.output_distribution(inputs)
-
-
 # ---------------------------------------------------------------------------
 # Toy languages
 # ---------------------------------------------------------------------------
@@ -629,7 +623,6 @@ class OrCompression(HitCountCompression):
         for name, p in (("e_s", self.e_s), ("e_c", self.e_c)):
             if (p * n_coins).denominator != 1:
                 raise ValueError(f"{name}={p} is not dyadic with {coin_bits} coin bits")
-        self.language = language
         self._flip_no = int(self.e_s * n_coins)
         self._flip_yes = int(self.e_c * n_coins)
 

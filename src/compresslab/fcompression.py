@@ -124,7 +124,7 @@ def find_pivot_view(f: SymmetricFunction) -> PivotView:
     raise AssertionError("non-constant values admit no pivot view; unreachable")
 
 
-class SymmetricCompression:
+class SymmetricCompression(HitCountCompression):
     """Exact symmetric compression over a toy language.
 
     The single output bit answers f applied to the number of yes-instances
@@ -132,18 +132,19 @@ class SymmetricCompression:
     """
 
     def __init__(self, language: ToyLanguage, f: SymmetricFunction):
-        self.language = language
+        super().__init__(language, f.t, output_bits=1)
         self.f = f
-        self.arity = f.t
-        self.output_bits = 1
-        self.coin_bits = 0
 
     def evaluate(self, x: Collection[str], coin: int = 0) -> int:
         x = canonical_set(x)
         if len(x) > self.arity:
             raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
-        hits = sum(1 for v in x if self.language.is_yes(v))
-        return self.f.values[hits]
+        return self.f.values[self.hits(x)]
+
+    def hit_counts(self, h: int) -> list[int]:
+        counts = [0, 0]
+        counts[self.f.values[h]] = 1
+        return counts
 
 
 class TransformedOrCompression(HitCountCompression):
@@ -171,7 +172,7 @@ class TransformedOrCompression(HitCountCompression):
         view: PivotView,
         pool: Sequence[str],
     ):
-        source = base.language.complement() if view.complement_source else base.language
+        source = base.hit_language.complement() if view.complement_source else base.hit_language
         super().__init__(source, base.arity - view.pivot, output_bits=1, coin_bits=0, e_s=0, e_c=0)
         t = base.arity
         canon = canonical_set(pool)
@@ -220,6 +221,6 @@ def transform_to_relaxed_or(
     """
     view = find_pivot_view(a.f)
     if yes_pool is None:
-        source = a.language.complement() if view.complement_source else a.language
+        source = a.hit_language.complement() if view.complement_source else a.hit_language
         yes_pool = source.yes_instances()[: 2 * a.arity]
     return TransformedOrCompression(a, view, yes_pool)

@@ -135,7 +135,7 @@ def promise_gap(
     Delta: Number | None = None,
     delta: Number | None = None,
 ) -> tuple[Number, Number]:
-    """The base reduction's promise gap, filling in the defaults.
+    """The reduction's promise gap, filling in the defaults.
 
     Delta defaults to 1 - (e_s + e_c), the distance every one-yes set keeps;
     delta to the noise-sensitivity ceiling sqrt(2 ln 2 * m/t) at which the
@@ -236,6 +236,7 @@ def block_queries_for(
     v: str,
     advice: Advice,
     a: SetEncodedCompression,
+    Delta: Number,
     delta: Number,
     exact: bool = True,
 ) -> list[SDQuery]:
@@ -244,14 +245,8 @@ def block_queries_for(
     for g in advice.elements:
         blocks = partition_blocks(canonical_set(g + (v,)), advice.block_size)
         left, right = block_conditioned_distributions(a, blocks, v, exact=exact)
-        queries.append(SDQuery(left, right, 1, delta))
+        queries.append(SDQuery(left, right, Delta, delta))
     return queries
-
-
-def _checked_input(v: str, advice: Advice) -> str:
-    if len(v) != advice.n:
-        raise ValueError(f"input length {len(v)} does not match advice length {advice.n}")
-    return v
 
 
 def decide_with_queries(
@@ -272,13 +267,14 @@ def decide_with_queries(
     (a positive block size) and the base batch for the rest, and v is
     accepted exactly when the oracle affirms every query in it.
     """
-    v = _checked_input(v, advice)
+    if len(v) != advice.n:
+        raise ValueError(f"input length {len(v)} does not match advice length {advice.n}")
     if advice.mode == "FULL_V":
         return v not in advice.vertices, []
     if v in advice.member_elements:
         return False, []
     if advice.block_size:
-        batch = block_queries_for(v, advice, a, delta, exact=exact)
+        batch = block_queries_for(v, advice, a, Delta, delta, exact=exact)
     else:
         batch = queries_for(v, advice, a, Delta, delta, exact=exact, shared=shared)
     return all(oracle(q) for q in batch), batch
@@ -300,18 +296,6 @@ def decide(
     """
     Delta, delta = promise_gap(a, advice.edge_size, Delta, delta)
     return decide_with_queries(v, advice, a, Delta, delta, oracle, exact)[0]
-
-
-def decide_tlogt(
-    v: str,
-    advice: Advice,
-    a: SetEncodedCompression,
-    delta: Number,
-    oracle: Oracle = exact_sd_oracle,
-    exact: bool = True,
-) -> bool:
-    """Block-variant decision; the compression must be deterministic and exact."""
-    return decide_with_queries(v, advice, a, 1, delta, oracle, exact)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +357,20 @@ def audit_language(
     objects already do: an oracle whose answer depends on anything else
     gets one answer per class, not per input.
 
+    The promise gap defaults as in :func:`promise_gap` in both modes.  Block
+    mode needs a block size and an explicit delta; its default Delta is 1,
+    since block advice only accepts deterministic, exact compressions.
     Raises "empty promise gap" before any decision when delta >= Delta.
     Agreement below 1.0 on a compression within its error budget indicates
     a bug, not noise; every quantity here is exact.
     """
     t = a.arity if edge_size is None else edge_size
-    if mode == "base":
-        Delta, delta = promise_gap(a, t, Delta, delta)
-    else:
+    if mode != "base":
         if block_size is None:
             raise ValueError("block mode needs a block size")
-        Delta = 1 if Delta is None else Delta
         if delta is None:
             raise ValueError("block mode needs an explicit delta below 1")
+    Delta, delta = promise_gap(a, t, Delta, delta)
     if not (0 <= delta < Delta <= 1):
         raise ValueError(f"empty promise gap: delta={delta} must be below Delta={Delta}")
 

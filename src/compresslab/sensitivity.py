@@ -1,7 +1,9 @@
 """Noise-sensitivity functionals of compressive maps and their certified bounds.
 
-Three inequalities are verified numerically, each as a report with a left
-side measured by exhaustive enumeration and a right side from a closed form:
+Inputs are uniform throughout: every functional here is a statement about
+a map fed uniformly random symbols.  Three inequalities are verified, each
+as a report with a left side measured by exhaustive enumeration and a right
+side from a closed form:
 
 * average noise sensitivity of a binary-alphabet map is at most
   sqrt(2 ln 2 * m/t),
@@ -11,8 +13,12 @@ side measured by exhaustive enumeration and a right side from a closed form:
   (pinned to a symbol versus avoiding it) is at most
   1 - exp(-1 - I/t in nats) + 1/|alphabet|.
 
-Probabilities and statistical distances are exact rationals; logarithms are
-evaluated in floats, so certified slacks carry a 1e-9 tolerance.
+Every left side, and every functional built from one, is the mean of one
+term table: :func:`coordinate_terms` gives a lemma's term per coordinate j
+and symbol x, read from the map's conditioned output counts, which are
+built once per call.  Probabilities and statistical distances are exact
+rationals; logarithms are evaluated in floats, so certified slacks carry a
+1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -25,12 +31,7 @@ from typing import Any
 import numpy as np
 
 from .compression import CompressiveMap
-from .distributions import (
-    FiniteDistribution,
-    ProductDistribution,
-    kl_divergence,
-    mutual_information,
-)
+from .distributions import FiniteDistribution
 
 LEMMA_KL_BOUND = "KL_BOUND"
 LEMMA_PINSKER = "PINSKER_SENS"
@@ -126,12 +127,46 @@ def _uniform_counts(f: CompressiveMap) -> tuple[np.ndarray, np.ndarray, int, int
     return full, cond, n_full, n_cond
 
 
-def _require_uniform(f: CompressiveMap, inputs: ProductDistribution | None) -> None:
-    if inputs is not None:
-        if inputs.arity != f.arity or set(inputs.alphabet) != set(range(f.alphabet_size)):
-            raise ValueError("input law does not match the map")
-        if not inputs.is_uniform():
-            raise ValueError("this functional is defined for the uniform input law")
+def coordinate_terms(
+    f: CompressiveMap, lemma: str, counts: tuple[np.ndarray, np.ndarray, int, int] | None = None
+) -> list[list[Any]]:
+    """The (t, s) terms, in row-major (j, x) order, whose mean is the lemma's left side.
+
+    PINSKER_SENS has one column, d(out | j=0, out | j=1) on binary alphabets;
+    KL_BOUND has KL(out | j=x, out) in float bits; VAJDA_SENS has
+    d(out | j!=x, out | j=x).  Distances are exact.  ``counts`` is the
+    :func:`_uniform_counts` tuple, so one caller can read several lemmas
+    from one count pass.
+    """
+    if lemma == LEMMA_PINSKER and f.alphabet_size != 2:
+        raise ValueError("the noise-sensitivity terms need a binary alphabet")
+    full, cond, n_full, n_cond = _uniform_counts(f) if counts is None else counts
+    t, s = f.arity, f.alphabet_size
+    if lemma == LEMMA_PINSKER:
+        return [[_count_distance(cond[j, 0], n_cond, cond[j, 1], n_cond)] for j in range(t)]
+    if lemma == LEMMA_KL_BOUND:
+        return [[_count_kl_bits(cond[j, x], n_cond, full, n_full) for x in range(s)] for j in range(t)]
+    if lemma == LEMMA_VAJDA:
+        n_ne = n_full - n_cond
+        return [[_count_distance(full - cond[j, x], n_ne, cond[j, x], n_cond) for x in range(s)] for j in range(t)]
+    raise ValueError(f"unknown lemma {lemma!r}")
+
+
+def _mean(rows: list[list[Any]]) -> Any:
+    # a running sum in (j, x) order; sum() may compensate float rounding
+    total = 0
+    for row in rows:
+        for term in row:
+            total += term
+    return total / (len(rows) * len(rows[0]))
+
+
+def _report(f: CompressiveMap, lemma: str, rhs: float) -> LemmaReport:
+    """The mean of the lemma's terms against rhs; the witness is the first largest term."""
+    rows = coordinate_terms(f, lemma)
+    terms = [term for row in rows for term in row]
+    j, x = divmod(max(range(len(terms)), key=terms.__getitem__), len(rows[0]))
+    return LemmaReport(lemma, float(_mean(rows)), rhs, j, x if len(rows[0]) > 1 else None, _map_params(f))
 
 
 # ---------------------------------------------------------------------------
@@ -139,29 +174,21 @@ def _require_uniform(f: CompressiveMap, inputs: ProductDistribution | None) -> N
 # ---------------------------------------------------------------------------
 
 
-def avg_noise_sensitivity(f: CompressiveMap, inputs: ProductDistribution | None = None) -> Fraction:
+def avg_noise_sensitivity(f: CompressiveMap) -> Fraction:
     """Average over coordinates of d(output | coord=0, output | coord=1).
 
-    Defined for binary alphabets under the uniform input law; the exact
-    average is returned as a rational.
+    Defined for binary alphabets; the exact average is returned as a
+    rational.
     """
-    if f.alphabet_size != 2:
-        raise ValueError("average noise sensitivity needs a binary alphabet")
-    _require_uniform(f, inputs)
-    _, cond, _, n_cond = _uniform_counts(f)
-    total = Fraction(0)
-    for j in range(f.arity):
-        total += _count_distance(cond[j, 0], n_cond, cond[j, 1], n_cond)
-    return total / f.arity
+    return _mean(coordinate_terms(f, LEMMA_PINSKER))
 
 
-def map_input_mutual_information(f: CompressiveMap, inputs: ProductDistribution | None = None) -> float:
-    """I(output : input) in bits under the uniform input law.
+def map_input_mutual_information(f: CompressiveMap) -> float:
+    """I(output : input) in bits.
 
     Computed as H(output) minus the input-average of the per-row coin
     entropies; zero coin bits make the conditional term vanish.
     """
-    _require_uniform(f, inputs)
     h_out = _count_entropy_bits(f.output_counts(), f.n_inputs * f.n_coins)
     if f.coin_bits == 0:
         return h_out
@@ -177,7 +204,7 @@ def map_input_mutual_information(f: CompressiveMap, inputs: ProductDistribution 
 
 
 def joint_output_input_distribution(f: CompressiveMap) -> FiniteDistribution:
-    """Exact joint law of (output label, input tuple) under uniform inputs.
+    """Exact joint law of (output label, input tuple).
 
     This is the slow reference route for the mutual information; it feeds
     straight into :func:`compresslab.distributions.mutual_information`.
@@ -193,125 +220,36 @@ def joint_output_input_distribution(f: CompressiveMap) -> FiniteDistribution:
     return FiniteDistribution.from_counts(pairs, counts, f.n_inputs * f.n_coins)
 
 
-def kl_sensitivity(
-    f: CompressiveMap, inputs: ProductDistribution | None = None
-) -> tuple[float, float]:
+def kl_sensitivity(f: CompressiveMap) -> tuple[float, float]:
     """(average conditioned-vs-full KL, I(output : input) / t), both in bits.
 
-    The left side averages, over a uniform coordinate j and a symbol x drawn
-    from factor j, the divergence between the output law with coordinate j
-    pinned to x and the unconditioned output law.  The unconditioned law is
-    a mixture of the conditioned ones, so every term is finite; an infinite
-    term signals a broken table and raises.
+    The left side averages, over a uniform coordinate j and a uniform symbol
+    x, the divergence between the output law with coordinate j pinned to x
+    and the unconditioned output law; the two sides of :func:`verify_kl_bound`.
     """
-    if inputs is not None and not inputs.is_uniform():
-        return _kl_sensitivity_general(f, inputs)
-    _require_uniform(f, inputs)
-    full, cond, n_full, n_cond = _uniform_counts(f)
-    t, s = f.arity, f.alphabet_size
-    lhs = 0.0
-    for j in range(t):
-        for x in range(s):
-            term = _count_kl_bits(cond[j, x], n_cond, full, n_full)
-            if math.isinf(term):
-                raise RuntimeError(
-                    f"infinite KL term at coordinate {j}, symbol {x}: the full output "
-                    "law lost an outcome of one of its components, which is impossible "
-                    "for a total table"
-                )
-            lhs += term
-    lhs /= t * s
-    rhs = map_input_mutual_information(f) / t
-    return lhs, rhs
+    rep = verify_kl_bound(f)
+    return rep.lhs, rep.rhs
 
 
-def _kl_sensitivity_general(f: CompressiveMap, inputs: ProductDistribution) -> tuple[float, float]:
-    full = f.output_distribution(inputs)
-    lhs = 0.0
-    for j in range(f.arity):
-        factor = inputs.marginal(j)
-        for x in factor.support():
-            conditioned = f.output_distribution(inputs.condition(j, equal_to=x))
-            term = kl_divergence(conditioned, full)
-            if math.isinf(term):
-                raise RuntimeError(f"infinite KL term at coordinate {j}, symbol {x!r}")
-            lhs += float(factor.prob(x)) * term
-    lhs /= f.arity
-    joint = _joint_for(f, inputs)
-    rhs = mutual_information(joint) / f.arity
-    return lhs, rhs
-
-
-def _joint_for(f: CompressiveMap, inputs: ProductDistribution) -> FiniteDistribution:
-    law = inputs.joint()
-    pairs = []
-    masses = []
-    for symbols in law.support():
-        weight = law.prob(symbols)
-        row = f.table[f.input_index(symbols)]
-        for code, cnt in zip(*np.unique(row, return_counts=True)):
-            pairs.append((f.output_label(int(code)), symbols))
-            masses.append(weight * Fraction(int(cnt), f.n_coins))
-    return FiniteDistribution(pairs, masses)
-
-
-def verify_kl_bound(f: CompressiveMap, inputs: ProductDistribution | None = None) -> LemmaReport:
+def verify_kl_bound(f: CompressiveMap) -> LemmaReport:
     """Report for the KL-vs-mutual-information bound, with the worst term as witness."""
-    if inputs is not None and not inputs.is_uniform():
-        lhs, rhs = _kl_sensitivity_general(f, inputs)
-        return LemmaReport(LEMMA_KL_BOUND, lhs, rhs, None, None, _map_params(f))
-    full, cond, n_full, n_cond = _uniform_counts(f)
-    t, s = f.arity, f.alphabet_size
-    lhs = 0.0
-    worst = (-1.0, None, None)
-    for j in range(t):
-        for x in range(s):
-            term = _count_kl_bits(cond[j, x], n_cond, full, n_full)
-            if term > worst[0]:
-                worst = (term, j, x)
-            lhs += term
-    lhs /= t * s
-    rhs = map_input_mutual_information(f) / t
-    return LemmaReport(LEMMA_KL_BOUND, lhs, rhs, worst[1], worst[2], _map_params(f))
+    return _report(f, LEMMA_KL_BOUND, map_input_mutual_information(f) / f.arity)
 
 
 def verify_pinsker_sensitivity(f: CompressiveMap) -> LemmaReport:
     """Report comparing the average noise sensitivity against sqrt(2 ln 2 * m/t)."""
-    if f.alphabet_size != 2:
-        raise ValueError("the noise-sensitivity bound needs a binary alphabet")
-    _, cond, _, n_cond = _uniform_counts(f)
-    terms = [_count_distance(cond[j, 0], n_cond, cond[j, 1], n_cond) for j in range(f.arity)]
-    lhs = sum(terms, Fraction(0)) / f.arity
-    worst_j = max(range(f.arity), key=lambda j: terms[j])
-    rhs = pinsker_threshold(f.output_bits, f.arity)
-    return LemmaReport(LEMMA_PINSKER, float(lhs), rhs, worst_j, None, _map_params(f))
+    return _report(f, LEMMA_PINSKER, pinsker_threshold(f.output_bits, f.arity))
 
 
-def verify_vajda_sensitivity(f: CompressiveMap, inputs: ProductDistribution | None = None) -> LemmaReport:
+def verify_vajda_sensitivity(f: CompressiveMap) -> LemmaReport:
     """Report for the conditioned-distance bound over a general alphabet.
 
     The left side averages d(output | coord != x, output | coord = x); the
     right side combines the divergence ceiling with the 1/|alphabet| cost of
     resampling one coordinate.
     """
-    if f.alphabet_size < 2:
-        raise ValueError("alphabet needs at least two symbols")
-    _require_uniform(f, inputs)
-    full, cond, n_full, n_cond = _uniform_counts(f)
-    t, s = f.arity, f.alphabet_size
-    n_ne = n_full - n_cond
-    lhs = Fraction(0)
-    worst: tuple[Fraction, int | None, int | None] = (Fraction(-1), None, None)
-    for j in range(t):
-        for x in range(s):
-            ne_counts = full - cond[j, x]
-            term = _count_distance(ne_counts, n_ne, cond[j, x], n_cond)
-            if term > worst[0]:
-                worst = (term, j, x)
-            lhs += term
-    lhs /= t * s
-    rhs = vajda_threshold(map_input_mutual_information(f), t, s)
-    return LemmaReport(LEMMA_VAJDA, float(lhs), rhs, worst[1], worst[2], _map_params(f))
+    rhs = vajda_threshold(map_input_mutual_information(f), f.arity, f.alphabet_size)
+    return _report(f, LEMMA_VAJDA, rhs)
 
 
 def pinsker_chain(f: CompressiveMap) -> dict[str, float]:
@@ -321,39 +259,22 @@ def pinsker_chain(f: CompressiveMap) -> dict[str, float]:
     unconditioned output, the bound on that average via the square root of
     the average divergence, and the closed-form ceiling.  Each value is at
     most the next one (up to the float tolerance).
+
+    On a binary alphabet the unconditioned output is the midpoint of the two
+    conditioned ones, so its distance to either is exactly half their
+    distance: the first two values are equal rationals.
     """
     if f.alphabet_size != 2:
         raise ValueError("the chain is defined for binary alphabets")
-    full, cond, n_full, n_cond = _uniform_counts(f)
-    t, s = f.arity, f.alphabet_size
-    avg_dist = Fraction(0)
-    avg_kl = 0.0
-    for j in range(t):
-        for x in range(s):
-            avg_dist += _count_distance(full, n_full, cond[j, x], n_cond)
-            avg_kl += _count_kl_bits(cond[j, x], n_cond, full, n_full)
-    avg_dist /= t * s
-    avg_kl /= t * s
+    counts = _uniform_counts(f)
+    sensitivity = float(_mean(coordinate_terms(f, LEMMA_PINSKER, counts)))
+    avg_kl = _mean(coordinate_terms(f, LEMMA_KL_BOUND, counts))
     return {
-        "sensitivity": float(avg_noise_sensitivity(f)),
-        "two_avg_distance": float(2 * avg_dist),
+        "sensitivity": sensitivity,
+        "two_avg_distance": sensitivity,
         "two_pinsker_of_avg_kl": 2.0 * math.sqrt(math.log(2) / 2.0 * avg_kl),
         "ceiling": pinsker_threshold(f.output_bits, f.arity),
     }
-
-
-def conditioned_output_distribution(
-    f: CompressiveMap, j: int, x: int, exclude: bool = False, exact: bool = True
-) -> FiniteDistribution:
-    """Output law with coordinate j pinned to x, or avoiding x when exclude is set."""
-    full, cond, n_full, n_cond = _uniform_counts(f)
-    if exclude:
-        counts, denom = full - cond[j, x], n_full - n_cond
-    else:
-        counts, denom = cond[j, x], n_cond
-    nz = np.nonzero(counts)[0]
-    labels = [f.output_label(int(c)) for c in nz]
-    return FiniteDistribution.from_counts(labels, [int(counts[c]) for c in nz], denom, exact)
 
 
 def _map_params(f: CompressiveMap) -> dict[str, Any]:
@@ -372,7 +293,7 @@ __all__ = [
     "SLACK_TOL",
     "LemmaReport",
     "avg_noise_sensitivity",
-    "conditioned_output_distribution",
+    "coordinate_terms",
     "joint_output_input_distribution",
     "kl_sensitivity",
     "map_input_mutual_information",

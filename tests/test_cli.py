@@ -1,11 +1,25 @@
 """Command-line interface: dispatch, report shape, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import compresslab
 from compresslab import ToyLanguage
 from compresslab.cli import main
+
+# the directory holding the package this suite imported, for child interpreters
+_PACKAGE_ROOT = str(Path(compresslab.__file__).resolve().parent.parent)
+
+
+def _python(*args):
+    """Run a child interpreter that imports the same compresslab as the suite."""
+    path = os.pathsep.join(p for p in (_PACKAGE_ROOT, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}
+    )
 
 
 def _run(capsys, *argv):
@@ -170,10 +184,7 @@ def test_selector_failure_exit_1(capsys):
 
 
 def test_console_entry_point():
-    proc = subprocess.run(
-        [sys.executable, "-m", "compresslab.cli", "fcomp", "--f", "builtin:or"],
-        capture_output=True, text=True,
-    )
+    proc = _python("-m", "compresslab.cli", "fcomp", "--f", "builtin:or")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["view"] == "f"
 
@@ -198,10 +209,7 @@ def test_malformed_language_file_exit_2(tmp_path):
     for name, obj in (("no-n", {"yes": ["1"]}), ("no-yes", {"n": 3}), ("bad-n", {"n": None, "yes": []})):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))
-        proc = subprocess.run(
-            [sys.executable, "-m", "compresslab.cli", "reduce", "--language", str(path), "--audit"],
-            capture_output=True, text=True,
-        )
+        proc = _python("-m", "compresslab.cli", "reduce", "--language", str(path), "--audit")
         assert proc.returncode == 2, (name, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["kind"] == "usage"
@@ -232,7 +240,7 @@ except InvariantError:
     sys.exit(0)
 sys.exit("oversized advice passed")
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
+    proc = _python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
 
 

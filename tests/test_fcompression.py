@@ -5,10 +5,12 @@ from itertools import combinations, product
 import pytest
 
 from compresslab import (
+    HitCountCompression,
     SymmetricCompression,
     SymmetricFunction,
     ToyLanguage,
     audit_language,
+    enumerate_subset_law,
     find_pivot_view,
     transform_to_relaxed_or,
 )
@@ -80,6 +82,28 @@ def test_pivot_views_exhaustive():
             assert view.pivot <= t // 2
             assert view.transformed.values[view.pivot] == 0
             assert view.transformed.values[view.pivot + 1] == 1
+
+
+# -- symmetric compressions as hit-count compressions -----------------------------
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_symmetric_law_matches_enumeration(seed):
+    lang = ToyLanguage.random(3, seed=seed)
+    yes, no = lang.yes_instances(), lang.no_instances()
+    for t in range(1, 5):
+        for values in product((0, 1), repeat=t + 1):
+            a = SymmetricCompression(lang, SF(values))
+            assert isinstance(a, HitCountCompression) and (a.arity, a.output_bits, a.n_coins) == (t, 1, 1)
+            # ground and forced sets of every hit / non-hit make-up up to size t
+            for gy, gn, fy, fn in product(range(t + 1), repeat=4):
+                if gy + gn + fy + fn > t or gy + fy > len(yes) or gn + fn > len(no):
+                    continue
+                ground = yes[:gy] + no[:gn]
+                forced = yes[gy : gy + fy] + no[gn : gn + fn]
+                key = a.law_key(ground, forced)
+                assert key == (gy, fy)
+                assert a.law(key) == enumerate_subset_law(a, ground, forced), (values, key)
 
 
 # -- transformation -------------------------------------------------------------------

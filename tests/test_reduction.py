@@ -13,7 +13,6 @@ from compresslab import (
     build_advice,
     build_block_advice,
     decide,
-    decide_tlogt,
     exact_sd_oracle,
     ideal_or_compression,
     noisy_or_compression,
@@ -22,7 +21,7 @@ from compresslab import (
     threshold_oracle,
 )
 from compresslab import reduction
-from compresslab.reduction import block_queries_for, queries_for
+from compresslab.reduction import block_queries_for, decide_with_queries, queries_for
 
 F = Fraction
 
@@ -268,13 +267,13 @@ def test_block_decide_micro():
     a = ideal_or_compression(lang, 2)
     advice = build_block_advice(lang, a, 2, 2, delta=0.5)
     assert advice.mode == "DOMSET"
-    assert decide_tlogt("111", advice, a, delta=0.5)
+    assert decide("111", advice, a, delta=0.5)
     for v in lang.no_instances():
-        assert not decide_tlogt(v, advice, a, delta=0.5)
+        assert not decide(v, advice, a, delta=0.5)
     # members reject without oracle calls
     inside = advice.elements[0][0]
     calls = []
-    assert not decide_tlogt(inside, advice, a, delta=0.5, oracle=lambda q: calls.append(q) or True)
+    assert not decide(inside, advice, a, delta=0.5, oracle=lambda q: calls.append(q) or True)
     assert calls == []
 
 
@@ -283,6 +282,7 @@ def test_block_audit_micro():
     a = ideal_or_compression(lang, 2)
     report = audit_language(lang, a, mode="tlogt", block_size=2, delta=0.5)
     assert report.agreement == 1.0
+    assert report.Delta == 1.0  # 1 - (e_s + e_c) for an exact compression
     report2 = audit_language(lang, a, mode="tlogt", block_size=2, delta=0.5)
     assert report.query_tags == report2.query_tags
 
@@ -299,4 +299,16 @@ def test_block_queries_oracle_independent():
     a = ideal_or_compression(lang, 2)
     advice = build_block_advice(lang, a, 2, 2, delta=0.5)
     v = "111"
-    assert block_queries_for(v, advice, a, delta=0.5) == block_queries_for(v, advice, a, delta=0.5)
+    assert block_queries_for(v, advice, a, 1, 0.5) == block_queries_for(v, advice, a, 1, 0.5)
+
+
+def test_block_batch_carries_the_callers_Delta():
+    lang = ToyLanguage(3, {"111"})
+    a = ideal_or_compression(lang, 2)
+    advice = build_block_advice(lang, a, 2, 2, delta=0.5)
+    outside = [v for v in lang.universe() if v not in advice.member_elements]
+    assert outside
+    for v in outside:
+        _, batch = decide_with_queries(v, advice, a, Delta=0.6, delta=0.5)
+        assert batch and all(q.Delta == 0.6 for q in batch)
+        assert all(q.Delta == 0.6 for q in block_queries_for(v, advice, a, 0.6, 0.5))

@@ -23,7 +23,14 @@ from compresslab import (
     verify_pinsker_sensitivity,
     verify_vajda_sensitivity,
 )
-from compresslab.sensitivity import SLACK_TOL, conditioned_output_distribution, joint_output_input_distribution
+from compresslab.sensitivity import (
+    LEMMA_KL_BOUND,
+    LEMMA_PINSKER,
+    LEMMA_VAJDA,
+    SLACK_TOL,
+    coordinate_terms,
+    joint_output_input_distribution,
+)
 
 F = Fraction
 
@@ -37,6 +44,16 @@ def _brute_force_sensitivity(f: CompressiveMap) -> Fraction:
         p1 = f.output_distribution(x.condition(j, equal_to=1))
         total += statistical_distance(p0, p1)
     return total / f.arity
+
+
+def _conditioned_output(f: CompressiveMap, j: int, **condition) -> FiniteDistribution:
+    """Output law with coordinate j conditioned, via the product-distribution route."""
+    x = ProductDistribution.uniform(tuple(range(f.alphabet_size)), f.arity)
+    return f.output_distribution(x.condition(j, **condition))
+
+
+def _vajda_term(f: CompressiveMap, j: int, x: int) -> Fraction:
+    return statistical_distance(_conditioned_output(f, j, not_equal_to=x), _conditioned_output(f, j, equal_to=x))
 
 
 def test_sensitivity_examples():
@@ -59,11 +76,42 @@ def test_sensitivity_needs_binary_alphabet():
         verify_pinsker_sensitivity(f)
 
 
-def test_sensitivity_rejects_nonuniform_inputs():
-    f = CompressiveMap.dictator(3)
-    x = ProductDistribution.uniform((0, 1), 3).condition(0, equal_to=1)
-    with pytest.raises(ValueError, match="uniform"):
-        avg_noise_sensitivity(f, x)
+@pytest.mark.parametrize("sigma", [2, 3])
+@pytest.mark.parametrize("r", [0, 1])
+def test_coordinate_terms_match_product_route(sigma, r):
+    for t in range(1, 5):
+        for k in range(2):
+            f = CompressiveMap.random(t, 2, r, seed=[t, k], alphabet_size=sigma)
+            full = f.output_distribution()
+            kl = coordinate_terms(f, LEMMA_KL_BOUND)
+            vajda = coordinate_terms(f, LEMMA_VAJDA)
+            assert [len(row) for row in kl] == [len(row) for row in vajda] == [sigma] * t
+            for j in range(t):
+                for x in range(sigma):
+                    pinned = _conditioned_output(f, j, equal_to=x)
+                    assert kl[j][x] == pytest.approx(kl_divergence(pinned, full), abs=1e-12)
+                    assert vajda[j][x] == _vajda_term(f, j, x)
+            if sigma == 2:
+                pinsker = coordinate_terms(f, LEMMA_PINSKER)
+                assert pinsker == [
+                    [statistical_distance(_conditioned_output(f, j, equal_to=0), _conditioned_output(f, j, equal_to=1))]
+                    for j in range(t)
+                ]
+            else:
+                with pytest.raises(ValueError, match="binary"):
+                    coordinate_terms(f, LEMMA_PINSKER)
+
+
+def test_pinsker_chain_distance_step_matches_product_route():
+    # twice the average distance to the unconditioned output, recomputed
+    for seed in range(6):
+        f = CompressiveMap.random(3, 2, seed % 2, seed=seed)
+        full = f.output_distribution()
+        avg = sum(
+            (statistical_distance(full, _conditioned_output(f, j, equal_to=x)) for j in range(3) for x in (0, 1)),
+            F(0),
+        ) / 6
+        assert pinsker_chain(f)["two_avg_distance"] == float(2 * avg)
 
 
 # -- noise-sensitivity ceiling ---------------------------------------------------
@@ -153,14 +201,6 @@ def test_kl_exhaustive_tiny_tables():
         assert lhs <= rhs + SLACK_TOL
 
 
-def test_kl_general_product_inputs():
-    f = CompressiveMap.random(3, 1, 0, seed=9)
-    factor = FiniteDistribution((0, 1), [F(1, 4), F(3, 4)])
-    skew = ProductDistribution([factor] * 3, (0, 1))
-    lhs, rhs = kl_sensitivity(f, skew)
-    assert lhs <= rhs + SLACK_TOL
-
-
 def test_kl_report_witness_attains_max():
     f = CompressiveMap.random(3, 2, 0, seed=17)
     rep = verify_kl_bound(f)
@@ -238,6 +278,8 @@ def test_verifiers_build_the_conditioned_table_once(monkeypatch):
         (verify_vajda_sensitivity, CompressiveMap.random(4, 1, 1, seed=4)),
         (verify_vajda_sensitivity, CompressiveMap.random(3, 2, 0, seed=5, alphabet_size=4)),
     ]
+    binary = CompressiveMap.random(4, 2, 1, seed=6)
+    cases += [(pinsker_chain, binary), (avg_noise_sensitivity, binary), (kl_sensitivity, binary)]
     for verifier, f in cases:
         calls.clear()
         verifier(f)
@@ -274,16 +316,10 @@ def test_vajda_random_corpus():
         rep = verify_vajda_sensitivity(f)
         assert rep.holds()
         # witness attains the largest conditioned distance
-        left = conditioned_output_distribution(f, rep.witness_j, rep.witness_x, exclude=True)
-        right = conditioned_output_distribution(f, rep.witness_j, rep.witness_x)
-        attained = statistical_distance(left, right)
+        attained = _vajda_term(f, rep.witness_j, rep.witness_x)
         for j in range(t):
             for x in range(sigma):
-                d = statistical_distance(
-                    conditioned_output_distribution(f, j, x, exclude=True),
-                    conditioned_output_distribution(f, j, x),
-                )
-                assert d <= attained
+                assert _vajda_term(f, j, x) <= attained
 
 
 def test_report_json_shape():
