@@ -19,8 +19,6 @@ from .compression import (
     enumerate_subset_law,
     ideal_or_compression,
     noisy_or_compression,
-    random_compressive_map,
-    subset_distribution,
 )
 from .distributions import (
     FiniteDistribution,
@@ -29,10 +27,8 @@ from .distributions import (
     kl_divergence,
     mixture,
     mutual_information,
-    point,
     push_forward,
     statistical_distance,
-    uniform,
 )
 from .fcompression import (
     PivotView,

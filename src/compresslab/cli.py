@@ -195,7 +195,6 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
 def _cmd_reduce(args: argparse.Namespace) -> int:
     language = _build_language(args.language, args.n, args.seed)
     compression = _build_compression(args.compression, language, args.t)
-    exact = args.arithmetic == "exact"
     report = _Report(args.out)
     if args.audit:
         audit = audit_language(
@@ -206,7 +205,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             delta=args.delta,
             mode=args.mode,
             block_size=args.sigma if args.mode == "tlogt" else None,
-            exact=exact,
         )
         line = audit.to_json()
         line["config"] = _config(args)
@@ -219,7 +217,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError("single decisions are supported in base mode only")
     Delta, delta = promise_gap(compression, args.t, args.Delta, args.delta)
     advice = build_advice(language, compression, args.t, delta)
-    verdict, batch = decide_with_queries(args.input, advice, compression, Delta, delta, exact=exact)
+    verdict, batch = decide_with_queries(args.input, advice, compression, Delta, delta)
     report.emit(
         {
             "input": args.input,
@@ -325,7 +323,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=int, default=2, help="alphabet size (kl/vajda)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--arithmetic", choices=["exact", "float"], default="exact")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_verify_lemma)
 
@@ -353,7 +350,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--audit", action="store_true", help="decide every input of length n")
     p.add_argument("--input", default=None, help="single input to decide")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--arithmetic", choices=["exact", "float"], default="exact")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_reduce)
 
@@ -363,7 +359,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=3, help="toy-language input length for the audit")
     p.add_argument("--audit", action="store_true")
     p.add_argument("--delta", type=float, default=0.5, help="audit threshold")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_fcomp)
 

@@ -9,6 +9,10 @@ the canonical examples.
 
 Everything here is exact: output distributions are integer counts over a
 power-of-two denominator, so the resulting masses are exact rationals.
+There is no float mode at this layer: ``exact=False`` exists only on the
+distribution constructors, and a float input law handed to
+:meth:`CompressiveMap.output_distribution` is the one way float masses
+come out.
 Subset laws are memoised per compression under hashable law keys;
 compressions that only count hits in a language (OR and transformed-OR
 compressions) share one closed form, everything else enumerates.
@@ -175,14 +179,15 @@ class CompressiveMap:
         return np.bincount(self.table.ravel(), minlength=2**self.output_bits)
 
     def output_distribution(
-        self, inputs: ProductDistribution | FiniteDistribution | None = None, exact: bool = True
+        self, inputs: ProductDistribution | FiniteDistribution | None = None
     ) -> FiniteDistribution:
-        """Exact distribution of the map's output under the given input law.
+        """Distribution of the map's output under the given input law.
 
         The default input law is the uniform distribution on Sigma^t.  A
         ProductDistribution must match the map's alphabet and arity; a
         FiniteDistribution must be over coordinate tuples (this covers
-        mixtures that are not products).
+        mixtures that are not products).  Uniform inputs give exact masses
+        from the output counts; any other law keeps its own arithmetic.
         """
         if inputs is None:
             inputs = ProductDistribution.uniform(tuple(range(self.alphabet_size)), self.arity)
@@ -193,7 +198,10 @@ class CompressiveMap:
                 raise ValueError("input alphabet mismatch")
             if inputs.is_uniform():
                 counts = self.output_counts()
-                return self._counts_to_distribution(counts, self.n_inputs * self.n_coins, exact)
+                codes = np.nonzero(counts)[0]
+                labels = [self.output_label(int(c)) for c in codes]
+                denom = self.n_inputs * self.n_coins
+                return FiniteDistribution.from_counts(labels, counts[codes].tolist(), denom)
             joint = inputs.joint()
         else:
             joint = inputs
@@ -205,8 +213,7 @@ class CompressiveMap:
                 acc[int(code)] = acc.get(int(code), Fraction(0)) + weight * Fraction(int(cnt), self.n_coins)
         codes = sorted(acc)
         labels = [self.output_label(c) for c in codes]
-        masses = [acc[c] if exact else float(acc[c]) for c in codes]
-        return FiniteDistribution(labels, masses)
+        return FiniteDistribution(labels, [acc[c] for c in codes])
 
     def conditioned_output_counts(self) -> np.ndarray:
         """Counts of outputs with one coordinate pinned to each symbol.
@@ -232,11 +239,6 @@ class CompressiveMap:
                 out[j, x] = np.bincount(blocks[:, x, :].ravel(), minlength=m_codes)
             out[j, s - 1] = full - out[j, : s - 1].sum(axis=0)
         return out
-
-    def _counts_to_distribution(self, counts: np.ndarray, denom: int, exact: bool = True) -> FiniteDistribution:
-        codes = np.nonzero(counts)[0]
-        labels = [self.output_label(int(c)) for c in codes]
-        return FiniteDistribution.from_counts(labels, [int(counts[c]) for c in codes], denom, exact)
 
     # -- serialization ----------------------------------------------------------
 
@@ -269,16 +271,6 @@ class CompressiveMap:
         bits = np.unpackbits(raw, count=n_rows * m, bitorder="big").reshape(n_rows, m)
         codes = bits.astype(np.int64) @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
         return cls(t, m, r, codes.reshape(s**t, 2**r), s)
-
-
-def random_compressive_map(
-    arity: int,
-    output_bits: int,
-    coin_bits: int,
-    seed: int | np.random.SeedSequence,
-    alphabet_size: int = 2,
-) -> CompressiveMap:
-    return CompressiveMap.random(arity, output_bits, coin_bits, seed, alphabet_size)
 
 
 # ---------------------------------------------------------------------------
@@ -385,36 +377,6 @@ def canonical_set(x: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(x)))
 
 
-def subset_distribution(
-    e: Sequence[str], mode: str = "uniform", v: str | None = None, exact: bool = True
-) -> FiniteDistribution:
-    """Distribution over subsets of a ground set, as canonical sorted tuples.
-
-    Modes: "uniform" samples a subset of e uniformly; "without" additionally
-    forces v out of every sample; "with" forces v into every sample.  In the
-    conditioned modes v must be an element of e and each of the 2**(|e|-1)
-    eligible subsets is equally likely.
-    """
-    e = canonical_set(e)
-    if mode == "uniform":
-        ground, forced = e, ()
-    elif mode in ("without", "with"):
-        if v is None or v not in e:
-            raise ValueError(f"conditioned mode needs v inside the ground set, got {v!r}")
-        ground = tuple(w for w in e if w != v)
-        forced = (v,) if mode == "with" else ()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    check_enumeration(2 ** len(ground), "subset enumeration")
-    outcomes = []
-    for bits in range(2 ** len(ground)):
-        subset = tuple(w for k, w in enumerate(ground) if (bits >> k) & 1)
-        outcomes.append(canonical_set(subset + forced))
-    n = len(outcomes)
-    mass = [Fraction(1, n)] * n if exact else [1.0 / n] * n
-    return FiniteDistribution(outcomes, mass)
-
-
 # ---------------------------------------------------------------------------
 # Set-encoded compressions
 # ---------------------------------------------------------------------------
@@ -453,7 +415,7 @@ class SetEncodedCompression:
         self.coin_bits = coin_bits
         self.e_s = e_s
         self.e_c = e_c
-        self._laws: dict[tuple[Hashable, bool], FiniteDistribution] = {}
+        self._laws: dict[Hashable, FiniteDistribution] = {}
 
     @property
     def n_coins(self) -> int:
@@ -473,11 +435,11 @@ class SetEncodedCompression:
             counts[self.evaluate(canon, coin)] += 1
         return counts
 
-    def counts_to_distribution(self, counts: Sequence[int], denom: int, exact: bool = True) -> FiniteDistribution:
-        """Output law from per-code counts over a common denominator."""
+    def counts_to_distribution(self, counts: Sequence[int], denom: int) -> FiniteDistribution:
+        """Exact output law from per-code counts over a common denominator."""
         codes = [c for c, cnt in enumerate(counts) if cnt]
         labels = [self.output_label(c) for c in codes]
-        return FiniteDistribution.from_counts(labels, [counts[c] for c in codes], denom, exact)
+        return FiniteDistribution.from_counts(labels, [counts[c] for c in codes], denom)
 
     # -- subset laws ---------------------------------------------------------
 
@@ -503,27 +465,24 @@ class SetEncodedCompression:
             rest = tuple(w for w in e if w != v)
             yield self.law_key(rest), self.law_key(rest, (v,))
 
-    def law(self, key: Hashable, exact: bool = True) -> FiniteDistribution:
-        """Subset law of a law key, memoised per (key, exact) on the instance.
+    def law(self, key: Hashable) -> FiniteDistribution:
+        """Subset law of a law key, memoised per key on the instance.
 
         The memo lives as long as the compression.  Hit-count keys keep it
-        below (arity + 1)**2 entries per arithmetic; default keys add one
-        entry per distinct (ground, forced) pair asked for, about 2k per
-        edge of size k that a selector scans.
+        below (arity + 1)**2 entries; default keys add one entry per
+        distinct (ground, forced) pair asked for, about 2k per edge of size
+        k that a selector scans.
         """
-        memo_key = (key, exact)
-        law = self._laws.get(memo_key)
+        law = self._laws.get(key)
         if law is None:
-            law = self._laws[memo_key] = self._compute_law(key, exact)
+            law = self._laws[key] = self._compute_law(key)
         return law
 
-    def _compute_law(self, key: Hashable, exact: bool) -> FiniteDistribution:
+    def _compute_law(self, key: Hashable) -> FiniteDistribution:
         ground, forced = key
-        return enumerate_subset_law(self, ground, forced, exact)
+        return enumerate_subset_law(self, ground, forced)
 
-    def subset_output_distribution(
-        self, ground: Sequence[str], forced: Sequence[str] = (), exact: bool = True
-    ) -> FiniteDistribution:
+    def subset_output_distribution(self, ground: Sequence[str], forced: Sequence[str] = ()) -> FiniteDistribution:
         """Distribution of the output on U ∪ forced, U a uniform subset of ground.
 
         Forced elements are removed from the ground set first, so forcing an
@@ -531,7 +490,7 @@ class SetEncodedCompression:
         uniform subset distribution.  Looked up by law key; a miss
         enumerates subsets and coins unless a subclass has a closed form.
         """
-        return self.law(self.law_key(ground, forced), exact)
+        return self.law(self.law_key(ground, forced))
 
 
 def _split_ground(ground: Sequence[str], forced: Sequence[str] = ()) -> tuple[tuple[str, ...], tuple[str, ...]]:
@@ -541,7 +500,7 @@ def _split_ground(ground: Sequence[str], forced: Sequence[str] = ()) -> tuple[tu
 
 
 def enumerate_subset_law(
-    a: SetEncodedCompression, ground: Sequence[str], forced: Sequence[str] = (), exact: bool = True
+    a: SetEncodedCompression, ground: Sequence[str], forced: Sequence[str] = ()
 ) -> FiniteDistribution:
     """Reference subset law: exhaustive over the subsets of ground and all coins.
 
@@ -554,7 +513,7 @@ def enumerate_subset_law(
         subset = tuple(w for k, w in enumerate(ground) if (bits >> k) & 1)
         for code, cnt in enumerate(a.output_counts(subset + forced)):
             acc[code] += cnt
-    return a.counts_to_distribution(acc, 2 ** len(ground) * a.n_coins, exact)
+    return a.counts_to_distribution(acc, 2 ** len(ground) * a.n_coins)
 
 
 class HitCountCompression(SetEncodedCompression):
@@ -590,14 +549,14 @@ class HitCountCompression(SetEncodedCompression):
         """The hit bit of v: a forced element adds one forced hit or none."""
         return self.hit_language.is_yes(v)
 
-    def _compute_law(self, key: tuple[int, int], exact: bool) -> FiniteDistribution:
+    def _compute_law(self, key: tuple[int, int]) -> FiniteDistribution:
         k, forced_hits = key
         acc = [0] * (2**self.output_bits)
         for j in range(k + 1):
             ways = math.comb(k, j)
             for code, cnt in enumerate(self.hit_counts(forced_hits + j)):
                 acc[code] += ways * cnt
-        return self.counts_to_distribution(acc, 2**k * self.n_coins, exact)
+        return self.counts_to_distribution(acc, 2**k * self.n_coins)
 
 
 class OrCompression(HitCountCompression):

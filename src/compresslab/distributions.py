@@ -187,17 +187,6 @@ def _unjsonify_outcome(w: Any) -> Outcome:
     return w
 
 
-# -- module-level constructors (aliases used throughout the package) -------
-
-
-def uniform(ground_set: Sequence[Outcome], exact: bool = True) -> FiniteDistribution:
-    return FiniteDistribution.uniform(ground_set, exact=exact)
-
-
-def point(outcome: Outcome, exact: bool = True) -> FiniteDistribution:
-    return FiniteDistribution.point(outcome, exact=exact)
-
-
 def mixture(components: Sequence[tuple[Mass, FiniteDistribution]]) -> FiniteDistribution:
     """Convex combination of distributions; weights must sum to 1."""
     if not components:

@@ -10,7 +10,9 @@ dominating member of a no-instance keeps them within the selector
 threshold, so the conjunction of oracle answers decides membership exactly.
 
 Queries are non-adaptive: the query list is a pure function of the input
-and the advice, and the verdict is the conjunction of the answers.
+and the advice, and the verdict is the conjunction of the answers.  Every
+law in a query is exact (rational masses from the compression's counts), so
+distances and promise tags are exact too; there is no float mode.
 """
 
 from __future__ import annotations
@@ -205,7 +207,6 @@ def queries_for(
     a: SetEncodedCompression,
     Delta: Number,
     delta: Number,
-    exact: bool = True,
     shared: dict[tuple, Any] | None = None,
 ) -> list[SDQuery]:
     """The base-mode query batch for one input: one query per advice member.
@@ -220,10 +221,10 @@ def queries_for(
     shared = {} if shared is None else shared
     queries = []
     for g in advice.elements:
-        left = shared.get((g, exact))
+        left = shared.get(g)
         if left is None:
-            left = shared[(g, exact)] = a.subset_output_distribution(g, exact=exact)
-        right = a.subset_output_distribution(g, forced=(v,), exact=exact)
+            left = shared[g] = a.subset_output_distribution(g)
+        right = a.subset_output_distribution(g, forced=(v,))
         key = (left, right, Delta, delta)
         q = shared.get(key)
         if q is None:
@@ -238,13 +239,12 @@ def block_queries_for(
     a: SetEncodedCompression,
     Delta: Number,
     delta: Number,
-    exact: bool = True,
 ) -> list[SDQuery]:
     """Block-mode query batch: condition v out of / into its block per member."""
     queries = []
     for g in advice.elements:
         blocks = partition_blocks(canonical_set(g + (v,)), advice.block_size)
-        left, right = block_conditioned_distributions(a, blocks, v, exact=exact)
+        left, right = block_conditioned_distributions(a, blocks, v)
         queries.append(SDQuery(left, right, Delta, delta))
     return queries
 
@@ -256,7 +256,6 @@ def decide_with_queries(
     Delta: Number,
     delta: Number,
     oracle: Oracle = exact_sd_oracle,
-    exact: bool = True,
     shared: dict[tuple, Any] | None = None,
 ) -> tuple[bool, list[SDQuery]]:
     """The decision procedure: the verdict on one input and its query batch.
@@ -274,9 +273,9 @@ def decide_with_queries(
     if v in advice.member_elements:
         return False, []
     if advice.block_size:
-        batch = block_queries_for(v, advice, a, Delta, delta, exact=exact)
+        batch = block_queries_for(v, advice, a, Delta, delta)
     else:
-        batch = queries_for(v, advice, a, Delta, delta, exact=exact, shared=shared)
+        batch = queries_for(v, advice, a, Delta, delta, shared=shared)
     return all(oracle(q) for q in batch), batch
 
 
@@ -287,7 +286,6 @@ def decide(
     Delta: Number | None = None,
     delta: Number | None = None,
     oracle: Oracle = exact_sd_oracle,
-    exact: bool = True,
 ) -> bool:
     """Accept/reject one input using the advice and the distance oracle.
 
@@ -295,7 +293,7 @@ def decide(
     :func:`decide_with_queries` for the verdict.
     """
     Delta, delta = promise_gap(a, advice.edge_size, Delta, delta)
-    return decide_with_queries(v, advice, a, Delta, delta, oracle, exact)[0]
+    return decide_with_queries(v, advice, a, Delta, delta, oracle)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,6 @@ def audit_language(
     mode: Literal["base", "tlogt"] = "base",
     block_size: int | None = None,
     oracle: Oracle = exact_sd_oracle,
-    exact: bool = True,
 ) -> AuditReport:
     """Build advice once, decide every string of the input length, tally tags.
 
@@ -362,7 +359,8 @@ def audit_language(
     since block advice only accepts deterministic, exact compressions.
     Raises "empty promise gap" before any decision when delta >= Delta.
     Agreement below 1.0 on a compression within its error budget indicates
-    a bug, not noise; every quantity here is exact.
+    a bug, not noise: every law, distance and tag here is an exact rational
+    (only the reported agreement, Delta and delta are converted to floats).
     """
     t = a.arity if edge_size is None else edge_size
     if mode != "base":
@@ -390,11 +388,11 @@ def audit_language(
         if advice.mode == "DOMSET" and v not in advice.member_elements:
             key = forced_class(v)
             if key not in decided:
-                decided[key] = decide_with_queries(v, advice, a, Delta, delta, oracle, exact, shared)
+                decided[key] = decide_with_queries(v, advice, a, Delta, delta, oracle, shared)
             class_inputs[key] += 1
             verdict = decided[key][0]
         else:
-            verdict, _ = decide_with_queries(v, advice, a, Delta, delta, oracle, exact)
+            verdict, _ = decide_with_queries(v, advice, a, Delta, delta, oracle)
         if verdict != language.is_yes(v):
             mismatches.append(v)
     tags = {"yes": 0, "no": 0, "gap": 0}

@@ -307,12 +307,17 @@ def _domination(
     v whose edge member + (v,) selects v.
     """
     k = tournament.edge_size
-    dom = np.array([[v in g for g in members] for v in vs], dtype=bool).reshape(len(vs), len(members))
+    v_idx = tournament.indices(vs)
+    # inside[x, i]: vertex x is an element of member i, filled from the
+    # members' elements; the rows of vs are then looked up by vertex index
+    inside = np.zeros((len(tournament.vertices), len(members)), dtype=bool)
+    for i, g in enumerate(members):
+        inside[[x for x in map(tournament._index.get, g) if x is not None], i] = True
+    dom = inside[v_idx]
     full = np.array([len(g) == k - 1 for g in members], dtype=bool)
     g_idx = np.zeros((len(members), k - 1), dtype=np.intp)
     for i in np.flatnonzero(full):
         g_idx[i] = tournament.indices(members[i])
-    v_idx = tournament.indices(vs)
     vj, gi = np.nonzero(~dom & full)
     if vj.size:
         g_rows, v_col = g_idx[gi], v_idx[vj]
@@ -495,7 +500,7 @@ def partition_blocks(e: Sequence[str], block_size: int) -> tuple[Edge, ...]:
 
 
 def block_conditioned_distributions(
-    a: SetEncodedCompression, blocks: Sequence[Edge], v: str, exact: bool = True
+    a: SetEncodedCompression, blocks: Sequence[Edge], v: str
 ) -> tuple[FiniteDistribution, FiniteDistribution]:
     """Output laws of A on one uniform pick per block, without / with v.
 
@@ -535,7 +540,7 @@ def block_conditioned_distributions(
                 rec(prefix + (w,), idx + 1)
 
         rec((), 0)
-        return a.counts_to_distribution(acc, rows * a.n_coins, exact)
+        return a.counts_to_distribution(acc, rows * a.n_coins)
 
     without_v = tuple(w for w in blocks[j] if w != v)
     return law(without_v), law((v,))

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import compresslab
 from compresslab import ToyLanguage
 from compresslab.cli import main
@@ -167,6 +169,18 @@ def test_usage_errors_exit_2(capsys):
     assert main(["reduce", "--language", "builtin:single-yes"]) == 2  # no --audit/--input
     assert main(["verify-lemma", "pinsker", "--sigma", "3"]) == 2
     capsys.readouterr()
+    # options that no command read are gone; argparse rejects them
+    for argv in (
+        ["reduce", "--audit", "--arithmetic", "float"],
+        ["verify-lemma", "pinsker", "--arithmetic", "exact"],
+        ["fcomp", "--f", "builtin:or", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, argv
+        assert err.startswith("usage:"), argv
+        assert "Traceback" not in err, argv
 
 
 def test_budget_exit_3(capsys, monkeypatch):

@@ -1,4 +1,4 @@
-"""Compressive maps, toy languages, subset distributions, OR compressions."""
+"""Compressive maps, toy languages, subset laws, OR compressions."""
 
 import base64
 import itertools
@@ -21,11 +21,8 @@ from compresslab import (
     ideal_or_compression,
     mixture,
     noisy_or_compression,
-    random_compressive_map,
     statistical_distance,
-    subset_distribution,
     transform_to_relaxed_or,
-    uniform,
 )
 from compresslab.fcompression import VIEW_ORDER
 
@@ -45,7 +42,7 @@ def test_output_distribution_dictator():
     # oracle: walk all 16 inputs by hand
     ones = sum(1 for idx in range(16) if f.input_symbols(idx)[0] == 1)
     assert ones == 8
-    assert f.output_distribution() == uniform(["0", "1"])
+    assert f.output_distribution() == FiniteDistribution.uniform(["0", "1"])
 
 
 def test_output_distribution_conditioned_xor():
@@ -58,7 +55,7 @@ def test_output_distribution_conditioned_xor():
         if symbols[0] == 0:
             counts[sum(symbols) % 2] += 1
     assert counts == {0: 4, 1: 4}
-    assert f.output_distribution(x) == uniform(["0", "1"])
+    assert f.output_distribution(x) == FiniteDistribution.uniform(["0", "1"])
 
 
 def test_output_distribution_of_mixture():
@@ -120,7 +117,7 @@ def test_zero_output_bits():
 
 def test_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError):
-        random_compressive_map(30, 1, 0, seed=0)
+        CompressiveMap.random(30, 1, 0, seed=0)
 
 
 def test_budget_env_override(monkeypatch):
@@ -221,33 +218,6 @@ def test_language_random_seeded():
     assert ToyLanguage.random(4, seed=9) == ToyLanguage.random(4, seed=9)
 
 
-# -- subset distributions -----------------------------------------------------
-
-
-def test_subset_distribution_plain():
-    d = subset_distribution(("00", "01"))
-    assert set(d.outcomes) == {(), ("00",), ("01",), ("00", "01")}
-    assert all(m == F(1, 4) for m in d.mass)
-
-
-def test_subset_distribution_with():
-    d = subset_distribution(("00", "01"), "with", "01")
-    assert set(d.outcomes) == {("01",), ("00", "01")}
-    assert all(m == F(1, 2) for m in d.mass)
-
-
-def test_subset_distribution_without():
-    d = subset_distribution(("00", "01", "10"), "without", "10")
-    assert len(d.outcomes) == 4
-    assert all("10" not in out for out in d.outcomes)
-    assert all(m == F(1, 4) for m in d.mass)
-
-
-def test_subset_distribution_requires_member():
-    with pytest.raises(ValueError):
-        subset_distribution(("00", "01"), "with", "11")
-
-
 # -- OR compressions ------------------------------------------------------------
 
 
@@ -327,8 +297,8 @@ def _subset_law_configurations(lang, arity, rng, trials):
 
 def test_or_closed_form_matches_enumeration():
     # dual route: the hit-count closed form must agree with brute-force
-    # enumeration of subsets and coins on every configuration, in both
-    # arithmetics, on a fresh compression and again from its memo
+    # enumeration of subsets and coins on every configuration, on a fresh
+    # compression and again from its memo
     rng = np.random.default_rng(21)
     for trial in range(30):
         lang = ToyLanguage.random(3, seed=trial)
@@ -337,11 +307,10 @@ def test_or_closed_form_matches_enumeration():
             ideal_or_compression(lang, 4),
         ):
             for ground, forced in _subset_law_configurations(lang, 4, rng, 8):
-                for exact in (True, False):
-                    slow = enumerate_subset_law(a, ground, forced, exact)
-                    assert a.subset_output_distribution(ground, forced, exact) == slow
-                    assert a.subset_output_distribution(ground, forced, exact) == slow
-                    assert slow.exact == exact
+                slow = enumerate_subset_law(a, ground, forced)
+                assert a.subset_output_distribution(ground, forced) == slow
+                assert a.subset_output_distribution(ground, forced) == slow
+                assert slow.exact
 
 
 def test_transformed_or_closed_form_matches_enumeration():
@@ -361,9 +330,8 @@ def test_transformed_or_closed_form_matches_enumeration():
             seen.add((t, a.view.view, a.view.pivot))
             source = a.source_language
             for ground, forced in _subset_law_configurations(source, a.arity, rng, 8):
-                for exact in (True, False):
-                    slow = enumerate_subset_law(a, ground, forced, exact)
-                    assert a.subset_output_distribution(ground, forced, exact) == slow
+                slow = enumerate_subset_law(a, ground, forced)
+                assert a.subset_output_distribution(ground, forced) == slow
     assert {view for _, view, _ in seen} == set(VIEW_ORDER)
     for t in range(3, 6):
         assert {pivot for tt, _, pivot in seen if tt == t} == set(range(t // 2 + 1))

@@ -13,10 +13,8 @@ from compresslab import (
     kl_divergence,
     mixture,
     mutual_information,
-    point,
     push_forward,
     statistical_distance,
-    uniform,
 )
 from conftest import random_exact_distribution, random_float_distribution
 
@@ -27,16 +25,16 @@ F = Fraction
 
 
 def test_uniform_masses():
-    d = uniform(["0", "1"])
+    d = FiniteDistribution.uniform(["0", "1"])
     assert d.prob("0") == F(1, 2) and d.prob("1") == F(1, 2)
-    assert uniform(["a"]).prob("a") == 1
-    four = uniform(["00", "01", "10", "11"])
+    assert FiniteDistribution.uniform(["a"]).prob("a") == 1
+    four = FiniteDistribution.uniform(["00", "01", "10", "11"])
     assert all(four.prob(w) == F(1, 4) for w in four.outcomes)
 
 
 def test_uniform_empty_ground_set():
     with pytest.raises(ValueError, match="empty support"):
-        uniform([])
+        FiniteDistribution.uniform([])
 
 
 def test_duplicate_outcomes_rejected():
@@ -76,7 +74,7 @@ def test_serialization_round_trip():
 def test_distance_identical_and_disjoint():
     p = random_exact_distribution(np.random.default_rng(0))
     assert statistical_distance(p, p) == 0
-    assert statistical_distance(point("0"), point("1")) == 1
+    assert statistical_distance(FiniteDistribution.point("0"), FiniteDistribution.point("1")) == 1
 
 
 def test_distance_bernoulli_pair():
@@ -88,8 +86,8 @@ def test_distance_bernoulli_pair():
 
 
 def test_distance_unions_universes():
-    p = uniform(["a", "b"])
-    q = uniform(["b", "c"])
+    p = FiniteDistribution.uniform(["a", "b"])
+    q = FiniteDistribution.uniform(["b", "c"])
     assert statistical_distance(p, q) == F(1, 2)
 
 
@@ -129,8 +127,9 @@ def test_kl_examples():
     p = random_exact_distribution(np.random.default_rng(1))
     assert kl_divergence(p, p) == 0.0
     # 1 * log2(1 / (1/2)) = 1 bit
-    assert kl_divergence(point("0"), uniform(["0", "1"])) == pytest.approx(1.0)
-    assert kl_divergence(uniform(["0", "1"]), point("0")) == math.inf
+    zero, fair = FiniteDistribution.point("0"), FiniteDistribution.uniform(["0", "1"])
+    assert kl_divergence(zero, fair) == pytest.approx(1.0)
+    assert kl_divergence(fair, zero) == math.inf
 
 
 def test_kl_nonnegative_and_infinite_off_support():
@@ -147,8 +146,8 @@ def test_kl_nonnegative_and_infinite_off_support():
 
 
 def test_entropy_examples():
-    assert entropy(point("x")) == 0.0
-    assert entropy(uniform(list("abcdefgh"))) == pytest.approx(3.0)
+    assert entropy(FiniteDistribution.point("x")) == 0.0
+    assert entropy(FiniteDistribution.uniform(list("abcdefgh"))) == pytest.approx(3.0)
     b = FiniteDistribution(["0", "1"], [F(1, 4), F(3, 4)])
     expected = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
     assert entropy(b) == pytest.approx(expected)
@@ -174,7 +173,7 @@ def test_mutual_information_independent_product():
 
 
 def test_mutual_information_diagonal():
-    joint = uniform([(w, w) for w in "abcd"])
+    joint = FiniteDistribution.uniform([(w, w) for w in "abcd"])
     assert mutual_information(joint) == pytest.approx(2.0)
 
 
@@ -273,27 +272,28 @@ def test_conditioning_on_independent_side_information():
 def test_push_forward_identity_and_point():
     p = random_exact_distribution(np.random.default_rng(10))
     assert push_forward(p, lambda w: w) == p
-    assert push_forward(point("abc"), lambda w: w[::-1]) == point("cba")
+    reversed_point = push_forward(FiniteDistribution.point("abc"), lambda w: w[::-1])
+    assert reversed_point == FiniteDistribution.point("cba")
 
 
 def test_push_forward_xor():
-    p = uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
+    p = FiniteDistribution.uniform([(0, 0), (0, 1), (1, 0), (1, 1)])
     out = push_forward(p, lambda w: w[0] ^ w[1])
     # enumerating the four inputs: two map to 0, two map to 1
     assert out == FiniteDistribution([0, 1], [F(1, 2), F(1, 2)])
 
 
 def test_push_forward_undefined_point():
-    p = uniform(["a", "b"])
+    p = FiniteDistribution.uniform(["a", "b"])
     with pytest.raises(ValueError, match="undefined"):
         push_forward(p, {"a": 1})
 
 
 def test_push_forward_randomized():
     # identity with one coin that flips the single bit half the time
-    p = point("1")
+    p = FiniteDistribution.point("1")
     out = push_forward(p, lambda w, c: w if c == 0 else ("0" if w == "1" else "1"), coin_bits=1)
-    assert out == uniform(["0", "1"])
+    assert out == FiniteDistribution.uniform(["0", "1"])
 
 
 def test_data_processing_exact():
@@ -335,10 +335,10 @@ def test_vajda_style_inequality_random_pairs():
 def test_condition_pin_and_exclude():
     x = ProductDistribution.uniform(["0", "1"], 4)
     pinned = x.condition(1, equal_to="1")
-    assert pinned.marginal(1) == point("1")
+    assert pinned.marginal(1) == FiniteDistribution.point("1")
     abc = ProductDistribution.uniform(["a", "b", "c"], 2)
     off = abc.condition(0, not_equal_to="a")
-    assert off.marginal(0) == uniform(["b", "c"])
+    assert off.marginal(0) == FiniteDistribution.uniform(["b", "c"])
 
 
 def test_condition_errors():

@@ -10,14 +10,20 @@ The files under tests/golden/examples/ are the stdout of the README's
 `tournament`, `reduce` and `fcomp` examples, recorded from the earlier
 implementation that built one query batch per audited input.
 
+The final line of each file embeds the configuration.  Its `config` object
+was re-recorded once, when the options that no command read were dropped
+(`verify-lemma --arithmetic`, `reduce --arithmetic`, `fcomp --seed`);
+every other byte is as first recorded.
+
 A difference is a regression to explain, not a file to re-record.
 """
 
+import argparse
 from pathlib import Path
 
 import pytest
 
-from compresslab.cli import main
+from compresslab.cli import _make_parser, main
 
 GOLDEN = Path(__file__).parent / "golden" / "verify_lemma"
 EXAMPLES_GOLDEN = Path(__file__).parent / "golden" / "examples"
@@ -80,3 +86,40 @@ def test_readme_example_matches_golden_bytes(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode("ascii") == (EXAMPLES_GOLDEN / f"{name}.ndjson").read_bytes()
+
+
+class _ReadRecorder(argparse.Namespace):
+    """Parsed arguments that record which of them a command reads."""
+
+    __slots__ = ("reads",)  # a slot, so vars() and the report config never see it
+
+    def __init__(self):
+        super().__init__()
+        self.reads = set()
+
+    def __getattribute__(self, name):
+        if name in object.__getattribute__(self, "__dict__"):
+            object.__getattribute__(self, "reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_golden_cases_read_every_parsed_option(capsys):
+    # an option that is parsed but never read is a knob without an effect;
+    # between them the golden cases reach every option of every subcommand
+    parser = _make_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+    reads = {name: set() for name in commands}
+    argvs = [["verify-lemma", *case.split()] for case in CASES.values()]
+    argvs += [case.split() for case in EXAMPLES.values()]
+    for argv in argvs:
+        args = parser.parse_args(argv, namespace=_ReadRecorder())
+        args.reads.clear()  # parsing itself looks attributes up
+        assert args.func(args) == 0, argv
+        capsys.readouterr()
+        reads[argv[0]] |= args.reads
+    unread = {}
+    for name, sub in commands.items():
+        parsed = {a.dest for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        if parsed - reads[name]:
+            unread[name] = sorted(parsed - reads[name])
+    assert not unread

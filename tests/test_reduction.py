@@ -16,7 +16,6 @@ from compresslab import (
     exact_sd_oracle,
     ideal_or_compression,
     noisy_or_compression,
-    point,
     statistical_distance,
     threshold_oracle,
 )
@@ -34,9 +33,9 @@ def _bern(p):
 
 
 def test_query_promise_tags():
-    q = SDQuery(point("0"), point("1"), Delta=1, delta=F(1, 2))
+    q = SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("1"), Delta=1, delta=F(1, 2))
     assert q.distance == 1 and q.promise_tag == "YES"
-    q = SDQuery(point("0"), point("0"), Delta=1, delta=F(1, 2))
+    q = SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("0"), Delta=1, delta=F(1, 2))
     assert q.promise_tag == "NO"
     q = SDQuery(_bern(F(1, 8)), _bern(F(7, 8)), Delta=1, delta=F(1, 2))
     assert q.distance == F(3, 4) and q.promise_tag == "GAP"
@@ -44,14 +43,15 @@ def test_query_promise_tags():
 
 def test_query_requires_promise_gap():
     with pytest.raises(ValueError, match="empty promise gap"):
-        SDQuery(point("0"), point("1"), Delta=0.5, delta=0.5)
+        SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("1"), Delta=0.5, delta=0.5)
     with pytest.raises(ValueError, match="empty promise gap"):
-        SDQuery(point("0"), point("1"), Delta=1.5, delta=0.1)
+        SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("1"), Delta=1.5, delta=0.1)
 
 
 def test_exact_oracle_thresholds():
-    assert exact_sd_oracle(SDQuery(point("0"), point("1"), Delta=1, delta=0.5))
-    assert not exact_sd_oracle(SDQuery(point("0"), point("0"), Delta=1, delta=0.5))
+    zero, one = FiniteDistribution.point("0"), FiniteDistribution.point("1")
+    assert exact_sd_oracle(SDQuery(zero, one, Delta=1, delta=0.5))
+    assert not exact_sd_oracle(SDQuery(zero, zero, Delta=1, delta=0.5))
     # distance exactly at the midpoint: ties go up
     q = SDQuery(_bern(F(1, 4)), _bern(F(3, 4)), Delta=1, delta=0)
     assert q.distance == F(1, 2) == (q.Delta + q.delta) / 2

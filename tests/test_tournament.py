@@ -23,6 +23,7 @@ from compresslab import (
 )
 from compresslab.tournament import (
     DominatingSearchError,
+    _domination,
     block_conditioned_distributions,
     partition_blocks,
 )
@@ -171,6 +172,24 @@ def test_verify_domination_reports_missing():
     assert undominated == expected
     assert ok == (not expected)
     assert not ok  # the greedy set has no redundant members
+
+
+def test_domination_matrix_matches_its_definition():
+    # the inside-member part comes from a vertex-to-row lookup; every entry
+    # must equal the per-pair definition, for members holding vertices
+    # outside the checked rows or strings that are no vertex at all, short
+    # members, checked subsets and repeated rows
+    s = random_tournament(16, 4, seed=2)
+    dom = greedy_dominating_set(s)
+    vs = s.vertices
+    members = dom.elements + ((vs[0], "no-vertex"), vs[5:6], (vs[1], vs[2], vs[3]))
+    extended = DominatingSet(4, dom.vertex_bits, members, dom.trace)
+    for rows in (vs, vs[::3], vs[4:9] + vs[4:6]):
+        want = [[_dominated_by(s, g, v) for g in members] for v in rows]
+        assert _domination(s, members, rows).tolist() == want
+        ok, undominated = verify_domination(s, extended, rows)
+        assert undominated == [v for v, hits in zip(rows, want) if not any(hits)]
+        assert ok == (not undominated)
 
 
 def test_dominating_set_json_round_trip():
