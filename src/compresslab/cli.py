@@ -93,20 +93,20 @@ def _at_least(minimum: int):
 def _build_language(source: str, n: int, seed: int) -> ToyLanguage:
     if source.startswith("builtin:"):
         name = source.split(":", 1)[1]
-        universe = [format(i, f"0{n}b") for i in range(2**n)]
         if name == "single-yes":
             return ToyLanguage(n, {"1" * n})
         if name == "empty":
             return ToyLanguage(n, set())
-        if name == "full":
-            return ToyLanguage(n, set(universe))
-        if name == "parity":
-            return ToyLanguage(n, {v for v in universe if v.count("1") % 2 == 1})
-        if name == "majority":
-            return ToyLanguage(n, {v for v in universe if v.count("1") * 2 > n})
         if name == "random":
             return ToyLanguage.random(n, seed)
-        raise ValueError(f"unknown builtin language {name!r}")
+        members = {
+            "full": lambda v: True,
+            "parity": lambda v: v.count("1") % 2 == 1,
+            "majority": lambda v: v.count("1") * 2 > n,
+        }
+        if name not in members:
+            raise ValueError(f"unknown builtin language {name!r}")
+        return ToyLanguage(n, filter(members[name], ToyLanguage(n, ()).universe()))
     with open(source, encoding="ascii") as fh:
         return ToyLanguage.from_json(json.load(fh))
 

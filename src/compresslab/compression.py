@@ -285,7 +285,7 @@ class ToyLanguage:
     partition all 2**n of them.
     """
 
-    __slots__ = ("n", "_yes")
+    __slots__ = ("n", "_yes", "_universe")
 
     def __init__(self, n: int, yes: Iterable[str]):
         if n < 1:
@@ -297,6 +297,7 @@ class ToyLanguage:
                 raise ValueError(f"{v!r} is not an {n}-bit string")
         self.n = n
         self._yes = yes
+        self._universe: tuple[str, ...] | None = None
 
     @classmethod
     def random(cls, n: int, seed: int, density: float = 0.5) -> "ToyLanguage":
@@ -323,7 +324,10 @@ class ToyLanguage:
         return self._yes
 
     def universe(self) -> tuple[str, ...]:
-        return tuple(format(i, f"0{self.n}b") for i in range(2**self.n))
+        """All 2**n strings in increasing order, formatted once per language."""
+        if self._universe is None:
+            self._universe = tuple(format(i, f"0{self.n}b") for i in range(2**self.n))
+        return self._universe
 
     def yes_instances(self) -> tuple[str, ...]:
         return tuple(v for v in self.universe() if v in self._yes)

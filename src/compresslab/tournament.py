@@ -7,13 +7,28 @@ from / insertion into a random subset of e barely moves the compression's
 output distribution.  Greedy construction then yields a dominating set of
 (k-1)-subsets of size at most k*log2|V|: every vertex either sits inside
 some member or is selected when appended to one.
+
+Each exhaustive greedy step scans every edge inside the undominated set,
+first element major.  An edge is a first position c followed by a suffix, a
+(k-1)-subset of the later positions.  In the lexicographic list of all
+(k-1)-subsets, the suffixes that may follow c are the last C(|R|-1-c, k-1)
+rows, so each c scans one contiguous, lexicographically ascending slice,
+and the scan as a whole visits the edges in lexicographic order.  A
+tournament summarises each suffix once per step
+(:meth:`HypergraphTournament.suffix_state`) and then selects in every edge
+from its first vertex and its suffix's state
+(:meth:`HypergraphTournament.extend`).  The random tournament mixes an edge
+by Horner's rule modulo M = 2**61 - 1, h = sum_i key_i * P**(k-1-i) mod M,
+which splits as h = (key_c * P**(k-1) + H(suffix)) mod M: the state is the
+suffix's Horner value H and each edge costs one addition and one reduction.
+A hit-count selector's choice depends on the suffix and the first vertex's
+hit bit only, so its state is the selected position for either bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
@@ -51,7 +66,13 @@ class HypergraphTournament:
 
     Batches of edges are numpy rows of vertex indices: positions in the
     canonical (sorted) vertex tuple, increasing along each row, so index
-    order is lexicographic order and a row is a canonical edge.
+    order is lexicographic order and a row is a canonical edge.  The greedy
+    scan selects through a state and extend pair: :meth:`suffix_state`
+    summarises the last k-1 columns of each row and :meth:`extend` selects
+    from that summary and the row's first vertex.  By default the state is
+    the suffix rows themselves and :meth:`extend` hands the full rows to
+    :meth:`select_rows`, which asks the per-edge selector once per row;
+    tournaments with a vectorised selector override all three.
     """
 
     def __init__(self, vertices: Sequence[str], edge_size: int, selector: Callable[[Edge], str]):
@@ -70,17 +91,27 @@ class HypergraphTournament:
         return e[_position(e, self._selector(e))]
 
     def select_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Selected position within each row of an (E, k) batch of index rows.
-
-        The default calls the per-edge selector once per row; tournaments
-        with a vectorised selector override it.
-        """
+        """Selected position within each row of an (E, k) batch of index rows."""
         vertices = self.vertices
         out = np.empty(len(rows), dtype=np.intp)
         for j, row in enumerate(rows.tolist()):
             e = tuple(vertices[i] for i in row)
             out[j] = _position(e, self._selector(e))
         return out
+
+    def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
+        """Selector state of each row of an (S, k-1) batch of index rows,
+        one state per row along the first axis."""
+        return suffixes
+
+    def extend(self, state: np.ndarray, first: np.ndarray | np.integer) -> np.ndarray:
+        """Selected position in each edge made of a first vertex index and a
+        suffix whose state is a row of `state`.
+
+        `first` holds one index per state row, or one for all rows; it
+        precedes every vertex of its suffix, so it is position 0.
+        """
+        return self.select_rows(np.column_stack([np.broadcast_to(first, len(state)), state]))
 
     def indices(self, vs: Sequence[str]) -> np.ndarray:
         """Vertex indices of vs, in the order given."""
@@ -97,35 +128,95 @@ def _position(e: Edge, v: str) -> int:
         raise InvariantError(f"selector returned {v!r} outside the edge") from None
 
 
-class _VectorisedTournament(HypergraphTournament):
-    """Tournament whose selector is one function of per-vertex values.
+def _selected(
+    tournament: HypergraphTournament, positions: np.ndarray, edge: Callable[[int], Sequence[int]]
+) -> np.ndarray:
+    """positions, once each lies inside its edge.
 
-    ``positions(values, edge)`` maps an (E, k) array of per-vertex values to
-    the position selected in each row; ``edge(i)`` names row i for error
-    messages.  ``value(v)`` gives the value of any vertex string.  Batches
-    gather the values by vertex index; the per-edge selector handed to the
-    constructor is the same function on one row.
+    At the first position that does not, the per-edge selector is asked
+    about that edge (edge(i) gives its vertex indices), so a selector that
+    is undefined there raises its own error.
+    """
+    k = tournament.edge_size
+    if len(positions) and (positions.min() < 0 or positions.max() >= k):
+        i = int(np.argmax((positions < 0) | (positions >= k)))
+        tournament.select([tournament.vertices[j] for j in edge(i)])
+        raise InvariantError("selector returned a position outside the edge")
+    return positions
+
+
+class _StateTournament(HypergraphTournament):
+    """Tournament whose batches are selected from suffix states alone.
+
+    Its per-edge selector is kept as the definition and as the source of
+    errors: a batch marks an edge it cannot select in with position -1.
+    """
+
+    def select_rows(self, rows: np.ndarray) -> np.ndarray:
+        positions = self.extend(self.suffix_state(rows[:, 1:]), rows[:, 0])
+        return _selected(self, positions, rows.__getitem__)
+
+
+class _HitCountTournament(_StateTournament):
+    """Tournament of a hit-count compression's selector.
+
+    An element qualifies by the law keys of its edge minus it, without and
+    with it forced in, and those depend only on its own hit bit and the
+    edge's hit count.  ``verdict(keys)`` says whether a pair of keys
+    qualifies.
     """
 
     def __init__(
         self,
         vertices: Sequence[str],
         edge_size: int,
-        value: Callable[[str], int],
-        positions: Callable[[np.ndarray, Callable[[int], Edge]], np.ndarray],
+        selector: Callable[[Edge], str],
+        is_hit: Callable[[str], bool],
+        verdict: Callable[[tuple[Hashable, Hashable]], bool],
     ):
-        self._value = value
-        self._positions = positions
-        super().__init__(vertices, edge_size, self._select_edge)
-        self._values = np.array([value(v) for v in self.vertices], dtype=np.int64)
+        super().__init__(vertices, edge_size, selector)
+        self._hits = np.array([is_hit(v) for v in self.vertices], dtype=np.int8)
+        self._bits = np.flatnonzero(np.bincount(self._hits, minlength=2))  # bits vertices have
+        self._verdict = verdict
 
-    def _select_edge(self, e: Edge) -> str:
-        values = np.array([[self._value(v) for v in e]], dtype=np.int64)
-        return e[int(self._positions(values, lambda i: e)[0])]
+    def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
+        """(S, 2): the position selected when the first vertex has hit bit
+        0 or 1, or -1 where no element qualifies or no vertex has that bit
+        (so no verdict is asked for an edge that cannot occur)."""
+        hits = self._hits[suffixes]
+        m = hits.shape[1]
+        total = np.count_nonzero(hits, axis=1)
+        # an element with hit bit `own` in an edge of h hits leaves a ground
+        # set of h - own hits and brings `own` when forced, so its law keys
+        # are ((h - own, 0), (h - own, own)), coded 2 * (h - own) + own, and
+        # all elements of one bit qualify alike.  The first vertex (bit b) is
+        # selected when its bit qualifies, else the first suffix element of
+        # the other bit when that bit does.  With h = total + b the codes are
+        # 2 * total + b for bit b and 2 * total + 3 * b - 1 for the other.
+        present = np.zeros(2 * self.edge_size + 2, dtype=bool)
+        cases = []
+        for b in self._bits.tolist():
+            own, other, later = 2 * total + b, None, None
+            present[own] = True
+            if 1 - b in self._bits:
+                marks = np.ones((len(hits), m + 1), dtype=bool)  # last column: none
+                marks[:, :m] = hits == 1 - b
+                later = 1 + marks.argmax(axis=1)
+                other = np.where(later <= m, 2 * total + 3 * b - 1, -1)
+                present[other[other >= 0]] = True
+            cases.append((b, own, other, later))
+        table = np.zeros(present.size, dtype=bool)
+        for c in np.flatnonzero(present).tolist():
+            table[c] = self._verdict(((c // 2, 0), (c // 2, c % 2)))
+        state = np.full((len(hits), 2), -1, dtype=np.min_scalar_type(-self.edge_size))
+        for b, own, other, later in cases:
+            if other is not None:
+                state[:, b] = np.where((other >= 0) & table[other], later, -1)
+            state[table[own], b] = 0
+        return state
 
-    def select_rows(self, rows: np.ndarray) -> np.ndarray:
-        vertices = self.vertices
-        return self._positions(self._values[rows], lambda i: tuple(vertices[j] for j in rows[i]))
+    def extend(self, state: np.ndarray, first: np.ndarray | np.integer) -> np.ndarray:
+        return state[np.arange(len(state)), self._hits[first]]
 
 
 def selector_from_compression(
@@ -158,53 +249,34 @@ def selector_from_compression(
             ok = qualifies[keys] = statistical_distance(a.law(left), a.law(right)) <= delta
         return ok
 
-    def undefined(e: Edge) -> SelectorUndefinedError:
-        return SelectorUndefinedError(
+    def selector(e: Edge) -> str:
+        for v, keys in zip(e, a.conditioned_law_keys(e)):
+            if verdict(keys):
+                return v
+        raise SelectorUndefinedError(
             f"no element of {e!r} is insensitive at threshold {delta}; the vertex set "
             "may contain a yes-instance, the threshold may be too small, or the "
             "compression may violate its error bounds"
         )
 
     if isinstance(a, HitCountCompression):
-        is_yes = a.hit_language.is_yes
-
-        def positions(hits: np.ndarray, edge: Callable[[int], Edge]) -> np.ndarray:
-            # an element with hit bit `own` in an edge of h hits leaves a
-            # ground set of h - own hits and brings `own` when forced, so its
-            # law keys are ((h - own, 0), (h - own, own)); coded as
-            # 2 * (h - own) + own, verdicts are looked up per code present
-            codes = 2 * (hits.sum(axis=1, keepdims=True) - hits) + hits
-            table = np.zeros(2 * edge_size + 2, dtype=bool)
-            for c in np.flatnonzero(np.bincount(codes.ravel(), minlength=table.size)).tolist():
-                rest, own = divmod(c, 2)
-                table[c] = verdict(((rest, 0), (rest, own)))
-            ok = table[codes]
-            found = ok.any(axis=1)
-            if not found.all():
-                raise undefined(edge(int(np.argmin(found))))
-            return ok.argmax(axis=1)
-
-        return _VectorisedTournament(vertices, edge_size, lambda v: int(is_yes(v)), positions)
-
-    def selector(e: Edge) -> str:
-        for v, keys in zip(e, a.conditioned_law_keys(e)):
-            if verdict(keys):
-                return v
-        raise undefined(e)
-
+        return _HitCountTournament(vertices, edge_size, selector, a.hit_language.is_yes, verdict)
     return HypergraphTournament(vertices, edge_size, selector)
 
 
-def _mix_positions(keys: np.ndarray, edge: Callable[[int], Edge] | None = None) -> np.ndarray:
-    """Random-tournament selection: h <- (h * P + key) mod M along each row,
-    then position h mod k, with M = 2**61 - 1 and P = 1099511628211.
+# the random tournament's mix: Horner's rule modulo the Mersenne prime M
+_M = 2**61 - 1
+_P = 1099511628211
 
-    Exact in uint64: M is a Mersenne prime and P = 2**40 + 435, so
-    h * 2**40 mod M is a 61-bit rotation of h, and h * 435 is split at
-    bit 32 so that no product overflows.
+
+def _horner(keys: np.ndarray) -> np.ndarray:
+    """h <- (h * P + key) mod M along each row of a uint64 key array, from 0.
+
+    Exact in uint64 for keys below 2**62: P = 2**40 + 435, so h * 2**40
+    mod M is a 61-bit rotation of h, and h * 435 is split at bit 32 so that
+    no product overflows.
     """
-    keys = keys.astype(np.uint64)
-    m = np.uint64(2**61 - 1)
+    m = np.uint64(_M)
     h = np.zeros(len(keys), dtype=np.uint64)
     for key in keys.T:
         high = (h >> 32) * 435  # below 2**38; its bits from 29 up wrap around
@@ -215,7 +287,35 @@ def _mix_positions(keys: np.ndarray, edge: Callable[[int], Edge] | None = None) 
             + (high >> 29)
             + key
         ) % m
-    return (h % np.uint64(keys.shape[1])).astype(np.intp)
+    return h
+
+
+class _RandomTournament(_StateTournament):
+    """Tournament selecting position h mod k of an edge, where h mixes the
+    vertex keys of the (canonically sorted) edge by Horner's rule mod M."""
+
+    def __init__(self, vertices: Sequence[str], edge_size: int, keys: dict[str, int]):
+        def selector(e: Edge) -> str:
+            h = 0
+            for v in e:
+                h = (h * _P + keys[v]) % _M
+            return e[h % len(e)]
+
+        super().__init__(vertices, edge_size, selector)
+        self._keys = np.array([keys[v] for v in self.vertices], dtype=np.uint64)
+        scale = pow(_P, edge_size - 1, _M)
+        self._lead = np.array([keys[v] * scale % _M for v in self.vertices], dtype=np.uint64)
+
+    def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
+        """The Horner value of each suffix's keys."""
+        return _horner(self._keys[suffixes])
+
+    def extend(self, state: np.ndarray, first: np.ndarray | np.integer) -> np.ndarray:
+        h = self._lead[first] + state  # both terms below M
+        np.minimum(h, h - np.uint64(_M), out=h)  # h mod M: h - M wraps past h when h < M
+        k = np.uint64(self.edge_size)
+        h -= h // k * k  # h mod k; numpy's % is slower than //
+        return h.view(np.int64)
 
 
 def random_tournament(num_vertices: int, edge_size: int, seed: int) -> HypergraphTournament:
@@ -231,8 +331,7 @@ def random_tournament(num_vertices: int, edge_size: int, seed: int) -> Hypergrap
     vertices = [format(i, f"0{width}b") for i in range(num_vertices)]
     rng = np.random.default_rng(seed)
     raw = rng.integers(0, 2**62, size=num_vertices, dtype=np.int64)
-    keys = {v: int(k) for v, k in zip(vertices, raw)}
-    return _VectorisedTournament(vertices, edge_size, keys.__getitem__, _mix_positions)
+    return _RandomTournament(vertices, edge_size, {v: int(k) for v, k in zip(vertices, raw)})
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +376,12 @@ class DominatingSet:
         return cls(int(obj["t"]), n, elements, tuple(int(c) for c in obj["trace"]))
 
 
-# Edges per batch of the exhaustive greedy scan, in whole prefixes of k-1
-# vertices (at least one prefix per batch).  It bounds the scan's working
-# memory (a few arrays of this many rows of k indices) on top of the
-# candidate counts, while keeping the per-batch overhead small.
+# Edges per piece of the exhaustive greedy scan, and suffixes per piece of
+# the per-suffix tables it builds first.  A scan piece is a run of whole
+# slices of consecutive first positions, or a part of one slice.  The pieces
+# bound the scan's working memory (a few arrays of this many entries) on top
+# of the per-suffix tables and the candidate counts, while keeping the
+# per-piece overhead small.
 SCAN_CHUNK = 4096
 
 # Most edges the greedy search scans exhaustively in one step; past it the
@@ -290,125 +391,184 @@ SCAN_CHUNK = 4096
 EXHAUSTIVE_EDGE_LIMIT = 2**24
 
 
-def _selected(tournament: HypergraphTournament, rows: np.ndarray) -> np.ndarray:
-    """select_rows, with every position checked to lie inside its row."""
-    positions = tournament.select_rows(rows)
-    if len(rows) and (positions.min() < 0 or positions.max() >= rows.shape[1]):
-        raise InvariantError("selector returned a position outside the edge")
-    return positions
-
-
 def _domination(
-    tournament: HypergraphTournament, members: Sequence[Edge], vs: Sequence[str]
+    tournament: HypergraphTournament, members: Sequence[Edge], vs: np.ndarray
 ) -> np.ndarray:
-    """dom[j, i]: member i dominates vs[j], from one batch of selections.
+    """dom[j, i]: member i dominates vertex index vs[j], from one batch of
+    selections.
 
     A member dominates its own elements and, when it has k-1 elements, every
     v whose edge member + (v,) selects v.
     """
     k = tournament.edge_size
-    v_idx = tournament.indices(vs)
     # inside[x, i]: vertex x is an element of member i, filled from the
     # members' elements; the rows of vs are then looked up by vertex index
     inside = np.zeros((len(tournament.vertices), len(members)), dtype=bool)
     for i, g in enumerate(members):
         inside[[x for x in map(tournament._index.get, g) if x is not None], i] = True
-    dom = inside[v_idx]
+    dom = inside[vs]
     full = np.array([len(g) == k - 1 for g in members], dtype=bool)
     g_idx = np.zeros((len(members), k - 1), dtype=np.intp)
     for i in np.flatnonzero(full):
         g_idx[i] = tournament.indices(members[i])
     vj, gi = np.nonzero(~dom & full)
     if vj.size:
-        g_rows, v_col = g_idx[gi], v_idx[vj]
+        g_rows, v_col = g_idx[gi], vs[vj]
         rows = np.sort(np.column_stack([g_rows, v_col]), axis=1)
         slot = (g_rows < v_col[:, None]).sum(axis=1)  # v's position in its sorted edge
-        dom[vj, gi] = _selected(tournament, rows) == slot
+        dom[vj, gi] = _selected(tournament, tournament.select_rows(rows), rows.__getitem__) == slot
     return dom
 
 
-def _prefix_batches(size: int, k: int) -> Iterator[list[tuple[int, ...]]]:
-    """The (k-1)-subsets of range(size) in lexicographic order, as prefixes
-    of edges, in lists holding at most SCAN_CHUNK edges (at least one prefix)."""
-    batch: list[tuple[int, ...]] = []
-    rows = 0
-    for prefix in combinations(range(size), k - 1):
-        edges = size - 1 - prefix[-1] if prefix else size
-        if batch and rows + edges > SCAN_CHUNK:
-            yield batch
-            batch, rows = [], 0
-        batch.append(prefix)
-        rows += edges
-    if batch:
-        yield batch
+def _lex_subsets(binom: np.ndarray, size: int, m: int, index: np.ndarray) -> np.ndarray:
+    """Rows of the m-subsets of range(size) at the given lexicographic indices.
+
+    binom[j, c] = C(c, j).  Index i of x_0 < ... < x_{m-1} is colex rank
+    C(size, m) - 1 - i of the reflected subset {size - 1 - x}, unranked from
+    its largest element down (the largest y with C(y, j) at most the rank
+    left).
+    """
+    left = math.comb(size, m) - 1 - np.asarray(index, dtype=np.int64)
+    rows = np.empty((len(left), m), dtype=np.intp)
+    for j in range(m, 0, -1):
+        y = np.searchsorted(binom[j], left, side="right") - 1
+        left = left - binom[j, y]
+        rows[:, m - j] = size - 1 - y
+    return rows
 
 
-def _best_member_exhaustive(tournament: HypergraphTournament, remaining: Edge) -> Edge:
+def _dropped_ranks(binom: np.ndarray, size: int, rows: np.ndarray, out: np.ndarray) -> None:
+    """Set out[s, p], for p >= 1, to the lexicographic index among the
+    (m-1)-subsets of range(size) of row s without its column p - 1.
+
+    The index of x_0 < ... < x_{j-1} is C(size, j) - 1 - sum_i
+    C(size - 1 - x_i, j - i): the columns before the dropped one keep their
+    place i, and the later ones move to i - 1.
+    """
+    m = rows.shape[1]
+    kept = np.zeros(len(rows), dtype=np.int64)  # terms of the columns before q
+    moved = np.zeros(len(rows), dtype=np.int64)  # terms of the columns after q
+    for i in range(m):
+        moved += binom[m - i, size - 1 - rows[:, i]]
+    for q in range(m):
+        tail = size - 1 - rows[:, q]
+        moved -= binom[m - q, tail]
+        out[:, q + 1] = math.comb(size, m - 1) - 1 - kept - moved
+        kept += binom[m - 1 - q, tail]
+
+
+def _scan_pieces(lengths: np.ndarray, total: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The edges in lexicographic order, in pieces of at most SCAN_CHUNK
+    edges: arrays (c, lo, hi), first position c followed by each suffix of
+    index lo..hi-1.
+
+    lengths[c], non-increasing, counts the suffixes after c, the last
+    lengths[c] of `total`.  A slice of at least half a chunk is cut into
+    parts of SCAN_CHUNK; the shorter slices after it form runs whose first
+    edges share one half-chunk window of the scan order.
+    """
+    half = max(1, SCAN_CHUNK // 2)
+    big = int(np.searchsorted(-lengths, -half, side="right"))
+    for c in range(big):
+        for lo in range(total - int(lengths[c]), total, SCAN_CHUNK):
+            yield np.array([c]), np.array([lo]), np.array([min(lo + SCAN_CHUNK, total)])
+    short = lengths[big:]
+    window = (np.cumsum(short) - short) // half
+    for c in np.split(np.arange(big, len(lengths)), np.flatnonzero(np.diff(window)) + 1):
+        if len(c):
+            yield c, total - lengths[c], np.full(len(c), total)
+
+
+def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndarray) -> np.ndarray:
     # One pass over all edges inside the remaining set: the edge e with
     # selected vertex v certifies that e minus v dominates v.  Every edge
     # charges exactly one candidate, so max count + (k-1) is the best
-    # domination total, with lexicographic tie-break.  Edges are k-subsets
-    # of positions in `remaining`, scanned in lexicographic order: batches
-    # of prefixes p_0 < ... < p_{k-2}, each followed by every last position.
-    # A candidate c_0 < ... < c_{k-2} is counted under its colex rank
-    # sum_j C(c_j, j + 1), which numbers the C(|R|, k-1) candidates densely.
+    # domination total.  Candidates, the (k-1)-subsets of positions in
+    # `remaining`, are counted under their lexicographic index, so the first
+    # maximum is also the lexicographically least.
+    #
+    # The candidates double as the suffixes of the first-element-major scan
+    # (module docstring): first position c is followed by the suffixes
+    # start[c + 1] .. total - 1, so the pieces walk the edges in
+    # lexicographic order.  Each suffix gets its selector state and `ranks`
+    # row once, built in pieces of SCAN_CHUNK; for the random tournament
+    # the state is the suffix's Horner value H, and extending it by c adds
+    # key_c * P**(k-1) mod M.  An edge c + suffix that selects c charges the
+    # suffix; one that selects suffix column p - 1 charges c plus the
+    # suffix without that column, whose index is offset[c] + ranks[suffix,
+    # p].  A piece's charges go through one bincount over the candidates
+    # starting at its first positions followed by its suffix range.
     k = tournament.edge_size
-    size = len(remaining)
+    m, size = k - 1, len(remaining)
     check_enumeration(math.comb(size, k), "greedy edge scan")
-    index = tournament.indices(remaining)
-    binom = np.array([[math.comb(c, j) for c in range(size)] for j in range(k + 1)], dtype=np.int64)
-    counts = np.zeros(math.comb(size, k - 1), dtype=np.int32)
-    cols = np.arange(k - 1)
-    for batch in _prefix_batches(size, k):
-        prefix = np.array(batch, dtype=np.intp).reshape(len(batch), k - 1)
-        start = prefix[:, -1] + 1 if k > 1 else np.zeros(1, dtype=np.intp)
-        lasts = size - start
-        owner = np.repeat(np.arange(len(prefix)), lasts)
-        last = np.arange(len(owner)) + np.repeat(start - (np.cumsum(lasts) - lasts), lasts)
-        picked = _selected(tournament, index[np.column_stack([prefix[owner], last])])
-        # by_pick[i, j]: colex rank of what prefix i keeps when column j of
-        # its edge is selected, before the last position's term: prefix
-        # columns before j keep their place, those after it move one place
-        # down; for j < k-1 the last position stays, as candidate column k-2
-        kept = binom[cols + 1, prefix]
-        moved = binom[cols, prefix]
-        by_pick = np.zeros((len(prefix), k), dtype=np.int64)
-        by_pick[:, 1:] = np.cumsum(kept, axis=1)
-        by_pick[:, :-1] += np.cumsum(moved[:, ::-1], axis=1)[:, ::-1] - moved
-        ranks = by_pick[owner, picked] + np.where(picked < k - 1, binom[k - 1, last], 0)
-        found, times = np.unique(ranks, return_counts=True)
-        counts[found] += times.astype(np.int32)
+    total = math.comb(size, m)
+    shorter = math.comb(size, m - 1) if m else 0  # (m-1)-subsets, the range of a dropped rank
+    binom = np.array([[math.comb(x, j) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
+    ranks = np.zeros((total, k), dtype=np.min_scalar_type(shorter))
+    state = None
+    for lo in range(0, total, SCAN_CHUNK):
+        rows = _lex_subsets(binom, size, m, np.arange(lo, min(lo + SCAN_CHUNK, total)))
+        part = tournament.suffix_state(remaining[rows])
+        if state is None:
+            state = np.empty((total,) + part.shape[1:], dtype=part.dtype)
+        state[lo : lo + len(rows)] = part
+        _dropped_ranks(binom, size, rows, ranks[lo : lo + len(rows)])
+    ranks = ranks.ravel()
+    # start[c]: index of the first candidate beginning at position c or later
+    # (c = 0..size); offset[c] + i indexes c followed by the i-th
+    # (m-1)-subset, which must lie after c
+    start = total - binom[m, ::-1]
+    offset = start[:-1] - shorter + (binom[m - 1, size - 1 :: -1] if m else 0)
+    counts = np.zeros(total, dtype=np.int32)
+    for c, lo, hi in _scan_pieces(binom[m, size - 1 :: -1][: size - m], total):
+        c_lo, c_hi, s_lo, s_hi = int(c[0]), int(c[-1]) + 1, int(lo[0]), int(hi[-1])
+        if len(c) == 1:  # (part of) one slice: one first position, a view of the states
+            firsts, at, suffixes = c_lo, np.arange(s_lo, s_hi), state[s_lo:s_hi]
+        else:
+            lengths = hi - lo
+            firsts = np.repeat(c, lengths)
+            at = np.arange(lengths.sum()) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
+            suffixes = state[at]
+
+        def edge(i: int) -> np.ndarray:  # vertex indices of the piece's edge i
+            first = firsts[i] if np.ndim(firsts) else firsts
+            return remaining[np.r_[first, _lex_subsets(binom, size, m, at[i : i + 1])[0]]]
+
+        picked = _selected(tournament, tournament.extend(suffixes, remaining[firsts]), edge)
+        # one index space for the piece: the candidates beginning at its first
+        # positions, then its suffix range
+        base, width = start[c_lo], start[c_hi] - start[c_lo]
+        charged = ranks[at * k + picked].astype(np.int64)
+        charged += offset[firsts] - base
+        np.putmask(charged, picked == 0, at + (width - s_lo))
+        hits = np.bincount(charged, minlength=width + s_hi - s_lo)
+        counts[base : base + width] += hits[:width]
+        counts[s_lo:s_hi] += hits[width:]
+        del at, picked, charged, hits  # before the next piece allocates its own
     best = int(counts.max())
     need = -(-size // k)  # ceil(|R| / k)
     if best + (k - 1) < need:
         raise InvariantError(
             "no candidate dominates a 1/k fraction; the selector is not a tournament"
         )
-    # unrank the candidates of maximal count (c_j: the largest c with
-    # C(c, j + 1) <= the rank left) and keep the lexicographically least
-    left = np.flatnonzero(counts == best)
-    ties = np.empty((len(left), k - 1), dtype=np.intp)
-    for j in range(k - 2, -1, -1):
-        ties[:, j] = np.searchsorted(binom[j + 1], left, side="right") - 1
-        left = left - binom[j + 1, ties[:, j]]
-    least = np.lexsort(ties.T[::-1])[0] if len(ties) > 1 else 0
-    return tuple(remaining[i] for i in ties[least])
+    return remaining[_lex_subsets(binom, size, m, [int(np.argmax(counts))])[0]]
 
 
 def _best_member_sampled(
     tournament: HypergraphTournament,
-    remaining: Edge,
+    remaining: np.ndarray,
     rng: np.random.Generator,
     cap_factor: int,
-) -> Edge:
+) -> np.ndarray:
     k = tournament.edge_size
     need = -(-len(remaining) // k)
     cap = cap_factor * k * len(remaining)
     best_fraction = 0.0
     for _ in range(cap):
         picks = rng.choice(len(remaining), size=k - 1, replace=False)
-        g = tuple(sorted(remaining[i] for i in picks))
-        dominated = int(_domination(tournament, [g], remaining).sum())
+        g = np.sort(remaining[picks])
+        member = tuple(tournament.vertices[i] for i in g)
+        dominated = int(_domination(tournament, [member], remaining).sum())
         if dominated >= need:
             return g
         best_fraction = max(best_fraction, dominated / len(remaining))
@@ -440,15 +600,15 @@ def greedy_dominating_set(
         raise ValueError("empty vertex set")
     k = tournament.edge_size
     rng = np.random.default_rng(seed)
-    remaining = vertices
+    remaining = np.arange(len(vertices))  # vertex indices, ascending
     elements: list[Edge] = []
     trace = [len(vertices)]
-    while remaining:
+    while len(remaining):
         if len(remaining) < k:
-            fill = tuple(v for v in vertices if v not in remaining)
-            g = tuple(sorted(remaining + fill[: max(0, k - 1 - len(remaining))]))
-            elements.append(g)
-            remaining = ()
+            outside = np.ones(len(vertices), dtype=bool)
+            outside[remaining] = False
+            fill = np.flatnonzero(outside)[: k - 1 - len(remaining)]
+            elements.append(tuple(vertices[i] for i in sorted([*remaining, *fill])))
             trace.append(0)
             break
         if (
@@ -458,9 +618,8 @@ def greedy_dominating_set(
             g = _best_member_exhaustive(tournament, remaining)
         else:
             g = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)
-        elements.append(g)
-        dominated = _domination(tournament, [g], remaining)[:, 0]
-        remaining = tuple(v for v, hit in zip(remaining, dominated) if not hit)
+        elements.append(tuple(vertices[i] for i in g))
+        remaining = remaining[~_domination(tournament, elements[-1:], remaining)[:, 0]]
         trace.append(len(remaining))
     bound = k * math.log2(max(len(vertices), 2))
     if len(elements) > bound + 1e-9:
@@ -479,7 +638,7 @@ def verify_domination(
     """
     if vertices is None:
         vertices = tournament.vertices
-    dominated = _domination(tournament, dominating.elements, vertices).any(axis=1)
+    dominated = _domination(tournament, dominating.elements, tournament.indices(vertices)).any(axis=1)
     undominated = [v for v, hit in zip(vertices, dominated) if not hit]
     return not undominated, undominated
 

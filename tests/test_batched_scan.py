@@ -54,6 +54,13 @@ def reference_random(num_vertices, edge_size, seed):
     return HypergraphTournament(vertices, edge_size, selector)
 
 
+def keyed_random(keys, edge_size):
+    """Random tournament on len(keys) vertices with the given keys, in vertex order."""
+    width = max(1, (len(keys) - 1).bit_length())
+    vertices = [format(i, f"0{width}b") for i in range(len(keys))]
+    return tournament_module._RandomTournament(vertices, edge_size, dict(zip(vertices, keys)))
+
+
 def reference_compression(a, vertices, edge_size, delta):
     """Least element whose conditioned laws are within delta, edge by edge."""
 
@@ -162,13 +169,46 @@ def test_hit_count_rows_match_per_edge_selector(case):
     assert positions.any()  # some selection is not the least element
 
 
+def mix_positions(keys):
+    """The random tournament's batch selector before suffix states: Horner's
+    rule mod 2**61 - 1 column by column over (E, k) int64 keys, exact in
+    uint64, then position h mod k.  Kept as the reference for select_rows."""
+    keys = keys.astype(np.uint64)
+    m = np.uint64(2**61 - 1)
+    h = np.zeros(len(keys), dtype=np.uint64)
+    for key in keys.T:
+        high = (h >> 32) * 435
+        h = (
+            (((h << 40) & m) | (h >> 21))
+            + (h & 0xFFFFFFFF) * 435
+            + ((high << 32) & m)
+            + (high >> 29)
+            + key
+        ) % m
+    return (h % np.uint64(keys.shape[1])).astype(np.intp)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 6])
+def test_random_rows_match_column_by_column_mix(k):
+    # seeded keys with the largest ones swapped in: at and above the
+    # modulus, one below it, and the top of the key range
+    rng = np.random.default_rng(900 + k)
+    keys = rng.integers(0, 2**62, size=40, dtype=np.int64)
+    keys[rng.choice(40, size=6, replace=False)] = [2**61 - 1, 2**61, 2**61 + 1, 2**61 - 2, 2**62 - 1, 0]
+    tournament = keyed_random(keys.tolist(), k)
+    rows = np.sort(np.array([rng.choice(40, size=k, replace=False) for _ in range(3000)]), axis=1)
+    positions = tournament.select_rows(rows)
+    assert positions.tolist() == mix_positions(keys[rows]).tolist()
+    assert set(positions.tolist()) == set(range(k))
+
+
 def test_random_hash_is_exact_at_extreme_keys():
     top = 2**62 - 1
     for keys in ([top] * 4, [0] * 4, [2**61 - 1] * 4, [2**61 - 2] * 4, [2**61] * 4, [top, 0, top, 1]):
         h = 0
         for key in keys:
             h = (h * 1099511628211 + key) % (2**61 - 1)
-        assert tournament_module._mix_positions(np.array([keys], dtype=np.int64)).tolist() == [h % 4]
+        assert keyed_random(keys, 4).select_rows(np.array([[0, 1, 2, 3]])).tolist() == [h % 4]
 
 
 # -- greedy against the per-edge greedy ------------------------------------------------
@@ -280,6 +320,39 @@ def test_selector_undefined_names_the_first_failing_edge():
     with pytest.raises(SelectorUndefinedError) as single:
         tournament.select(first)
     assert str(single.value) == str(scan.value)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, None])
+@pytest.mark.parametrize("lead", [0, 1, 4, 9])
+def test_first_failing_edge_at_any_first_position(monkeypatch, chunk, lead):
+    # ideal OR at threshold 0.1: an edge of yes-instances only has no
+    # qualifying element.  The `lead` no-instances below the least
+    # yes-instance put the first failing edge at first position `lead`,
+    # after the edges of every earlier first position; no-instances among
+    # the yes-instances put it inside its slice.  Chunk 1 makes every edge a
+    # piece of its own
+    language = ToyLanguage(5, {format(i, "05b") for i in (16, 18, 19, 23, 27)})
+    a = ideal_or_compression(language, 3)
+    no = language.no_instances()
+    vertices = no[:lead] + no[16:20] + language.yes_instances()
+    reference = reference_compression(a, vertices, 3, 0.1)
+    first = None
+    for e in combinations(reference.vertices, 3):
+        try:
+            reference.select(e)
+        except SelectorUndefinedError:
+            first = e
+            break
+    assert first is not None and reference.vertices.index(first[0]) == lead
+    if chunk is not None:
+        monkeypatch.setattr(tournament_module, "SCAN_CHUNK", chunk)
+    tournament = selector_from_compression(a, vertices, 3, 0.1)
+    with pytest.raises(SelectorUndefinedError) as scan:
+        greedy_dominating_set(tournament)
+    with pytest.raises(SelectorUndefinedError) as single:
+        tournament.select(first)
+    assert repr(first) in str(scan.value)
+    assert str(scan.value) == str(single.value)
 
 
 def test_rows_name_unknown_vertices():

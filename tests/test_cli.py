@@ -10,6 +10,7 @@ import pytest
 
 import compresslab
 from compresslab import ToyLanguage
+from compresslab import cli as cli_module
 from compresslab.cli import main
 
 # the directory holding the package this suite imported, for child interpreters
@@ -181,6 +182,32 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2, argv
         assert err.startswith("usage:"), argv
         assert "Traceback" not in err, argv
+
+
+def test_builtin_languages_format_only_what_they_read(monkeypatch):
+    # full, parity and majority filter the universe; random, single-yes and
+    # empty never read it, so the command line formats none of it for them
+    formatted = []
+
+    def counting_format(value, spec=""):
+        formatted.append(spec)
+        return format(value, spec)
+
+    monkeypatch.setattr(cli_module, "format", counting_format, raising=False)
+    n = 6
+    universe = ToyLanguage(n, ()).universe()
+    assert cli_module._build_language("builtin:random", n, 2) == ToyLanguage.random(n, 2)
+    assert cli_module._build_language("builtin:single-yes", n, 2) == ToyLanguage(n, {"1" * n})
+    assert cli_module._build_language("builtin:empty", n, 2) == ToyLanguage(n, ())
+    assert formatted == []
+    for name, member in (
+        ("full", lambda v: True),
+        ("parity", lambda v: v.count("1") % 2 == 1),
+        ("majority", lambda v: v.count("1") * 2 > n),
+    ):
+        assert cli_module._build_language(f"builtin:{name}", n, 2) == ToyLanguage(n, filter(member, universe))
+    with pytest.raises(ValueError, match="unknown builtin"):
+        cli_module._build_language("builtin:nope", n, 2)
 
 
 def test_budget_exit_3(capsys, monkeypatch):

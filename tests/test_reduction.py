@@ -19,6 +19,7 @@ from compresslab import (
     statistical_distance,
     threshold_oracle,
 )
+from compresslab import compression as compression_module
 from compresslab import reduction
 from compresslab.reduction import block_queries_for, decide_with_queries, queries_for
 
@@ -235,6 +236,25 @@ def test_audit_builds_one_batch_per_hit_class(monkeypatch, make):
     assert report.advice_mode == "DOMSET" and report.agreement == 1.0
     assert sorted(lang.is_yes(v) for v in batches) == [False, True]
     assert sum(report.query_tags.values()) > 2 * report.advice_size
+
+
+def test_audit_formats_the_universe_once(monkeypatch):
+    # the advice reads the no-instances and the audit then walks every
+    # input; both come from one formatted universe
+    n = 5
+    lang = ToyLanguage.random(n, seed=3)
+    a = ideal_or_compression(lang, 3)
+    formatted = []
+
+    def counting_format(value, spec=""):
+        if spec == f"0{n}b":
+            formatted.append(value)
+        return format(value, spec)
+
+    monkeypatch.setattr(compression_module, "format", counting_format, raising=False)
+    report = audit_language(lang, a)
+    assert report.agreement == 1.0 and report.advice_mode == "DOMSET"
+    assert sorted(formatted) == list(range(2**n))
 
 
 def test_audit_rejects_empty_promise_gap():

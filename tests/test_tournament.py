@@ -186,7 +186,7 @@ def test_domination_matrix_matches_its_definition():
     extended = DominatingSet(4, dom.vertex_bits, members, dom.trace)
     for rows in (vs, vs[::3], vs[4:9] + vs[4:6]):
         want = [[_dominated_by(s, g, v) for g in members] for v in rows]
-        assert _domination(s, members, rows).tolist() == want
+        assert _domination(s, members, s.indices(rows)).tolist() == want
         ok, undominated = verify_domination(s, extended, rows)
         assert undominated == [v for v, hits in zip(rows, want) if not any(hits)]
         assert ok == (not undominated)
