@@ -15,6 +15,7 @@ every report embeds the configuration.  Exit codes: 0 all checks passed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -308,7 +309,13 @@ def _config(args: argparse.Namespace) -> dict[str, Any]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.
+
+    Parsing leaves the parser as it is and every default is immutable, so
+    each :func:`main` call reuses it and still gets a fresh Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="compresslab",
         description="exact verifiers for compression sensitivity bounds and reductions",
@@ -366,8 +373,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _make_parser()
-    args = parser.parse_args(argv)
+    args = _make_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -218,26 +218,68 @@ class CompressiveMap:
     def conditioned_output_counts(self) -> np.ndarray:
         """Counts of outputs with one coordinate pinned to each symbol.
 
-        Returns an int array of shape (arity, alphabet_size, 2**output_bits);
+        Returns an int64 array of shape (arity, alphabet_size, 2**output_bits);
         entry [j, x, z] counts the (input, coin) rows with symbol x at
         coordinate j and output code z.  Each (j, x) slice sums to
         alphabet_size**(arity-1) * 2**coin_bits.
+
+        The counts come from one fold of a code-major table, cur[z, i]: the
+        coins with output z on input i (mixed radix, first coordinate most
+        significant).  Viewed as (codes, s, rest), cur's sums over rest count
+        coordinate j by symbol, and its sum over the s slices is the next
+        table, with coordinate j folded out, first coordinate first.  After
+        j folds an entry is at most s**j * 2**r; cur is kept in the
+        narrowest unsigned dtype that holds that.
+
+        The working set stays within about twice the table's bytes.  A
+        deterministic map with at most 16 codes builds cur by a one-hot
+        comparison, 8 codes (the table's bytes) at a time, and the fold
+        reads about 2**m * s**t entries twice.  Any other map first counts
+        its leading coordinates one at a time, by a bincount of each
+        symbol's block of table rows (the last symbol is the code total
+        minus the others), until the other coordinates have no more (code,
+        input) pairs than the table has entries; one bincount builds cur for
+        those.  Maps with many codes thus cost about what per-coordinate
+        bincounts cost.
         """
         t, s, m_codes = self.arity, self.alphabet_size, 2**self.output_bits
+        n, coins = self.n_inputs, self.n_coins
         out = np.empty((t, s, m_codes), dtype=np.int64)
-        # Mixed radix, first coordinate most significant: block [:, x, :] of
-        # table.reshape(s**j, s, -1) holds exactly the rows with symbol x at
-        # coordinate j.  Coordinate 0 splits the table into s contiguous
-        # blocks, which together give the full counts; for every later
-        # coordinate the last symbol is the full counts minus the others.
-        for x, block in enumerate(self.table.reshape(s, -1)):
-            out[0, x] = np.bincount(block, minlength=m_codes)
-        full = out[0].sum(axis=0)
-        for j in range(1, t):
+        if coins == 1 and m_codes <= 16:
+            lead, step = 0, self.table.nbytes // n
+            chunks: Iterable[np.ndarray] = (
+                (self.table[:, 0] == np.arange(z, min(z + step, m_codes))[:, None]).view(np.uint8)
+                for z in range(0, m_codes, step)
+            )
+        else:
+            lead = 0
+            while lead < t and m_codes * s ** (t - lead) > n * coins:
+                lead += 1
+            rest = s ** (t - lead)
+            keyed = self.table.reshape(-1, rest, coins) * rest
+            keyed += np.arange(rest)[:, None]  # code * rest + (input mod rest)
+            counts = np.bincount(keyed.ravel(), minlength=m_codes * rest)
+            del keyed
+            chunks = [counts.astype(np.min_scalar_type(s**lead * coins)).reshape(m_codes, rest)]
+            del counts
+        wide = np.min_scalar_type(n * coins // s)  # holds any one count
+        total = np.empty(m_codes, dtype=np.int64)
+        z = 0
+        for cur in chunks:
+            mc = len(cur)
+            for j in range(lead, t):
+                g = cur.reshape(mc, s, -1)
+                np.add.reduce(g.transpose(1, 0, 2), axis=2, dtype=wide, out=out[j, :, z : z + mc])
+                cur = np.add.reduce(g, axis=1, dtype=np.min_scalar_type(s ** (j + 1) * coins))
+            total[z : z + mc] = cur.reshape(mc)
+            z += mc
+        del chunks, cur  # the leading coordinates need only the totals
+        for j in range(lead):
             blocks = self.table.reshape(s**j, s, -1)
             for x in range(s - 1):
                 out[j, x] = np.bincount(blocks[:, x, :].ravel(), minlength=m_codes)
-            out[j, s - 1] = full - out[j, : s - 1].sum(axis=0)
+            np.add.reduce(out[j, : s - 1], axis=0, out=out[j, s - 1])
+            np.subtract(total, out[j, s - 1], out=out[j, s - 1])
         return out
 
     # -- serialization ----------------------------------------------------------

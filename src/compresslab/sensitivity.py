@@ -14,11 +14,15 @@ side from a closed form:
   1 - exp(-1 - I/t in nats) + 1/|alphabet|.
 
 Every left side, and every functional built from one, is the mean of one
-term table: :func:`coordinate_terms` gives a lemma's term per coordinate j
-and symbol x, read from the map's conditioned output counts, which are
-built once per call.  Probabilities and statistical distances are exact
-rationals; logarithms are evaluated in floats, so certified slacks carry a
-1e-9 tolerance.
+term table: a lemma's term per coordinate j and symbol x, read from the
+map's conditioned output counts, which are built once per call.  All
+distance terms of one map share the denominator 2 * n1 * n2 of its two
+conditioned count totals, so the table holds their int64 numerators; the
+mean is one exact rational, and the witness is the first largest
+numerator.  KL terms are float bits.  :func:`coordinate_terms` hands the
+table out as Fractions and floats.  Probabilities and statistical distances
+are exact rationals; logarithms are evaluated in floats, so certified
+slacks carry a 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -93,12 +97,6 @@ def vajda_threshold(info_bits: float, arity: int, alphabet_size: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _count_distance(c1: np.ndarray, n1: int, c2: np.ndarray, n2: int) -> Fraction:
-    # int64 is safe: counts and denominators are bounded by the row budget.
-    diff = np.abs(c1.astype(np.int64) * n2 - c2.astype(np.int64) * n1).sum()
-    return Fraction(int(diff), 2 * n1 * n2)
-
-
 def _count_kl_bits(cp: np.ndarray, np_total: int, cq: np.ndarray, nq_total: int) -> float:
     total = 0.0
     for z in np.nonzero(cp)[0]:
@@ -127,6 +125,45 @@ def _uniform_counts(f: CompressiveMap) -> tuple[np.ndarray, np.ndarray, int, int
     return full, cond, n_full, n_cond
 
 
+def _term_table(
+    f: CompressiveMap, lemma: str, counts: tuple[np.ndarray, np.ndarray, int, int] | None = None
+) -> tuple[np.ndarray, int | None]:
+    """The lemma's (t, s) terms as one array, with their common denominator.
+
+    The distance terms share the denominator 2 * n1 * n2, so they come as
+    an int64 table of numerators, sum_z |c1[z] * n2 - c2[z] * n1|; int64 is
+    safe because counts and denominators are bounded by the row budget.
+    KL terms are float bits, each summed over z in code order, with
+    denominator None.
+    """
+    if lemma == LEMMA_PINSKER and f.alphabet_size != 2:
+        raise ValueError("the noise-sensitivity terms need a binary alphabet")
+    full, cond, n_full, n_cond = _uniform_counts(f) if counts is None else counts
+    if lemma == LEMMA_PINSKER:
+        # d(out | j=0, out | j=1), one column
+        return np.abs(cond[:, 0] * n_cond - cond[:, 1] * n_cond).sum(axis=1, keepdims=True), 2 * n_cond * n_cond
+    if lemma == LEMMA_VAJDA:
+        # d(out | j!=x, out | j=x)
+        n_ne = n_full - n_cond
+        return np.abs((full - cond) * n_cond - cond * n_ne).sum(axis=2), 2 * n_ne * n_cond
+    if lemma == LEMMA_KL_BOUND:
+        t, s = f.arity, f.alphabet_size
+        kl = [[_count_kl_bits(cond[j, x], n_cond, full, n_full) for x in range(s)] for j in range(t)]
+        return np.array(kl, dtype=np.float64), None
+    raise ValueError(f"unknown lemma {lemma!r}")
+
+
+def _mean(table: np.ndarray, denom: int | None) -> Any:
+    """Mean of a term table: an exact rational over a common denominator,
+    else a running float sum in (j, x) order."""
+    if denom is not None:
+        return Fraction(sum(table.ravel().tolist()), denom * table.size)
+    total = 0.0
+    for term in table.ravel().tolist():
+        total += term
+    return total / table.size
+
+
 def coordinate_terms(
     f: CompressiveMap, lemma: str, counts: tuple[np.ndarray, np.ndarray, int, int] | None = None
 ) -> list[list[Any]]:
@@ -134,39 +171,21 @@ def coordinate_terms(
 
     PINSKER_SENS has one column, d(out | j=0, out | j=1) on binary alphabets;
     KL_BOUND has KL(out | j=x, out) in float bits; VAJDA_SENS has
-    d(out | j!=x, out | j=x).  Distances are exact.  ``counts`` is the
-    :func:`_uniform_counts` tuple, so one caller can read several lemmas
+    d(out | j!=x, out | j=x).  Distances are exact Fractions.  ``counts`` is
+    the :func:`_uniform_counts` tuple, so one caller can read several lemmas
     from one count pass.
     """
-    if lemma == LEMMA_PINSKER and f.alphabet_size != 2:
-        raise ValueError("the noise-sensitivity terms need a binary alphabet")
-    full, cond, n_full, n_cond = _uniform_counts(f) if counts is None else counts
-    t, s = f.arity, f.alphabet_size
-    if lemma == LEMMA_PINSKER:
-        return [[_count_distance(cond[j, 0], n_cond, cond[j, 1], n_cond)] for j in range(t)]
-    if lemma == LEMMA_KL_BOUND:
-        return [[_count_kl_bits(cond[j, x], n_cond, full, n_full) for x in range(s)] for j in range(t)]
-    if lemma == LEMMA_VAJDA:
-        n_ne = n_full - n_cond
-        return [[_count_distance(full - cond[j, x], n_ne, cond[j, x], n_cond) for x in range(s)] for j in range(t)]
-    raise ValueError(f"unknown lemma {lemma!r}")
-
-
-def _mean(rows: list[list[Any]]) -> Any:
-    # a running sum in (j, x) order; sum() may compensate float rounding
-    total = 0
-    for row in rows:
-        for term in row:
-            total += term
-    return total / (len(rows) * len(rows[0]))
+    table, denom = _term_table(f, lemma, counts)
+    if denom is None:
+        return table.tolist()
+    return [[Fraction(v, denom) for v in row] for row in table.tolist()]
 
 
 def _report(f: CompressiveMap, lemma: str, rhs: float) -> LemmaReport:
     """The mean of the lemma's terms against rhs; the witness is the first largest term."""
-    rows = coordinate_terms(f, lemma)
-    terms = [term for row in rows for term in row]
-    j, x = divmod(max(range(len(terms)), key=terms.__getitem__), len(rows[0]))
-    return LemmaReport(lemma, float(_mean(rows)), rhs, j, x if len(rows[0]) > 1 else None, _map_params(f))
+    table, denom = _term_table(f, lemma)
+    j, x = divmod(int(np.argmax(table)), table.shape[1])
+    return LemmaReport(lemma, float(_mean(table, denom)), rhs, j, x if table.shape[1] > 1 else None, _map_params(f))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +199,7 @@ def avg_noise_sensitivity(f: CompressiveMap) -> Fraction:
     Defined for binary alphabets; the exact average is returned as a
     rational.
     """
-    return _mean(coordinate_terms(f, LEMMA_PINSKER))
+    return _mean(*_term_table(f, LEMMA_PINSKER))
 
 
 def map_input_mutual_information(f: CompressiveMap) -> float:
@@ -267,8 +286,8 @@ def pinsker_chain(f: CompressiveMap) -> dict[str, float]:
     if f.alphabet_size != 2:
         raise ValueError("the chain is defined for binary alphabets")
     counts = _uniform_counts(f)
-    sensitivity = float(_mean(coordinate_terms(f, LEMMA_PINSKER, counts)))
-    avg_kl = _mean(coordinate_terms(f, LEMMA_KL_BOUND, counts))
+    sensitivity = float(_mean(*_term_table(f, LEMMA_PINSKER, counts)))
+    avg_kl = _mean(*_term_table(f, LEMMA_KL_BOUND, counts))
     return {
         "sensitivity": sensitivity,
         "two_avg_distance": sensitivity,

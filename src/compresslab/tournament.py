@@ -392,32 +392,58 @@ EXHAUSTIVE_EDGE_LIMIT = 2**24
 
 
 def _domination(
-    tournament: HypergraphTournament, members: Sequence[Edge], vs: np.ndarray
+    tournament: HypergraphTournament, members: Sequence[np.ndarray], vs: np.ndarray
 ) -> np.ndarray:
     """dom[j, i]: member i dominates vertex index vs[j], from one batch of
     selections.
 
-    A member dominates its own elements and, when it has k-1 elements, every
-    v whose edge member + (v,) selects v.
+    Members are rows of vertex indices (see :func:`_member_rows`); a row of
+    k-1 indices is ascending.  A member dominates its own elements and,
+    when it has k-1 elements, every v whose edge member + (v,) selects v.
     """
     k = tournament.edge_size
-    # inside[x, i]: vertex x is an element of member i, filled from the
-    # members' elements; the rows of vs are then looked up by vertex index
-    inside = np.zeros((len(tournament.vertices), len(members)), dtype=bool)
+    # mark[i, x]: vertex x is an element of member i; the -1 of a string
+    # that is no vertex marks the spare last column
+    mark = np.zeros((len(members), len(tournament.vertices) + 1), dtype=bool)
     for i, g in enumerate(members):
-        inside[[x for x in map(tournament._index.get, g) if x is not None], i] = True
-    dom = inside[vs]
+        mark[i, g] = True
+    dom = mark[:, vs].T
     full = np.array([len(g) == k - 1 for g in members], dtype=bool)
-    g_idx = np.zeros((len(members), k - 1), dtype=np.intp)
-    for i in np.flatnonzero(full):
-        g_idx[i] = tournament.indices(members[i])
     vj, gi = np.nonzero(~dom & full)
     if vj.size:
-        g_rows, v_col = g_idx[gi], vs[vj]
-        rows = np.sort(np.column_stack([g_rows, v_col]), axis=1)
-        slot = (g_rows < v_col[:, None]).sum(axis=1)  # v's position in its sorted edge
+        # g_pad[i]: member i of k-1 elements, then a spare -1
+        g_pad = np.full((len(members), k), -1, dtype=np.intp)
+        for i in np.flatnonzero(full).tolist():
+            g_pad[i, :-1] = members[i]
+        v_col = vs[vj]
+        # v's slot in its member, from one search: member i's elements keyed
+        # i * span + x are ascending over all members together
+        span = len(tournament.vertices) + 1
+        keys = np.arange(len(members))[:, None] * span + g_pad[:, :-1]
+        slot = np.searchsorted(keys.ravel(), gi * span + v_col) - gi * (k - 1)
+        # the edge member + (v,) in ascending order: with v at slot s,
+        # position p < s holds member element p, position p > s element p - 1
+        lo = np.arange(k)
+        rows = g_pad[:, lo - (lo > lo[:, None])][gi, slot]
+        rows[np.arange(len(vj)), slot] = v_col
         dom[vj, gi] = _selected(tournament, tournament.select_rows(rows), rows.__getitem__) == slot
     return dom
+
+
+def _member_rows(tournament: HypergraphTournament, members: Sequence[Edge]) -> list[np.ndarray]:
+    """Index rows of dominating-set members, for :func:`_domination`.
+
+    A member of k-1 elements must hold vertices only, and its row is
+    sorted; in any other member an element that is no vertex becomes -1.
+    """
+    k = tournament.edge_size
+    index = tournament._index
+    return [
+        np.sort(tournament.indices(g))
+        if len(g) == k - 1
+        else np.array([index.get(v, -1) for v in g], dtype=np.intp)
+        for g in members
+    ]
 
 
 def _lex_subsets(binom: np.ndarray, size: int, m: int, index: np.ndarray) -> np.ndarray:
@@ -567,8 +593,7 @@ def _best_member_sampled(
     for _ in range(cap):
         picks = rng.choice(len(remaining), size=k - 1, replace=False)
         g = np.sort(remaining[picks])
-        member = tuple(tournament.vertices[i] for i in g)
-        dominated = int(_domination(tournament, [member], remaining).sum())
+        dominated = int(_domination(tournament, [g], remaining).sum())
         if dominated >= need:
             return g
         best_fraction = max(best_fraction, dominated / len(remaining))
@@ -619,7 +644,7 @@ def greedy_dominating_set(
         else:
             g = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)
         elements.append(tuple(vertices[i] for i in g))
-        remaining = remaining[~_domination(tournament, elements[-1:], remaining)[:, 0]]
+        remaining = remaining[~_domination(tournament, [g], remaining)[:, 0]]
         trace.append(len(remaining))
     bound = k * math.log2(max(len(vertices), 2))
     if len(elements) > bound + 1e-9:
@@ -638,7 +663,8 @@ def verify_domination(
     """
     if vertices is None:
         vertices = tournament.vertices
-    dominated = _domination(tournament, dominating.elements, tournament.indices(vertices)).any(axis=1)
+    vs = tournament.indices(vertices)
+    dominated = _domination(tournament, _member_rows(tournament, dominating.elements), vs).any(axis=1)
     undominated = [v for v, hit in zip(vertices, dominated) if not hit]
     return not undominated, undominated
 

@@ -97,6 +97,89 @@ def test_conditioned_counts_match_row_reference():
         assert (cond.sum(axis=2) == s ** (t - 1) * 2**r).all()
 
 
+# (t, m, r, sigma) of the benchmark's lemma-corpus item classes
+LEMMA_CORPUS_SHAPES = (
+    (16, 1, 0, 2), (16, 2, 0, 2), (16, 3, 0, 2), (14, 3, 2, 2), (14, 4, 1, 2), (12, 2, 1, 2), (10, 4, 2, 2),
+    (11, 2, 2, 2), (13, 1, 2, 2), (10, 3, 0, 3), (8, 4, 0, 4), (8, 2, 0, 4), (10, 2, 0, 3),
+)
+
+
+@pytest.mark.parametrize("t, m, r, s", LEMMA_CORPUS_SHAPES)
+def test_conditioned_counts_at_lemma_corpus_shapes(t, m, r, s):
+    f = CompressiveMap.random(t, m, r, seed=[t, m, r, s], alphabet_size=s)
+    assert np.array_equal(f.conditioned_output_counts(), _row_reference_conditioned_counts(f))
+
+
+def test_conditioned_counts_across_code_chunks_and_leading_coordinates():
+    # up to 16 codes a deterministic map is folded from one-hot chunks of 8
+    # codes; more codes, or coins, count leading coordinates one at a time
+    # (all of them when the codes outnumber the table's entries)
+    for t, m, r, s in itertools.product((1, 2, 3, 4), range(9), (0, 1, 2), (2, 3, 5)):
+        if s**t * 2**r > 2**10:
+            continue
+        f = CompressiveMap.random(t, m, r, seed=[t, m, r, s, 1], alphabet_size=s)
+        cond = f.conditioned_output_counts()
+        assert cond.dtype == np.int64 and cond.shape == (t, s, 2**m)
+        assert np.array_equal(cond, _row_reference_conditioned_counts(f)), (t, m, r, s)
+        # a table held in column-major order counts alike
+        g = CompressiveMap(t, m, r, np.asfortranarray(f.table), alphabet_size=s)
+        assert np.array_equal(g.conditioned_output_counts(), cond), (t, m, r, s)
+
+
+def _digit_reference_conditioned_counts(f: CompressiveMap) -> np.ndarray:
+    """Digit-array reference: each coordinate's symbols, counted with every code."""
+    m_codes = 2**f.output_bits
+    ref = np.zeros((f.arity, f.alphabet_size, m_codes), dtype=np.int64)
+    idx = np.arange(f.n_inputs)
+    for j in range(f.arity):
+        digit = idx // f.alphabet_size ** (f.arity - 1 - j) % f.alphabet_size
+        np.add.at(ref[j], (np.broadcast_to(digit[:, None], f.table.shape), f.table), 1)
+    return ref
+
+
+@pytest.mark.parametrize(
+    "t, r, s", [(8, 0, 2), (7, 1, 2), (4, 4, 2), (9, 8, 2), (8, 9, 2), (17, 0, 2), (5, 0, 3), (1, 8, 5)]
+)
+def test_conditioned_counts_at_narrow_dtype_edges(t, r, s):
+    # up to 3 rows moved off code 0: counts of 255/256 and 65535/65536 rows,
+    # where the fold's narrow dtypes step from uint8 to uint16 and from
+    # uint16 to uint32 (the 2**17-row maps, whose single counts reach 65536)
+    n_rows = s**t * 2**r
+    reference = _row_reference_conditioned_counts if s**t <= 2**10 else _digit_reference_conditioned_counts
+    for m in (1, 2, 5):
+        for moved in (0, 1, 3):
+            codes = np.zeros(n_rows, dtype=np.int64)
+            codes[np.random.default_rng([t, r, s, m, moved]).choice(n_rows, moved, replace=False)] = 2**m - 1
+            f = CompressiveMap(t, m, r, codes.reshape(s**t, 2**r), alphabet_size=s)
+            cond = f.conditioned_output_counts()
+            assert cond[0, :, 0].sum() == n_rows - moved
+            assert np.array_equal(cond, reference(f)), (m, moved)
+
+
+def test_digit_reference_matches_row_reference():
+    for t, m, r, s in [(3, 2, 1, 3), (5, 3, 0, 2), (2, 4, 3, 5), (6, 1, 2, 2)]:
+        f = CompressiveMap.random(t, m, r, seed=[t, m, r, s, 2], alphabet_size=s)
+        assert np.array_equal(_digit_reference_conditioned_counts(f), _row_reference_conditioned_counts(f))
+
+
+@pytest.mark.parametrize("t, m, r", [(10, 8, 0), (14, 3, 0), (14, 4, 0), (12, 4, 2), (12, 2, 2), (6, 12, 1)])
+def test_conditioned_counts_working_set_stays_near_the_table(t, m, r):
+    # beyond the result, the fold holds at most about two table-sized arrays
+    # (the keyed rows and their bincount, or a one-hot chunk and its first
+    # fold), or two rows of 2**m counts when the codes outnumber the table's
+    # entries; 4 KiB covers the interpreter's own small objects
+    import tracemalloc
+
+    f = CompressiveMap.random(t, m, r, seed=[t, m, r])
+    tracemalloc.start()
+    try:
+        cond = f.conditioned_output_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - cond.nbytes <= 2 * max(f.table.nbytes, 8 * 2**m) + 4096, (peak, cond.nbytes, f.table.nbytes)
+
+
 def test_random_map_deterministic_in_seed():
     a = CompressiveMap.random(4, 2, 1, seed=123)
     b = CompressiveMap.random(4, 2, 1, seed=123)

@@ -123,3 +123,28 @@ def test_golden_cases_read_every_parsed_option(capsys):
         if parsed - reads[name]:
             unread[name] = sorted(parsed - reads[name])
     assert not unread
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ("tournament --random --num-vertices 20", "tournament"),
+        ("reduce --audit", "reduce --input 111"),
+        ("verify-lemma kl --sigma 3", "verify-lemma pinsker"),
+    ],
+)
+def test_shared_parser_leaks_no_state(first, second):
+    # main reuses one parser per process: a parse must not change what the
+    # next one returns, so each Namespace equals a fresh parser's
+    shared = _make_parser()
+    assert _make_parser() is shared
+    for argv in (first.split(), second.split()):
+        assert shared.parse_args(argv) == _make_parser.__wrapped__().parse_args(argv)
+
+
+def test_golden_cases_in_reverse_order_give_the_same_bytes(capsys):
+    runs = [(GOLDEN / f"{name}.ndjson", ["verify-lemma", *CASES[name].split()]) for name in sorted(CASES)]
+    runs += [(EXAMPLES_GOLDEN / f"{name}.ndjson", EXAMPLES[name].split()) for name in sorted(EXAMPLES)]
+    for path, argv in reversed(runs):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.encode("ascii") == path.read_bytes(), argv

@@ -114,6 +114,47 @@ def test_pinsker_chain_distance_step_matches_product_route():
         assert pinsker_chain(f)["two_avg_distance"] == float(2 * avg)
 
 
+def _first_max(terms: list[Fraction]) -> int:
+    best = 0
+    for k, term in enumerate(terms):
+        if term > terms[best]:
+            best = k
+    return best
+
+
+def _tie_heavy_maps() -> list[CompressiveMap]:
+    # every term tied (constant, xor), or one coordinate carrying all the
+    # weight with both of its symbols tied (dictator, symbol identity)
+    maps = [CompressiveMap.constant(4), CompressiveMap.constant(3, value=2, output_bits=2, coin_bits=1)]
+    maps += [CompressiveMap.dictator(4, c) for c in range(4)] + [CompressiveMap.xor(t) for t in (1, 3, 4)]
+    return maps + [CompressiveMap.symbol_identity(s) for s in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("lemma", ["pinsker", "vajda"])
+def test_distance_reports_match_statistical_distance_reference(lemma):
+    # lhs and witness of the report against the product route's exact
+    # distances, averaged as Fractions; the witness is the first largest term
+    seeded = [
+        CompressiveMap.random(t, m, r, seed=[t, m, r, s], alphabet_size=s)
+        for t, m, r, s in [(1, 1, 0, 2), (3, 2, 1, 2), (4, 1, 2, 2), (2, 2, 0, 3), (3, 2, 1, 4), (2, 1, 1, 5)]
+    ]
+    for f in seeded + _tie_heavy_maps():
+        if lemma == "pinsker":
+            if f.alphabet_size != 2:
+                continue
+            terms = [
+                statistical_distance(_conditioned_output(f, j, equal_to=0), _conditioned_output(f, j, equal_to=1))
+                for j in range(f.arity)
+            ]
+            rep, cols = verify_pinsker_sensitivity(f), 1
+        else:
+            terms = [_vajda_term(f, j, x) for j in range(f.arity) for x in range(f.alphabet_size)]
+            rep, cols = verify_vajda_sensitivity(f), f.alphabet_size
+        j, x = divmod(_first_max(terms), cols)
+        assert rep.lhs == float(sum(terms, F(0)) / len(terms)), f.table.tolist()
+        assert (rep.witness_j, rep.witness_x) == (j, x if cols > 1 else None), f.table.tolist()
+
+
 # -- noise-sensitivity ceiling ---------------------------------------------------
 
 

@@ -24,6 +24,7 @@ from compresslab import (
 from compresslab.tournament import (
     DominatingSearchError,
     _domination,
+    _member_rows,
     block_conditioned_distributions,
     partition_blocks,
 )
@@ -175,18 +176,20 @@ def test_verify_domination_reports_missing():
 
 
 def test_domination_matrix_matches_its_definition():
-    # the inside-member part comes from a vertex-to-row lookup; every entry
-    # must equal the per-pair definition, for members holding vertices
+    # members enter as index rows (-1 for a string that is no vertex); every
+    # entry must equal the per-pair definition, for members holding vertices
     # outside the checked rows or strings that are no vertex at all, short
-    # members, checked subsets and repeated rows
+    # members, members not in sorted order, checked subsets and repeated rows
     s = random_tournament(16, 4, seed=2)
     dom = greedy_dominating_set(s)
     vs = s.vertices
-    members = dom.elements + ((vs[0], "no-vertex"), vs[5:6], (vs[1], vs[2], vs[3]))
+    members = dom.elements + (
+        (vs[0], "no-vertex"), ("no-vertex", vs[9]), vs[5:6], (vs[1], vs[2], vs[3]), (vs[12], vs[7], vs[10])
+    )
     extended = DominatingSet(4, dom.vertex_bits, members, dom.trace)
     for rows in (vs, vs[::3], vs[4:9] + vs[4:6]):
         want = [[_dominated_by(s, g, v) for g in members] for v in rows]
-        assert _domination(s, members, s.indices(rows)).tolist() == want
+        assert _domination(s, _member_rows(s, members), s.indices(rows)).tolist() == want
         ok, undominated = verify_domination(s, extended, rows)
         assert undominated == [v for v, hits in zip(rows, want) if not any(hits)]
         assert ok == (not undominated)
