@@ -8,7 +8,9 @@ order of a float sum shows up here as a byte difference.
 
 The files under tests/golden/examples/ are the stdout of the README's
 `tournament`, `reduce` and `fcomp` examples, recorded from the earlier
-implementation that built one query batch per audited input.
+implementation that built one query batch per audited input, and of larger
+random, parity and majority languages, recorded from the earlier
+implementation that passed vertices around as '0'/'1' strings.
 
 The final line of each file embeds the configuration.  Its `config` object
 was re-recorded once, when the options that no command read were dropped
@@ -64,6 +66,16 @@ EXAMPLES = {
     ),
     "fcomp_and_t4_audit": "fcomp --f builtin:and --t 4 --audit",
     "fcomp_00101_audit": "fcomp --f 00101 --audit",
+    # sizes and builtin languages that the README lines do not reach
+    "reduce_random_n12_seed3_ideal_or_t4_audit": (
+        "reduce --language builtin:random --n 12 --seed 3 --t 4 --audit"
+    ),
+    "reduce_random_n11_seed3_noisy_or_t16_audit": (
+        "reduce --language builtin:random --n 11 --seed 3 --compression noisy-or:1/8,1/8 --t 16 --audit"
+    ),
+    "tournament_random_n10_seed2_ideal_or_t3": "tournament --language builtin:random --n 10 --t 3 --seed 2",
+    "reduce_parity_n6_ideal_or_t4_audit": "reduce --language builtin:parity --n 6 --t 4 --audit",
+    "tournament_majority_n7_ideal_or_t3": "tournament --language builtin:majority --n 7 --t 3",
 }
 
 
