@@ -23,12 +23,14 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, check_enumeration
 from .compression import (
     CompressiveMap,
     ToyLanguage,
+    bits_label,
     ideal_or_compression,
     noisy_or_compression,
+    parse_bits,
 )
 from .fcompression import SymmetricCompression, SymmetricFunction, find_pivot_view, transform_to_relaxed_or
 from .reduction import audit_language, build_advice, decide_with_queries, promise_gap
@@ -95,19 +97,22 @@ def _build_language(source: str, n: int, seed: int) -> ToyLanguage:
     if source.startswith("builtin:"):
         name = source.split(":", 1)[1]
         if name == "single-yes":
-            return ToyLanguage(n, {"1" * n})
+            return ToyLanguage(n, [2**n - 1])
         if name == "empty":
-            return ToyLanguage(n, set())
+            return ToyLanguage(n, [])
         if name == "random":
             return ToyLanguage.random(n, seed)
-        members = {
-            "full": lambda v: True,
-            "parity": lambda v: v.count("1") % 2 == 1,
-            "majority": lambda v: v.count("1") * 2 > n,
+        members = {  # by the number of ones of each id
+            "full": lambda ones: ones >= 0,
+            "parity": lambda ones: ones % 2 == 1,
+            "majority": lambda ones: ones * 2 > n,
         }
         if name not in members:
             raise ValueError(f"unknown builtin language {name!r}")
-        return ToyLanguage(n, filter(members[name], ToyLanguage(n, ()).universe()))
+        check_enumeration(2**n, "toy-language universe")
+        ids = np.arange(2**n)
+        ones = sum((ids >> b) & 1 for b in range(n))
+        return ToyLanguage(n, ids[members[name](ones)])
     with open(source, encoding="ascii") as fh:
         return ToyLanguage.from_json(json.load(fh))
 
@@ -180,13 +185,13 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
                 f"only {len(vertices)} no-instances but edges need {args.t}; "
                 "no tournament to build"
             )
-        tournament = selector_from_compression(compression, vertices, args.t, delta)
+        tournament = selector_from_compression(compression, vertices, args.t, delta, language.n)
     dom = greedy_dominating_set(tournament, seed=args.seed)
     ok, undominated = verify_domination(tournament, dom)
     report = _Report(args.out)
     line = dom.to_json()
     line["dominates"] = ok
-    line["undominated"] = undominated
+    line["undominated"] = [bits_label(v, dom.vertex_bits) for v in undominated]
     line["config"] = _config(args)
     report.emit(line)
     report.flush()
@@ -216,14 +221,15 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError("reduce needs --audit or --input BITS")
     if args.mode != "base":
         raise ValueError("single decisions are supported in base mode only")
+    v = parse_bits(args.input, language.n)
     Delta, delta = promise_gap(compression, args.t, args.Delta, args.delta)
     advice = build_advice(language, compression, args.t, delta)
-    verdict, batch = decide_with_queries(args.input, advice, compression, Delta, delta)
+    verdict, batch = decide_with_queries(v, advice, compression, Delta, delta)
     report.emit(
         {
             "input": args.input,
             "accept": verdict,
-            "member": language.is_yes(args.input),
+            "member": language.is_yes(v),
             "advice_size": advice.size,
             "advice_mode": advice.mode,
             "queries": [
@@ -239,7 +245,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         }
     )
     report.flush()
-    return EXIT_OK if verdict == language.is_yes(args.input) else EXIT_VIOLATION
+    return EXIT_OK if verdict == language.is_yes(v) else EXIT_VIOLATION
 
 
 def _cmd_fcomp(args: argparse.Namespace) -> int:
@@ -287,13 +293,8 @@ def _cmd_fcomp(args: argparse.Namespace) -> int:
 
 def _pool_friendly_language(n: int, t: int, complement_source: bool) -> ToyLanguage:
     """Language whose pivot-view source side has enough yes-instances to pool."""
-    universe = [format(i, f"0{n}b") for i in range(2**n)]
     source_yes = min(max(t + 1, 2 ** (n - 1)), 2**n - 2)
-    if complement_source:
-        yes = set(universe[source_yes:])
-    else:
-        yes = set(universe[:source_yes])
-    return ToyLanguage(n, yes)
+    return ToyLanguage(n, np.arange(source_yes, 2**n) if complement_source else np.arange(source_yes))
 
 
 def _config(args: argparse.Namespace) -> dict[str, Any]:
@@ -328,7 +329,7 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=_at_least(1), default=1, help="output bits")
     p.add_argument("--r", type=_at_least(0), default=0, help="coin bits")
     p.add_argument("--sigma", type=int, default=2, help="alphabet size (kl/vajda)")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_at_least(0), default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_verify_lemma)

@@ -2,10 +2,10 @@
 
 A :class:`CompressiveMap` is an explicit truth table for a randomized map
 from alphabet tuples of length t to m-bit output strings, with r internal
-coin bits.  A :class:`SetEncodedCompression` evaluates subsets of n-bit
-strings (up to t of them) to an m-bit output and carries declared soundness
-and completeness error bounds; OR-style instances over a toy language are
-the canonical examples.
+coin bits.  A :class:`SetEncodedCompression` evaluates sets of up to t
+instances of {0,1}^n, given as n-bit integer ids (see :class:`ToyLanguage`),
+to an m-bit output and carries declared soundness and completeness error
+bounds; OR-style instances over a toy language are the canonical examples.
 
 Everything here is exact: output distributions are integer counts over a
 power-of-two denominator, so the resulting masses are exact rationals.
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import base64
 import math
+import operator
 from collections.abc import Collection, Hashable, Iterable, Sequence
 from fractions import Fraction
 from typing import Any
@@ -135,11 +136,6 @@ class CompressiveMap:
         return cls(1, m, 0, table, alphabet_size)
 
     # -- indexing -----------------------------------------------------------
-
-    @property
-    def epsilon(self) -> Fraction:
-        """Output length per input coordinate, m/t."""
-        return Fraction(self.output_bits, self.arity)
 
     @property
     def n_inputs(self) -> int:
@@ -323,82 +319,67 @@ class CompressiveMap:
 class ToyLanguage:
     """Explicit membership table for a language at one input length.
 
-    Strings are n-character '0'/'1' strings; the yes-set and no-set
-    partition all 2**n of them.
+    An instance x in {0,1}^n is its vertex id, the integer with binary
+    digits x, so ids sort as the strings do.  The table is one read-only
+    boolean vector ``member`` indexed by id.  Bit strings appear only in
+    language files (:meth:`to_json`, :meth:`from_json`: one hex number each).
     """
 
-    __slots__ = ("n", "_yes", "_universe")
+    __slots__ = ("n", "member")
 
-    def __init__(self, n: int, yes: Iterable[str]):
+    def __init__(self, n: int, yes: Iterable[int]):
         if n < 1:
             raise ValueError("input length must be at least 1")
         check_enumeration(2**n, "toy-language universe")
-        yes = frozenset(yes)
-        for v in yes:
-            if len(v) != n or set(v) - {"0", "1"}:
-                raise ValueError(f"{v!r} is not an {n}-bit string")
+        ids = id_array(yes)
+        outside = ids[(ids < 0) | (ids >= 2**n)]
+        if outside.size:
+            raise ValueError(f"{outside[0]} is not an {n}-bit id")
+        member = np.zeros(2**n, dtype=bool)
+        member[ids] = True
+        member.setflags(write=False)
         self.n = n
-        self._yes = yes
-        self._universe: tuple[str, ...] | None = None
+        self.member = member
 
     @classmethod
     def random(cls, n: int, seed: int, density: float = 0.5) -> "ToyLanguage":
+        check_enumeration(2**n, "toy-language universe")
         rng = np.random.default_rng(seed)
-        picks = rng.random(2**n) < density
-        yes = {format(i, f"0{n}b") for i in range(2**n) if picks[i]}
-        return cls(n, yes)
+        return cls(n, np.flatnonzero(rng.random(2**n) < density))
 
-    def is_yes(self, v: str) -> bool:
-        if len(v) != self.n:
-            raise ValueError(f"{v!r} has length {len(v)}, expected {self.n}")
-        return v in self._yes
+    def is_yes(self, v: int) -> bool:
+        if not 0 <= v < self.member.size:
+            raise ValueError(f"{v} is not an {self.n}-bit id")
+        return bool(self.member[v])
 
-    def count_yes(self, xs: Iterable[str]) -> int:
-        """Number of members among the distinct strings of xs."""
-        xs = set(xs)
-        if not set(map(len, xs)) <= {self.n}:
-            v = min(v for v in xs if len(v) != self.n)
-            raise ValueError(f"{v!r} has length {len(v)}, expected {self.n}")
-        return len(self._yes.intersection(xs))
+    def count_yes(self, xs: Iterable[int]) -> int:
+        """Number of members among the distinct ids of xs."""
+        return sum(self.is_yes(v) for v in set(xs))
 
-    @property
-    def yes_set(self) -> frozenset[str]:
-        return self._yes
+    def yes_instances(self) -> np.ndarray:
+        """The members' ids, ascending."""
+        return np.flatnonzero(self.member)
 
-    def universe(self) -> tuple[str, ...]:
-        """All 2**n strings in increasing order, formatted once per language."""
-        if self._universe is None:
-            self._universe = tuple(format(i, f"0{self.n}b") for i in range(2**self.n))
-        return self._universe
-
-    def yes_instances(self) -> tuple[str, ...]:
-        return tuple(v for v in self.universe() if v in self._yes)
-
-    def no_instances(self) -> tuple[str, ...]:
-        return tuple(v for v in self.universe() if v not in self._yes)
+    def no_instances(self) -> np.ndarray:
+        """The non-members' ids, ascending."""
+        return np.flatnonzero(~self.member)
 
     def complement(self) -> "ToyLanguage":
-        return ToyLanguage(self.n, set(self.universe()) - self._yes)
+        return ToyLanguage(self.n, self.no_instances())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ToyLanguage):
             return NotImplemented
-        return self.n == other.n and self._yes == other._yes
-
-    def __hash__(self):
-        return hash((self.n, self._yes))
+        return self.n == other.n and np.array_equal(self.member, other.member)
 
     def __repr__(self) -> str:
-        return f"ToyLanguage(n={self.n}, yes={sorted(self._yes)})"
+        return f"ToyLanguage(n={self.n}, yes={self.yes_instances().tolist()})"
 
-    # hex serialization: each string becomes ceil(n/4) hex digits
-
-    def _hex_width(self) -> int:
-        return (self.n + 3) // 4
+    # hex serialization: each member becomes ceil(n/4) hex digits
 
     def to_json(self) -> dict[str, Any]:
-        width = self._hex_width()
-        return {"n": self.n, "yes": sorted(format(int(v, 2), f"0{width}x") for v in self._yes)}
+        width = (self.n + 3) // 4
+        return {"n": self.n, "yes": [format(v, f"0{width}x") for v in self.yes_instances().tolist()]}
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "ToyLanguage":
@@ -406,7 +387,7 @@ class ToyLanguage:
             raise ValueError('a language needs an "n" and a "yes" entry')
         try:
             n = int(obj["n"])
-            yes = {format(int(h, 16), f"0{n}b") for h in obj["yes"]}
+            yes = [int(h, 16) for h in obj["yes"]]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed language: {exc}") from None
         return cls(n, yes)
@@ -417,10 +398,27 @@ class ToyLanguage:
 # ---------------------------------------------------------------------------
 
 
-def canonical_set(x: Iterable[str]) -> tuple[str, ...]:
-    """Lexicographically sorted, duplicate-free tuple; the canonical form of
-    a set of equal-length strings throughout the package."""
-    return tuple(sorted(set(x)))
+def canonical_set(x: Iterable[int]) -> tuple[int, ...]:
+    """Sorted, duplicate-free tuple of vertex ids (see :class:`ToyLanguage`)
+    as Python ints; the canonical form of a set of instances throughout the
+    package.  Anything but an integer, a bit string included, is a TypeError."""
+    return tuple(sorted(set(map(operator.index, x))))
+
+
+def id_array(ids: Iterable[int]) -> np.ndarray:
+    """ids as an int64 array; anything but integers, bit strings included, is a ValueError."""
+    arr = np.asarray(ids if isinstance(ids, np.ndarray) else list(ids))
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {arr.dtype} values")
+    return arr.astype(np.int64, copy=False)
+
+
+def parse_bits(text: str, width: int) -> int:
+    """The id of a width-character '0'/'1' string; a ValueError for any
+    other text.  The inverse of :func:`bits_label`."""
+    if len(text) != width or not set(text) <= {"0", "1"}:
+        raise ValueError(f"{text!r} is not a {width}-bit string")
+    return int(text, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -429,13 +427,14 @@ def canonical_set(x: Iterable[str]) -> tuple[str, ...]:
 
 
 class SetEncodedCompression:
-    """Evaluator on subsets of n-bit strings with declared error bounds.
+    """Evaluator on sets of n-bit instances with declared error bounds.
 
-    Subclasses implement :meth:`evaluate`; inputs are sets (any iterable,
-    canonicalized by sorting), every size from 0 to the arity must be
-    accepted, and the output is an integer code below 2**output_bits.  The
-    declared soundness/completeness error bounds e_s and e_c must satisfy
-    e_s + e_c < 1, which is what the sensitivity of one-yes inputs rests on.
+    Subclasses implement :meth:`evaluate`; inputs are sets of vertex ids
+    (any iterable of ints, canonicalized by :func:`canonical_set`), every
+    size from 0 to the arity must be accepted, and the output is an integer
+    code below 2**output_bits.  The declared soundness/completeness error
+    bounds e_s and e_c must satisfy e_s + e_c < 1, which is what the
+    sensitivity of one-yes inputs rests on.
 
     Subset output laws are looked up by :meth:`law_key` and memoised on the
     instance, so evaluate must be a fixed function of (set, coin).
@@ -467,13 +466,13 @@ class SetEncodedCompression:
     def n_coins(self) -> int:
         return 2**self.coin_bits
 
-    def evaluate(self, x: Collection[str], coin: int = 0) -> int:
+    def evaluate(self, x: Collection[int], coin: int = 0) -> int:
         raise NotImplementedError
 
     def output_label(self, code: int) -> BitString:
         return bits_label(code, self.output_bits)
 
-    def output_counts(self, x: Collection[str]) -> list[int]:
+    def output_counts(self, x: Collection[int]) -> list[int]:
         """Output-code counts over all coin strings for one input set."""
         counts = [0] * (2**self.output_bits)
         canon = canonical_set(x)
@@ -489,22 +488,22 @@ class SetEncodedCompression:
 
     # -- subset laws ---------------------------------------------------------
 
-    def law_key(self, ground: Sequence[str], forced: Sequence[str] = ()) -> Hashable:
+    def law_key(self, ground: Sequence[int], forced: Sequence[int] = ()) -> Hashable:
         """Hashable summary of a subset-law query; equal keys imply equal laws.
 
         The default key is the canonical (ground minus forced, forced) pair.
         """
         return _split_ground(ground, forced)
 
-    def forced_class(self, v: str) -> Hashable:
-        """Class of an input forced into a subset law, for grouping audit queries.
+    def forced_class(self, vs: np.ndarray) -> np.ndarray:
+        """Class of each input id in vs forced into a subset law, for audits.
 
         For every ground set g not containing v, ``law_key(g, (v,))`` depends
-        on v only through this value.  The default is v itself.
+        on v only through its class.  The default is v itself.
         """
-        return v
+        return vs
 
-    def conditioned_law_keys(self, e: Sequence[str]) -> Iterable[tuple[Hashable, Hashable]]:
+    def conditioned_law_keys(self, e: Sequence[int]) -> Iterable[tuple[Hashable, Hashable]]:
         """For each element v of the canonical edge e, the law keys of e minus v
         without and with v forced in, in edge order."""
         for v in e:
@@ -528,7 +527,7 @@ class SetEncodedCompression:
         ground, forced = key
         return enumerate_subset_law(self, ground, forced)
 
-    def subset_output_distribution(self, ground: Sequence[str], forced: Sequence[str] = ()) -> FiniteDistribution:
+    def subset_output_distribution(self, ground: Sequence[int], forced: Sequence[int] = ()) -> FiniteDistribution:
         """Distribution of the output on U ∪ forced, U a uniform subset of ground.
 
         Forced elements are removed from the ground set first, so forcing an
@@ -539,14 +538,14 @@ class SetEncodedCompression:
         return self.law(self.law_key(ground, forced))
 
 
-def _split_ground(ground: Sequence[str], forced: Sequence[str] = ()) -> tuple[tuple[str, ...], tuple[str, ...]]:
+def _split_ground(ground: Sequence[int], forced: Sequence[int] = ()) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Canonical (ground minus forced, forced) pair of a subset-law query."""
     forced = canonical_set(forced)
     return tuple(w for w in canonical_set(ground) if w not in forced), forced
 
 
 def enumerate_subset_law(
-    a: SetEncodedCompression, ground: Sequence[str], forced: Sequence[str] = ()
+    a: SetEncodedCompression, ground: Sequence[int], forced: Sequence[int] = ()
 ) -> FiniteDistribution:
     """Reference subset law: exhaustive over the subsets of ground and all coins.
 
@@ -577,23 +576,23 @@ class HitCountCompression(SetEncodedCompression):
         super().__init__(arity, **kwargs)
         self.hit_language = hit_language
 
-    def hits(self, x: Iterable[str]) -> int:
+    def hits(self, x: Iterable[int]) -> int:
         """Number of distinct hit-language members in x."""
         return self.hit_language.count_yes(x)
 
     def hit_counts(self, h: int) -> list[int]:
         raise NotImplementedError
 
-    def law_key(self, ground: Sequence[str], forced: Sequence[str] = ()) -> tuple[int, int]:
+    def law_key(self, ground: Sequence[int], forced: Sequence[int] = ()) -> tuple[int, int]:
         forced = set(forced)
         ground = set(ground) - forced
         if len(ground) + len(forced) > self.arity:
             raise ValueError("ground plus forced elements exceed the arity")
         return self.hits(ground), self.hits(forced)
 
-    def forced_class(self, v: str) -> bool:
-        """The hit bit of v: a forced element adds one forced hit or none."""
-        return self.hit_language.is_yes(v)
+    def forced_class(self, vs: np.ndarray) -> np.ndarray:
+        """The hit bit of each input: a forced element adds one forced hit or none."""
+        return self.hit_language.member[vs]
 
     def _compute_law(self, key: tuple[int, int]) -> FiniteDistribution:
         k, forced_hits = key
@@ -631,7 +630,7 @@ class OrCompression(HitCountCompression):
         self._flip_no = int(self.e_s * n_coins)
         self._flip_yes = int(self.e_c * n_coins)
 
-    def evaluate(self, x: Collection[str], coin: int = 0) -> int:
+    def evaluate(self, x: Collection[int], coin: int = 0) -> int:
         x = canonical_set(x)
         if len(x) > self.arity:
             raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
@@ -664,7 +663,7 @@ def noisy_or_compression(
     return OrCompression(language, arity, e_s=e_s, e_c=e_c, coin_bits=coin_bits)
 
 
-def bit_encode_subsets(a: SetEncodedCompression, e: Sequence[str]) -> CompressiveMap:
+def bit_encode_subsets(a: SetEncodedCompression, e: Sequence[int]) -> CompressiveMap:
     """Binary compressive map b -> A({elements of e picked by the bits of b}).
 
     Element i of the canonically sorted edge is included exactly when bit i

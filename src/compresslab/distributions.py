@@ -370,9 +370,6 @@ class ProductDistribution:
         full = FiniteDistribution.uniform(self._alphabet)
         return all(f.to_float() == full.to_float() if not f.exact else f == full for f in self._factors)
 
-    def marginal(self, j: int) -> FiniteDistribution:
-        return self._factors[j]
-
     def condition(
         self,
         j: int,

@@ -135,7 +135,7 @@ class SymmetricCompression(HitCountCompression):
         super().__init__(language, f.t, output_bits=1)
         self.f = f
 
-    def evaluate(self, x: Collection[str], coin: int = 0) -> int:
+    def evaluate(self, x: Collection[int], coin: int = 0) -> int:
         x = canonical_set(x)
         if len(x) > self.arity:
             raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
@@ -170,7 +170,7 @@ class TransformedOrCompression(HitCountCompression):
         self,
         base: SymmetricCompression,
         view: PivotView,
-        pool: Sequence[str],
+        pool: Sequence[int],
     ):
         source = base.hit_language.complement() if view.complement_source else base.hit_language
         super().__init__(source, base.arity - view.pivot, output_bits=1, coin_bits=0, e_s=0, e_c=0)
@@ -191,7 +191,7 @@ class TransformedOrCompression(HitCountCompression):
         self.pool = canon[: 2 * t]
         self.source_language = source
 
-    def injected_for(self, x: Collection[str]) -> tuple[str, ...]:
+    def injected_for(self, x: Collection[int]) -> tuple[int, ...]:
         """The pool instances fixed into this input: disjoint from it, sorted."""
         taken = set(canonical_set(x))
         picked = [w for w in self.pool if w not in taken][: self.view.pivot]
@@ -199,7 +199,7 @@ class TransformedOrCompression(HitCountCompression):
             raise RuntimeError("pool exhausted; the pool size check was bypassed")
         return tuple(picked)
 
-    def evaluate(self, x: Collection[str], coin: int = 0) -> int:
+    def evaluate(self, x: Collection[int], coin: int = 0) -> int:
         x = canonical_set(x)
         if len(x) > self.arity:
             raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
@@ -212,7 +212,7 @@ class TransformedOrCompression(HitCountCompression):
 
 
 def transform_to_relaxed_or(
-    a: SymmetricCompression, yes_pool: Sequence[str] | None = None
+    a: SymmetricCompression, yes_pool: Sequence[int] | None = None
 ) -> TransformedOrCompression:
     """Turn a non-constant symmetric compression into a relaxed OR.
 

@@ -17,13 +17,14 @@ distances and promise tags are exact too; there is no float mode.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Hashable, Literal
+from typing import Any, Callable, Literal
 
-from .compression import SetEncodedCompression, ToyLanguage, canonical_set
+import numpy as np
+
+from .compression import SetEncodedCompression, ToyLanguage, bits_label, canonical_set
 from .distributions import FiniteDistribution, statistical_distance
 from .sensitivity import pinsker_threshold
 from .tournament import (
@@ -103,18 +104,18 @@ class Advice:
 
     FULL_V mode lists every no-instance (used when there are at most
     edge_size of them); DOMSET mode carries the greedy dominating set of the
-    tournament on the no-instances.
+    tournament on the no-instances.  Instances are n-bit vertex ids.
     """
 
     n: int
     mode: Literal["DOMSET", "FULL_V"]
     edge_size: int
-    vertices: tuple[str, ...] = ()
+    vertices: tuple[int, ...] = ()
     dominating: DominatingSet | None = None
     block_size: int = field(default=0)
 
     @property
-    def elements(self) -> tuple[tuple[str, ...], ...]:
+    def elements(self) -> tuple[tuple[int, ...], ...]:
         if self.mode == "FULL_V":
             return ()
         if self.dominating is None:
@@ -126,8 +127,8 @@ class Advice:
         return len(self.vertices) if self.mode == "FULL_V" else len(self.elements)
 
     @cached_property
-    def member_elements(self) -> frozenset[str]:
-        """Every string lying inside some member; the inputs rejected without queries."""
+    def member_elements(self) -> frozenset[int]:
+        """Every id lying inside some member; the inputs rejected without queries."""
         return frozenset(v for g in self.elements for v in g)
 
 
@@ -167,8 +168,8 @@ def build_advice(
     _, delta = promise_gap(a, t, delta=delta)
     no_instances = language.no_instances()
     if len(no_instances) <= t:
-        return Advice(language.n, "FULL_V", t, vertices=no_instances)
-    tournament = selector_from_compression(a, no_instances, t, delta)
+        return Advice(language.n, "FULL_V", t, vertices=tuple(no_instances.tolist()))
+    tournament = selector_from_compression(a, no_instances, t, delta, language.n)
     dom = greedy_dominating_set(tournament)
     if dom.size > t * 2 * language.n:
         raise InvariantError("advice grew past the polynomial guardrail")
@@ -188,8 +189,8 @@ def build_block_advice(
     edge_size = num_blocks * block_size
     no_instances = language.no_instances()
     if len(no_instances) <= edge_size:
-        return Advice(language.n, "FULL_V", edge_size, vertices=no_instances, block_size=block_size)
-    tournament = block_tournament(a, no_instances, num_blocks, block_size, delta)
+        return Advice(language.n, "FULL_V", edge_size, vertices=tuple(no_instances.tolist()), block_size=block_size)
+    tournament = block_tournament(a, no_instances, num_blocks, block_size, delta, language.n)
     dom = greedy_dominating_set(tournament)
     if dom.size > num_blocks * block_size * language.n:
         raise InvariantError("advice grew past the guardrail")
@@ -202,7 +203,7 @@ def build_block_advice(
 
 
 def queries_for(
-    v: str,
+    v: int,
     advice: Advice,
     a: SetEncodedCompression,
     Delta: Number,
@@ -234,7 +235,7 @@ def queries_for(
 
 
 def block_queries_for(
-    v: str,
+    v: int,
     advice: Advice,
     a: SetEncodedCompression,
     Delta: Number,
@@ -250,7 +251,7 @@ def block_queries_for(
 
 
 def decide_with_queries(
-    v: str,
+    v: int,
     advice: Advice,
     a: SetEncodedCompression,
     Delta: Number,
@@ -266,8 +267,8 @@ def decide_with_queries(
     (a positive block size) and the base batch for the rest, and v is
     accepted exactly when the oracle affirms every query in it.
     """
-    if len(v) != advice.n:
-        raise ValueError(f"input length {len(v)} does not match advice length {advice.n}")
+    if not 0 <= v < 2**advice.n:
+        raise ValueError(f"input {v} is not an id of the advice length {advice.n}")
     if advice.mode == "FULL_V":
         return v not in advice.vertices, []
     if v in advice.member_elements:
@@ -280,7 +281,7 @@ def decide_with_queries(
 
 
 def decide(
-    v: str,
+    v: int,
     advice: Advice,
     a: SetEncodedCompression,
     Delta: Number | None = None,
@@ -303,7 +304,10 @@ def decide(
 
 @dataclass(frozen=True)
 class AuditReport:
-    """Exhaustive comparison of the reduction against the membership table."""
+    """Exhaustive comparison of the reduction against the membership table.
+
+    Mismatches are the misjudged inputs' ids, written as n-bit strings in JSON.
+    """
 
     n: int
     t: int
@@ -314,7 +318,7 @@ class AuditReport:
     query_tags: dict[str, int]
     Delta: float
     delta: float
-    mismatches: tuple[str, ...] = ()
+    mismatches: tuple[int, ...] = ()
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -327,7 +331,7 @@ class AuditReport:
             "query_tags": dict(self.query_tags),
             "Delta": self.Delta,
             "delta": self.delta,
-            "mismatches": list(self.mismatches),
+            "mismatches": [bits_label(v, self.n) for v in self.mismatches],
         }
 
 
@@ -341,16 +345,18 @@ def audit_language(
     block_size: int | None = None,
     oracle: Oracle = exact_sd_oracle,
 ) -> AuditReport:
-    """Build advice once, decide every string of the input length, tally tags.
+    """Build advice once, decide every input of the length, tally tags.
 
-    Inputs outside every member are grouped by forced-element class
-    (:meth:`SetEncodedCompression.forced_class`; in block mode each input is
-    its own class).  Every input of a class gets the same query batch, so
-    the batch is built and answered once, for the first input of the class,
-    and its tags are counted once per input.  An audit therefore costs one
-    query batch per class (two for hit-count compressions, one per input
-    otherwise) plus a set lookup and a membership test per input.  This
-    treats the oracle as a function of the query, as the shared query
+    Inputs are grouped into classes that provably share their verdict and
+    query batch: with FULL_V advice the listed inputs and the rest; with
+    DOMSET advice the inputs inside a member, and the others by
+    forced-element class (:meth:`SetEncodedCompression.forced_class`; in
+    block mode each input is its own class).  Each class is decided once,
+    by :func:`decide_with_queries` on its least input, and its batch's tags
+    are counted once per input.  An audit therefore costs one query batch
+    per class (two for hit-count compressions, one per input otherwise),
+    and its verdicts meet the membership vector in one array comparison.
+    This treats the oracle as a function of the query, as the shared query
     objects already do: an oracle whose answer depends on anything else
     gets one answer per class, not per input.
 
@@ -378,37 +384,34 @@ def audit_language(
     else:
         advice = build_block_advice(language, a, t, block_size, float(delta))
         # a block batch partitions the member plus v, so it depends on v itself
-        forced_class = lambda v: v
+        forced_class = lambda vs: vs
 
-    decided: dict[Hashable, tuple[bool, list[SDQuery]]] = {}
-    class_inputs: Counter[Hashable] = Counter()
-    shared: dict[tuple, Any] = {}
-    mismatches = []
-    for v in language.universe():
-        if advice.mode == "DOMSET" and v not in advice.member_elements:
-            key = forced_class(v)
-            if key not in decided:
-                decided[key] = decide_with_queries(v, advice, a, Delta, delta, oracle, shared)
-            class_inputs[key] += 1
-            verdict = decided[key][0]
-        else:
-            verdict, _ = decide_with_queries(v, advice, a, Delta, delta, oracle)
-        if verdict != language.is_yes(v):
-            mismatches.append(v)
+    inputs = np.arange(2**language.n)
+    if advice.mode == "FULL_V":
+        key = np.zeros(len(inputs), dtype=np.int8)
+        key[list(advice.vertices)] = -1
+    else:
+        classes = forced_class(inputs)
+        key = classes.astype(np.result_type(np.int8, classes.dtype))  # narrow keys sort fast
+        key[list(advice.member_elements)] = -1
+    _, first, inverse, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    verdicts = np.empty(len(first), dtype=bool)
     tags = {"yes": 0, "no": 0, "gap": 0}
-    for key, (_, batch) in decided.items():
+    shared: dict[tuple, Any] = {}
+    for c, (v, size) in enumerate(zip(first.tolist(), sizes.tolist())):
+        verdicts[c], batch = decide_with_queries(v, advice, a, Delta, delta, oracle, shared)
         for q in batch:
-            tags[q.promise_tag.lower()] += class_inputs[key]
-    total = 2**language.n
+            tags[q.promise_tag.lower()] += size
+    mismatches = np.flatnonzero(verdicts[inverse] != language.member)
     return AuditReport(
         n=language.n,
         t=t,
         mode=mode,
-        agreement=(total - len(mismatches)) / total,
+        agreement=(len(inputs) - len(mismatches)) / len(inputs),
         advice_size=advice.size,
         advice_mode=advice.mode,
         query_tags=tags,
         Delta=float(Delta),
         delta=float(delta),
-        mismatches=tuple(mismatches),
+        mismatches=tuple(mismatches.tolist()),
     )

@@ -29,15 +29,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .budget import check_enumeration
-from .compression import HitCountCompression, SetEncodedCompression, canonical_set
+from .compression import HitCountCompression, SetEncodedCompression, bits_label, canonical_set, id_array, parse_bits
 from .distributions import FiniteDistribution, statistical_distance
 
-Edge = tuple[str, ...]
+Edge = tuple[int, ...]
 
 
 class InvariantError(RuntimeError):
@@ -64,39 +64,50 @@ class DominatingSearchError(RuntimeError):
 class HypergraphTournament:
     """Complete k-uniform hypergraph with one selected vertex per edge.
 
-    Batches of edges are numpy rows of vertex indices: positions in the
-    canonical (sorted) vertex tuple, increasing along each row, so index
-    order is lexicographic order and a row is a canonical edge.  The greedy
-    scan selects through a state and extend pair: :meth:`suffix_state`
-    summarises the last k-1 columns of each row and :meth:`extend` selects
-    from that summary and the row's first vertex.  By default the state is
-    the suffix rows themselves and :meth:`extend` hands the full rows to
-    :meth:`select_rows`, which asks the per-edge selector once per row;
-    tournaments with a vectorised selector override all three.
+    Vertices are vertex_bits-bit ids (see :class:`ToyLanguage`), held as
+    one ascending int64 array ``ids``.  The per-edge selector takes a
+    canonical edge, an ascending tuple of ids, and returns the selected id.
+    Batches of edges are numpy rows of vertex indices: positions in ``ids``,
+    increasing along each row, so index order is id order and a row is a
+    canonical edge.  The greedy scan selects through a state and extend
+    pair: :meth:`suffix_state` summarises the last k-1 columns of each row
+    and :meth:`extend` selects from that summary and the row's first
+    vertex.  By default the state is the suffix rows themselves and
+    :meth:`extend` hands the full rows to :meth:`select_rows`, which asks
+    the per-edge selector once per row; tournaments with a vectorised
+    selector override all three.
+
+    Bit strings appear only in :attr:`vertices` and :meth:`select`, the form
+    in which reports name vertices.
     """
 
-    def __init__(self, vertices: Sequence[str], edge_size: int, selector: Callable[[Edge], str]):
-        self.vertices = canonical_set(vertices)
+    def __init__(self, ids: Iterable[int], edge_size: int, selector: Callable[[Edge], int], vertex_bits: int):
+        ids = np.sort(id_array(ids))
+        self.ids = ids[np.r_[True, ids[1:] != ids[:-1]]] if len(ids) else ids  # distinct, ascending
         if edge_size < 1:
             raise ValueError("edge size must be at least 1")
         self.edge_size = edge_size
         self._selector = selector
-        self._index = {v: i for i, v in enumerate(self.vertices)}
+        self.vertex_bits = vertex_bits
+
+    @property
+    def vertices(self) -> tuple[str, ...]:
+        """The vertices as vertex_bits-bit strings, ascending."""
+        return tuple(bits_label(v, self.vertex_bits) for v in self.ids.tolist())
 
     def select(self, e: Sequence[str]) -> str:
-        """Selected vertex of an edge; the edge is canonicalized first."""
-        e = canonical_set(e)
-        if len(e) != self.edge_size:
-            raise ValueError(f"edge has {len(e)} distinct vertices, expected {self.edge_size}")
-        return e[_position(e, self._selector(e))]
+        """Selected vertex of an edge of vertex_bits-bit strings; the edge is
+        canonicalized first."""
+        ids = canonical_set(parse_bits(v, self.vertex_bits) for v in e)
+        if len(ids) != self.edge_size:
+            raise ValueError(f"edge has {len(ids)} distinct vertices, expected {self.edge_size}")
+        return bits_label(ids[self._position(ids)], self.vertex_bits)
 
     def select_rows(self, rows: np.ndarray) -> np.ndarray:
         """Selected position within each row of an (E, k) batch of index rows."""
-        vertices = self.vertices
         out = np.empty(len(rows), dtype=np.intp)
-        for j, row in enumerate(rows.tolist()):
-            e = tuple(vertices[i] for i in row)
-            out[j] = _position(e, self._selector(e))
+        for j, e in enumerate(self.ids[rows].tolist()):
+            out[j] = self._position(tuple(e))
         return out
 
     def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
@@ -113,19 +124,22 @@ class HypergraphTournament:
         """
         return self.select_rows(np.column_stack([np.broadcast_to(first, len(state)), state]))
 
-    def indices(self, vs: Sequence[str]) -> np.ndarray:
-        """Vertex indices of vs, in the order given."""
+    def _position(self, e: Edge) -> int:
+        """Position of the per-edge selector's choice in the canonical edge e."""
+        v = self._selector(e)
         try:
-            return np.array([self._index[v] for v in vs], dtype=np.intp)
-        except KeyError as exc:
-            raise ValueError(f"{exc.args[0]!r} is not a vertex of the tournament") from None
+            return e.index(v)
+        except ValueError:
+            raise InvariantError(f"selector returned {v!r} outside the edge") from None
 
 
-def _position(e: Edge, v: str) -> int:
-    try:
-        return e.index(v)
-    except ValueError:
-        raise InvariantError(f"selector returned {v!r} outside the edge") from None
+def _positions(tournament: HypergraphTournament, vs: Iterable[int]) -> np.ndarray:
+    """Vertex indices of the ids vs, in the order given."""
+    vs = id_array(vs)
+    outside = vs[~np.isin(vs, tournament.ids)]
+    if outside.size:
+        raise ValueError(f"{outside[0]} is not a vertex of the tournament")
+    return np.searchsorted(tournament.ids, vs)
 
 
 def _selected(
@@ -140,7 +154,7 @@ def _selected(
     k = tournament.edge_size
     if len(positions) and (positions.min() < 0 or positions.max() >= k):
         i = int(np.argmax((positions < 0) | (positions >= k)))
-        tournament.select([tournament.vertices[j] for j in edge(i)])
+        tournament._position(tuple(tournament.ids[edge(i)].tolist()))
         raise InvariantError("selector returned a position outside the edge")
     return positions
 
@@ -162,20 +176,21 @@ class _HitCountTournament(_StateTournament):
 
     An element qualifies by the law keys of its edge minus it, without and
     with it forced in, and those depend only on its own hit bit and the
-    edge's hit count.  ``verdict(keys)`` says whether a pair of keys
-    qualifies.
+    edge's hit count.  ``hit_member`` is the hit language's membership
+    vector, and ``verdict(keys)`` says whether a pair of keys qualifies.
     """
 
     def __init__(
         self,
-        vertices: Sequence[str],
+        ids: Iterable[int],
         edge_size: int,
-        selector: Callable[[Edge], str],
-        is_hit: Callable[[str], bool],
+        selector: Callable[[Edge], int],
+        vertex_bits: int,
+        hit_member: np.ndarray,
         verdict: Callable[[tuple[Hashable, Hashable]], bool],
     ):
-        super().__init__(vertices, edge_size, selector)
-        self._hits = np.array([is_hit(v) for v in self.vertices], dtype=np.int8)
+        super().__init__(ids, edge_size, selector, vertex_bits)
+        self._hits = hit_member[self.ids].astype(np.int8)
         self._bits = np.flatnonzero(np.bincount(self._hits, minlength=2))  # bits vertices have
         self._verdict = verdict
 
@@ -220,14 +235,14 @@ class _HitCountTournament(_StateTournament):
 
 
 def selector_from_compression(
-    a: SetEncodedCompression, vertices: Sequence[str], edge_size: int, delta: float
+    a: SetEncodedCompression, vertices: Iterable[int], edge_size: int, delta: float, vertex_bits: int
 ) -> HypergraphTournament:
     """Tournament whose selector picks the least distance-insensitive element.
 
     For an edge e, element v qualifies when the output distributions on a
     uniform subset of e conditioned to avoid v versus to contain v are within
-    delta in statistical distance; the lexicographically least qualifying
-    element is selected.  The caller asserts that the vertices are
+    delta in statistical distance; the least qualifying element is
+    selected.  The caller asserts that the vertices are
     no-instances and that delta is at least the sensitivity ceiling, which
     together guarantee a qualifying element exists.
 
@@ -249,7 +264,7 @@ def selector_from_compression(
             ok = qualifies[keys] = statistical_distance(a.law(left), a.law(right)) <= delta
         return ok
 
-    def selector(e: Edge) -> str:
+    def selector(e: Edge) -> int:
         for v, keys in zip(e, a.conditioned_law_keys(e)):
             if verdict(keys):
                 return v
@@ -260,8 +275,8 @@ def selector_from_compression(
         )
 
     if isinstance(a, HitCountCompression):
-        return _HitCountTournament(vertices, edge_size, selector, a.hit_language.is_yes, verdict)
-    return HypergraphTournament(vertices, edge_size, selector)
+        return _HitCountTournament(vertices, edge_size, selector, vertex_bits, a.hit_language.member, verdict)
+    return HypergraphTournament(vertices, edge_size, selector, vertex_bits)
 
 
 # the random tournament's mix: Horner's rule modulo the Mersenne prime M
@@ -292,19 +307,23 @@ def _horner(keys: np.ndarray) -> np.ndarray:
 
 class _RandomTournament(_StateTournament):
     """Tournament selecting position h mod k of an edge, where h mixes the
-    vertex keys of the (canonically sorted) edge by Horner's rule mod M."""
+    vertex keys of the (canonically sorted) edge by Horner's rule mod M;
+    vertex v has key keys[v]."""
 
-    def __init__(self, vertices: Sequence[str], edge_size: int, keys: dict[str, int]):
-        def selector(e: Edge) -> str:
+    def __init__(self, keys: Sequence[int], edge_size: int):
+        keys = [int(key) for key in keys]
+
+        def selector(e: Edge) -> int:
             h = 0
             for v in e:
                 h = (h * _P + keys[v]) % _M
             return e[h % len(e)]
 
-        super().__init__(vertices, edge_size, selector)
-        self._keys = np.array([keys[v] for v in self.vertices], dtype=np.uint64)
+        width = max(1, (len(keys) - 1).bit_length())
+        super().__init__(range(len(keys)), edge_size, selector, width)
+        self._keys = np.array(keys, dtype=np.uint64)
         scale = pow(_P, edge_size - 1, _M)
-        self._lead = np.array([keys[v] * scale % _M for v in self.vertices], dtype=np.uint64)
+        self._lead = np.array([key * scale % _M for key in keys], dtype=np.uint64)
 
     def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
         """The Horner value of each suffix's keys."""
@@ -319,7 +338,8 @@ class _RandomTournament(_StateTournament):
 
 
 def random_tournament(num_vertices: int, edge_size: int, seed: int) -> HypergraphTournament:
-    """Seeded arbitrary tournament on fixed-width bit-string vertices.
+    """Seeded arbitrary tournament on the ids 0 .. num_vertices - 1, at the
+    smallest width that holds them all.
 
     Each vertex gets a seeded random key; the selector mixes the keys of a
     (canonically sorted) edge with fixed integer arithmetic and picks the
@@ -327,11 +347,8 @@ def random_tournament(num_vertices: int, edge_size: int, seed: int) -> Hypergrap
     """
     if num_vertices < 1:
         raise ValueError("need at least one vertex")
-    width = max(1, (num_vertices - 1).bit_length())
-    vertices = [format(i, f"0{width}b") for i in range(num_vertices)]
     rng = np.random.default_rng(seed)
-    raw = rng.integers(0, 2**62, size=num_vertices, dtype=np.int64)
-    return _RandomTournament(vertices, edge_size, {v: int(k) for v, k in zip(vertices, raw)})
+    return _RandomTournament(rng.integers(0, 2**62, size=num_vertices, dtype=np.int64).tolist(), edge_size)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +363,8 @@ class DominatingSet:
     trace[k] is the number of still-undominated vertices after k members
     were added; trace[0] is |V|.  The construction keeps
     trace[k] <= (1 - 1/edge_size)**k * |V| and stops within
-    edge_size * log2|V| members.
+    edge_size * log2|V| members.  Members are ascending tuples of vertex
+    ids; the JSON form writes each id as ceil(vertex_bits / 4) hex digits.
     """
 
     edge_size: int
@@ -363,17 +381,14 @@ class DominatingSet:
         return {
             "t": self.edge_size,
             "n": self.vertex_bits,
-            "elements": [[format(int(v, 2), f"0{width}x") for v in g] for g in self.elements],
+            "elements": [[format(v, f"0{width}x") for v in g] for g in self.elements],
             "trace": list(self.trace),
         }
 
     @classmethod
     def from_json(cls, obj: dict[str, Any]) -> "DominatingSet":
-        n = int(obj["n"])
-        elements = tuple(
-            tuple(format(int(h, 16), f"0{n}b") for h in g) for g in obj["elements"]
-        )
-        return cls(int(obj["t"]), n, elements, tuple(int(c) for c in obj["trace"]))
+        elements = tuple(tuple(int(h, 16) for h in g) for g in obj["elements"])
+        return cls(int(obj["t"]), int(obj["n"]), elements, tuple(int(c) for c in obj["trace"]))
 
 
 # Edges per piece of the exhaustive greedy scan, and suffixes per piece of
@@ -402,9 +417,8 @@ def _domination(
     when it has k-1 elements, every v whose edge member + (v,) selects v.
     """
     k = tournament.edge_size
-    # mark[i, x]: vertex x is an element of member i; the -1 of a string
-    # that is no vertex marks the spare last column
-    mark = np.zeros((len(members), len(tournament.vertices) + 1), dtype=bool)
+    # mark[i, x]: vertex x is an element of member i
+    mark = np.zeros((len(members), len(tournament.ids)), dtype=bool)
     for i, g in enumerate(members):
         mark[i, g] = True
     dom = mark[:, vs].T
@@ -418,7 +432,7 @@ def _domination(
         v_col = vs[vj]
         # v's slot in its member, from one search: member i's elements keyed
         # i * span + x are ascending over all members together
-        span = len(tournament.vertices) + 1
+        span = len(tournament.ids) + 1
         keys = np.arange(len(members))[:, None] * span + g_pad[:, :-1]
         slot = np.searchsorted(keys.ravel(), gi * span + v_col) - gi * (k - 1)
         # the edge member + (v,) in ascending order: with v at slot s,
@@ -431,19 +445,9 @@ def _domination(
 
 
 def _member_rows(tournament: HypergraphTournament, members: Sequence[Edge]) -> list[np.ndarray]:
-    """Index rows of dominating-set members, for :func:`_domination`.
-
-    A member of k-1 elements must hold vertices only, and its row is
-    sorted; in any other member an element that is no vertex becomes -1.
-    """
-    k = tournament.edge_size
-    index = tournament._index
-    return [
-        np.sort(tournament.indices(g))
-        if len(g) == k - 1
-        else np.array([index.get(v, -1) for v in g], dtype=np.intp)
-        for g in members
-    ]
+    """Ascending index rows of dominating-set members of vertex ids, for
+    :func:`_domination`."""
+    return [np.sort(_positions(tournament, g)) for g in members]
 
 
 def _lex_subsets(binom: np.ndarray, size: int, m: int, index: np.ndarray) -> np.ndarray:
@@ -620,20 +624,20 @@ def greedy_dominating_set(
     undominated vertices are finished off with one padded member containing
     them all.
     """
-    vertices = tournament.vertices
-    if not vertices:
+    ids = tournament.ids
+    if not len(ids):
         raise ValueError("empty vertex set")
     k = tournament.edge_size
     rng = np.random.default_rng(seed)
-    remaining = np.arange(len(vertices))  # vertex indices, ascending
+    remaining = np.arange(len(ids))  # vertex indices, ascending
     elements: list[Edge] = []
-    trace = [len(vertices)]
+    trace = [len(ids)]
     while len(remaining):
         if len(remaining) < k:
-            outside = np.ones(len(vertices), dtype=bool)
+            outside = np.ones(len(ids), dtype=bool)
             outside[remaining] = False
             fill = np.flatnonzero(outside)[: k - 1 - len(remaining)]
-            elements.append(tuple(vertices[i] for i in sorted([*remaining, *fill])))
+            elements.append(tuple(ids[np.sort(np.r_[remaining, fill])].tolist()))
             trace.append(0)
             break
         if (
@@ -643,29 +647,20 @@ def greedy_dominating_set(
             g = _best_member_exhaustive(tournament, remaining)
         else:
             g = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)
-        elements.append(tuple(vertices[i] for i in g))
+        elements.append(tuple(ids[g].tolist()))
         remaining = remaining[~_domination(tournament, [g], remaining)[:, 0]]
         trace.append(len(remaining))
-    bound = k * math.log2(max(len(vertices), 2))
+    bound = k * math.log2(max(len(ids), 2))
     if len(elements) > bound + 1e-9:
         raise InvariantError(f"{len(elements)} members exceed {bound}")
-    return DominatingSet(k, len(vertices[0]), tuple(elements), tuple(trace))
+    return DominatingSet(k, tournament.vertex_bits, tuple(elements), tuple(trace))
 
 
-def verify_domination(
-    tournament: HypergraphTournament,
-    dominating: DominatingSet,
-    vertices: Sequence[str] | None = None,
-) -> tuple[bool, list[str]]:
-    """Exhaustively check domination; returns (all dominated, undominated list).
-
-    Checks the given vertices of the tournament (default: all of them).
-    """
-    if vertices is None:
-        vertices = tournament.vertices
-    vs = tournament.indices(vertices)
-    dominated = _domination(tournament, _member_rows(tournament, dominating.elements), vs).any(axis=1)
-    undominated = [v for v, hit in zip(vertices, dominated) if not hit]
+def verify_domination(tournament: HypergraphTournament, dominating: DominatingSet) -> tuple[bool, list[int]]:
+    """Exhaustively check domination; returns (all dominated, undominated ids)."""
+    rows = _member_rows(tournament, dominating.elements)
+    dominated = _domination(tournament, rows, np.arange(len(tournament.ids))).any(axis=1)
+    undominated = tournament.ids[~dominated].tolist()
     return not undominated, undominated
 
 
@@ -674,7 +669,7 @@ def verify_domination(
 # ---------------------------------------------------------------------------
 
 
-def partition_blocks(e: Sequence[str], block_size: int) -> tuple[Edge, ...]:
+def partition_blocks(e: Sequence[int], block_size: int) -> tuple[Edge, ...]:
     """Canonical partition of a sorted edge into consecutive equal blocks."""
     e = canonical_set(e)
     if block_size < 2:
@@ -685,7 +680,7 @@ def partition_blocks(e: Sequence[str], block_size: int) -> tuple[Edge, ...]:
 
 
 def block_conditioned_distributions(
-    a: SetEncodedCompression, blocks: Sequence[Edge], v: str
+    a: SetEncodedCompression, blocks: Sequence[Edge], v: int
 ) -> tuple[FiniteDistribution, FiniteDistribution]:
     """Output laws of A on one uniform pick per block, without / with v.
 
@@ -715,7 +710,7 @@ def block_conditioned_distributions(
         check_enumeration(rows * a.n_coins, "block output enumeration")
         acc = [0] * (2**a.output_bits)
 
-        def rec(prefix: tuple[str, ...], idx: int) -> None:
+        def rec(prefix: Edge, idx: int) -> None:
             if idx == len(blocks):
                 for code, cnt in enumerate(a.output_counts(prefix)):
                     acc[code] += cnt
@@ -731,7 +726,7 @@ def block_conditioned_distributions(
     return law(without_v), law((v,))
 
 
-def block_selector(a: SetEncodedCompression, blocks: Sequence[Edge], delta: float) -> str:
+def block_selector(a: SetEncodedCompression, blocks: Sequence[Edge], delta: float) -> int:
     """Least element whose without/with conditioned laws are within delta."""
     blocks = [canonical_set(b) for b in blocks]
     for v in sorted(w for b in blocks for w in b):
@@ -745,16 +740,17 @@ def block_selector(a: SetEncodedCompression, blocks: Sequence[Edge], delta: floa
 
 def block_tournament(
     a: SetEncodedCompression,
-    vertices: Sequence[str],
+    vertices: Iterable[int],
     num_blocks: int,
     block_size: int,
     delta: float,
+    vertex_bits: int,
 ) -> HypergraphTournament:
     """Tournament on (block_size * num_blocks)-subsets via the block selector."""
     if num_blocks > a.arity:
         raise ValueError("more blocks than the compression arity")
 
-    def selector(e: Edge) -> str:
+    def selector(e: Edge) -> int:
         return block_selector(a, partition_blocks(e, block_size), delta)
 
-    return HypergraphTournament(vertices, num_blocks * block_size, selector)
+    return HypergraphTournament(vertices, num_blocks * block_size, selector, vertex_bits)

@@ -141,7 +141,7 @@ def test_criterion_3_conditioned_distance_bound():
 
 def _domset_invariants_hold(tournament):
     dom = greedy_dominating_set(tournament)
-    n_v = len(tournament.vertices)
+    n_v = len(tournament.ids)
     t = tournament.edge_size
     ok = verify_domination(tournament, dom)[0]
     ok &= dom.size <= t * math.log2(max(n_v, 2)) + TOL
@@ -158,13 +158,13 @@ def test_criterion_4_dominating_sets():
         n_v = int(rng.integers(8, 65))
         ok &= _domset_invariants_hold(random_tournament(n_v, t, seed=i))
     for n in (3, 4, 5, 6):
-        languages = [ToyLanguage(n, {"1" * n}), ToyLanguage.random(n, seed=40 + n)]
+        languages = [ToyLanguage(n, {2**n - 1}), ToyLanguage.random(n, seed=40 + n)]
         for lang in languages:
             vertices = lang.no_instances()
             if len(vertices) <= 4:
                 continue
             a = ideal_or_compression(lang, 4)
-            s = selector_from_compression(a, vertices, 4, delta=0.5)
+            s = selector_from_compression(a, vertices, 4, delta=0.5, vertex_bits=n)
             ok &= _domset_invariants_hold(s)
     crit.finish(ok, "100 random tournaments + language-derived tournaments, n <= 6")
 
@@ -173,13 +173,13 @@ def test_criterion_5_end_to_end_audit():
     crit = _Criterion(5, "end-to-end audits", 300)
     failures = []
     all_n3 = [
-        ToyLanguage(3, {format(i, "03b") for i in range(8) if (mask >> i) & 1})
+        ToyLanguage(3, {i for i in range(8) if (mask >> i) & 1})
         for mask in range(256)
     ]
     for lang in all_n3:
         rep = audit_language(lang, ideal_or_compression(lang, 4))
         if rep.agreement != 1.0:
-            failures.append(("ideal", 3, sorted(lang.yes_set)))
+            failures.append(("ideal", 3, lang.yes_instances().tolist()))
     rng = np.random.default_rng(505)
     random_langs = []
     for _ in range(50):
@@ -188,7 +188,7 @@ def test_criterion_5_end_to_end_audit():
     for lang in random_langs:
         rep = audit_language(lang, ideal_or_compression(lang, 4))
         if rep.agreement != 1.0:
-            failures.append(("ideal", lang.n, sorted(lang.yes_set)))
+            failures.append(("ideal", lang.n, lang.yes_instances().tolist()))
     # noisy variant: the error budget stays below the sensitivity margin
     margin = 1 - math.sqrt(2 * math.log(2) / 16)
     assert abs(margin - 0.7056474943711314) < 1e-12
@@ -197,7 +197,7 @@ def test_criterion_5_end_to_end_audit():
         noisy = noisy_or_compression(lang, 16, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
         rep = audit_language(lang, noisy)
         if rep.agreement != 1.0:
-            failures.append(("noisy", lang.n, sorted(lang.yes_set)))
+            failures.append(("noisy", lang.n, lang.yes_instances().tolist()))
     crit.finish(not failures, f"{256 + 50} languages x ideal and noisy; failures: {failures[:3]}")
 
 
@@ -208,7 +208,7 @@ def test_criterion_6_one_yes_sensitivity():
     corpora = []
     for mask in range(256):
         corpora.append(
-            (ToyLanguage(3, {format(i, "03b") for i in range(8) if (mask >> i) & 1}), "ideal", 4)
+            (ToyLanguage(3, {i for i in range(8) if (mask >> i) & 1}), "ideal", 4)
         )
     rng = np.random.default_rng(606)
     for _ in range(20):
@@ -239,7 +239,7 @@ def test_criterion_7_block_variant_micro():
     crit = _Criterion(7, "block-variant audit", 60)
     ok = True
     details = []
-    for yes in ({"111"}, {"101"}, {"111", "000"}):
+    for yes in ({0b111}, {0b101}, {0b111, 0b000}):
         lang = ToyLanguage(3, yes)
         if len(lang.no_instances()) <= 4:
             continue
@@ -273,9 +273,9 @@ def test_criterion_8_symmetric_transforms():
 
 
 def _pool_language(n, t, complement_source):
-    universe = [format(i, f"0{n}b") for i in range(2**n)]
+    universe = range(2**n)
     split = min(max(t + 1, 2 ** (n - 1)), 2**n - 2)
-    yes = set(universe[split:]) if complement_source else set(universe[:split])
+    yes = universe[split:] if complement_source else universe[:split]
     return ToyLanguage(n, yes)
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from compresslab import (
+    DominatingSet,
     HypergraphTournament,
     InvariantError,
     SelectorUndefinedError,
@@ -41,9 +42,8 @@ F = Fraction
 def reference_random(num_vertices, edge_size, seed):
     """The random tournament's selector as plain Python integer arithmetic."""
     width = max(1, (num_vertices - 1).bit_length())
-    vertices = [format(i, f"0{width}b") for i in range(num_vertices)]
     raw = np.random.default_rng(seed).integers(0, 2**62, size=num_vertices, dtype=np.int64)
-    keys = dict(zip(vertices, map(int, raw)))
+    keys = dict(zip(range(num_vertices), map(int, raw)))
 
     def selector(e):
         h = 0
@@ -51,17 +51,15 @@ def reference_random(num_vertices, edge_size, seed):
             h = (h * 1099511628211 + keys[v]) % (2**61 - 1)
         return e[h % len(e)]
 
-    return HypergraphTournament(vertices, edge_size, selector)
+    return HypergraphTournament(range(num_vertices), edge_size, selector, width)
 
 
 def keyed_random(keys, edge_size):
     """Random tournament on len(keys) vertices with the given keys, in vertex order."""
-    width = max(1, (len(keys) - 1).bit_length())
-    vertices = [format(i, f"0{width}b") for i in range(len(keys))]
-    return tournament_module._RandomTournament(vertices, edge_size, dict(zip(vertices, keys)))
+    return tournament_module._RandomTournament(keys, edge_size)
 
 
-def reference_compression(a, vertices, edge_size, delta):
+def reference_compression(a, vertices, edge_size, delta, vertex_bits):
     """Least element whose conditioned laws are within delta, edge by edge."""
 
     def selector(e):
@@ -72,13 +70,13 @@ def reference_compression(a, vertices, edge_size, delta):
                 return v
         raise SelectorUndefinedError(f"no element of {e!r} qualifies")
 
-    return HypergraphTournament(vertices, edge_size, selector)
+    return HypergraphTournament(vertices, edge_size, selector, vertex_bits)
 
 
 def reference_greedy(tournament):
     """Exhaustive greedy with one selector call per edge and a rescan per step."""
     select = tournament._selector
-    vertices, k = tournament.vertices, tournament.edge_size
+    vertices, k = tuple(tournament.ids.tolist()), tournament.edge_size
     remaining, elements, trace = vertices, [], [len(vertices)]
 
     def dominates(g, v):
@@ -133,18 +131,19 @@ HIT_COUNT_CASES = {
 
 
 def _hit_count_vertices(language, t):
-    return language.no_instances() + language.yes_instances()[: t - 1]
+    return np.concatenate([language.no_instances(), language.yes_instances()[: t - 1]])
 
 
 def _all_rows(tournament):
-    return np.array(list(combinations(range(len(tournament.vertices)), tournament.edge_size)))
+    return np.array(list(combinations(range(len(tournament.ids)), tournament.edge_size)))
 
 
 def _rows_match_edges(tournament, reference):
     rows = _all_rows(tournament)
     positions = tournament.select_rows(rows)
+    vertices = tournament.vertices
     for row, pos in zip(rows.tolist(), positions.tolist()):
-        e = tuple(tournament.vertices[i] for i in row)
+        e = tuple(vertices[i] for i in row)
         assert e[pos] == tournament.select(e) == reference.select(e)
     return positions
 
@@ -164,8 +163,8 @@ def test_random_rows_match_per_edge_selector(k, num_vertices, seed):
 def test_hit_count_rows_match_per_edge_selector(case):
     language, a, delta = HIT_COUNT_CASES[case]()
     vertices = _hit_count_vertices(language, a.arity)
-    tournament = selector_from_compression(a, vertices, a.arity, delta)
-    positions = _rows_match_edges(tournament, reference_compression(a, vertices, a.arity, delta))
+    tournament = selector_from_compression(a, vertices, a.arity, delta, language.n)
+    positions = _rows_match_edges(tournament, reference_compression(a, vertices, a.arity, delta, language.n))
     assert positions.any()  # some selection is not the least element
 
 
@@ -244,8 +243,8 @@ def test_hit_count_greedy_matches_per_edge_greedy(case):
     language, a, delta = HIT_COUNT_CASES[case]()
     vertices = _hit_count_vertices(language, a.arity)
     _same_greedy(
-        selector_from_compression(a, vertices, a.arity, delta),
-        reference_compression(a, vertices, a.arity, delta),
+        selector_from_compression(a, vertices, a.arity, delta, language.n),
+        reference_compression(a, vertices, a.arity, delta, language.n),
     )
 
 
@@ -268,7 +267,7 @@ def test_sampled_search_counts_like_single_edges():
 def test_scan_chunk_changes_nothing(monkeypatch, chunk):
     cases = [random_tournament(n_v, k, n_v + k) for n_v, k in ((1, 2), (9, 1), (30, 2), (24, 3), (20, 4))]
     language, a, delta = HIT_COUNT_CASES["noisy-or-n5-t3"]()
-    cases.append(selector_from_compression(a, _hit_count_vertices(language, 3), 3, delta))
+    cases.append(selector_from_compression(a, _hit_count_vertices(language, 3), 3, delta, language.n))
     expected = [greedy_dominating_set(s) for s in cases]
     monkeypatch.setattr(tournament_module, "SCAN_CHUNK", chunk)
     assert [greedy_dominating_set(s) for s in cases] == expected
@@ -285,12 +284,12 @@ class OutsidePositions(HypergraphTournament):
 
 
 def test_batch_position_outside_the_edge_raises():
-    s = OutsidePositions(["00", "01", "10", "11"], 2, min)
+    s = OutsidePositions([0b00, 0b01, 0b10, 0b11], 2, min, 2)
     with pytest.raises(InvariantError, match="outside the edge"):
         greedy_dominating_set(s)
     with pytest.raises(InvariantError, match="outside the edge"):
         greedy_dominating_set(s, exhaustive_limit=0)
-    bad = HypergraphTournament(["00", "01", "10"], 2, lambda e: "11")
+    bad = HypergraphTournament([0b00, 0b01, 0b10], 2, lambda e: 0b11, 2)
     with pytest.raises(InvariantError, match="outside the edge"):
         bad.select_rows(np.array([[0, 1]]))
     with pytest.raises(InvariantError, match="outside the edge"):
@@ -303,8 +302,8 @@ def test_selector_undefined_names_the_first_failing_edge():
     # (each element moves the law by 1/4)
     language, a, _ = _ideal(4, 2, 3)
     delta = 0.1
-    vertices = language.no_instances() + language.yes_instances()[:4]
-    reference = reference_compression(a, vertices, 3, delta)
+    vertices = np.concatenate([language.no_instances(), language.yes_instances()[:4]])
+    reference = reference_compression(a, vertices, 3, delta, language.n)
     first = None
     for e in combinations(reference.vertices, 3):
         try:
@@ -313,10 +312,10 @@ def test_selector_undefined_names_the_first_failing_edge():
             first = e
             break
     assert first is not None
-    tournament = selector_from_compression(a, vertices, 3, delta)
+    tournament = selector_from_compression(a, vertices, 3, delta, language.n)
     with pytest.raises(SelectorUndefinedError) as scan:
         greedy_dominating_set(tournament)
-    assert repr(first) in str(scan.value)
+    assert repr(tuple(int(v, 2) for v in first)) in str(scan.value)
     with pytest.raises(SelectorUndefinedError) as single:
         tournament.select(first)
     assert str(single.value) == str(scan.value)
@@ -331,11 +330,11 @@ def test_first_failing_edge_at_any_first_position(monkeypatch, chunk, lead):
     # after the edges of every earlier first position; no-instances among
     # the yes-instances put it inside its slice.  Chunk 1 makes every edge a
     # piece of its own
-    language = ToyLanguage(5, {format(i, "05b") for i in (16, 18, 19, 23, 27)})
+    language = ToyLanguage(5, {16, 18, 19, 23, 27})
     a = ideal_or_compression(language, 3)
     no = language.no_instances()
-    vertices = no[:lead] + no[16:20] + language.yes_instances()
-    reference = reference_compression(a, vertices, 3, 0.1)
+    vertices = np.concatenate([no[:lead], no[16:20], language.yes_instances()])
+    reference = reference_compression(a, vertices, 3, 0.1, language.n)
     first = None
     for e in combinations(reference.vertices, 3):
         try:
@@ -346,16 +345,17 @@ def test_first_failing_edge_at_any_first_position(monkeypatch, chunk, lead):
     assert first is not None and reference.vertices.index(first[0]) == lead
     if chunk is not None:
         monkeypatch.setattr(tournament_module, "SCAN_CHUNK", chunk)
-    tournament = selector_from_compression(a, vertices, 3, 0.1)
+    tournament = selector_from_compression(a, vertices, 3, 0.1, language.n)
     with pytest.raises(SelectorUndefinedError) as scan:
         greedy_dominating_set(tournament)
     with pytest.raises(SelectorUndefinedError) as single:
         tournament.select(first)
-    assert repr(first) in str(scan.value)
+    assert repr(tuple(int(v, 2) for v in first)) in str(scan.value)
     assert str(scan.value) == str(single.value)
 
 
 def test_rows_name_unknown_vertices():
     s = random_tournament(8, 3, seed=0)
+    foreign = DominatingSet(3, 3, ((0b000, 0b1111),), (8, 0))
     with pytest.raises(ValueError, match="not a vertex"):
-        s.indices(["000", "1111"])
+        verify_domination(s, foreign)

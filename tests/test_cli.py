@@ -94,6 +94,21 @@ def test_reduce_single_input(capsys):
         assert float(statistical_distance(left, right)) == q["distance"] == 1.0
 
 
+def test_reduce_input_must_be_an_n_bit_string(capsys):
+    # --input is parsed into an n-bit id before any decision; anything else
+    # is a usage error with a one-line JSON report
+    for text in ("0a1", "012", "11", "1111", "", "-11", " 111", "0b1", "1_1"):
+        assert main(["reduce", "--n", "3", "--input", text]) == 2, text
+        captured = capsys.readouterr()
+        assert captured.out == "", text
+        assert "Traceback" not in captured.err, text
+        assert json.loads(captured.err)["kind"] == "usage", text
+    # the report echoes the input as typed
+    code, [line] = _run(capsys, "reduce", "--n", "3", "--input", "011")
+    assert code == 0 and line["input"] == "011"
+    assert line["accept"] is False and line["member"] is False
+
+
 def test_reduce_noisy_audit(capsys):
     code, lines = _run(
         capsys,
@@ -113,7 +128,7 @@ def test_reduce_tlogt_audit(capsys):
 
 
 def test_reduce_from_files(tmp_path, capsys):
-    lang = ToyLanguage(4, {"1111", "0110"})
+    lang = ToyLanguage(4, {0b1111, 0b0110})
     lang_file = tmp_path / "lang.json"
     lang_file.write_text(json.dumps(lang.to_json()))
     comp_file = tmp_path / "comp.json"
@@ -185,8 +200,9 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_builtin_languages_format_only_what_they_read(monkeypatch):
-    # full, parity and majority filter the universe; random, single-yes and
-    # empty never read it, so the command line formats none of it for them
+    # every builtin is built on ids, so the command line formats no string
+    # for any of them; full, parity and majority must match their rules on
+    # the bit strings, kept here as the reference
     formatted = []
 
     def counting_format(value, spec=""):
@@ -195,17 +211,18 @@ def test_builtin_languages_format_only_what_they_read(monkeypatch):
 
     monkeypatch.setattr(cli_module, "format", counting_format, raising=False)
     n = 6
-    universe = ToyLanguage(n, ()).universe()
+    universe = [format(i, f"0{n}b") for i in range(2**n)]
     assert cli_module._build_language("builtin:random", n, 2) == ToyLanguage.random(n, 2)
-    assert cli_module._build_language("builtin:single-yes", n, 2) == ToyLanguage(n, {"1" * n})
+    assert cli_module._build_language("builtin:single-yes", n, 2) == ToyLanguage(n, {2**n - 1})
     assert cli_module._build_language("builtin:empty", n, 2) == ToyLanguage(n, ())
-    assert formatted == []
     for name, member in (
         ("full", lambda v: True),
         ("parity", lambda v: v.count("1") % 2 == 1),
         ("majority", lambda v: v.count("1") * 2 > n),
     ):
-        assert cli_module._build_language(f"builtin:{name}", n, 2) == ToyLanguage(n, filter(member, universe))
+        yes = [int(v, 2) for v in universe if member(v)]
+        assert cli_module._build_language(f"builtin:{name}", n, 2) == ToyLanguage(n, yes)
+    assert formatted == []
     with pytest.raises(ValueError, match="unknown builtin"):
         cli_module._build_language("builtin:nope", n, 2)
 
@@ -222,6 +239,16 @@ def test_selector_failure_exit_1(capsys):
                  "--compression", "ideal-or", "--t", "3", "--delta", "-0.5"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_verify_lemma_trials_at_least_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-lemma", "pinsker", "--trials", "-1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage:")
+    code, [summary] = _run(capsys, "verify-lemma", "pinsker", "--trials", "0")
+    assert code == 0
+    assert (summary["instances"], summary["failures"]) == (0, 0)
 
 
 def test_console_entry_point():
@@ -272,9 +299,9 @@ except InvariantError:
     pass
 else:
     sys.exit("DOMSET advice without members passed")
-big = DominatingSet(3, 3, tuple(("000", "001") for _ in range(50)), (8, 0))
+big = DominatingSet(3, 3, tuple((0b000, 0b001) for _ in range(50)), (8, 0))
 reduction.greedy_dominating_set = lambda tournament: big
-lang = ToyLanguage(3, {"111"})
+lang = ToyLanguage(3, {0b111})
 try:
     build_advice(lang, ideal_or_compression(lang, 3))
 except InvariantError:

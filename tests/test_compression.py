@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from compresslab import (
     BudgetExceededError,
@@ -213,7 +215,6 @@ def test_budget_env_override(monkeypatch):
 
 def test_epsilon_and_indexing():
     f = CompressiveMap.random(4, 2, 0, seed=3)
-    assert f.epsilon == F(1, 2)
     for idx in (0, 5, 15):
         assert f.input_index(f.input_symbols(idx)) == idx
 
@@ -276,23 +277,29 @@ def test_map_deserialization_rejects_short_table():
 
 
 def test_language_partition():
-    lang = ToyLanguage(3, {"111", "010"})
-    assert set(lang.yes_instances()) | set(lang.no_instances()) == set(lang.universe())
-    assert not set(lang.yes_instances()) & set(lang.no_instances())
-    assert lang.complement().yes_set == frozenset(lang.no_instances())
+    lang = ToyLanguage(3, {0b111, 0b010})
+    assert set(lang.yes_instances().tolist()) | set(lang.no_instances().tolist()) == set(range(2**3))
+    assert not set(lang.yes_instances().tolist()) & set(lang.no_instances().tolist())
+    assert lang.complement().yes_instances().tolist() == lang.no_instances().tolist()
 
 
 def test_language_validation():
     with pytest.raises(ValueError):
-        ToyLanguage(3, {"01"})
+        ToyLanguage(3, {0b1000})
+    with pytest.raises(ValueError):
+        ToyLanguage(3, {-1})
+    with pytest.raises(ValueError):  # bit strings are not ids
+        ToyLanguage(2, {"01"})
     with pytest.raises(ValueError):
         ToyLanguage(2, {"0x"})
     with pytest.raises(ValueError):
-        ToyLanguage(3, {"111"}).is_yes("0101")
+        ToyLanguage(3, {0b111}).is_yes(0b1000)
+    with pytest.raises(ValueError):
+        ToyLanguage(3, {0b111}).is_yes(-1)
 
 
 def test_language_serialization():
-    lang = ToyLanguage(5, {"11111", "00001", "10000"})
+    lang = ToyLanguage(5, {0b11111, 0b00001, 0b10000})
     assert ToyLanguage.from_json(lang.to_json()) == lang
     assert lang.to_json()["yes"] == ["01", "10", "1f"]
 
@@ -301,51 +308,86 @@ def test_language_random_seeded():
     assert ToyLanguage.random(4, seed=9) == ToyLanguage.random(4, seed=9)
 
 
+# A language as a set of '0'/'1' strings: the reference for the id tables.
+# Strings are listed in lexicographic order, and each maps to its id only
+# through int(x, 2).
+
+
+@st.composite
+def string_languages(draw):
+    n = draw(st.integers(1, 8))
+    bits = st.text("01", min_size=n, max_size=n)
+    return n, draw(st.sets(bits)), draw(st.lists(bits, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(string_languages())
+def test_language_ids_match_a_bit_string_reference(case):
+    n, yes, xs = case
+    lang = ToyLanguage(n, [int(x, 2) for x in yes])
+    universe = ["".join(bits) for bits in itertools.product("01", repeat=n)]
+    assert [lang.is_yes(int(x, 2)) for x in universe] == [x in yes for x in universe]
+    assert lang.count_yes(int(x, 2) for x in xs) == len(set(xs) & yes)
+    assert lang.no_instances().tolist() == [int(x, 2) for x in universe if x not in yes]
+    assert lang.yes_instances().tolist() == [int(x, 2) for x in universe if x in yes]
+    width = (n + 3) // 4
+    assert lang.to_json() == {"n": n, "yes": sorted(format(int(x, 2), f"0{width}x") for x in yes)}
+    assert ToyLanguage.from_json(lang.to_json()) == lang
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_random_language_draws_the_string_members(n, seed):
+    picks = np.random.default_rng(seed).random(2**n) < 0.5
+    yes = {format(i, f"0{n}b") for i in range(2**n) if picks[i]}
+    assert ToyLanguage.random(n, seed) == ToyLanguage(n, [int(x, 2) for x in yes])
+
+
 # -- OR compressions ------------------------------------------------------------
 
 
 def test_ideal_or_examples():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
-    assert a.evaluate(("000", "001")) == 0
-    assert a.evaluate(("000", "111")) == 1
+    assert a.evaluate((0b000, 0b001)) == 0
+    assert a.evaluate((0b000, 0b111)) == 1
     assert a.evaluate(()) == 0
 
 
 def test_set_order_invariance():
-    lang = ToyLanguage(3, {"101"})
+    lang = ToyLanguage(3, {0b101})
     a = ideal_or_compression(lang, 3)
-    assert a.evaluate(("001", "101", "010")) == a.evaluate(("101", "010", "001"))
-    d1 = a.subset_output_distribution(("001", "010", "100"))
-    d2 = a.subset_output_distribution(("100", "001", "010"))
+    assert a.evaluate((0b001, 0b101, 0b010)) == a.evaluate((0b101, 0b010, 0b001))
+    d1 = a.subset_output_distribution((0b001, 0b010, 0b100))
+    d2 = a.subset_output_distribution((0b100, 0b001, 0b010))
     assert d1 == d2
 
 
 def test_noisy_or_zero_noise_matches_ideal():
-    lang = ToyLanguage(3, {"110"})
+    lang = ToyLanguage(3, {0b110})
     ideal = ideal_or_compression(lang, 3)
     noisy = noisy_or_compression(lang, 3, 0, 0, coin_bits=2)
     from itertools import combinations
 
     for size in range(4):
-        for x in combinations(lang.universe(), size):
+        for x in combinations(range(2**lang.n), size):
             for coin in range(4):
                 assert noisy.evaluate(x, coin) == ideal.evaluate(x)
 
 
 def test_noisy_or_flip_distributions():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = noisy_or_compression(lang, 3, e_s=F(1, 4), e_c=F(1, 4), coin_bits=2)
     # all-no input: enumerate the 4 coin strings, one of them flips
-    flips = [a.evaluate(("000", "001"), coin) for coin in range(4)]
+    flips = [a.evaluate((0b000, 0b001), coin) for coin in range(4)]
     assert sorted(flips) == [0, 0, 0, 1]
     # one-yes input: one coin flips the 1 down
-    hits = [a.evaluate(("000", "111"), coin) for coin in range(4)]
+    hits = [a.evaluate((0b000, 0b111), coin) for coin in range(4)]
     assert sorted(hits) == [0, 1, 1, 1]
 
 
 def test_noisy_or_requires_dyadic_noise():
-    lang = ToyLanguage(2, {"11"})
+    lang = ToyLanguage(2, {0b11})
     with pytest.raises(ValueError, match="dyadic"):
         noisy_or_compression(lang, 2, e_s=F(1, 3), e_c=0, coin_bits=2)
 
@@ -354,12 +396,12 @@ def _subset_law_configurations(lang, arity, rng, trials):
     """(ground, forced) pairs with ground plus forced inside the arity: grounds
     with and without yes-instances, forced yes, forced no, nothing forced, and
     forced elements that also sit in the ground set."""
-    strings = lang.universe()
-    yes = [v for v in strings if lang.is_yes(v)]
-    no = [v for v in strings if not lang.is_yes(v)]
+    universe = range(2**lang.n)
+    yes = [v for v in universe if lang.is_yes(v)]
+    no = [v for v in universe if not lang.is_yes(v)]
     for trial in range(trials):
         size = int(rng.integers(0, arity + 1))
-        picks = [strings[i] for i in rng.choice(len(strings), size=size, replace=False)]
+        picks = [universe[i] for i in rng.choice(len(universe), size=size, replace=False)]
         if yes and trial % 2 and yes[trial % len(yes)] not in picks:
             picks = picks[: max(0, size - 1)] + [yes[trial % len(yes)]]
         kind = trial % 4
@@ -408,7 +450,7 @@ def test_transformed_or_closed_form_matches_enumeration():
             if f.is_constant:
                 continue
             members = rng.choice(16, size=8, replace=False)
-            lang = ToyLanguage(4, {format(int(i), "04b") for i in members})
+            lang = ToyLanguage(4, {int(i) for i in members})
             a = transform_to_relaxed_or(SymmetricCompression(lang, f))
             seen.add((t, a.view.view, a.view.pivot))
             source = a.source_language
@@ -421,48 +463,48 @@ def test_transformed_or_closed_form_matches_enumeration():
 
 
 def test_law_keys_summarise_hit_counts():
-    lang = ToyLanguage(3, {"111", "110"})
+    lang = ToyLanguage(3, {0b111, 0b110})
     a = noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
-    assert a.law_key(("000", "111", "110"), ("001",)) == (2, 0)
-    assert a.law_key(("000", "111"), ("111",)) == (0, 1)
-    e = ("000", "001", "110", "111")
+    assert a.law_key((0b000, 0b111, 0b110), (0b001,)) == (2, 0)
+    assert a.law_key((0b000, 0b111), (0b111,)) == (0, 1)
+    e = (0b000, 0b001, 0b110, 0b111)
     assert list(a.conditioned_law_keys(e)) == [
         (a.law_key(tuple(w for w in e if w != v)), a.law_key(tuple(w for w in e if w != v), (v,)))
         for v in e
     ]
     with pytest.raises(ValueError, match="exceed the arity"):
-        a.law_key(("000", "001", "010", "011"), ("100",))
+        a.law_key((0b000, 0b001, 0b010, 0b011), (0b100,))
 
 
 def test_or_closed_form_handles_forced_overlap():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
-    ground = ("000", "001", "010")
-    fast = a.subset_output_distribution(ground, forced=("001",))
-    slow = enumerate_subset_law(a, ground, forced=("001",))
+    ground = (0b000, 0b001, 0b010)
+    fast = a.subset_output_distribution(ground, forced=(0b001,))
+    slow = enumerate_subset_law(a, ground, forced=(0b001,))
     assert fast == slow
 
 
 def test_error_bound_contract():
-    lang = ToyLanguage(2, {"11"})
+    lang = ToyLanguage(2, {0b11})
     with pytest.raises(ValueError, match="below 1"):
         noisy_or_compression(lang, 2, e_s=F(1, 2), e_c=F(1, 2), coin_bits=1)
 
 
 def test_arity_enforced():
-    lang = ToyLanguage(2, {"11"})
+    lang = ToyLanguage(2, {0b11})
     a = ideal_or_compression(lang, 2)
     with pytest.raises(ValueError, match="arity"):
-        a.evaluate(("00", "01", "10"))
+        a.evaluate((0b00, 0b01, 0b10))
 
 
 # -- bit encoding of subsets ------------------------------------------------------
 
 
 def test_bit_encoding_matches_subset_laws():
-    lang = ToyLanguage(3, {"011"})
+    lang = ToyLanguage(3, {0b011})
     a = noisy_or_compression(lang, 3, e_s=F(1, 4), e_c=0, coin_bits=2)
-    e = canonical_set(("000", "011", "110"))
+    e = canonical_set((0b000, 0b011, 0b110))
     f = bit_encode_subsets(a, e)
     x = ProductDistribution.uniform((0, 1), 3)
     for j, v in enumerate(e):
@@ -478,4 +520,7 @@ def test_bit_encoding_matches_subset_laws():
 
 
 def test_canonical_set():
-    assert canonical_set(("10", "01", "10")) == ("01", "10")
+    assert canonical_set((0b10, 0b01, 0b10)) == (0b01, 0b10)
+    assert all(type(v) is int for v in canonical_set(np.array([0b10, 0b01])))
+    with pytest.raises(TypeError):  # bit strings are not ids
+        canonical_set(("10", "01"))

@@ -335,10 +335,10 @@ def test_vajda_style_inequality_random_pairs():
 def test_condition_pin_and_exclude():
     x = ProductDistribution.uniform(["0", "1"], 4)
     pinned = x.condition(1, equal_to="1")
-    assert pinned.marginal(1) == FiniteDistribution.point("1")
+    assert pinned.factors[1] == FiniteDistribution.point("1")
     abc = ProductDistribution.uniform(["a", "b", "c"], 2)
     off = abc.condition(0, not_equal_to="a")
-    assert off.marginal(0) == FiniteDistribution.uniform(["b", "c"])
+    assert off.factors[0] == FiniteDistribution.uniform(["b", "c"])
 
 
 def test_condition_errors():
@@ -363,7 +363,7 @@ def test_joint_total_mass_and_marginals():
     assert sum(joint.mass) == 1
     for j in range(3):
         marg = push_forward(joint, lambda w, j=j: w[j])
-        assert marg == x.marginal(j)
+        assert marg == x.factors[j]
 
 
 def test_conditional_mixture_reconstructs_joint():

@@ -11,6 +11,7 @@ deliberately wrong oracles; members, traces and reports must match exactly.
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from compresslab import (
@@ -49,7 +50,7 @@ class Opaque(SetEncodedCompression):
         return self.inner.evaluate(x, coin)
 
 
-def plain_tournament(a, vertices, k, delta):
+def plain_tournament(a, vertices, k, delta, vertex_bits):
     def selector(e):
         for v in e:
             rest = tuple(w for w in e if w != v)
@@ -59,16 +60,16 @@ def plain_tournament(a, vertices, k, delta):
                 return v
         raise SelectorUndefinedError(f"no element of {e!r} qualifies at {delta}")
 
-    return HypergraphTournament(vertices, k, selector)
+    return HypergraphTournament(vertices, k, selector, vertex_bits)
 
 
 def plain_audit(language, a, t, Delta, delta, oracle=exact_sd_oracle):
     no_instances = language.no_instances()
     assert len(no_instances) > t, "the reference covers DOMSET advice only"
-    dom = greedy_dominating_set(plain_tournament(a, no_instances, t, float(delta)))
+    dom = greedy_dominating_set(plain_tournament(a, no_instances, t, float(delta), language.n))
     tags = {"yes": 0, "no": 0, "gap": 0}
     mismatches = []
-    for v in language.universe():
+    for v in range(2**language.n):
         verdict = False
         if not any(v in g for g in dom.elements):
             batch = [
@@ -134,11 +135,11 @@ def test_law_key_selector_matches_plain_selector(case):
     # no-instance, so both selectors are defined, and edges with yes-instances
     # make selections other than the least element
     no_instances = language.no_instances()
-    vertices = no_instances + language.yes_instances()[: t - 1]
-    tournament = selector_from_compression(a, vertices, t, delta)
+    vertices = np.concatenate([no_instances, language.yes_instances()[: t - 1]])
+    tournament = selector_from_compression(a, vertices, t, delta, language.n)
     keyed = greedy_dominating_set(tournament)
-    plain = greedy_dominating_set(plain_tournament(a, vertices, t, delta))
-    generic = greedy_dominating_set(selector_from_compression(Opaque(a), vertices, t, delta))
+    plain = greedy_dominating_set(plain_tournament(a, vertices, t, delta, language.n))
+    generic = greedy_dominating_set(selector_from_compression(Opaque(a), vertices, t, delta, language.n))
     assert keyed.elements == plain.elements == generic.elements
     assert keyed.trace == plain.trace == generic.trace
     assert any(tournament.select(e) != min(e) for e in combinations(tournament.vertices, t))
@@ -157,12 +158,13 @@ def test_law_key_audit_matches_plain_audit(case):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_forced_class_determines_the_forced_law_key(case):
     language, a, t, _, _ = CASES[case]()
-    universe = language.universe()
+    universe = range(2**language.n)
+    classes = a.forced_class(np.arange(2**language.n)).tolist()
     for g in combinations(universe[: t + 1], t - 1):
         keys = {}
         for v in universe:
             if v not in g:
-                keys.setdefault(a.forced_class(v), set()).add(a.law_key(g, (v,)))
+                keys.setdefault(classes[v], set()).add(a.law_key(g, (v,)))
         assert all(len(found) == 1 for found in keys.values())
 
 

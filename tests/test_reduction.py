@@ -63,16 +63,16 @@ def test_exact_oracle_thresholds():
 
 
 def test_advice_full_v_when_few_no_instances():
-    lang = ToyLanguage(3, {"000", "001", "010", "011", "100"})
+    lang = ToyLanguage(3, {0b000, 0b001, 0b010, 0b011, 0b100})
     a = ideal_or_compression(lang, 4)
     advice = build_advice(lang, a)
     assert advice.mode == "FULL_V"
-    assert advice.vertices == lang.no_instances()
+    assert advice.vertices == tuple(lang.no_instances().tolist())
     assert advice.size == 3
 
 
 def test_advice_domset_single_yes():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     advice = build_advice(lang, a)
     assert advice.mode == "DOMSET"
@@ -92,18 +92,18 @@ def test_advice_empty_language():
 
 
 def test_decide_single_yes_language():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     advice = build_advice(lang, a)
-    assert decide("111", advice, a)
-    assert not decide("000", advice, a)
+    assert decide(0b111, advice, a)
+    assert not decide(0b000, advice, a)
     # every query for the yes-instance is at full distance
-    for q in queries_for("111", advice, a, Delta=1, delta=0.5):
+    for q in queries_for(0b111, advice, a, Delta=1, delta=0.5):
         assert q.distance == 1
 
 
 def test_decide_rejects_member_without_oracle_calls():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     advice = build_advice(lang, a)
     inside = advice.elements[0][0]
@@ -118,27 +118,27 @@ def test_decide_rejects_member_without_oracle_calls():
 
 
 def test_decide_full_v_mode():
-    lang = ToyLanguage(2, {"00", "01", "10"})
+    lang = ToyLanguage(2, {0b00, 0b01, 0b10})
     a = ideal_or_compression(lang, 4)
     advice = build_advice(lang, a)
     assert advice.mode == "FULL_V"
-    assert not decide("11", advice, a)
-    assert decide("00", advice, a)
+    assert not decide(0b11, advice, a)
+    assert decide(0b00, advice, a)
 
 
 def test_decide_length_mismatch():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     advice = build_advice(lang, a)
     with pytest.raises(ValueError, match="length"):
-        decide("01", advice, a)
+        decide(0b1000, advice, a)
 
 
 def test_query_batch_is_oracle_independent():
-    lang = ToyLanguage(3, {"101"})
+    lang = ToyLanguage(3, {0b101})
     a = ideal_or_compression(lang, 4)
     advice = build_advice(lang, a)
-    for v in lang.universe():
+    for v in range(2**lang.n):
         if any(v in g for g in advice.elements):
             continue
         first = queries_for(v, advice, a, Delta=1, delta=0.5)
@@ -157,7 +157,7 @@ def test_yes_sensitivity_over_built_advice():
     for n in (3, 4):
         for _ in range(5):
             lang = ToyLanguage.random(n, seed=int(rng.integers(0, 2**31)))
-            if not lang.yes_instances() or len(lang.no_instances()) <= 4:
+            if not len(lang.yes_instances()) or len(lang.no_instances()) <= 4:
                 continue
             a = noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
             advice = build_advice(lang, a)
@@ -172,7 +172,7 @@ def test_yes_sensitivity_over_built_advice():
 
 
 def test_domination_soundness_over_built_advice():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     delta = 0.5
     advice = build_advice(lang, a, delta=delta)
@@ -184,14 +184,14 @@ def test_domination_soundness_over_built_advice():
 
 
 def test_oracle_policy_independence():
-    lang = ToyLanguage(3, {"011", "111"})
+    lang = ToyLanguage(3, {0b011, 0b111})
     a = ideal_or_compression(lang, 4)
     delta, big = 0.5, 1
     advice = build_advice(lang, a, delta=delta)
-    baseline = {v: decide(v, advice, a, big, delta) for v in lang.universe()}
+    baseline = {v: decide(v, advice, a, big, delta) for v in range(2**lang.n)}
     for theta in (0.50001, 0.6, 0.75, 0.9, 1.0):
         oracle = threshold_oracle(theta)
-        for v in lang.universe():
+        for v in range(2**lang.n):
             assert decide(v, advice, a, big, delta, oracle=oracle) == baseline[v]
 
 
@@ -199,7 +199,7 @@ def test_oracle_policy_independence():
 
 
 def test_audit_examples():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 4)
     report = audit_language(lang, a)
     assert report.agreement == 1.0
@@ -238,9 +238,9 @@ def test_audit_builds_one_batch_per_hit_class(monkeypatch, make):
     assert sum(report.query_tags.values()) > 2 * report.advice_size
 
 
-def test_audit_formats_the_universe_once(monkeypatch):
-    # the advice reads the no-instances and the audit then walks every
-    # input; both come from one formatted universe
+def test_audit_formats_no_vertex_string(monkeypatch):
+    # the advice, the decisions and the comparison with the membership
+    # table all work on ids; an agreeing audit writes no n-bit string
     n = 5
     lang = ToyLanguage.random(n, seed=3)
     a = ideal_or_compression(lang, 3)
@@ -254,18 +254,18 @@ def test_audit_formats_the_universe_once(monkeypatch):
     monkeypatch.setattr(compression_module, "format", counting_format, raising=False)
     report = audit_language(lang, a)
     assert report.agreement == 1.0 and report.advice_mode == "DOMSET"
-    assert sorted(formatted) == list(range(2**n))
+    assert formatted == []
 
 
 def test_audit_rejects_empty_promise_gap():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 4)
     with pytest.raises(ValueError, match="empty promise gap"):
         audit_language(lang, a, Delta=0.5, delta=0.6)
 
 
 def test_audit_all_yes_language():
-    lang = ToyLanguage(3, set(format(i, "03b") for i in range(8)))
+    lang = ToyLanguage(3, range(8))
     a = ideal_or_compression(lang, 4)
     report = audit_language(lang, a)
     assert report.advice_mode == "FULL_V" and report.advice_size == 0
@@ -276,18 +276,18 @@ def test_audit_all_yes_language():
 
 
 def test_block_advice_requires_deterministic_compression():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     noisy = noisy_or_compression(lang, 2, e_s=F(1, 4), e_c=0, coin_bits=2)
     with pytest.raises(ValueError, match="deterministic"):
         build_block_advice(lang, noisy, 2, 2, delta=0.5)
 
 
 def test_block_decide_micro():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 2)
     advice = build_block_advice(lang, a, 2, 2, delta=0.5)
     assert advice.mode == "DOMSET"
-    assert decide("111", advice, a, delta=0.5)
+    assert decide(0b111, advice, a, delta=0.5)
     for v in lang.no_instances():
         assert not decide(v, advice, a, delta=0.5)
     # members reject without oracle calls
@@ -298,7 +298,7 @@ def test_block_decide_micro():
 
 
 def test_block_audit_micro():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 2)
     report = audit_language(lang, a, mode="tlogt", block_size=2, delta=0.5)
     assert report.agreement == 1.0
@@ -308,25 +308,25 @@ def test_block_audit_micro():
 
 
 def test_block_audit_needs_explicit_delta():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 2)
     with pytest.raises(ValueError, match="delta"):
         audit_language(lang, a, mode="tlogt", block_size=2)
 
 
 def test_block_queries_oracle_independent():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 2)
     advice = build_block_advice(lang, a, 2, 2, delta=0.5)
-    v = "111"
+    v = 0b111
     assert block_queries_for(v, advice, a, 1, 0.5) == block_queries_for(v, advice, a, 1, 0.5)
 
 
 def test_block_batch_carries_the_callers_Delta():
-    lang = ToyLanguage(3, {"111"})
+    lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 2)
     advice = build_block_advice(lang, a, 2, 2, delta=0.5)
-    outside = [v for v in lang.universe() if v not in advice.member_elements]
+    outside = [v for v in range(2**lang.n) if v not in advice.member_elements]
     assert outside
     for v in outside:
         _, batch = decide_with_queries(v, advice, a, Delta=0.6, delta=0.5)

@@ -10,6 +10,7 @@ from the edge size up, so a step with exactly k or k + 1 remaining vertices
 import math
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -70,7 +71,7 @@ def hit_count_cases(draw):
     language = ToyLanguage.random(n, seed=draw(st.integers(0, 10**6)))
     # no-instances plus t - 1 yes-instances: every edge holds a no-instance,
     # so every selection is defined, and some are not the least element
-    pool = language.no_instances() + language.yes_instances()[: t - 1]
+    pool = np.concatenate([language.no_instances(), language.yes_instances()[: t - 1]])
     most = max(n for n in range(len(pool) + 1) if math.comb(n, t) <= MAX_EDGES)
     size = draw(st.integers(min(t, most), most))
     assume(size > 0)
@@ -87,6 +88,6 @@ def test_hit_count_scan_matches_per_edge_greedy(case):
     else:
         a = ideal_or_compression(language, t)
     delta = pinsker_threshold(1, t)
-    expected = reference_greedy(reference_compression(a, vertices, t, delta))
-    for got in _greedy_at_every_chunk(selector_from_compression(a, vertices, t, delta)):
+    expected = reference_greedy(reference_compression(a, vertices, t, delta, language.n))
+    for got in _greedy_at_every_chunk(selector_from_compression(a, vertices, t, delta, language.n)):
         assert got == expected

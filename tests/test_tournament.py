@@ -25,6 +25,7 @@ from compresslab.tournament import (
     DominatingSearchError,
     _domination,
     _member_rows,
+    _positions,
     block_conditioned_distributions,
     partition_blocks,
 )
@@ -33,7 +34,12 @@ F = Fraction
 
 
 def _single_yes(n):
-    return ToyLanguage(n, {"1" * n})
+    return ToyLanguage(n, {2**n - 1})
+
+
+def _select(s, e):
+    """Selected id of an edge of ids, asked through the bit-string boundary."""
+    return int(s.select([format(v, f"0{s.vertex_bits}b") for v in e]), 2)
 
 
 # -- selectors -----------------------------------------------------------------
@@ -42,35 +48,35 @@ def _single_yes(n):
 def test_selector_all_no_edge_picks_minimum():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 3)
-    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.5)
+    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.5, vertex_bits=lang.n)
     assert s.select(("010", "000", "001")) == "000"
 
 
 def test_selector_skips_planted_yes_instance():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 3)
-    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.5)
+    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.5, vertex_bits=lang.n)
     # an edge with exactly one yes-instance: its removal/insertion laws are
     # at distance one, so it can never be selected
-    for edge in [("111", "000", "001"), ("010", "111", "011")]:
-        rest = tuple(w for w in edge if w != "111")
+    for edge in [(0b111, 0b000, 0b001), (0b010, 0b111, 0b011)]:
+        rest = tuple(w for w in edge if w != 0b111)
         left = a.subset_output_distribution(rest)
-        right = a.subset_output_distribution(rest, forced=("111",))
+        right = a.subset_output_distribution(rest, forced=(0b111,))
         assert statistical_distance(left, right) == 1
-        assert s.select(edge) != "111"
+        assert _select(s, edge) != 0b111
 
 
 def test_selector_singleton_edge():
     lang = _single_yes(2)
     a = ideal_or_compression(lang, 1)
-    s = selector_from_compression(a, lang.no_instances(), 1, delta=0.5)
+    s = selector_from_compression(a, lang.no_instances(), 1, delta=0.5, vertex_bits=lang.n)
     assert s.select(("01",)) == "01"
 
 
 def test_selector_undefined():
-    lang = ToyLanguage(2, {"10", "11"})
+    lang = ToyLanguage(2, {0b10, 0b11})
     a = ideal_or_compression(lang, 2)
-    s = selector_from_compression(a, ("00", "01"), 2, delta=0.3)
+    s = selector_from_compression(a, (0b00, 0b01), 2, delta=0.3, vertex_bits=lang.n)
     with pytest.raises(SelectorUndefinedError):
         s.select(("10", "11"))  # two yes-instances, both sensitive
 
@@ -93,7 +99,7 @@ def test_selection_is_order_invariant():
 def test_greedy_single_vertex():
     s = random_tournament(1, 2, seed=0)
     dom = greedy_dominating_set(s)
-    assert dom.elements == (("0",),)
+    assert dom.elements == ((0b0,),)
     assert dom.size <= 2 * math.log2(2)
 
 
@@ -105,8 +111,8 @@ def test_greedy_ordinary_tournaments():
         ok, undominated = verify_domination(s, dom)
         assert ok, undominated
         # brute-force domination check, independent of the helper
-        for v in s.vertices:
-            assert any(v in g or (len(g) == 1 and s.select(g + (v,)) == v) for g in dom.elements)
+        for v in s.ids.tolist():
+            assert any(v in g or (len(g) == 1 and _select(s, g + (v,)) == v) for g in dom.elements)
 
 
 def test_greedy_trace_and_size_bounds():
@@ -126,7 +132,7 @@ def test_greedy_trace_and_size_bounds():
 def test_greedy_ideal_or_tournament():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 3)
-    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.5)
+    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.5, vertex_bits=lang.n)
     dom = greedy_dominating_set(s)
     # the minimum-selection rule lets the lexicographically largest pair
     # dominate every vertex at once
@@ -154,20 +160,20 @@ def _dominated_by(s, g, v):
         return True
     if len(g) != s.edge_size - 1:
         return False
-    return s.select(g + (v,)) == v
+    return _select(s, g + (v,)) == v
 
 
 def test_verify_domination_reports_missing():
     s = random_tournament(8, 2, seed=3)
     dom = greedy_dominating_set(s)
-    empty = DominatingSet(2, dom.vertex_bits, (), (len(s.vertices),))
+    empty = DominatingSet(2, dom.vertex_bits, (), (len(s.ids),))
     ok, undominated = verify_domination(s, empty)
-    assert not ok and set(undominated) == set(s.vertices)
+    assert not ok and set(undominated) == set(s.ids.tolist())
     # drop one member: whatever only it dominated must resurface
     assert dom.size > 1
     clipped = DominatingSet(2, dom.vertex_bits, dom.elements[:-1], dom.trace)
     expected = [
-        v for v in s.vertices if not any(_dominated_by(s, g, v) for g in clipped.elements)
+        v for v in s.ids.tolist() if not any(_dominated_by(s, g, v) for g in clipped.elements)
     ]
     ok, undominated = verify_domination(s, clipped)
     assert undominated == expected
@@ -176,23 +182,26 @@ def test_verify_domination_reports_missing():
 
 
 def test_domination_matrix_matches_its_definition():
-    # members enter as index rows (-1 for a string that is no vertex); every
-    # entry must equal the per-pair definition, for members holding vertices
-    # outside the checked rows or strings that are no vertex at all, short
-    # members, members not in sorted order, checked subsets and repeated rows
+    # members enter as index rows; every entry must equal the per-pair
+    # definition, for members holding vertices outside the checked rows,
+    # short members, members not in sorted order, checked subsets and
+    # repeated rows.  An id that is no vertex is refused
     s = random_tournament(16, 4, seed=2)
     dom = greedy_dominating_set(s)
-    vs = s.vertices
-    members = dom.elements + (
-        (vs[0], "no-vertex"), ("no-vertex", vs[9]), vs[5:6], (vs[1], vs[2], vs[3]), (vs[12], vs[7], vs[10])
-    )
+    vs = s.ids.tolist()
+    members = dom.elements + (vs[5:6], (vs[1], vs[2], vs[3]), (vs[12], vs[7], vs[10]))
     extended = DominatingSet(4, dom.vertex_bits, members, dom.trace)
     for rows in (vs, vs[::3], vs[4:9] + vs[4:6]):
         want = [[_dominated_by(s, g, v) for g in members] for v in rows]
-        assert _domination(s, _member_rows(s, members), s.indices(rows)).tolist() == want
-        ok, undominated = verify_domination(s, extended, rows)
-        assert undominated == [v for v, hits in zip(rows, want) if not any(hits)]
-        assert ok == (not undominated)
+        assert _domination(s, _member_rows(s, members), _positions(s, rows)).tolist() == want
+    ok, undominated = verify_domination(s, extended)
+    assert undominated == [v for v in vs if not any(_dominated_by(s, g, v) for g in members)]
+    assert ok == (not undominated)
+    for member in ((vs[0], 16), (-1, vs[9])):
+        with pytest.raises(ValueError, match="not a vertex"):
+            _member_rows(s, [member])
+    with pytest.raises(ValueError, match="not a vertex"):
+        _positions(s, [vs[3], 16])
 
 
 def test_dominating_set_json_round_trip():
@@ -207,23 +216,23 @@ def test_dominating_set_json_round_trip():
 
 
 def test_partition_blocks():
-    blocks = partition_blocks(("11", "00", "01", "10"), 2)
-    assert blocks == (("00", "01"), ("10", "11"))
+    blocks = partition_blocks((0b11, 0b00, 0b01, 0b10), 2)
+    assert blocks == ((0b00, 0b01), (0b10, 0b11))
     with pytest.raises(ValueError, match="split"):
-        partition_blocks(("00", "01", "10"), 2)
+        partition_blocks((0b00, 0b01, 0b10), 2)
 
 
 def test_block_distributions_micro():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 2)
-    blocks = (("000", "001"), ("010", "011"))
-    left, right = block_conditioned_distributions(a, blocks, "001")
+    blocks = ((0b000, 0b001), (0b010, 0b011))
+    left, right = block_conditioned_distributions(a, blocks, 0b001)
     # oracle: enumerate the block choices by hand; everything is a no-set
     assert left.as_dict() == {"0": 1}
     assert right.as_dict() == {"0": 1}
     # plant the yes-instance in a block
-    blocks_yes = (("000", "111"), ("010", "011"))
-    left, right = block_conditioned_distributions(a, blocks_yes, "111")
+    blocks_yes = ((0b000, 0b111), (0b010, 0b011))
+    left, right = block_conditioned_distributions(a, blocks_yes, 0b111)
     assert left.as_dict() == {"0": 1}
     assert right.as_dict() == {"1": 1}
     assert statistical_distance(left, right) == 1
@@ -232,34 +241,34 @@ def test_block_distributions_micro():
 def test_block_selector_examples():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 2)
-    all_no = (("000", "001"), ("010", "011"))
-    assert block_selector(a, all_no, delta=0.5) == "000"
-    with_yes = (("000", "111"), ("010", "011"))
-    assert block_selector(a, with_yes, delta=0.5) != "111"
+    all_no = ((0b000, 0b001), (0b010, 0b011))
+    assert block_selector(a, all_no, delta=0.5) == 0b000
+    with_yes = ((0b000, 0b111), (0b010, 0b011))
+    assert block_selector(a, with_yes, delta=0.5) != 0b111
     # degenerate: one block, two no-instances, arity-one compression
     a1 = ideal_or_compression(lang, 1)
-    assert block_selector(a1, (("000", "001"),), delta=0.5) == "000"
+    assert block_selector(a1, ((0b000, 0b001),), delta=0.5) == 0b000
 
 
 def test_block_selector_disjointness_validation():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 2)
     with pytest.raises(ValueError, match="disjoint"):
-        block_selector(a, (("000", "001"), ("001", "010")), delta=0.5)
+        block_selector(a, ((0b000, 0b001), (0b001, 0b010)), delta=0.5)
 
 
 def test_block_tournament_dominates():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 2)
-    s = block_tournament(a, lang.no_instances(), 2, 2, delta=0.5)
+    s = block_tournament(a, lang.no_instances(), 2, 2, delta=0.5, vertex_bits=3)
     assert s.edge_size == 4
     dom = greedy_dominating_set(s)
     assert verify_domination(s, dom)[0]
 
 
 def test_noisy_selector_distances_are_zero_on_no_edges():
-    lang = ToyLanguage(4, {"1111"})
+    lang = ToyLanguage(4, {0b1111})
     a = noisy_or_compression(lang, 3, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
-    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.3)
-    for e in combinations(lang.no_instances()[:6], 3):
-        assert s.select(e) == min(e)
+    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.3, vertex_bits=lang.n)
+    for e in combinations(lang.no_instances()[:6].tolist(), 3):
+        assert _select(s, e) == min(e)
