@@ -8,26 +8,37 @@ output distribution.  Greedy construction then yields a dominating set of
 (k-1)-subsets of size at most k*log2|V|: every vertex either sits inside
 some member or is selected when appended to one.
 
-Each exhaustive greedy step scans every edge inside the undominated set,
-first element major.  An edge is a first position c followed by a suffix, a
-(k-1)-subset of the later positions.  In the lexicographic list of all
-(k-1)-subsets, the suffixes that may follow c are the last C(|R|-1-c, k-1)
-rows, so each c scans one contiguous, lexicographically ascending slice,
-and the scan as a whole visits the edges in lexicographic order.  A
-tournament summarises each suffix once per step
+An exhaustive greedy step counts, for every candidate member g (a
+(k-1)-subset of the undominated set R), the vertices v of R that g + (v,)
+selects.  For a general tournament the counts come from a scan of every
+edge inside R, first element major.  An edge is a first position c followed
+by a suffix, a (k-1)-subset of the later positions.  In the lexicographic
+list of all (k-1)-subsets, the suffixes that may follow c are the last
+C(|R|-1-c, k-1) rows, so each c scans one contiguous, lexicographically
+ascending slice, and the scan as a whole visits the edges in lexicographic
+order.  A tournament summarises each suffix once per step
 (:meth:`HypergraphTournament.suffix_state`) and then selects in every edge
 from its first vertex and its suffix's state
 (:meth:`HypergraphTournament.extend`).  The random tournament mixes an edge
 by Horner's rule modulo M = 2**61 - 1, h = sum_i key_i * P**(k-1-i) mod M,
 which splits as h = (key_c * P**(k-1) + H(suffix)) mod M: the state is the
 suffix's Horner value H and each edge costs one addition and one reduction.
-A hit-count selector's choice depends on the suffix and the first vertex's
-hit bit only, so its state is the selected position for either bit.
+
+The selector tournament of a hit-count compression on vertices of one hit
+bit needs no edge scan.  An element qualifies by its own hit bit and its
+edge's hit count alone, and these are the same for every element of every
+edge, so one verdict says whether every edge selects its first vertex.  A
+candidate then charges the vertices of R before its first vertex
+(:meth:`_HitCountTournament.candidate_counts`), and a member dominates the
+vertices before its first one (:meth:`_HitCountTournament.dominated`).
+Vertex sets of both hit bits, which no reduction builds, and tables where
+that verdict fails take the general scan.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -69,13 +80,14 @@ class HypergraphTournament:
     canonical edge, an ascending tuple of ids, and returns the selected id.
     Batches of edges are numpy rows of vertex indices: positions in ``ids``,
     increasing along each row, so index order is id order and a row is a
-    canonical edge.  The greedy scan selects through a state and extend
-    pair: :meth:`suffix_state` summarises the last k-1 columns of each row
-    and :meth:`extend` selects from that summary and the row's first
-    vertex.  By default the state is the suffix rows themselves and
-    :meth:`extend` hands the full rows to :meth:`select_rows`, which asks
-    the per-edge selector once per row; tournaments with a vectorised
-    selector override all three.
+    canonical edge.  :meth:`select_rows` asks the per-edge selector once per
+    row.  The greedy's edge scan selects through a state and extend pair:
+    :meth:`suffix_state` summarises the last k-1 columns of each row and
+    :meth:`extend` selects from that summary and the row's first vertex; by
+    default the state is the suffix rows themselves, handed back to
+    :meth:`select_rows`.  Tournaments with a vectorised selector override
+    these, or the greedy's counts and the domination check themselves
+    (:meth:`candidate_counts`, :meth:`dominated`).
 
     Bit strings appear only in :attr:`vertices` and :meth:`select`, the form
     in which reports name vertices.
@@ -98,9 +110,13 @@ class HypergraphTournament:
     def select(self, e: Sequence[str]) -> str:
         """Selected vertex of an edge of vertex_bits-bit strings; the edge is
         canonicalized first."""
-        ids = canonical_set(parse_bits(v, self.vertex_bits) for v in e)
+        text = {parse_bits(v, self.vertex_bits): v for v in e}
+        ids = canonical_set(text)
         if len(ids) != self.edge_size:
             raise ValueError(f"edge has {len(ids)} distinct vertices, expected {self.edge_size}")
+        outside = [v for v in ids if (i := bisect_left(self.ids, v)) == len(self.ids) or self.ids[i] != v]
+        if outside:
+            raise ValueError(f"{text[outside[0]]!r} is not a vertex of the tournament")
         return bits_label(ids[self._position(ids)], self.vertex_bits)
 
     def select_rows(self, rows: np.ndarray) -> np.ndarray:
@@ -123,6 +139,56 @@ class HypergraphTournament:
         precedes every vertex of its suffix, so it is position 0.
         """
         return self.select_rows(np.column_stack([np.broadcast_to(first, len(state)), state]))
+
+    def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
+        """counts[i]: the vertices v of `remaining` outside candidate i whose
+        edge candidate + (v,) selects v.
+
+        Candidate i is the i-th (k-1)-subset of positions in `remaining`
+        (ascending vertex indices) in lexicographic order; binom[j, c] =
+        C(c, j).  An edge without a selection raises through the per-edge
+        selector, at the lexicographically first such edge.  By default
+        every edge inside `remaining` is scanned (:func:`_edge_scan_counts`).
+        """
+        return _edge_scan_counts(self, remaining, binom)
+
+    def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
+        """dom[j]: some member dominates vertex index vs[j].
+
+        Members are ascending rows of vertex indices (see
+        :func:`_member_rows`).  A member dominates its own elements and,
+        when it has k-1 elements, every v whose edge member + (v,) selects
+        v.  Every pair of a vertex and a (k-1)-member without it is
+        selected, in one batch, so an edge without a selection raises
+        through the per-edge selector at the first such pair, vertex by
+        vertex and then member by member.
+        """
+        k = self.edge_size
+        # mark[i, x]: vertex x is an element of member i
+        mark = np.zeros((len(members), len(self.ids)), dtype=bool)
+        for i, g in enumerate(members):
+            mark[i, g] = True
+        dom = mark[:, vs].T
+        full = np.array([len(g) == k - 1 for g in members], dtype=bool)
+        vj, gi = np.nonzero(~dom & full)
+        if vj.size:
+            # g_pad[i]: member i of k-1 elements, then a spare -1
+            g_pad = np.full((len(members), k), -1, dtype=np.intp)
+            for i in np.flatnonzero(full).tolist():
+                g_pad[i, :-1] = members[i]
+            v_col = vs[vj]
+            # v's slot in its member, from one search: member i's elements keyed
+            # i * span + x are ascending over all members together
+            span = len(self.ids) + 1
+            keys = np.arange(len(members))[:, None] * span + g_pad[:, :-1]
+            slot = np.searchsorted(keys.ravel(), gi * span + v_col) - gi * (k - 1)
+            # the edge member + (v,) in ascending order: with v at slot s,
+            # position p < s holds member element p, position p > s element p - 1
+            lo = np.arange(k)
+            rows = g_pad[:, lo - (lo > lo[:, None])][gi, slot]
+            rows[np.arange(len(vj)), slot] = v_col
+            dom[vj, gi] = _selected(self, self.select_rows(rows), rows.__getitem__) == slot
+        return dom.any(axis=1)
 
     def _position(self, e: Edge) -> int:
         """Position of the per-edge selector's choice in the canonical edge e."""
@@ -159,25 +225,19 @@ def _selected(
     return positions
 
 
-class _StateTournament(HypergraphTournament):
-    """Tournament whose batches are selected from suffix states alone.
-
-    Its per-edge selector is kept as the definition and as the source of
-    errors: a batch marks an edge it cannot select in with position -1.
-    """
-
-    def select_rows(self, rows: np.ndarray) -> np.ndarray:
-        positions = self.extend(self.suffix_state(rows[:, 1:]), rows[:, 0])
-        return _selected(self, positions, rows.__getitem__)
-
-
-class _HitCountTournament(_StateTournament):
+class _HitCountTournament(HypergraphTournament):
     """Tournament of a hit-count compression's selector.
 
     An element qualifies by the law keys of its edge minus it, without and
-    with it forced in, and those depend only on its own hit bit and the
-    edge's hit count.  ``hit_member`` is the hit language's membership
-    vector, and ``verdict(keys)`` says whether a pair of keys qualifies.
+    with it forced in.  With its own hit bit b and H hits in the edge, those
+    are ((H - b, 0), (H - b, b)); ``hit_member`` is the hit language's
+    membership vector, and ``verdict(keys)`` says whether a pair of keys
+    qualifies.  When every vertex has the same bit b, every element of
+    every edge has the keys of (b, k*b), so one verdict decides the whole
+    tournament.  If it qualifies, every edge selects its first vertex, and
+    the greedy's counts and domination follow in closed form.  Otherwise,
+    and on vertex sets of both bits, the per-edge selector, kept as the
+    definition, answers through the general scan and batches.
     """
 
     def __init__(
@@ -190,48 +250,33 @@ class _HitCountTournament(_StateTournament):
         verdict: Callable[[tuple[Hashable, Hashable]], bool],
     ):
         super().__init__(ids, edge_size, selector, vertex_bits)
-        self._hits = hit_member[self.ids].astype(np.int8)
-        self._bits = np.flatnonzero(np.bincount(self._hits, minlength=2))  # bits vertices have
-        self._verdict = verdict
+        k = edge_size
+        hits = hit_member[self.ids]
+        b = int(hits[0]) if len(hits) else 0
+        # every edge selects its first vertex
+        self._first = len(hits) >= k and bool((hits == b).all()) and verdict(((k * b - b, 0), (k * b - b, b)))
 
-    def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
-        """(S, 2): the position selected when the first vertex has hit bit
-        0 or 1, or -1 where no element qualifies or no vertex has that bit
-        (so no verdict is asked for an edge that cannot occur)."""
-        hits = self._hits[suffixes]
-        m = hits.shape[1]
-        total = np.count_nonzero(hits, axis=1)
-        # an element with hit bit `own` in an edge of h hits leaves a ground
-        # set of h - own hits and brings `own` when forced, so its law keys
-        # are ((h - own, 0), (h - own, own)), coded 2 * (h - own) + own, and
-        # all elements of one bit qualify alike.  The first vertex (bit b) is
-        # selected when its bit qualifies, else the first suffix element of
-        # the other bit when that bit does.  With h = total + b the codes are
-        # 2 * total + b for bit b and 2 * total + 3 * b - 1 for the other.
-        present = np.zeros(2 * self.edge_size + 2, dtype=bool)
-        cases = []
-        for b in self._bits.tolist():
-            own, other, later = 2 * total + b, None, None
-            present[own] = True
-            if 1 - b in self._bits:
-                marks = np.ones((len(hits), m + 1), dtype=bool)  # last column: none
-                marks[:, :m] = hits == 1 - b
-                later = 1 + marks.argmax(axis=1)
-                other = np.where(later <= m, 2 * total + 3 * b - 1, -1)
-                present[other[other >= 0]] = True
-            cases.append((b, own, other, later))
-        table = np.zeros(present.size, dtype=bool)
-        for c in np.flatnonzero(present).tolist():
-            table[c] = self._verdict(((c // 2, 0), (c // 2, c % 2)))
-        state = np.full((len(hits), 2), -1, dtype=np.min_scalar_type(-self.edge_size))
-        for b, own, other, later in cases:
-            if other is not None:
-                state[:, b] = np.where((other >= 0) & table[other], later, -1)
-            state[table[own], b] = 0
-        return state
+    def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
+        """When every edge selects its first vertex, each candidate's first
+        position in `remaining`: g + (v,) selects v exactly when v precedes
+        g's first vertex.  The empty candidate, for k = 1, selects every v."""
+        if not self._first:
+            return super().candidate_counts(remaining, binom)
+        m, size = self.edge_size - 1, len(remaining)
+        if not m:
+            return np.array([size])
+        c = np.arange(size - m + 1)
+        return np.repeat(c, binom[m - 1, size - 1 - c])  # the candidates beginning at c
 
-    def extend(self, state: np.ndarray, first: np.ndarray | np.integer) -> np.ndarray:
-        return state[np.arange(len(state)), self._hits[first]]
+    def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
+        """When every edge selects its first vertex, membership, and for
+        each (k-1)-member the v before its first vertex (every v, for
+        k = 1)."""
+        if not self._first:
+            return super().dominated(members, vs)
+        dom = np.isin(vs, np.concatenate([np.empty(0, dtype=np.intp), *members]))
+        firsts = [g[0] if len(g) else len(self.ids) for g in members if len(g) == self.edge_size - 1]
+        return dom | (vs < max(firsts)) if firsts else dom
 
 
 def selector_from_compression(
@@ -246,8 +291,9 @@ def selector_from_compression(
     no-instances and that delta is at least the sensitivity ceiling, which
     together guarantee a qualifying element exists.
 
-    Hit-count compressions select whole batches at once from each vertex's
-    hit bit; other compressions are asked edge by edge.
+    Hit-count compressions on vertices of one hit bit are decided by one
+    verdict (see :class:`_HitCountTournament`); other tournaments are asked
+    edge by edge.
     """
     if edge_size > a.arity:
         raise ValueError("edge size exceeds the compression arity")
@@ -305,10 +351,11 @@ def _horner(keys: np.ndarray) -> np.ndarray:
     return h
 
 
-class _RandomTournament(_StateTournament):
+class _RandomTournament(HypergraphTournament):
     """Tournament selecting position h mod k of an edge, where h mixes the
     vertex keys of the (canonically sorted) edge by Horner's rule mod M;
-    vertex v has key keys[v]."""
+    vertex v has key keys[v].  The per-edge selector is kept as the
+    definition; batches select from suffix states alone."""
 
     def __init__(self, keys: Sequence[int], edge_size: int):
         keys = [int(key) for key in keys]
@@ -324,6 +371,9 @@ class _RandomTournament(_StateTournament):
         self._keys = np.array(keys, dtype=np.uint64)
         scale = pow(_P, edge_size - 1, _M)
         self._lead = np.array([key * scale % _M for key in keys], dtype=np.uint64)
+
+    def select_rows(self, rows: np.ndarray) -> np.ndarray:
+        return self.extend(self.suffix_state(rows[:, 1:]), rows[:, 0])
 
     def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
         """The Horner value of each suffix's keys."""
@@ -406,47 +456,9 @@ SCAN_CHUNK = 4096
 EXHAUSTIVE_EDGE_LIMIT = 2**24
 
 
-def _domination(
-    tournament: HypergraphTournament, members: Sequence[np.ndarray], vs: np.ndarray
-) -> np.ndarray:
-    """dom[j, i]: member i dominates vertex index vs[j], from one batch of
-    selections.
-
-    Members are rows of vertex indices (see :func:`_member_rows`); a row of
-    k-1 indices is ascending.  A member dominates its own elements and,
-    when it has k-1 elements, every v whose edge member + (v,) selects v.
-    """
-    k = tournament.edge_size
-    # mark[i, x]: vertex x is an element of member i
-    mark = np.zeros((len(members), len(tournament.ids)), dtype=bool)
-    for i, g in enumerate(members):
-        mark[i, g] = True
-    dom = mark[:, vs].T
-    full = np.array([len(g) == k - 1 for g in members], dtype=bool)
-    vj, gi = np.nonzero(~dom & full)
-    if vj.size:
-        # g_pad[i]: member i of k-1 elements, then a spare -1
-        g_pad = np.full((len(members), k), -1, dtype=np.intp)
-        for i in np.flatnonzero(full).tolist():
-            g_pad[i, :-1] = members[i]
-        v_col = vs[vj]
-        # v's slot in its member, from one search: member i's elements keyed
-        # i * span + x are ascending over all members together
-        span = len(tournament.ids) + 1
-        keys = np.arange(len(members))[:, None] * span + g_pad[:, :-1]
-        slot = np.searchsorted(keys.ravel(), gi * span + v_col) - gi * (k - 1)
-        # the edge member + (v,) in ascending order: with v at slot s,
-        # position p < s holds member element p, position p > s element p - 1
-        lo = np.arange(k)
-        rows = g_pad[:, lo - (lo > lo[:, None])][gi, slot]
-        rows[np.arange(len(vj)), slot] = v_col
-        dom[vj, gi] = _selected(tournament, tournament.select_rows(rows), rows.__getitem__) == slot
-    return dom
-
-
 def _member_rows(tournament: HypergraphTournament, members: Sequence[Edge]) -> list[np.ndarray]:
     """Ascending index rows of dominating-set members of vertex ids, for
-    :func:`_domination`."""
+    :meth:`HypergraphTournament.dominated`."""
     return [np.sort(_positions(tournament, g)) for g in members]
 
 
@@ -509,13 +521,10 @@ def _scan_pieces(lengths: np.ndarray, total: int) -> Iterator[tuple[np.ndarray, 
             yield c, total - lengths[c], np.full(len(c), total)
 
 
-def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndarray) -> np.ndarray:
+def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
     # One pass over all edges inside the remaining set: the edge e with
-    # selected vertex v certifies that e minus v dominates v.  Every edge
-    # charges exactly one candidate, so max count + (k-1) is the best
-    # domination total.  Candidates, the (k-1)-subsets of positions in
-    # `remaining`, are counted under their lexicographic index, so the first
-    # maximum is also the lexicographically least.
+    # selected vertex v certifies that e minus v dominates v, so every edge
+    # charges exactly one candidate.
     #
     # The candidates double as the suffixes of the first-element-major scan
     # (module docstring): first position c is followed by the suffixes
@@ -530,10 +539,8 @@ def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndar
     # starting at its first positions followed by its suffix range.
     k = tournament.edge_size
     m, size = k - 1, len(remaining)
-    check_enumeration(math.comb(size, k), "greedy edge scan")
     total = math.comb(size, m)
     shorter = math.comb(size, m - 1) if m else 0  # (m-1)-subsets, the range of a dropped rank
-    binom = np.array([[math.comb(x, j) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
     ranks = np.zeros((total, k), dtype=np.min_scalar_type(shorter))
     state = None
     for lo in range(0, total, SCAN_CHUNK):
@@ -575,6 +582,19 @@ def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndar
         counts[base : base + width] += hits[:width]
         counts[s_lo:s_hi] += hits[width:]
         del at, picked, charged, hits  # before the next piece allocates its own
+    return counts
+
+
+def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndarray) -> np.ndarray:
+    # Candidates, the (k-1)-subsets of positions in `remaining`, are counted
+    # under their lexicographic index, so the first maximum is also the
+    # lexicographically least, and max count + (k-1) is the best domination
+    # total.
+    k = tournament.edge_size
+    m, size = k - 1, len(remaining)
+    check_enumeration(math.comb(size, k), "greedy edge scan")
+    binom = np.array([[math.comb(x, j) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
+    counts = tournament.candidate_counts(remaining, binom)
     best = int(counts.max())
     need = -(-size // k)  # ceil(|R| / k)
     if best + (k - 1) < need:
@@ -589,7 +609,9 @@ def _best_member_sampled(
     remaining: np.ndarray,
     rng: np.random.Generator,
     cap_factor: int,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first sampled member that dominates a 1/k fraction of
+    `remaining`, with the mask of the vertices it dominates."""
     k = tournament.edge_size
     need = -(-len(remaining) // k)
     cap = cap_factor * k * len(remaining)
@@ -597,9 +619,10 @@ def _best_member_sampled(
     for _ in range(cap):
         picks = rng.choice(len(remaining), size=k - 1, replace=False)
         g = np.sort(remaining[picks])
-        dominated = int(_domination(tournament, [g], remaining).sum())
+        dom = tournament.dominated([g], remaining)
+        dominated = int(np.count_nonzero(dom))
         if dominated >= need:
-            return g
+            return g, dom
         best_fraction = max(best_fraction, dominated / len(remaining))
     raise DominatingSearchError(
         f"no sampled member reached a 1/{k} domination fraction within {cap} samples; "
@@ -632,7 +655,9 @@ def greedy_dominating_set(
     remaining = np.arange(len(ids))  # vertex indices, ascending
     elements: list[Edge] = []
     trace = [len(ids)]
-    while len(remaining):
+    bound = k * math.log2(max(len(ids), 2))
+    # a step that dominates nothing, against the counts, ends at the bound
+    while len(remaining) and len(elements) <= bound + 1e-9:
         if len(remaining) < k:
             outside = np.ones(len(ids), dtype=bool)
             outside[remaining] = False
@@ -645,12 +670,12 @@ def greedy_dominating_set(
             and math.comb(len(remaining), k) <= EXHAUSTIVE_EDGE_LIMIT
         ):
             g = _best_member_exhaustive(tournament, remaining)
+            dom = tournament.dominated([g], remaining)
         else:
-            g = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)
+            g, dom = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)
         elements.append(tuple(ids[g].tolist()))
-        remaining = remaining[~_domination(tournament, [g], remaining)[:, 0]]
+        remaining = remaining[~dom]
         trace.append(len(remaining))
-    bound = k * math.log2(max(len(ids), 2))
     if len(elements) > bound + 1e-9:
         raise InvariantError(f"{len(elements)} members exceed {bound}")
     return DominatingSet(k, tournament.vertex_bits, tuple(elements), tuple(trace))
@@ -659,7 +684,7 @@ def greedy_dominating_set(
 def verify_domination(tournament: HypergraphTournament, dominating: DominatingSet) -> tuple[bool, list[int]]:
     """Exhaustively check domination; returns (all dominated, undominated ids)."""
     rows = _member_rows(tournament, dominating.elements)
-    dominated = _domination(tournament, rows, np.arange(len(tournament.ids))).any(axis=1)
+    dominated = tournament.dominated(rows, np.arange(len(tournament.ids)))
     undominated = tournament.ids[~dominated].tolist()
     return not undominated, undominated
 

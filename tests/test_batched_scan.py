@@ -90,8 +90,8 @@ def reference_greedy(tournament):
             break
         counts = {}
         for e in combinations(remaining, k):
-            v = select(e)
-            g = tuple(w for w in e if w != v)
+            i = e.index(select(e))
+            g = e[:i] + e[i + 1 :]
             counts[g] = counts.get(g, 0) + 1
         g = min(counts, key=lambda g: (-counts[g], g))
         elements.append(g)

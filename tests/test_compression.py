@@ -296,6 +296,9 @@ def test_language_validation():
         ToyLanguage(3, {0b111}).is_yes(0b1000)
     with pytest.raises(ValueError):
         ToyLanguage(3, {0b111}).is_yes(-1)
+    for ids in ([0b111, 0b1000], [-1, 0b111], [0b1000]):
+        with pytest.raises(ValueError, match="is not an 3-bit id"):
+            ToyLanguage(3, {0b111}).count_yes(ids)
 
 
 def test_language_serialization():

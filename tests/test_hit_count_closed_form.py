@@ -1,0 +1,213 @@
+"""Property tests: hit-count tournaments against per-edge references.
+
+A hit-count tournament is built here directly from a random hit vector and a
+random qualify table Q[b, H] (an element of hit bit b in an edge of H hits
+qualifies when Q[b, H]), with no compression behind it.  On vertices of one
+hit bit b whose Q[b, k*b] holds it takes the closed form; otherwise it takes
+the general scan, where random tables give selections that are not the
+least element of their edge.  Unless a case patches them, some edges have
+no selection at all.  Its greedy members and trace, domination masks,
+verification and raised errors must equal those of the per-edge selector of
+the same table, asked edge by edge through the references of
+``test_batched_scan``.
+"""
+
+import math
+from itertools import combinations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from compresslab import (
+    DominatingSet,
+    HypergraphTournament,
+    SelectorUndefinedError,
+    greedy_dominating_set,
+    verify_domination,
+)
+from compresslab import tournament as tournament_module
+from compresslab.tournament import DominatingSearchError, _HitCountTournament
+from test_batched_scan import reference_greedy
+
+# vertex ids have this many bits; edges per greedy step stay small enough
+# for the per-edge reference
+VERTEX_BITS = 5
+MAX_EDGES = 1500
+
+
+class Case:
+    """A random table and hit vector, the hit-count tournament built from
+    them and the per-edge tournament of the same selector."""
+
+    def __init__(self, k, ids, hit_member, table):
+        self.k, self.table, self.hit_member = k, table, hit_member
+        self.asked = []
+
+        def verdict(keys):
+            (ground, _), (_, forced) = keys
+            self.asked.append((forced, ground + forced))
+            return bool(table[forced, ground + forced])
+
+        def selector(e):
+            hits = sum(int(hit_member[v]) for v in e)
+            for v in e:
+                if table[int(hit_member[v]), hits]:
+                    return v
+            raise SelectorUndefinedError(f"no element of {e!r} qualifies")
+
+        self.tournament = _HitCountTournament(ids, k, selector, VERTEX_BITS, hit_member, verdict)
+        self.reference = HypergraphTournament(ids, k, selector, VERTEX_BITS)
+
+    def feasible(self):
+        """(b, H) for every element of bit b of an edge of H hits inside the vertex set."""
+        bits = self.hit_member[self.tournament.ids]
+        out = set()
+        for e in combinations(bits.tolist(), self.k):
+            out.update((b, sum(e)) for b in e)
+        return out
+
+
+@st.composite
+def cases(draw, total=None):
+    k = draw(st.sampled_from([3, 2, 4, 5, 1]))
+    most = max(n for n in range(k, 2**VERTEX_BITS + 1) if math.comb(n, k) <= MAX_EDGES)
+    size = draw(st.integers(k, most))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ids = np.sort(rng.choice(2**VERTEX_BITS, size=size, replace=False))
+    # rates 0 and 1 give vertices of one bit, the closed form
+    hit_member = rng.random(2**VERTEX_BITS) < draw(st.sampled_from([0.0, 1.0, 0.5, 0.3, 0.7]))
+    # each bit qualifies at its own rate, so that often the first vertex's
+    # bit does not qualify and the other bit's first vertex is selected
+    rates = [[draw(st.sampled_from([0.1, 0.5, 0.9]))] for _ in range(2)]
+    table = rng.random((2, k + 1)) < rates
+    if total if total is not None else draw(st.booleans()):
+        # every edge selects: a lone bit qualifies, and where one bit does
+        # not, the other does
+        table[0, 0] = table[1, k] = True
+        flip = rng.random(k + 1) < 0.5
+        table[0, ~table[1] & flip] = True
+        table[1, ~table[0]] = True
+    return Case(k, ids, hit_member, table)
+
+
+def outcome(fn, *args, **kwargs):
+    """fn's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (SelectorUndefinedError, DominatingSearchError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_dominated(case, g, vs):
+    """Per pair: v is in g, or g has k - 1 elements and the edge g + (v,) selects v."""
+    ids = case.tournament.ids
+    g_ids = tuple(ids[g].tolist())
+    out = []
+    for v in ids[vs].tolist():
+        if v in g_ids:
+            out.append(True)
+        else:
+            out.append(len(g_ids) == case.k - 1 and case.reference._selector(tuple(sorted(g_ids + (v,)))) == v)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+def test_verdicts_are_asked_for_feasible_pairs_only(case):
+    assert len(case.asked) == len(set(case.asked))
+    assert set(case.asked) <= case.feasible()
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases())
+@example(Case(1, np.array([3, 9]), np.arange(32) % 2 == 1, np.array([[True, False], [False, True]])))
+@example(Case(1, np.array([3, 9]), np.arange(32) % 2 == 1, np.array([[True, False], [False, False]])))
+@example(Case(3, np.arange(8), np.arange(32) % 3 == 0, np.array([[False] * 4, [True] * 4])))
+def test_exhaustive_greedy_matches_per_edge_greedy(case):
+    # at three chunk sizes: one candidate per chunk, seven, and the default
+    expected = outcome(reference_greedy, case.reference)
+    saved = tournament_module.SCAN_CHUNK
+    try:
+        for chunk in (1, 7, saved):
+            tournament_module.SCAN_CHUNK = chunk
+            got = outcome(greedy_dominating_set, case.tournament)
+            if isinstance(got, DominatingSet):
+                got = got.elements, got.trace
+                assert verify_domination(case.tournament, greedy_dominating_set(case.tournament)) == (True, [])
+            assert got == expected
+    finally:
+        tournament_module.SCAN_CHUNK = saved
+
+
+@settings(max_examples=120, deadline=None)
+@given(cases(), st.integers(0, 2**16))
+def test_sampled_greedy_matches_per_edge_domination(case, seed):
+    # every step samples; the per-edge tournament checks each sample edge
+    # by edge, from the same draws
+    got = outcome(greedy_dominating_set, case.tournament, exhaustive_limit=0, seed=seed)
+    assert got == outcome(greedy_dominating_set, case.reference, exhaustive_limit=0, seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_dominated_matches_per_pair_definition(case, seed):
+    rng = np.random.default_rng(seed)
+    n = len(case.tournament.ids)
+    vs = np.flatnonzero(rng.random(n) < 0.7)  # ascending, as the greedy and verification pass them
+    for size in (case.k - 1, case.k - 1, max(0, case.k - 2), case.k):
+        g = np.sort(rng.choice(n, size=min(size, n), replace=False))
+        got = outcome(lambda: case.tournament.dominated([g], vs).tolist())
+        assert got == outcome(_reference_dominated, case, g, vs)
+
+
+def _reference_verification(case, members):
+    """Undominated ids, asking the per-edge selector about every pair of a
+    vertex and a (k-1)-member without it, vertex by vertex and then member
+    by member, so an edge without a selection raises at the first such
+    pair."""
+    undominated = []
+    for v in case.tournament.ids.tolist():
+        dominated = False
+        for g in members:
+            if v in g:
+                dominated = True
+            elif len(g) == case.k - 1:
+                dominated |= case.reference._selector(tuple(sorted(g + (v,)))) == v
+        if not dominated:
+            undominated.append(v)
+    return not undominated, undominated
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_verification_matches_per_pair_definition(case, seed):
+    # members of several sizes, in any order; each vertex is dominated when
+    # some member dominates it, and an edge without a selection raises
+    # whatever members before it dominate its vertex
+    rng = np.random.default_rng(seed)
+    ids = case.tournament.ids
+    members = tuple(
+        tuple(rng.choice(ids, size=min(s, len(ids)), replace=False).tolist())
+        for s in rng.integers(max(0, case.k - 2), case.k + 1, size=4)
+    )
+    dom = DominatingSet(case.k, VERTEX_BITS, members, (len(ids),))
+    assert outcome(verify_domination, case.tournament, dom) == outcome(_reference_verification, case, members)
+
+
+def test_closed_form_asks_no_verdict_for_an_absent_bit():
+    # every vertex has bit 0, as in the tournament of an OR on its
+    # no-instances: no pair of bit 1 occurs, nor more hits than 0
+    case = Case(3, np.arange(10), np.zeros(32, dtype=bool), np.ones((2, 4), dtype=bool))
+    assert case.asked == [(0, 0)]
+    # vertices of both bits take the general scan, which asks no verdict up front
+    assert Case(3, np.arange(10), np.arange(32) == 4, np.ones((2, 4), dtype=bool)).asked == []
+
+
+def test_closed_form_members_dominate_up_to_the_latest_first_vertex():
+    # every edge selects its first vertex: a vertex is dominated by any
+    # member whose first vertex comes after it, here by (8, 9) alone for 4-7
+    case = Case(3, np.arange(12), np.zeros(32, dtype=bool), np.ones((2, 4), dtype=bool))
+    members = ((8, 9), (2, 3))
+    dom = DominatingSet(3, VERTEX_BITS, members, (12,))
+    assert verify_domination(case.tournament, dom) == _reference_verification(case, members) == (False, [10, 11])

@@ -23,7 +23,6 @@ from compresslab import (
 )
 from compresslab.tournament import (
     DominatingSearchError,
-    _domination,
     _member_rows,
     _positions,
     block_conditioned_distributions,
@@ -55,7 +54,7 @@ def test_selector_all_no_edge_picks_minimum():
 def test_selector_skips_planted_yes_instance():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 3)
-    s = selector_from_compression(a, lang.no_instances(), 3, delta=0.5, vertex_bits=lang.n)
+    s = selector_from_compression(a, range(8), 3, delta=0.5, vertex_bits=lang.n)
     # an edge with exactly one yes-instance: its removal/insertion laws are
     # at distance one, so it can never be selected
     for edge in [(0b111, 0b000, 0b001), (0b010, 0b111, 0b011)]:
@@ -76,7 +75,7 @@ def test_selector_singleton_edge():
 def test_selector_undefined():
     lang = ToyLanguage(2, {0b10, 0b11})
     a = ideal_or_compression(lang, 2)
-    s = selector_from_compression(a, (0b00, 0b01), 2, delta=0.3, vertex_bits=lang.n)
+    s = selector_from_compression(a, (0b00, 0b01, 0b10, 0b11), 2, delta=0.3, vertex_bits=lang.n)
     with pytest.raises(SelectorUndefinedError):
         s.select(("10", "11"))  # two yes-instances, both sensitive
 
@@ -85,6 +84,16 @@ def test_selector_edge_size_validation():
     s = random_tournament(8, 3, seed=0)
     with pytest.raises(ValueError, match="expected 3"):
         s.select(("000", "001"))
+
+
+def test_select_names_a_string_that_is_no_vertex():
+    s = random_tournament(6, 3, seed=0)
+    with pytest.raises(ValueError, match="'111' is not a vertex"):
+        s.select(["000", "001", "111"])
+    lang = ToyLanguage(2, {0b10, 0b11})
+    t = selector_from_compression(ideal_or_compression(lang, 2), (0b00, 0b01), 2, delta=0.3, vertex_bits=2)
+    with pytest.raises(ValueError, match="'10' is not a vertex"):
+        t.select(("11", "10"))
 
 
 def test_selection_is_order_invariant():
@@ -193,7 +202,10 @@ def test_domination_matrix_matches_its_definition():
     extended = DominatingSet(4, dom.vertex_bits, members, dom.trace)
     for rows in (vs, vs[::3], vs[4:9] + vs[4:6]):
         want = [[_dominated_by(s, g, v) for g in members] for v in rows]
-        assert _domination(s, _member_rows(s, members), _positions(s, rows)).tolist() == want
+        at = _positions(s, rows)
+        got = [s.dominated([g], at) for g in _member_rows(s, members)]
+        assert np.column_stack(got).tolist() == want
+        assert s.dominated(_member_rows(s, members), at).tolist() == [any(w) for w in want]
     ok, undominated = verify_domination(s, extended)
     assert undominated == [v for v in vs if not any(_dominated_by(s, g, v) for g in members)]
     assert ok == (not undominated)
