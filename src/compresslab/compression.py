@@ -316,6 +316,11 @@ class CompressiveMap:
 # ---------------------------------------------------------------------------
 
 
+# Uniform draws per call when ToyLanguage.random builds a membership vector:
+# its memory beyond the vector stays bounded at any length.
+RANDOM_DRAW_CHUNK = 2**16
+
+
 class ToyLanguage:
     """Explicit membership table for a language at one input length.
 
@@ -343,9 +348,17 @@ class ToyLanguage:
 
     @classmethod
     def random(cls, n: int, seed: int, density: float = 0.5) -> "ToyLanguage":
-        check_enumeration(2**n, "toy-language universe")
+        """Each id a member when its uniform draw, in id order, is below
+        density; the draws continue one stream, RANDOM_DRAW_CHUNK at a time."""
+        language = cls(n, ())
         rng = np.random.default_rng(seed)
-        return cls(n, np.flatnonzero(rng.random(2**n) < density))
+        member = np.empty(2**n, dtype=bool)
+        for lo in range(0, member.size, RANDOM_DRAW_CHUNK):
+            part = member[lo : lo + RANDOM_DRAW_CHUNK]
+            np.less(rng.random(part.size), density, out=part)
+        member.setflags(write=False)
+        language.member = member
+        return language
 
     def is_yes(self, v: int) -> bool:
         if not 0 <= v < self.member.size:

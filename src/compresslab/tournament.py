@@ -16,13 +16,18 @@ by a suffix, a (k-1)-subset of the later positions.  In the lexicographic
 list of all (k-1)-subsets, the suffixes that may follow c are the last
 C(|R|-1-c, k-1) rows, so each c scans one contiguous, lexicographically
 ascending slice, and the scan as a whole visits the edges in lexicographic
-order.  A tournament summarises each suffix once per step
-(:meth:`HypergraphTournament.suffix_state`) and then selects in every edge
-from its first vertex and its suffix's state
-(:meth:`HypergraphTournament.extend`).  The random tournament mixes an edge
-by Horner's rule modulo M = 2**61 - 1, h = sum_i key_i * P**(k-1-i) mod M,
-which splits as h = (key_c * P**(k-1) + H(suffix)) mod M: the state is the
-suffix's Horner value H and each edge costs one addition and one reduction.
+order, selecting each piece's edge rows in one
+:meth:`HypergraphTournament.select_rows` batch.
+
+The random tournament mixes an edge by Horner's rule modulo M = 2**61 - 1,
+h = sum_i key_i * P**(k-1-i) mod M, and selects position h mod k.  For
+k >= 3 its counts need no edge scan: with g's leads summed to G and v's
+lead L in the gap of g where v falls, h = (G + L) mod M, and whether v is
+selected depends on G only through G mod k and the number of v whose
+lead wraps past M.  Per-gap prefix tables of the remaining vertices count
+the selected v of a gap in two lookups
+(:meth:`_RandomTournament.candidate_counts`); steps with k <= 2 keep the
+scan.
 
 The selector tournament of a hit-count compression on vertices of one hit
 bit needs no edge scan.  An element qualifies by its own hit bit and its
@@ -77,17 +82,15 @@ class HypergraphTournament:
 
     Vertices are vertex_bits-bit ids (see :class:`ToyLanguage`), held as
     one ascending int64 array ``ids``.  The per-edge selector takes a
-    canonical edge, an ascending tuple of ids, and returns the selected id.
-    Batches of edges are numpy rows of vertex indices: positions in ``ids``,
-    increasing along each row, so index order is id order and a row is a
-    canonical edge.  :meth:`select_rows` asks the per-edge selector once per
-    row.  The greedy's edge scan selects through a state and extend pair:
-    :meth:`suffix_state` summarises the last k-1 columns of each row and
-    :meth:`extend` selects from that summary and the row's first vertex; by
-    default the state is the suffix rows themselves, handed back to
-    :meth:`select_rows`.  Tournaments with a vectorised selector override
-    these, or the greedy's counts and the domination check themselves
-    (:meth:`candidate_counts`, :meth:`dominated`).
+    canonical edge, an ascending tuple of ids, and returns the selected id;
+    it is the definition that every batch answers for.  Batches of edges
+    are numpy rows of vertex indices: positions in ``ids``, increasing
+    along each row, so index order is id order and a row is a canonical
+    edge.  :meth:`select_rows` asks the per-edge selector once per row, and
+    the greedy's edge scan and the domination check select through it.
+    Tournaments with a vectorised selector override it, or the greedy's
+    counts and the domination check themselves (:meth:`candidate_counts`,
+    :meth:`dominated`).
 
     Bit strings appear only in :attr:`vertices` and :meth:`select`, the form
     in which reports name vertices.
@@ -125,20 +128,6 @@ class HypergraphTournament:
         for j, e in enumerate(self.ids[rows].tolist()):
             out[j] = self._position(tuple(e))
         return out
-
-    def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
-        """Selector state of each row of an (S, k-1) batch of index rows,
-        one state per row along the first axis."""
-        return suffixes
-
-    def extend(self, state: np.ndarray, first: np.ndarray | np.integer) -> np.ndarray:
-        """Selected position in each edge made of a first vertex index and a
-        suffix whose state is a row of `state`.
-
-        `first` holds one index per state row, or one for all rows; it
-        precedes every vertex of its suffix, so it is position 0.
-        """
-        return self.select_rows(np.column_stack([np.broadcast_to(first, len(state)), state]))
 
     def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
         """counts[i]: the vertices v of `remaining` outside candidate i whose
@@ -330,32 +319,21 @@ _M = 2**61 - 1
 _P = 1099511628211
 
 
-def _horner(keys: np.ndarray) -> np.ndarray:
-    """h <- (h * P + key) mod M along each row of a uint64 key array, from 0.
-
-    Exact in uint64 for keys below 2**62: P = 2**40 + 435, so h * 2**40
-    mod M is a 61-bit rotation of h, and h * 435 is split at bit 32 so that
-    no product overflows.
-    """
-    m = np.uint64(_M)
-    h = np.zeros(len(keys), dtype=np.uint64)
-    for key in keys.T:
-        high = (h >> 32) * 435  # below 2**38; its bits from 29 up wrap around
-        h = (
-            (((h << 40) & m) | (h >> 21))
-            + (h & 0xFFFFFFFF) * 435
-            + ((high << 32) & m)
-            + (high >> 29)
-            + key
-        ) % m
-    return h
+def _add_mod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x <- (x + y) mod M for uint64 x, y below M, by one conditional
+    subtraction, in place; y is overwritten."""
+    x += y
+    np.minimum(x, np.subtract(x, np.uint64(_M), out=y), out=x)  # x - M wraps past x when x < M
+    return x
 
 
 class _RandomTournament(HypergraphTournament):
     """Tournament selecting position h mod k of an edge, where h mixes the
     vertex keys of the (canonically sorted) edge by Horner's rule mod M;
     vertex v has key keys[v].  The per-edge selector is kept as the
-    definition; batches select from suffix states alone."""
+    definition.  Expanded, h = sum_i key_(e_i) * P**(k-1-i) mod M, so
+    :meth:`select_rows` adds one lead ``_leads[j, v] = key_v * P**j mod M``
+    per column."""
 
     def __init__(self, keys: Sequence[int], edge_size: int):
         keys = [int(key) for key in keys]
@@ -368,23 +346,106 @@ class _RandomTournament(HypergraphTournament):
 
         width = max(1, (len(keys) - 1).bit_length())
         super().__init__(range(len(keys)), edge_size, selector, width)
-        self._keys = np.array(keys, dtype=np.uint64)
-        scale = pow(_P, edge_size - 1, _M)
-        self._lead = np.array([key * scale % _M for key in keys], dtype=np.uint64)
+        scales = [pow(_P, j, _M) for j in range(edge_size)]
+        self._leads = np.array([[key * s % _M for key in keys] for s in scales], dtype=np.uint64)
 
     def select_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self.extend(self.suffix_state(rows[:, 1:]), rows[:, 0])
+        k = self.edge_size
+        h = self._leads[k - 1, rows[:, 0]]
+        for i in range(1, k):
+            _add_mod(h, self._leads[k - 1 - i, rows[:, i]])
+        return (h - h // np.uint64(k) * np.uint64(k)).view(np.int64)  # h mod k; numpy's % is slower
 
-    def suffix_state(self, suffixes: np.ndarray) -> np.ndarray:
-        """The Horner value of each suffix's keys."""
-        return _horner(self._keys[suffixes])
+    def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
+        """For k >= 3, two table lookups per candidate and gap; for k <= 2,
+        the generic edge scan, whose memory is O(|R|) where these tables
+        take (|R| - k + 2)**2 entries per gap and residue.
 
-    def extend(self, state: np.ndarray, first: np.ndarray | np.integer) -> np.ndarray:
-        h = self._lead[first] + state  # both terms below M
-        np.minimum(h, h - np.uint64(_M), out=h)  # h mod M: h - M wraps past h when h < M
-        k = np.uint64(self.edge_size)
-        h -= h // k * k  # h mod k; numpy's % is slower than //
-        return h.view(np.int64)
+        A vertex v in gap p of candidate g (g[p-1] < v < g[p]) sits at
+        position p of the edge, whose Horner value is h = (G + L) mod M:
+        G = G_p(g) sums g's leads at their edge exponents, k-1-i before the
+        gap and k-2-i after it, and L = L_p[v] is v's lead at exponent
+        k-1-p.  With the room U = M - L, h is G + L when G < U and G + L - M
+        otherwise, so v is selected (h mod k = p) when G = p - L mod k if
+        G < U, and G = p - L + M mod k otherwise.  With the rooms of each
+        gap ranked, E[p, q, a, b] counts the v among the first a positions
+        that gap p can hold whose room ranks at b or above with p - L = q
+        mod k, or below b with p - L + M = q mod k.  g's count in gap p is
+        then E[p, q, hi, u] - E[p, q, lo, u] for q = G mod k, the gap's
+        positions lo .. hi-1 and u, the number of rooms at most G.
+        """
+        k, size = self.edge_size, len(remaining)
+        if k <= 2:
+            return super().candidate_counts(remaining, binom)
+        # v in gap p has p elements of g before it and k-1-p after it, so it
+        # is one of the `width` positions p .. p + width - 1
+        m, width, gaps = k - 1, size - k + 1, np.arange(k)[:, None]
+        span = width + 1
+        lead = self._leads[:, remaining]  # lead[j, a]: position a's lead at exponent j
+        own = lead[k - 1 - gaps, gaps + np.arange(width)]  # own[p, a - p]: a's lead as v in gap p
+        room = np.uint64(_M) - own
+        rank = room.argsort(axis=1, kind="stable").argsort(axis=1)
+        # E, as its increments along a: one row per v
+        unwrapped = np.arange(span) <= rank[:, :, None]
+        residue = (gaps - own.view(np.int64)) % k
+        table = np.zeros((k, k, span, span), dtype=np.min_scalar_type(width))
+        table[gaps, residue, np.arange(1, span)] = unwrapped
+        table[gaps, (residue + _M) % k, np.arange(1, span)] += ~unwrapped
+        table.cumsum(axis=2, dtype=table.dtype, out=table)
+        table = table.ravel()
+
+        # u: the rooms below the bucket of G's top bits, then a branchless
+        # binary search over the next `window` rooms, more than the fullest
+        # bucket holds; rooms past G's bucket, and a pad of M, exceed G.
+        # ranked and start are flat, one row per gap.
+        shift = np.uint64(_M.bit_length() - width.bit_length() - 2)
+        buckets = 1 << (width.bit_length() + 2)
+        bucket_row = gaps * buckets
+        held = np.bincount(((room >> shift).view(np.int64) + bucket_row).ravel(), minlength=k * buckets)
+        window = 1 << int(held.max()).bit_length()
+        ranked = np.full((k, width + window), _M, dtype=np.uint64)
+        ranked[:, :width] = room
+        ranked[:, :width].sort(axis=1)
+        ranked = ranked.ravel()
+        held = held.reshape(k, buckets)
+        start = (held.cumsum(axis=1) - held + gaps * (width + window)).ravel()
+        # flat index of E[p, q, a - p, u] is (p * k + q) * span**2 + (a - p) * span
+        # + u; base holds its terms in p, less the row offset in `ranked`
+        base = gaps * (k * span * span - span - width - window)
+
+        # A candidate is a first position c and a tail, an (m-1)-subset of
+        # the positions after c: the last C(size-1-c, m-1) tails of range(1,
+        # size), which are never more than the candidates.  G_p is c's lead,
+        # at exponent k-2 in gap 0 and k-1 after it, plus the tail's leads:
+        # tail element j (g[j + 1]) at exponent k-2-j before the gap and
+        # k-3-j after it.
+        tails = _lex_rows(binom, size - 1, m - 1) + 1
+        first_lead = lead[[k - 2] + [k - 1] * m]
+        expo = np.array([[k - 2 - j if j + 1 < p else k - 3 - j for j in range(m - 1)] for p in range(k)])
+        tail_sum = lead[expo[:, :1], tails[:, 0]]
+        for j in range(1, m - 1):
+            _add_mod(tail_sum, lead[expo[:, j : j + 1], tails[:, j]])
+        counts = []
+        for firsts, at in _scan_pieces(binom[m - 1, size - 1 :: -1][: size - m + 1], len(tails)):
+            sums = _add_mod(first_lead.take(firsts, axis=1), tail_sum.take(at, axis=1))
+            u = start.take((sums >> shift).view(np.int64) + bucket_row)
+            step = window >> 1
+            while step:
+                u += step * (ranked[step - 1 :].take(u) <= sums)
+                step >>= 1
+            index = sums - sums // np.uint64(k) * np.uint64(k)  # G mod k; numpy's % is slower
+            index = index.view(np.int64) * (span * span)
+            index += base
+            index += u
+            # gap p holds the positions after bounds[p] and before bounds[p + 1],
+            # with bounds = (-1, g, size), here times span
+            bounds = np.empty((k + 1, len(at)), dtype=np.intp)
+            bounds[0], bounds[1], bounds[2:k], bounds[k] = -1, firsts, tails.take(at, axis=0).T, size
+            bounds *= span
+            lo = index + bounds[:-1]
+            lo += span
+            counts.append((table.take(index + bounds[1:]) - table.take(lo)).sum(axis=0, dtype=np.int32))
+        return np.concatenate(counts)
 
 
 def random_tournament(num_vertices: int, edge_size: int, seed: int) -> HypergraphTournament:
@@ -441,12 +502,13 @@ class DominatingSet:
         return cls(int(obj["t"]), int(obj["n"]), elements, tuple(int(c) for c in obj["trace"]))
 
 
-# Edges per piece of the exhaustive greedy scan, and suffixes per piece of
-# the per-suffix tables it builds first.  A scan piece is a run of whole
-# slices of consecutive first positions, or a part of one slice.  The pieces
-# bound the scan's working memory (a few arrays of this many entries) on top
-# of the per-suffix tables and the candidate counts, while keeping the
-# per-piece overhead small.
+# Edges per piece of the exhaustive greedy scan, suffixes per piece of the
+# per-suffix ranks it builds first, and candidates per piece of the random
+# tournament's closed form.  A piece is a run of whole slices of
+# consecutive first positions, or a part of one slice.  The pieces bound the
+# working memory (a few arrays of this many entries, k times as many in the
+# closed form) on top of the per-step tables and the candidate counts,
+# while keeping the per-piece overhead small.
 SCAN_CHUNK = 4096
 
 # Most edges the greedy search scans exhaustively in one step; past it the
@@ -479,6 +541,25 @@ def _lex_subsets(binom: np.ndarray, size: int, m: int, index: np.ndarray) -> np.
     return rows
 
 
+def _lex_rows(binom: np.ndarray, size: int, m: int) -> np.ndarray:
+    """All m-subsets of range(size) as rows of the smallest unsigned dtype
+    that holds size, in lexicographic order.
+
+    binom[j, c] = C(c, j).  Level j holds the j-subsets of range(m - j,
+    size), the last j elements of every m-subset: those beginning at c are
+    c followed by the (j-1)-subsets of range(c + 1, size), the last
+    C(size - 1 - c, j - 1) rows of level j - 1.  No level is longer than
+    the last.
+    """
+    dtype = np.min_scalar_type(size)
+    rows = np.arange(m - 1, size, dtype=dtype)[:, None] if m else np.empty((1, 0), dtype=dtype)
+    for j in range(2, m + 1):
+        c = np.arange(m - j, size - j + 1, dtype=dtype)
+        firsts, at = _following(c, binom[j - 1, size - 1 - c], len(rows))
+        rows = np.concatenate([firsts[:, None], rows[at]], axis=1)
+    return rows
+
+
 def _dropped_ranks(binom: np.ndarray, size: int, rows: np.ndarray, out: np.ndarray) -> None:
     """Set out[s, p], for p >= 1, to the lexicographic index among the
     (m-1)-subsets of range(size) of row s without its column p - 1.
@@ -499,26 +580,35 @@ def _dropped_ranks(binom: np.ndarray, size: int, rows: np.ndarray, out: np.ndarr
         kept += binom[m - 1 - q, tail]
 
 
-def _scan_pieces(lengths: np.ndarray, total: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """The edges in lexicographic order, in pieces of at most SCAN_CHUNK
-    edges: arrays (c, lo, hi), first position c followed by each suffix of
-    index lo..hi-1.
+def _following(c: np.ndarray, lengths: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, at): each first position c[i] followed by each of the last
+    lengths[i] of `total` suffixes, in order; at indexes the suffix."""
+    ends = lengths.cumsum()
+    return c.repeat(lengths), np.arange(ends[-1]) + (total - ends).repeat(lengths)
+
+
+def _scan_pieces(lengths: np.ndarray, total: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The subsets made of a first position and a later suffix, in
+    lexicographic order, in pieces of at most SCAN_CHUNK: arrays (firsts,
+    at) as from :func:`_following`.
 
     lengths[c], non-increasing, counts the suffixes after c, the last
     lengths[c] of `total`.  A slice of at least half a chunk is cut into
     parts of SCAN_CHUNK; the shorter slices after it form runs whose first
-    edges share one half-chunk window of the scan order.
+    subsets share one half-chunk window of the scan order.
     """
     half = max(1, SCAN_CHUNK // 2)
-    big = int(np.searchsorted(-lengths, -half, side="right"))
+    big = int((-lengths).searchsorted(-half, side="right"))
     for c in range(big):
         for lo in range(total - int(lengths[c]), total, SCAN_CHUNK):
-            yield np.array([c]), np.array([lo]), np.array([min(lo + SCAN_CHUNK, total)])
+            at = np.arange(lo, min(lo + SCAN_CHUNK, total))
+            yield np.full(len(at), c), at
     short = lengths[big:]
-    window = (np.cumsum(short) - short) // half
-    for c in np.split(np.arange(big, len(lengths)), np.flatnonzero(np.diff(window)) + 1):
-        if len(c):
-            yield c, total - lengths[c], np.full(len(c), total)
+    window = (short.cumsum() - short) // half
+    cuts = [big, *((window[1:] != window[:-1]).nonzero()[0] + big + 1).tolist(), len(lengths)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if lo < hi:
+            yield _following(np.arange(lo, hi), lengths[lo:hi], total)
 
 
 def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
@@ -529,11 +619,10 @@ def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, b
     # The candidates double as the suffixes of the first-element-major scan
     # (module docstring): first position c is followed by the suffixes
     # start[c + 1] .. total - 1, so the pieces walk the edges in
-    # lexicographic order.  Each suffix gets its selector state and `ranks`
-    # row once, built in pieces of SCAN_CHUNK; for the random tournament
-    # the state is the suffix's Horner value H, and extending it by c adds
-    # key_c * P**(k-1) mod M.  An edge c + suffix that selects c charges the
-    # suffix; one that selects suffix column p - 1 charges c plus the
+    # lexicographic order.  Each suffix gets its `ranks` row once, built in
+    # pieces of SCAN_CHUNK, and each piece selects its full edge rows in
+    # one `select_rows` batch.  An edge c + suffix that selects c charges
+    # the suffix; one that selects suffix column p - 1 charges c plus the
     # suffix without that column, whose index is offset[c] + ranks[suffix,
     # p].  A piece's charges go through one bincount over the candidates
     # starting at its first positions followed by its suffix range.
@@ -541,15 +630,10 @@ def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, b
     m, size = k - 1, len(remaining)
     total = math.comb(size, m)
     shorter = math.comb(size, m - 1) if m else 0  # (m-1)-subsets, the range of a dropped rank
+    rows = _lex_rows(binom, size, m)
     ranks = np.zeros((total, k), dtype=np.min_scalar_type(shorter))
-    state = None
     for lo in range(0, total, SCAN_CHUNK):
-        rows = _lex_subsets(binom, size, m, np.arange(lo, min(lo + SCAN_CHUNK, total)))
-        part = tournament.suffix_state(remaining[rows])
-        if state is None:
-            state = np.empty((total,) + part.shape[1:], dtype=part.dtype)
-        state[lo : lo + len(rows)] = part
-        _dropped_ranks(binom, size, rows, ranks[lo : lo + len(rows)])
+        _dropped_ranks(binom, size, rows[lo : lo + SCAN_CHUNK], ranks[lo : lo + SCAN_CHUNK])
     ranks = ranks.ravel()
     # start[c]: index of the first candidate beginning at position c or later
     # (c = 0..size); offset[c] + i indexes c followed by the i-th
@@ -557,21 +641,10 @@ def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, b
     start = total - binom[m, ::-1]
     offset = start[:-1] - shorter + (binom[m - 1, size - 1 :: -1] if m else 0)
     counts = np.zeros(total, dtype=np.int32)
-    for c, lo, hi in _scan_pieces(binom[m, size - 1 :: -1][: size - m], total):
-        c_lo, c_hi, s_lo, s_hi = int(c[0]), int(c[-1]) + 1, int(lo[0]), int(hi[-1])
-        if len(c) == 1:  # (part of) one slice: one first position, a view of the states
-            firsts, at, suffixes = c_lo, np.arange(s_lo, s_hi), state[s_lo:s_hi]
-        else:
-            lengths = hi - lo
-            firsts = np.repeat(c, lengths)
-            at = np.arange(lengths.sum()) + np.repeat(lo - (np.cumsum(lengths) - lengths), lengths)
-            suffixes = state[at]
-
-        def edge(i: int) -> np.ndarray:  # vertex indices of the piece's edge i
-            first = firsts[i] if np.ndim(firsts) else firsts
-            return remaining[np.r_[first, _lex_subsets(binom, size, m, at[i : i + 1])[0]]]
-
-        picked = _selected(tournament, tournament.extend(suffixes, remaining[firsts]), edge)
+    for firsts, at in _scan_pieces(binom[m, size - 1 :: -1][: size - m], total):
+        c_lo, c_hi, s_lo, s_hi = int(firsts[0]), int(firsts[-1]) + 1, int(at[0]), int(at[-1]) + 1
+        edges = remaining[np.concatenate([firsts[:, None], rows[at]], axis=1)]
+        picked = _selected(tournament, tournament.select_rows(edges), edges.__getitem__)
         # one index space for the piece: the candidates beginning at its first
         # positions, then its suffix range
         base, width = start[c_lo], start[c_hi] - start[c_lo]
@@ -581,7 +654,7 @@ def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, b
         hits = np.bincount(charged, minlength=width + s_hi - s_lo)
         counts[base : base + width] += hits[:width]
         counts[s_lo:s_hi] += hits[width:]
-        del at, picked, charged, hits  # before the next piece allocates its own
+        del at, edges, picked, charged, hits  # before the next piece allocates its own
     return counts
 
 

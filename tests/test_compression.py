@@ -26,6 +26,7 @@ from compresslab import (
     statistical_distance,
     transform_to_relaxed_or,
 )
+from compresslab import compression as compression_module
 from compresslab.fcompression import VIEW_ORDER
 
 F = Fraction
@@ -344,6 +345,24 @@ def test_random_language_draws_the_string_members(n, seed):
     picks = np.random.default_rng(seed).random(2**n) < 0.5
     yes = {format(i, f"0{n}b") for i in range(2**n) if picks[i]}
     assert ToyLanguage.random(n, seed) == ToyLanguage(n, [int(x, 2) for x in yes])
+
+
+@pytest.mark.parametrize(
+    "chunk,n,seed,density",
+    [
+        (1, 1, 3, 0.5),
+        (1, 8, 11, 0.5),
+        (7, 9, 5, 0.1),
+        (1000, 12, 6, 0.3),
+        (2**16, 17, 2, 0.5),
+        (2**16, 18, 4, 0.9),
+    ],
+)
+def test_random_language_in_chunks_matches_one_draw(monkeypatch, chunk, n, seed, density):
+    # the chunked draw continues one stream: the members of one draw of all 2^n
+    one_draw = np.random.default_rng(seed).random(2**n) < density
+    monkeypatch.setattr(compression_module, "RANDOM_DRAW_CHUNK", chunk)
+    assert np.array_equal(ToyLanguage.random(n, seed, density).member, one_draw)
 
 
 # -- OR compressions ------------------------------------------------------------

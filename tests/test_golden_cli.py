@@ -10,7 +10,9 @@ The files under tests/golden/examples/ are the stdout of the README's
 `tournament`, `reduce` and `fcomp` examples, recorded from the earlier
 implementation that built one query batch per audited input, and of larger
 random, parity and majority languages, recorded from the earlier
-implementation that passed vertices around as '0'/'1' strings.
+implementation that passed vertices around as '0'/'1' strings, and of
+random tournaments at and past the benchmark's sizes, recorded from the
+earlier implementation that counted every greedy step by an edge scan.
 
 The final line of each file embeds the configuration.  Its `config` object
 was re-recorded once, when the options that no command read were dropped
@@ -76,6 +78,12 @@ EXAMPLES = {
     "tournament_random_n10_seed2_ideal_or_t3": "tournament --language builtin:random --n 10 --t 3 --seed 2",
     "reduce_parity_n6_ideal_or_t4_audit": "reduce --language builtin:parity --n 6 --t 4 --audit",
     "tournament_majority_n7_ideal_or_t3": "tournament --language builtin:majority --n 7 --t 3",
+    # random tournaments at the benchmark's sizes and beyond, in closed form
+    # for k >= 3: members and traces of every greedy step
+    "tournament_random_v60_t4_seed1": "tournament --random --num-vertices 60 --t 4 --seed 1",
+    "tournament_random_v128_t3_seed1": "tournament --random --num-vertices 128 --t 3 --seed 1",
+    "tournament_random_v400_t3_seed1": "tournament --random --num-vertices 400 --t 3 --seed 1",
+    "tournament_random_v30_t6_seed1": "tournament --random --num-vertices 30 --t 6 --seed 1",
 }
 
 

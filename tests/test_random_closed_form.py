@@ -1,0 +1,81 @@
+"""Property tests: the random tournament's closed-form greedy counts.
+
+For k >= 3 a random tournament counts each greedy candidate from per-gap
+prefix tables, without looking at an edge.  Here those counts must equal,
+exactly, the counts of the generic edge scan over a per-edge tournament with
+the same keys, whose selector is Horner's rule in Python integers.  Keys are
+drawn from the edge cases of the arithmetic (0, 1, around the modulus
+2**61 - 1, the top of the key range), from small pools that repeat keys
+(tied leads) and from the whole key range; the remaining sets are random
+ascending subsets, and every case runs at three scan chunk sizes.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from compresslab import HypergraphTournament
+from compresslab import tournament as tournament_module
+from compresslab.tournament import _edge_scan_counts, _RandomTournament
+
+M = 2**61 - 1
+P = 1099511628211
+EDGE_CASE_KEYS = (0, 1, M - 1, M, M + 1, 2**62 - 1)
+# edges per case kept small enough for the per-edge scan
+MAX_EDGES = 3000
+
+
+def per_edge(keys, k):
+    """The random tournament on these keys, asked edge by edge."""
+
+    def selector(e):
+        h = 0
+        for v in e:
+            h = (h * P + keys[v]) % M
+        return e[h % len(e)]
+
+    return HypergraphTournament(range(len(keys)), k, selector, max(1, (len(keys) - 1).bit_length()))
+
+
+def binomials(size, k):
+    return np.array([[math.comb(x, j) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
+
+
+@st.composite
+def cases(draw):
+    k = draw(st.integers(3, 6))
+    num_vertices = draw(st.integers(k, 30))
+    key = st.one_of(st.sampled_from(EDGE_CASE_KEYS), st.integers(0, 2**62 - 1))
+    # a pool of one key ties every lead; a pool as large as the vertex set
+    # rarely repeats one
+    pool = draw(st.lists(key, min_size=1, max_size=num_vertices))
+    keys = draw(st.lists(st.sampled_from(pool), min_size=num_vertices, max_size=num_vertices))
+    most = max(n for n in range(k, num_vertices + 1) if math.comb(n, k) <= MAX_EDGES)
+    size = draw(st.integers(k, most))
+    remaining = sorted(draw(st.lists(st.integers(0, num_vertices - 1), min_size=size, max_size=size, unique=True)))
+    return keys, k, np.array(remaining, dtype=np.intp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases())
+@example(([0] * 5, 3, np.arange(5)))
+@example(([2**62 - 1] * 6, 4, np.arange(6)))
+@example((list(EDGE_CASE_KEYS) * 3, 3, np.arange(18)))
+@example((list(EDGE_CASE_KEYS) * 2, 6, np.arange(2, 12)))
+# the edge (0, 1, 2) sums to exactly M before its reduction, h = 0: vertex 0's
+# lead wraps at the boundary G = U of its gap
+@example(([1, 0, M - P * P % M, 5], 3, np.arange(4)))
+def test_closed_form_counts_equal_the_edge_scan(case):
+    keys, k, remaining = case
+    binom = binomials(len(remaining), k)
+    expected = _edge_scan_counts(per_edge(keys, k), remaining, binom).tolist()
+    tournament = _RandomTournament(keys, k)
+    saved = tournament_module.SCAN_CHUNK
+    try:
+        for chunk in (1, 7, saved):
+            tournament_module.SCAN_CHUNK = chunk
+            assert tournament.candidate_counts(remaining, binom).tolist() == expected
+    finally:
+        tournament_module.SCAN_CHUNK = saved
