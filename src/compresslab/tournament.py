@@ -10,24 +10,21 @@ some member or is selected when appended to one.
 
 An exhaustive greedy step counts, for every candidate member g (a
 (k-1)-subset of the undominated set R), the vertices v of R that g + (v,)
-selects.  For a general tournament the counts come from a scan of every
-edge inside R, first element major.  An edge is a first position c followed
-by a suffix, a (k-1)-subset of the later positions.  In the lexicographic
-list of all (k-1)-subsets, the suffixes that may follow c are the last
-C(|R|-1-c, k-1) rows, so each c scans one contiguous, lexicographically
-ascending slice, and the scan as a whole visits the edges in lexicographic
-order, selecting each piece's edge rows in one
-:meth:`HypergraphTournament.select_rows` batch.
+selects.  For a general tournament the counts come from one scan of every
+edge inside R in lexicographic order.  An edge is a first position followed
+by a suffix, a (k-1)-subset of the later positions, and each piece of edges
+is selected in one :meth:`HypergraphTournament.select_rows` batch.  Each
+edge charges one candidate: itself without its selected vertex.
 
 The random tournament mixes an edge by Horner's rule modulo M = 2**61 - 1,
-h = sum_i key_i * P**(k-1-i) mod M, and selects position h mod k.  For
-k >= 3 its counts need no edge scan: with g's leads summed to G and v's
+h = sum_i key_i * P**(k-1-i) mod M, and selects position h mod k.  Its
+counts need no edge scan.  For k >= 3, with g's leads summed to G and v's
 lead L in the gap of g where v falls, h = (G + L) mod M, and whether v is
-selected depends on G only through G mod k and the number of v whose
-lead wraps past M.  Per-gap prefix tables of the remaining vertices count
-the selected v of a gap in two lookups
-(:meth:`_RandomTournament.candidate_counts`); steps with k <= 2 keep the
-scan.
+selected depends on G only through G mod k and the number of v whose lead
+wraps past M.  Per-gap prefix tables of the remaining vertices count the
+selected v of a gap in two lookups.  For k = 2 the parity of each pair's
+h decides it, a block of pairs at a time, and for k = 1 every v is
+selected (:meth:`_RandomTournament.candidate_counts`).
 
 The selector tournament of a hit-count compression on vertices of one hit
 bit needs no edge scan.  An element qualifies by its own hit bit and its
@@ -137,7 +134,8 @@ class HypergraphTournament:
         (ascending vertex indices) in lexicographic order; binom[j, c] =
         C(c, j).  An edge without a selection raises through the per-edge
         selector, at the lexicographically first such edge.  By default
-        every edge inside `remaining` is scanned (:func:`_edge_scan_counts`).
+        every edge inside `remaining` is selected in one scan
+        (:func:`_edge_scan_counts`).
         """
         return _edge_scan_counts(self, remaining, binom)
 
@@ -161,21 +159,16 @@ class HypergraphTournament:
         full = np.array([len(g) == k - 1 for g in members], dtype=bool)
         vj, gi = np.nonzero(~dom & full)
         if vj.size:
-            # g_pad[i]: member i of k-1 elements, then a spare -1
-            g_pad = np.full((len(members), k), -1, dtype=np.intp)
+            # g_full[i]: the elements of member i, when it has k-1 of them
+            g_full = np.zeros((len(members), k - 1), dtype=np.intp)
             for i in np.flatnonzero(full).tolist():
-                g_pad[i, :-1] = members[i]
-            v_col = vs[vj]
-            # v's slot in its member, from one search: member i's elements keyed
-            # i * span + x are ascending over all members together
-            span = len(self.ids) + 1
-            keys = np.arange(len(members))[:, None] * span + g_pad[:, :-1]
-            slot = np.searchsorted(keys.ravel(), gi * span + v_col) - gi * (k - 1)
-            # the edge member + (v,) in ascending order: with v at slot s,
-            # position p < s holds member element p, position p > s element p - 1
-            lo = np.arange(k)
-            rows = g_pad[:, lo - (lo > lo[:, None])][gi, slot]
-            rows[np.arange(len(vj)), slot] = v_col
+                g_full[i] = members[i]
+            # the edge member + (v,) in ascending order, and v's slot in it: the
+            # elements before v
+            v_col = vs[vj, None]
+            rows = np.concatenate([g_full[gi], v_col], axis=1)
+            rows.sort(axis=1)
+            slot = np.count_nonzero(rows < v_col, axis=1)
             dom[vj, gi] = _selected(self, self.select_rows(rows), rows.__getitem__) == slot
         return dom.any(axis=1)
 
@@ -357,9 +350,10 @@ class _RandomTournament(HypergraphTournament):
         return (h - h // np.uint64(k) * np.uint64(k)).view(np.int64)  # h mod k; numpy's % is slower
 
     def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
-        """For k >= 3, two table lookups per candidate and gap; for k <= 2,
-        the generic edge scan, whose memory is O(|R|) where these tables
-        take (|R| - k + 2)**2 entries per gap and residue.
+        """For k >= 3, two table lookups per candidate and gap.  For k = 2,
+        whose tables would take |R|**2 entries per gap and residue, the
+        parity of each pair (:meth:`_pair_counts`); for k = 1 the empty
+        candidate selects every v.
 
         A vertex v in gap p of candidate g (g[p-1] < v < g[p]) sits at
         position p of the edge, whose Horner value is h = (G + L) mod M:
@@ -375,8 +369,10 @@ class _RandomTournament(HypergraphTournament):
         positions lo .. hi-1 and u, the number of rooms at most G.
         """
         k, size = self.edge_size, len(remaining)
-        if k <= 2:
-            return super().candidate_counts(remaining, binom)
+        if k == 1:
+            return np.array([size])
+        if k == 2:
+            return self._pair_counts(remaining)
         # v in gap p has p elements of g before it and k-1-p after it, so it
         # is one of the `width` positions p .. p + width - 1
         m, width, gaps = k - 1, size - k + 1, np.arange(k)[:, None]
@@ -421,10 +417,18 @@ class _RandomTournament(HypergraphTournament):
         # k-3-j after it.
         tails = _lex_rows(binom, size - 1, m - 1) + 1
         first_lead = lead[[k - 2] + [k - 1] * m]
-        expo = np.array([[k - 2 - j if j + 1 < p else k - 3 - j for j in range(m - 1)] for p in range(k)])
-        tail_sum = lead[expo[:, :1], tails[:, 0]]
-        for j in range(1, m - 1):
-            _add_mod(tail_sum, lead[expo[:, j : j + 1], tails[:, j]])
+        # Tail element j lies before gap p when j + 1 < p: row p = i + 1 of
+        # tail_sum sums the elements j >= i, after the gap, and then gains
+        # those before it, j < i.  Gap 0, like gap 1, has none before it.
+        tail_sum = np.zeros((k, len(tails)), dtype=np.uint64)
+        for i in range(m - 2, -1, -1):
+            tail_sum[i + 1] = tail_sum[i + 2]
+            _add_mod(tail_sum[i + 1], lead[k - 3 - i, tails[:, i]])
+        ahead = np.zeros(len(tails), dtype=np.uint64)
+        for j in range(m - 1):
+            _add_mod(ahead, lead[k - 2 - j, tails[:, j]])
+            _add_mod(tail_sum[j + 2], ahead.copy())
+        tail_sum[0] = tail_sum[1]
         counts = []
         for firsts, at in _scan_pieces(binom[m - 1, size - 1 :: -1][: size - m + 1], len(tails)):
             sums = _add_mod(first_lead.take(firsts, axis=1), tail_sum.take(at, axis=1))
@@ -446,6 +450,28 @@ class _RandomTournament(HypergraphTournament):
             lo += span
             counts.append((table.take(index + bounds[1:]) - table.take(lo)).sum(axis=0, dtype=np.int32))
         return np.concatenate(counts)
+
+    def _pair_counts(self, remaining: np.ndarray) -> np.ndarray:
+        """The k = 2 counts: the edge of positions a < b has Horner value
+        h = (lead_1[a] + lead_0[b]) mod M and selects b, charging a, when h
+        is odd, and selects a, charging b, when h is even.  The positions a
+        come in blocks of about 16 * SCAN_CHUNK pairs with the positions
+        after the block's first."""
+        size = len(remaining)
+        first, second = self._leads[1, remaining], self._leads[0, remaining]
+        counts = np.zeros(size, dtype=np.int32)
+        block = max(1, 16 * SCAN_CHUNK // size)
+        for lo in range(0, size - 1, block):
+            a = np.arange(lo, min(lo + block, size - 1))
+            later = np.arange(lo + 1, size) > a[:, None]  # the pairs a < b
+            # the sum is below 2M, so h is the sum or, from M on, the sum less
+            # the odd M, of the other parity
+            h = first[a, None] + second[lo + 1 :]
+            odd = ((h & np.uint64(1)) == 1) != (h >= np.uint64(_M))
+            odd &= later
+            counts[a] += np.count_nonzero(odd, axis=1)
+            counts[lo + 1 :] += np.count_nonzero(later > odd, axis=0)  # later and even
+        return counts
 
 
 def random_tournament(num_vertices: int, edge_size: int, seed: int) -> HypergraphTournament:
@@ -502,13 +528,13 @@ class DominatingSet:
         return cls(int(obj["t"]), int(obj["n"]), elements, tuple(int(c) for c in obj["trace"]))
 
 
-# Edges per piece of the exhaustive greedy scan, suffixes per piece of the
-# per-suffix ranks it builds first, and candidates per piece of the random
-# tournament's closed form.  A piece is a run of whole slices of
-# consecutive first positions, or a part of one slice.  The pieces bound the
-# working memory (a few arrays of this many entries, k times as many in the
-# closed form) on top of the per-step tables and the candidate counts,
-# while keeping the per-piece overhead small.
+# Edges per piece of the exhaustive greedy scan, candidates per piece of the
+# random tournament's closed form, and a sixteenth of the pairs per block of
+# its k = 2 counts.  A piece is a run of whole slices of consecutive first
+# positions, or a part of one slice.  The pieces bound the working memory (a
+# few arrays of this many entries, k or 16 times as many in the random
+# counts) on top of the per-step tables and the candidate counts, while
+# keeping the per-piece overhead small.
 SCAN_CHUNK = 4096
 
 # Most edges the greedy search scans exhaustively in one step; past it the
@@ -560,24 +586,17 @@ def _lex_rows(binom: np.ndarray, size: int, m: int) -> np.ndarray:
     return rows
 
 
-def _dropped_ranks(binom: np.ndarray, size: int, rows: np.ndarray, out: np.ndarray) -> None:
-    """Set out[s, p], for p >= 1, to the lexicographic index among the
-    (m-1)-subsets of range(size) of row s without its column p - 1.
+def _lex_rank(binom: np.ndarray, size: int, rows: np.ndarray) -> np.ndarray:
+    """Lexicographic index of each row x_0 < ... < x_{m-1} among the
+    m-subsets of range(size): C(size, m) - 1 - sum_i C(size - 1 - x_i, m - i).
 
-    The index of x_0 < ... < x_{j-1} is C(size, j) - 1 - sum_i
-    C(size - 1 - x_i, j - i): the columns before the dropped one keep their
-    place i, and the later ones move to i - 1.
+    binom[j, c] = C(c, j); the inverse of :func:`_lex_subsets`.
     """
     m = rows.shape[1]
-    kept = np.zeros(len(rows), dtype=np.int64)  # terms of the columns before q
-    moved = np.zeros(len(rows), dtype=np.int64)  # terms of the columns after q
+    rank = np.full(len(rows), binom[m, size] - 1, dtype=np.int64)
     for i in range(m):
-        moved += binom[m - i, size - 1 - rows[:, i]]
-    for q in range(m):
-        tail = size - 1 - rows[:, q]
-        moved -= binom[m - q, tail]
-        out[:, q + 1] = math.comb(size, m - 1) - 1 - kept - moved
-        kept += binom[m - 1 - q, tail]
+        rank -= binom[m - i, size - 1 - rows[:, i]]
+    return rank
 
 
 def _following(c: np.ndarray, lengths: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -612,49 +631,23 @@ def _scan_pieces(lengths: np.ndarray, total: int) -> Iterator[tuple[np.ndarray, 
 
 
 def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    # One pass over all edges inside the remaining set: the edge e with
-    # selected vertex v certifies that e minus v dominates v, so every edge
-    # charges exactly one candidate.
-    #
-    # The candidates double as the suffixes of the first-element-major scan
-    # (module docstring): first position c is followed by the suffixes
-    # start[c + 1] .. total - 1, so the pieces walk the edges in
-    # lexicographic order.  Each suffix gets its `ranks` row once, built in
-    # pieces of SCAN_CHUNK, and each piece selects its full edge rows in
-    # one `select_rows` batch.  An edge c + suffix that selects c charges
-    # the suffix; one that selects suffix column p - 1 charges c plus the
-    # suffix without that column, whose index is offset[c] + ranks[suffix,
-    # p].  A piece's charges go through one bincount over the candidates
-    # starting at its first positions followed by its suffix range.
+    # One pass over all edges inside the remaining set, in lexicographic
+    # order: a first position c followed by each suffix, an m-subset of the
+    # later positions (module docstring), one `select_rows` batch per piece.
+    # The edge e with selected vertex v certifies that e minus v dominates v,
+    # so every edge charges exactly one candidate, e without its selected
+    # column.
     k = tournament.edge_size
     m, size = k - 1, len(remaining)
     total = math.comb(size, m)
-    shorter = math.comb(size, m - 1) if m else 0  # (m-1)-subsets, the range of a dropped rank
-    rows = _lex_rows(binom, size, m)
-    ranks = np.zeros((total, k), dtype=np.min_scalar_type(shorter))
-    for lo in range(0, total, SCAN_CHUNK):
-        _dropped_ranks(binom, size, rows[lo : lo + SCAN_CHUNK], ranks[lo : lo + SCAN_CHUNK])
-    ranks = ranks.ravel()
-    # start[c]: index of the first candidate beginning at position c or later
-    # (c = 0..size); offset[c] + i indexes c followed by the i-th
-    # (m-1)-subset, which must lie after c
-    start = total - binom[m, ::-1]
-    offset = start[:-1] - shorter + (binom[m - 1, size - 1 :: -1] if m else 0)
+    suffixes = _lex_rows(binom, size, m)
     counts = np.zeros(total, dtype=np.int32)
     for firsts, at in _scan_pieces(binom[m, size - 1 :: -1][: size - m], total):
-        c_lo, c_hi, s_lo, s_hi = int(firsts[0]), int(firsts[-1]) + 1, int(at[0]), int(at[-1]) + 1
-        edges = remaining[np.concatenate([firsts[:, None], rows[at]], axis=1)]
-        picked = _selected(tournament, tournament.select_rows(edges), edges.__getitem__)
-        # one index space for the piece: the candidates beginning at its first
-        # positions, then its suffix range
-        base, width = start[c_lo], start[c_hi] - start[c_lo]
-        charged = ranks[at * k + picked].astype(np.int64)
-        charged += offset[firsts] - base
-        np.putmask(charged, picked == 0, at + (width - s_lo))
-        hits = np.bincount(charged, minlength=width + s_hi - s_lo)
-        counts[base : base + width] += hits[:width]
-        counts[s_lo:s_hi] += hits[width:]
-        del at, edges, picked, charged, hits  # before the next piece allocates its own
+        edges = np.concatenate([firsts[:, None], suffixes[at]], axis=1)
+        rows = remaining[edges]
+        picked = _selected(tournament, tournament.select_rows(rows), rows.__getitem__)
+        charged = edges[np.arange(k) != picked[:, None]].reshape(len(edges), m)
+        np.add.at(counts, _lex_rank(binom, size, charged), 1)
     return counts
 
 
@@ -666,7 +659,11 @@ def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndar
     k = tournament.edge_size
     m, size = k - 1, len(remaining)
     check_enumeration(math.comb(size, k), "greedy edge scan")
-    binom = np.array([[math.comb(x, j) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
+    # binom[j, x] = C(x, j), capped at 2**62 to fit int64 when k is near |R|.
+    # Every entry read is at most C(|R|, k-1), at most |R| * 2**24 within
+    # the exhaustive limits, and the cap keeps each row non-decreasing for
+    # the searches of _lex_subsets.
+    binom = np.array([[min(math.comb(x, j), 2**62) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
     counts = tournament.candidate_counts(remaining, binom)
     best = int(counts.max())
     need = -(-size // k)  # ceil(|R| / k)

@@ -149,6 +149,16 @@ def test_tournament_random(capsys):
     assert set(obj) >= {"t", "n", "elements", "trace"}
 
 
+def test_tournament_random_with_k_near_the_vertex_count(capsys):
+    # the greedy's binomials C(x, j) pass int64 for j near |V| / 2; they are
+    # capped, and the steps stay exhaustive
+    for num_vertices, t in ((100, 98), (200, 200)):
+        code = main(["tournament", "--random", "--num-vertices", str(num_vertices), "--t", str(t), "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert json.loads(captured.out)["dominates"] is True
+
+
 def test_tournament_from_language(capsys):
     code, lines = _run(
         capsys, "tournament", "--language", "builtin:single-yes", "--n", "4",

@@ -1,7 +1,8 @@
 """Property tests: the random tournament's closed-form greedy counts.
 
-For k >= 3 a random tournament counts each greedy candidate from per-gap
-prefix tables, without looking at an edge.  Here those counts must equal,
+A random tournament counts each greedy candidate without the generic edge
+scan: for k >= 3 from per-gap prefix tables, for k = 2 from the parity of
+each pair, and for k = 1 as every vertex.  Here those counts must equal,
 exactly, the counts of the generic edge scan over a per-edge tournament with
 the same keys, whose selector is Horner's rule in Python integers.  Keys are
 drawn from the edge cases of the arithmetic (0, 1, around the modulus
@@ -45,7 +46,7 @@ def binomials(size, k):
 
 @st.composite
 def cases(draw):
-    k = draw(st.integers(3, 6))
+    k = draw(st.integers(1, 6))
     num_vertices = draw(st.integers(k, 30))
     key = st.one_of(st.sampled_from(EDGE_CASE_KEYS), st.integers(0, 2**62 - 1))
     # a pool of one key ties every lead; a pool as large as the vertex set
@@ -67,6 +68,8 @@ def cases(draw):
 # the edge (0, 1, 2) sums to exactly M before its reduction, h = 0: vertex 0's
 # lead wraps at the boundary G = U of its gap
 @example(([1, 0, M - P * P % M, 5], 3, np.arange(4)))
+# likewise for the pair (0, 1) at k = 2, which selects its first vertex
+@example(([1, M - P, M, 2**62 - 1], 2, np.arange(4)))
 def test_closed_form_counts_equal_the_edge_scan(case):
     keys, k, remaining = case
     binom = binomials(len(remaining), k)
