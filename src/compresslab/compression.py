@@ -34,6 +34,11 @@ from .distributions import FiniteDistribution, ProductDistribution
 
 BitString = str
 
+#: Cells per block of the blocked bincounts (conditioned counts here, coin
+#: entropies in sensitivity): a block's int64 or float64 temporaries stay at
+#: 64 KiB, so every block reuses the same few pages.
+BLOCK_CELLS = 2**13
+
 
 def bits_label(code: int, width: int) -> BitString:
     """m-bit string for an output code; the empty string when width is 0."""
@@ -234,8 +239,11 @@ class CompressiveMap:
         its leading coordinates one at a time, by a bincount of each
         symbol's block of table rows (the last symbol is the code total
         minus the others), until the other coordinates have no more (code,
-        input) pairs than the table has entries; one bincount builds cur for
-        those.  Maps with many codes thus cost about what per-coordinate
+        input) pairs than the table has entries.  cur for those is built
+        one block of inputs at a time, each by one keyed bincount over about
+        BLOCK_CELLS keys and cells (at least the s**lead * 2**r keys of one
+        input), so its int64 temporaries stay small however large the table
+        is.  Maps with many codes thus cost about what per-coordinate
         bincounts cost.
         """
         t, s, m_codes = self.arity, self.alphabet_size, 2**self.output_bits
@@ -252,12 +260,20 @@ class CompressiveMap:
             while lead < t and m_codes * s ** (t - lead) > n * coins:
                 lead += 1
             rest = s ** (t - lead)
-            keyed = self.table.reshape(-1, rest, coins) * rest
-            keyed += np.arange(rest)[:, None]  # code * rest + (input mod rest)
-            counts = np.bincount(keyed.ravel(), minlength=m_codes * rest)
-            del keyed
-            chunks = [counts.astype(np.min_scalar_type(s**lead * coins)).reshape(m_codes, rest)]
-            del counts
+            rows = self.table.reshape(-1, rest, coins)
+            width = max(1, BLOCK_CELLS // max(m_codes, s**lead * coins))
+            for lo in range(0, rest, width):
+                block = rows[:, lo : lo + width]
+                w = block.shape[1]
+                keyed = block * w
+                keyed += np.arange(w)[:, None]  # code * w + (input mod rest) - lo
+                counts = np.bincount(keyed.ravel(), minlength=m_codes * w).reshape(m_codes, w)
+                del keyed
+                if lo == 0:  # after the keys are freed: one block peaks as one bincount does
+                    first = np.empty((m_codes, rest), dtype=np.min_scalar_type(s**lead * coins))
+                first[:, lo : lo + w] = counts
+            chunks = [first]
+            del first, counts
         wide = np.min_scalar_type(n * coins // s)  # holds any one count
         total = np.empty(m_codes, dtype=np.int64)
         z = 0

@@ -23,6 +23,14 @@ numerator.  KL terms are float bits.  :func:`coordinate_terms` hands the
 table out as Fractions and floats.  Probabilities and statistical distances
 are exact rationals; logarithms are evaluated in floats, so certified
 slacks carry a 1e-9 tolerance.
+
+The information I(output : input) on the KL and conditioned-distance right
+sides comes from the same count pass: H(output) from its full output
+counts, and H(output | input) as the input-average of each table row's coin
+entropy.  Those are summed one block of rows at a time, about BLOCK_CELLS
+(row, code) cells each, so no (inputs x codes) table is built.  numpy sums
+each row of a block along its codes in the same grouping whatever the
+block's height, so the float result is the full table's, to the bit.
 """
 
 from __future__ import annotations
@@ -30,11 +38,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
 
-from .compression import CompressiveMap
+from .compression import BLOCK_CELLS, CompressiveMap
 from .distributions import FiniteDistribution
 
 LEMMA_KL_BOUND = "KL_BOUND"
@@ -45,6 +54,10 @@ LEMMA_VAJDA = "VAJDA_SENS"
 SLACK_TOL = 1e-9
 
 LOG2_E = math.log2(math.e)
+
+#: The one count pass of a map (:func:`_uniform_counts`): full output counts,
+#: conditioned counts, and their two denominators.
+Counts = tuple[np.ndarray, np.ndarray, int, int]
 
 
 @dataclass(frozen=True)
@@ -99,24 +112,60 @@ def vajda_threshold(info_bits: float, arity: int, alphabet_size: int) -> float:
 
 def _count_kl_bits(cp: np.ndarray, np_total: int, cq: np.ndarray, nq_total: int) -> float:
     total = 0.0
-    for z in np.nonzero(cp)[0]:
-        p = int(cp[z]) / np_total
-        q = int(cq[z]) / nq_total
-        if q == 0.0:
-            return math.inf
-        total += p * math.log2(p / q)
+    for a, b in zip(cp.tolist(), cq.tolist()):
+        if a:
+            p = a / np_total
+            q = b / nq_total
+            if q == 0.0:
+                return math.inf
+            total += p * math.log2(p / q)
     return total
 
 
 def _count_entropy_bits(counts: np.ndarray, total: int) -> float:
     out = 0.0
-    for c in counts[counts > 0]:
-        p = int(c) / total
-        out -= p * math.log2(p)
+    for c in counts.tolist():
+        if c:
+            p = c / total
+            out -= p * math.log2(p)
     return out
 
 
-def _uniform_counts(f: CompressiveMap) -> tuple[np.ndarray, np.ndarray, int, int]:
+@lru_cache(maxsize=None)
+def _coin_terms(n_coins: int) -> np.ndarray:
+    """-p log2 p at p = c / n_coins for every coin count c = 0..n_coins (0 at c = 0)."""
+    p = np.arange(n_coins + 1) / n_coins
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
+    terms.setflags(write=False)
+    return terms
+
+
+def _coin_entropy_bits(f: CompressiveMap) -> float:
+    """H(output | input) in bits: the input-average of each table row's coin entropy.
+
+    A row's entropy sums -p log2 p over its (row, code) cells.  The rows are
+    taken in blocks of about BLOCK_CELLS cells and keys (one row when a row
+    alone has more): each block's cells come from one keyed bincount and
+    one gather from :func:`_coin_terms`, and each row is summed along its
+    codes, as one (inputs x codes) table would be.  numpy sums each row of
+    a block the same way whatever the block's height, so the row entropies,
+    and their one mean, do not depend on the blocking.
+    """
+    m_codes, n = 2**f.output_bits, f.n_inputs
+    terms = _coin_terms(f.n_coins)
+    rows = max(1, BLOCK_CELLS // max(m_codes, f.n_coins))
+    offsets = np.arange(rows)[:, None] * m_codes
+    h_rows = np.empty(n)
+    for lo in range(0, n, rows):
+        block = f.table[lo : lo + rows]
+        keyed = (block + offsets[: len(block)]).ravel()
+        cells = np.bincount(keyed, minlength=len(block) * m_codes).reshape(len(block), m_codes)
+        h_rows[lo : lo + len(block)] = terms[cells].sum(axis=1)
+    return float(h_rows.mean())
+
+
+def _uniform_counts(f: CompressiveMap) -> Counts:
     """(full counts, conditioned counts, full denom, conditioned denom)."""
     cond = f.conditioned_output_counts()
     full = cond[0].sum(axis=0)
@@ -125,9 +174,7 @@ def _uniform_counts(f: CompressiveMap) -> tuple[np.ndarray, np.ndarray, int, int
     return full, cond, n_full, n_cond
 
 
-def _term_table(
-    f: CompressiveMap, lemma: str, counts: tuple[np.ndarray, np.ndarray, int, int] | None = None
-) -> tuple[np.ndarray, int | None]:
+def _term_table(f: CompressiveMap, lemma: str, counts: Counts | None = None) -> tuple[np.ndarray, int | None]:
     """The lemma's (t, s) terms as one array, with their common denominator.
 
     The distance terms share the denominator 2 * n1 * n2, so they come as
@@ -164,9 +211,7 @@ def _mean(table: np.ndarray, denom: int | None) -> Any:
     return total / table.size
 
 
-def coordinate_terms(
-    f: CompressiveMap, lemma: str, counts: tuple[np.ndarray, np.ndarray, int, int] | None = None
-) -> list[list[Any]]:
+def coordinate_terms(f: CompressiveMap, lemma: str, counts: Counts | None = None) -> list[list[Any]]:
     """The (t, s) terms, in row-major (j, x) order, whose mean is the lemma's left side.
 
     PINSKER_SENS has one column, d(out | j=0, out | j=1) on binary alphabets;
@@ -181,9 +226,9 @@ def coordinate_terms(
     return [[Fraction(v, denom) for v in row] for row in table.tolist()]
 
 
-def _report(f: CompressiveMap, lemma: str, rhs: float) -> LemmaReport:
+def _report(f: CompressiveMap, lemma: str, rhs: float, counts: Counts | None = None) -> LemmaReport:
     """The mean of the lemma's terms against rhs; the witness is the first largest term."""
-    table, denom = _term_table(f, lemma)
+    table, denom = _term_table(f, lemma, counts)
     j, x = divmod(int(np.argmax(table)), table.shape[1])
     return LemmaReport(lemma, float(_mean(table, denom)), rhs, j, x if table.shape[1] > 1 else None, _map_params(f))
 
@@ -202,24 +247,25 @@ def avg_noise_sensitivity(f: CompressiveMap) -> Fraction:
     return _mean(*_term_table(f, LEMMA_PINSKER))
 
 
-def map_input_mutual_information(f: CompressiveMap) -> float:
+def map_input_mutual_information(f: CompressiveMap, counts: Counts | None = None) -> float:
     """I(output : input) in bits.
 
     Computed as H(output) minus the input-average of the per-row coin
-    entropies; zero coin bits make the conditional term vanish.
+    entropies; zero coin bits make the conditional term vanish.  H(output)
+    reads the full output counts of ``counts``, the count pass a verifier
+    has already made, else one bincount of the table.  The coin entropies
+    are summed in blocks of rows (:func:`_coin_entropy_bits`), so no
+    (inputs x codes) table is built, and each row's float sum is grouped as
+    that table's would be.
     """
-    h_out = _count_entropy_bits(f.output_counts(), f.n_inputs * f.n_coins)
+    if counts is None:
+        h_out = _count_entropy_bits(f.output_counts(), f.n_inputs * f.n_coins)
+    else:
+        full, _, n_full, _ = counts
+        h_out = _count_entropy_bits(full, n_full)
     if f.coin_bits == 0:
         return h_out
-    m_codes = 2**f.output_bits
-    keyed = np.arange(f.n_inputs)[:, None] * m_codes + f.table
-    row_counts = np.bincount(keyed.ravel(), minlength=f.n_inputs * m_codes).reshape(f.n_inputs, m_codes)
-    # A row count is one of 0..n_coins, so -p log2 p is evaluated once per value.
-    p = np.arange(f.n_coins + 1) / f.n_coins
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term_of_count = np.where(p > 0, -p * np.log2(np.where(p > 0, p, 1.0)), 0.0)
-    h_given_input = float(term_of_count[row_counts].sum(axis=1).mean())
-    return max(h_out - h_given_input, 0.0)
+    return max(h_out - _coin_entropy_bits(f), 0.0)
 
 
 def joint_output_input_distribution(f: CompressiveMap) -> FiniteDistribution:
@@ -252,7 +298,8 @@ def kl_sensitivity(f: CompressiveMap) -> tuple[float, float]:
 
 def verify_kl_bound(f: CompressiveMap) -> LemmaReport:
     """Report for the KL-vs-mutual-information bound, with the worst term as witness."""
-    return _report(f, LEMMA_KL_BOUND, map_input_mutual_information(f) / f.arity)
+    counts = _uniform_counts(f)
+    return _report(f, LEMMA_KL_BOUND, map_input_mutual_information(f, counts) / f.arity, counts)
 
 
 def verify_pinsker_sensitivity(f: CompressiveMap) -> LemmaReport:
@@ -267,8 +314,9 @@ def verify_vajda_sensitivity(f: CompressiveMap) -> LemmaReport:
     right side combines the divergence ceiling with the 1/|alphabet| cost of
     resampling one coordinate.
     """
-    rhs = vajda_threshold(map_input_mutual_information(f), f.arity, f.alphabet_size)
-    return _report(f, LEMMA_VAJDA, rhs)
+    counts = _uniform_counts(f)
+    rhs = vajda_threshold(map_input_mutual_information(f, counts), f.arity, f.alphabet_size)
+    return _report(f, LEMMA_VAJDA, rhs, counts)
 
 
 def pinsker_chain(f: CompressiveMap) -> dict[str, float]:

@@ -129,6 +129,17 @@ def test_conditioned_counts_across_code_chunks_and_leading_coordinates():
         assert np.array_equal(g.conditioned_output_counts(), cond), (t, m, r, s)
 
 
+@pytest.mark.parametrize("block_cells", [1, 7, 2**5])
+def test_conditioned_counts_across_bincount_blocks(monkeypatch, block_cells):
+    # a map with coins, or with more than 16 codes, counts its (code, input)
+    # pairs one block of inputs at a time; small blocks give many blocks per
+    # map, most of them ending in a partial block
+    monkeypatch.setattr(compression_module, "BLOCK_CELLS", block_cells)
+    for t, m, r, s in itertools.product((1, 3, 5), (1, 3, 6), (0, 1, 3), (2, 3)):
+        f = CompressiveMap.random(t, m, r, seed=[t, m, r, s, 2], alphabet_size=s)
+        assert np.array_equal(f.conditioned_output_counts(), _row_reference_conditioned_counts(f)), (t, m, r, s)
+
+
 def _digit_reference_conditioned_counts(f: CompressiveMap) -> np.ndarray:
     """Digit-array reference: each coordinate's symbols, counted with every code."""
     m_codes = 2**f.output_bits

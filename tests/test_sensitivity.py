@@ -23,6 +23,8 @@ from compresslab import (
     verify_pinsker_sensitivity,
     verify_vajda_sensitivity,
 )
+from compresslab import sensitivity as sensitivity_module
+from compresslab.compression import BLOCK_CELLS
 from compresslab.sensitivity import (
     LEMMA_KL_BOUND,
     LEMMA_PINSKER,
@@ -301,6 +303,81 @@ def test_information_equals_per_entry_reference():
             continue
         f = CompressiveMap.random(t, m, r, seed=int(rng.integers(0, 2**31)), alphabet_size=s)
         assert map_input_mutual_information(f) == _per_entry_mutual_information(f), (t, m, r, s)
+
+
+@pytest.mark.parametrize("t, m, r, s", [(12, 6, 3, 2), (9, 10, 4, 2), (7, 5, 3, 3), (8, 3, 5, 3), (6, 10, 3, 3)])
+def test_blocked_information_equals_per_entry_reference(t, m, r, s):
+    # the coin entropies are summed in blocks of rows; with r >= 3 a row's
+    # float sum depends on how its cells are grouped, so == checks that each
+    # row is summed as the (inputs x codes) table would sum it
+    f = CompressiveMap.random(t, m, r, seed=[t, m, r, s], alphabet_size=s)
+    rows = max(1, BLOCK_CELLS // max(2**m, 2**r))
+    assert f.n_inputs > rows
+    assert s == 2 or f.n_inputs % rows, "the alphabet-3 maps end in a partial block"
+    assert map_input_mutual_information(f) == _per_entry_mutual_information(f)
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 2**6])
+def test_information_at_small_blocks_equals_per_entry_reference(monkeypatch, block_cells):
+    monkeypatch.setattr(sensitivity_module, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(45)
+    for _ in range(30):
+        t, m, r, s = (int(v) for v in rng.integers((1, 0, 1, 2), (7, 6, 5, 4)))
+        if s**t * 2**r > 2**12:
+            continue
+        f = CompressiveMap.random(t, m, r, seed=int(rng.integers(0, 2**31)), alphabet_size=s)
+        assert map_input_mutual_information(f) == _per_entry_mutual_information(f), (t, m, r, s)
+
+
+def test_verifiers_read_the_output_entropy_from_their_counts(monkeypatch):
+    calls = []
+    count = CompressiveMap.output_counts
+
+    def counted(self):
+        calls.append(self)
+        return count(self)
+
+    monkeypatch.setattr(CompressiveMap, "output_counts", counted)
+    maps = [
+        CompressiveMap.random(5, 2, 1, seed=1),
+        CompressiveMap.random(4, 3, 0, seed=2),
+        CompressiveMap.random(3, 2, 2, seed=3, alphabet_size=3),
+    ]
+    for f in maps:
+        for verifier in (verify_kl_bound, verify_vajda_sensitivity, kl_sensitivity):
+            verifier(f)
+    assert calls == []
+    # called alone, the information still counts the outputs itself
+    for f in maps:
+        assert map_input_mutual_information(f) == _per_entry_mutual_information(f)
+    assert calls == maps
+
+
+def _numpy_scalar_kl_bits(cp: np.ndarray, np_total: int, cq: np.ndarray, nq_total: int) -> float:
+    """Reference: the KL term as a loop over numpy scalars at the nonzero codes."""
+    total = 0.0
+    for z in np.nonzero(cp)[0]:
+        p = int(cp[z]) / np_total
+        q = int(cq[z]) / nq_total
+        if q == 0.0:
+            return math.inf
+        total += p * math.log2(p / q)
+    return total
+
+
+def test_kl_terms_equal_numpy_scalar_reference():
+    rng = np.random.default_rng(46)
+    for i in range(50):
+        s = 2 + i % 3
+        t, m, r = (int(v) for v in rng.integers((1, 0, 0), (7, 6, 3)))
+        if s**t * 2**r > 2**12:
+            t = 3
+        f = CompressiveMap.random(t, m, r, seed=int(rng.integers(0, 2**31)), alphabet_size=s)
+        cond = f.conditioned_output_counts()
+        full = cond[0].sum(axis=0)
+        n_full = f.n_inputs * f.n_coins
+        expect = [[_numpy_scalar_kl_bits(cond[j, x], n_full // s, full, n_full) for x in range(s)] for j in range(t)]
+        assert coordinate_terms(f, LEMMA_KL_BOUND) == expect, (t, m, r, s)
 
 
 def test_verifiers_build_the_conditioned_table_once(monkeypatch):
