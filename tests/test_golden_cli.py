@@ -12,7 +12,9 @@ implementation that built one query batch per audited input, and of larger
 random, parity and majority languages, recorded from the earlier
 implementation that passed vertices around as '0'/'1' strings, and of
 random tournaments at and past the benchmark's sizes, recorded from the
-earlier implementation that counted every greedy step by an edge scan.
+earlier implementation that counted every greedy step by an edge scan, and
+of larger block (tlogt) audits, recorded from the earlier implementation
+that kept a separate selector, advice builder and query batch for blocks.
 
 The final line of each file embeds the configuration.  Its `config` object
 was re-recorded once, when the options that no command read were dropped
@@ -78,6 +80,13 @@ EXAMPLES = {
     "tournament_random_n10_seed2_ideal_or_t3": "tournament --language builtin:random --n 10 --t 3 --seed 2",
     "reduce_parity_n6_ideal_or_t4_audit": "reduce --language builtin:parity --n 6 --t 4 --audit",
     "tournament_majority_n7_ideal_or_t3": "tournament --language builtin:majority --n 7 --t 3",
+    # block audits past the README's n=3: block size 3, and three blocks
+    "reduce_parity_n5_ideal_or_t2_tlogt_sigma3_audit": (
+        "reduce --language builtin:parity --n 5 --t 2 --mode tlogt --sigma 3 --delta 0.5 --audit"
+    ),
+    "reduce_random_n5_seed7_ideal_or_t3_tlogt_sigma2_audit": (
+        "reduce --language builtin:random --n 5 --seed 7 --t 3 --mode tlogt --sigma 2 --delta 0.3 --audit"
+    ),
     # random tournaments at the benchmark's sizes and beyond, in closed form
     # for k >= 3: members and traces of every greedy step
     "tournament_random_v60_t4_seed1": "tournament --random --num-vertices 60 --t 4 --seed 1",
