@@ -44,7 +44,6 @@ from .reduction import (
     SDQuery,
     audit_language,
     build_advice,
-    build_block_advice,
     decide,
     exact_sd_oracle,
     threshold_oracle,
@@ -62,12 +61,11 @@ from .sensitivity import (
     verify_vajda_sensitivity,
 )
 from .tournament import (
+    BlockCompression,
     DominatingSet,
     HypergraphTournament,
     InvariantError,
     SelectorUndefinedError,
-    block_selector,
-    block_tournament,
     greedy_dominating_set,
     random_tournament,
     selector_from_compression,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from fractions import Fraction
 from typing import Any, Sequence
@@ -136,7 +137,7 @@ def _build_compression(source: str, language: ToyLanguage, t: int):
     try:
         e_s = Fraction(*obj.get("es", [0, 1]))
         e_c = Fraction(*obj.get("ec", [0, 1]))
-        coin_bits = int(obj.get("coin_bits", 0))
+        coin_bits = operator.index(obj.get("coin_bits", 0))  # rejects 1.5 rather than truncate it
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed compression: {exc}") from None
     return noisy_or_compression(language, t, e_s, e_c, coin_bits)
@@ -209,7 +210,6 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
             edge_size=args.t,
             Delta=args.Delta,
             delta=args.delta,
-            mode=args.mode,
             block_size=args.sigma if args.mode == "tlogt" else None,
         )
         line = audit.to_json()

@@ -15,12 +15,14 @@ distribution constructors, and a float input law handed to
 come out.
 Subset laws are memoised per compression under hashable law keys;
 compressions that only count hits in a language (OR and transformed-OR
-compressions) share one closed form, everything else enumerates.
+compressions) share one closed form, everything else enumerates.  So do the
+pick laws of the block variant (:meth:`SetEncodedCompression.pick_key`).
 """
 
 from __future__ import annotations
 
 import base64
+import itertools
 import math
 import operator
 from collections.abc import Collection, Hashable, Iterable, Sequence
@@ -414,6 +416,8 @@ class ToyLanguage:
     def from_json(cls, obj: dict[str, Any]) -> "ToyLanguage":
         if not isinstance(obj, dict) or "n" not in obj or "yes" not in obj:
             raise ValueError('a language needs an "n" and a "yes" entry')
+        if not isinstance(obj["yes"], list):
+            raise ValueError('a language\'s "yes" entry must be a list of hex ids')
         try:
             n = int(obj["n"])
             yes = [int(h, 16) for h in obj["yes"]]
@@ -479,6 +483,8 @@ class SetEncodedCompression:
     ):
         if arity < 1:
             raise ValueError("arity must be at least 1")
+        if output_bits < 0 or coin_bits < 0:
+            raise ValueError("bit counts must be nonnegative")
         e_s, e_c = Fraction(e_s), Fraction(e_c)
         if not (0 <= e_s <= 1 and 0 <= e_c <= 1):
             raise ValueError("error bounds must lie in [0, 1]")
@@ -532,15 +538,13 @@ class SetEncodedCompression:
         """
         return vs
 
-    def conditioned_law_keys(self, e: Sequence[int]) -> Iterable[tuple[Hashable, Hashable]]:
-        """For each element v of the canonical edge e, the law keys of e minus v
-        without and with v forced in, in edge order."""
-        for v in e:
-            rest = tuple(w for w in e if w != v)
-            yield self.law_key(rest), self.law_key(rest, (v,))
+    def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[Hashable, Hashable]:
+        """The law keys that the selector compares for v in the edge g + (v,),
+        and the query for v against member g; by default g without and with v."""
+        return self.law_key(g), self.law_key(g, (v,))
 
     def law(self, key: Hashable) -> FiniteDistribution:
-        """Subset law of a law key, memoised per key on the instance.
+        """Law of a key (a pick law on a block compression), memoised per key.
 
         The memo lives as long as the compression.  Hit-count keys keep it
         below (arity + 1)**2 entries; default keys add one entry per
@@ -555,6 +559,14 @@ class SetEncodedCompression:
     def _compute_law(self, key: Hashable) -> FiniteDistribution:
         ground, forced = key
         return enumerate_subset_law(self, ground, forced)
+
+    def pick_key(self, pools: Sequence[Sequence[int]]) -> Hashable:
+        """Key of the law on one uniform pick per disjoint pool; by default the pools."""
+        return tuple(pools)
+
+    def pick_law(self, key: Hashable) -> FiniteDistribution:
+        """Law of a pick key, not memoised (:func:`enumerate_pick_law` by default)."""
+        return enumerate_pick_law(self, key)
 
     def subset_output_distribution(self, ground: Sequence[int], forced: Sequence[int] = ()) -> FiniteDistribution:
         """Distribution of the output on U ∪ forced, U a uniform subset of ground.
@@ -590,15 +602,27 @@ def enumerate_subset_law(
     return a.counts_to_distribution(acc, 2 ** len(ground) * a.n_coins)
 
 
+def enumerate_pick_law(a: SetEncodedCompression, pools: Sequence[Sequence[int]]) -> FiniteDistribution:
+    """Reference pick law: every pick (one per pool) and coin enumerated."""
+    rows = math.prod(len(p) for p in pools)
+    check_enumeration(rows * a.n_coins, "block output enumeration")
+    acc = [0] * (2**a.output_bits)
+    for picks in itertools.product(*pools):
+        for code, cnt in enumerate(a.output_counts(picks)):
+            acc[code] += cnt
+    return a.counts_to_distribution(acc, rows * a.n_coins)
+
+
 class HitCountCompression(SetEncodedCompression):
     """Compression whose output law depends only on the number of hits.
 
     A hit is an input element that lies in ``hit_language``; subclasses give
     :meth:`hit_counts`, the output-code counts over all coin strings for an
-    input with h hits.  A uniform subset of a ground set with k hits, plus
-    forced elements with h_f hits, then has the closed-form law
-    sum_j C(k, j) * hit_counts(h_f + j) / (2**k * n_coins), so the law key
-    is the pair (ground hits, forced hits).
+    input with h hits.  One uniform pick per pool then has a closed-form law
+    (:meth:`pick_law`) keyed by the pools' (size, hits) profile.  A uniform
+    subset of a ground set with k hits plus forced elements with h_f hits
+    is one pick from each of k pools of a hit and a miss and h_f pools of a
+    hit, so its law key is the pair (ground hits, forced hits).
     """
 
     def __init__(self, hit_language: ToyLanguage, arity: int, **kwargs: Any):
@@ -625,12 +649,20 @@ class HitCountCompression(SetEncodedCompression):
 
     def _compute_law(self, key: tuple[int, int]) -> FiniteDistribution:
         k, forced_hits = key
-        acc = [0] * (2**self.output_bits)
-        for j in range(k + 1):
-            ways = math.comb(k, j)
-            for code, cnt in enumerate(self.hit_counts(forced_hits + j)):
-                acc[code] += ways * cnt
-        return self.counts_to_distribution(acc, 2**k * self.n_coins)
+        return self.pick_law(((2, 1),) * k + ((1, 1),) * forced_hits)
+
+    def pick_key(self, pools: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
+        """The pools' sorted (size, hits) profile."""
+        return tuple(sorted((len(p), self.hits(p)) for p in pools))
+
+    def pick_law(self, profile: tuple[tuple[int, int], ...]) -> FiniteDistribution:
+        """hit_counts(h) weighted by x**h's coefficient in prod (misses + hits * x)."""
+        ways = [1]
+        for size, hits in profile:
+            ways = [(size - hits) * w + hits * w_less for w, w_less in zip(ways + [0], [0] + ways)]
+        counts = [self.hit_counts(h) for h in range(len(ways))]
+        acc = [sum(w * c[code] for w, c in zip(ways, counts)) for code in range(2**self.output_bits)]
+        return self.counts_to_distribution(acc, math.prod(size for size, _ in profile) * self.n_coins)
 
 
 class OrCompression(HitCountCompression):

@@ -8,6 +8,10 @@ the compression on a random subset of g with and without v are far apart.
 One-yes sets keep the laws at distance at least 1 - (e_s + e_c), while a
 dominating member of a no-instance keeps them within the selector
 threshold, so the conjunction of oracle answers decides membership exactly.
+The query for member g and input v compares the pair of laws the selector
+compared for v in the edge g + (v,) (``conditioned_keys``), so a dominated
+no-instance lands on the NO side.  The block (t log t) variant is the same
+procedure on a :class:`BlockCompression`.
 
 Queries are non-adaptive: the query list is a pure function of the input
 and the advice, and the verdict is the conjunction of the answers.  Every
@@ -17,23 +21,21 @@ distances and promise tags are exact too; there is no float mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Literal
 
 import numpy as np
 
-from .compression import SetEncodedCompression, ToyLanguage, bits_label, canonical_set
+from .compression import SetEncodedCompression, ToyLanguage, bits_label
 from .distributions import FiniteDistribution, statistical_distance
 from .sensitivity import pinsker_threshold
 from .tournament import (
+    BlockCompression,
     DominatingSet,
     InvariantError,
-    block_conditioned_distributions,
-    block_tournament,
     greedy_dominating_set,
-    partition_blocks,
     selector_from_compression,
 )
 
@@ -112,7 +114,6 @@ class Advice:
     edge_size: int
     vertices: tuple[int, ...] = ()
     dominating: DominatingSet | None = None
-    block_size: int = field(default=0)
 
     @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
@@ -176,27 +177,6 @@ def build_advice(
     return Advice(language.n, "DOMSET", t, dominating=dom)
 
 
-def build_block_advice(
-    language: ToyLanguage,
-    a: SetEncodedCompression,
-    num_blocks: int,
-    block_size: int,
-    delta: float,
-) -> Advice:
-    """Advice for the block variant: edges are block_size * num_blocks subsets."""
-    if a.coin_bits != 0 or a.e_s != 0 or a.e_c != 0:
-        raise ValueError("the block reduction needs a deterministic, exact compression")
-    edge_size = num_blocks * block_size
-    no_instances = language.no_instances()
-    if len(no_instances) <= edge_size:
-        return Advice(language.n, "FULL_V", edge_size, vertices=tuple(no_instances.tolist()), block_size=block_size)
-    tournament = block_tournament(a, no_instances, num_blocks, block_size, delta, language.n)
-    dom = greedy_dominating_set(tournament)
-    if dom.size > num_blocks * block_size * language.n:
-        raise InvariantError("advice grew past the guardrail")
-    return Advice(language.n, "DOMSET", edge_size, dominating=dom, block_size=block_size)
-
-
 # ---------------------------------------------------------------------------
 # decisions
 # ---------------------------------------------------------------------------
@@ -210,43 +190,25 @@ def queries_for(
     delta: Number,
     shared: dict[tuple, Any] | None = None,
 ) -> list[SDQuery]:
-    """The base-mode query batch for one input: one query per advice member.
+    """The query batch for one input: one query per advice member g, on the
+    laws of :meth:`SetEncodedCompression.conditioned_keys` (g, v), the pair
+    the selector compared for v in the edge g + (v,).
 
     Pure in (v, advice); oracle answers never influence it.  Members
     containing v produce no queries (the decision rejects beforehand).
     Equal queries are one object: within the batch, and across every call
     that passes the same ``shared`` dict, so each distinct distance is
-    computed once.  The dict also keeps each member's left law, which does
-    not depend on v.
+    computed once.  The laws themselves are memoised by the compression.
     """
     shared = {} if shared is None else shared
     queries = []
     for g in advice.elements:
-        left = shared.get(g)
-        if left is None:
-            left = shared[g] = a.subset_output_distribution(g)
-        right = a.subset_output_distribution(g, forced=(v,))
+        left, right = map(a.law, a.conditioned_keys(g, v))
         key = (left, right, Delta, delta)
         q = shared.get(key)
         if q is None:
             q = shared[key] = SDQuery(left, right, Delta, delta)
         queries.append(q)
-    return queries
-
-
-def block_queries_for(
-    v: int,
-    advice: Advice,
-    a: SetEncodedCompression,
-    Delta: Number,
-    delta: Number,
-) -> list[SDQuery]:
-    """Block-mode query batch: condition v out of / into its block per member."""
-    queries = []
-    for g in advice.elements:
-        blocks = partition_blocks(canonical_set(g + (v,)), advice.block_size)
-        left, right = block_conditioned_distributions(a, blocks, v)
-        queries.append(SDQuery(left, right, Delta, delta))
     return queries
 
 
@@ -263,9 +225,8 @@ def decide_with_queries(
 
     FULL_V advice rejects exactly the listed no-instances, and DOMSET advice
     rejects v when it lies inside a member; both return an empty batch and
-    call no oracle.  Otherwise the batch is the block batch for block advice
-    (a positive block size) and the base batch for the rest, and v is
-    accepted exactly when the oracle affirms every query in it.
+    call no oracle.  Otherwise v is accepted exactly when the oracle affirms
+    every query of its batch (:func:`queries_for`).
     """
     if not 0 <= v < 2**advice.n:
         raise ValueError(f"input {v} is not an id of the advice length {advice.n}")
@@ -273,10 +234,7 @@ def decide_with_queries(
         return v not in advice.vertices, []
     if v in advice.member_elements:
         return False, []
-    if advice.block_size:
-        batch = block_queries_for(v, advice, a, Delta, delta)
-    else:
-        batch = queries_for(v, advice, a, Delta, delta, shared=shared)
+    batch = queries_for(v, advice, a, Delta, delta, shared=shared)
     return all(oracle(q) for q in batch), batch
 
 
@@ -341,7 +299,6 @@ def audit_language(
     edge_size: int | None = None,
     Delta: Number | None = None,
     delta: Number | None = None,
-    mode: Literal["base", "tlogt"] = "base",
     block_size: int | None = None,
     oracle: Oracle = exact_sd_oracle,
 ) -> AuditReport:
@@ -350,48 +307,41 @@ def audit_language(
     Inputs are grouped into classes that provably share their verdict and
     query batch: with FULL_V advice the listed inputs and the rest; with
     DOMSET advice the inputs inside a member, and the others by
-    forced-element class (:meth:`SetEncodedCompression.forced_class`; in
-    block mode each input is its own class).  Each class is decided once,
-    by :func:`decide_with_queries` on its least input, and its batch's tags
-    are counted once per input.  An audit therefore costs one query batch
-    per class (two for hit-count compressions, one per input otherwise),
-    and its verdicts meet the membership vector in one array comparison.
+    forced-element class (:meth:`SetEncodedCompression.forced_class`).
+    Each class is decided once, by :func:`decide_with_queries` on its least
+    input, and its batch's tags are counted once per input.  An audit
+    therefore costs one query batch per class (two for hit-count
+    compressions, one per input otherwise), and its verdicts meet the
+    membership vector in one array comparison.
     This treats the oracle as a function of the query, as the shared query
     objects already do: an oracle whose answer depends on anything else
     gets one answer per class, not per input.
 
-    The promise gap defaults as in :func:`promise_gap` in both modes.  Block
-    mode needs a block size and an explicit delta; its default Delta is 1,
-    since block advice only accepts deterministic, exact compressions.
+    A block size selects block ("tlogt") mode: the same audit on
+    ``BlockCompression(a, block_size)``, with edges of edge_size blocks and
+    each input its own class.  The promise gap defaults as in
+    :func:`promise_gap`, but block mode needs an explicit delta.
     Raises "empty promise gap" before any decision when delta >= Delta.
     Agreement below 1.0 on a compression within its error budget indicates
     a bug, not noise: every law, distance and tag here is an exact rational
     (only the reported agreement, Delta and delta are converted to floats).
     """
     t = a.arity if edge_size is None else edge_size
-    if mode != "base":
-        if block_size is None:
-            raise ValueError("block mode needs a block size")
-        if delta is None:
-            raise ValueError("block mode needs an explicit delta below 1")
+    if block_size is not None and delta is None:
+        raise ValueError("block mode needs an explicit delta below 1")
     Delta, delta = promise_gap(a, t, Delta, delta)
     if not (0 <= delta < Delta <= 1):
         raise ValueError(f"empty promise gap: delta={delta} must be below Delta={Delta}")
-
-    if mode == "base":
-        advice = build_advice(language, a, t, float(delta))
-        forced_class = a.forced_class
-    else:
-        advice = build_block_advice(language, a, t, block_size, float(delta))
-        # a block batch partitions the member plus v, so it depends on v itself
-        forced_class = lambda vs: vs
+    if block_size is not None:
+        a = BlockCompression(a, block_size)
+    advice = build_advice(language, a, t if block_size is None else t * block_size, float(delta))
 
     inputs = np.arange(2**language.n)
     if advice.mode == "FULL_V":
         key = np.zeros(len(inputs), dtype=np.int8)
         key[list(advice.vertices)] = -1
     else:
-        classes = forced_class(inputs)
+        classes = a.forced_class(inputs)
         key = classes.astype(np.result_type(np.int8, classes.dtype))  # narrow keys sort fast
         key[list(advice.member_elements)] = -1
     _, first, inverse, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
@@ -406,7 +356,7 @@ def audit_language(
     return AuditReport(
         n=language.n,
         t=t,
-        mode=mode,
+        mode="base" if block_size is None else "tlogt",
         agreement=(len(inputs) - len(mismatches)) / len(inputs),
         advice_size=advice.size,
         advice_mode=advice.mode,

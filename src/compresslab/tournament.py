@@ -35,6 +35,9 @@ candidate then charges the vertices of R before its first vertex
 vertices before its first one (:meth:`_HitCountTournament.dominated`).
 Vertex sets of both hit bits, which no reduction builds, and tables where
 that verdict fails take the general scan.
+
+The block variant needs no selector of its own: the same one runs on a
+:class:`BlockCompression`, and its tournaments take the general scan.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .budget import check_enumeration
-from .compression import HitCountCompression, SetEncodedCompression, bits_label, canonical_set, id_array, parse_bits
+from .compression import HitCountCompression, SetEncodedCompression, bits_label, canonical_set, enumerate_pick_law
+from .compression import id_array, parse_bits
 from .distributions import FiniteDistribution, statistical_distance
 
 Edge = tuple[int, ...]
@@ -266,10 +270,11 @@ def selector_from_compression(
 ) -> HypergraphTournament:
     """Tournament whose selector picks the least distance-insensitive element.
 
-    For an edge e, element v qualifies when the output distributions on a
-    uniform subset of e conditioned to avoid v versus to contain v are within
-    delta in statistical distance; the least qualifying element is
-    selected.  The caller asserts that the vertices are
+    For an edge e, element v qualifies when the two laws of
+    ``a.conditioned_keys(e minus v, v)`` are within delta in statistical
+    distance: by default the output laws on a uniform subset of e
+    conditioned to avoid v versus to contain v.  The least qualifying
+    element is selected.  The caller asserts that the vertices are
     no-instances and that delta is at least the sensitivity ceiling, which
     together guarantee a qualifying element exists.
 
@@ -293,8 +298,8 @@ def selector_from_compression(
         return ok
 
     def selector(e: Edge) -> int:
-        for v, keys in zip(e, a.conditioned_law_keys(e)):
-            if verdict(keys):
+        for i, v in enumerate(e):
+            if verdict(a.conditioned_keys(e[:i] + e[i + 1 :], v)):
                 return v
         raise SelectorUndefinedError(
             f"no element of {e!r} is insensitive at threshold {delta}; the vertex set "
@@ -760,7 +765,7 @@ def verify_domination(tournament: HypergraphTournament, dominating: DominatingSe
 
 
 # ---------------------------------------------------------------------------
-# block tournaments (large-alphabet variant)
+# the block variant (large alphabets)
 # ---------------------------------------------------------------------------
 
 
@@ -774,6 +779,38 @@ def partition_blocks(e: Sequence[int], block_size: int) -> tuple[Edge, ...]:
     return tuple(e[i : i + block_size] for i in range(0, len(e), block_size))
 
 
+def _conditioned_pools(blocks: Sequence[Edge], v: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    """The blocks with v's block conditioned to avoid v, and pinned to v."""
+    holder = [j for j, b in enumerate(blocks) if v in b]
+    if not holder:
+        raise ValueError(f"{v!r} is not in any block")
+    j = holder[0]
+    before, after = tuple(blocks[:j]), tuple(blocks[j + 1 :])
+    return before + (tuple(w for w in blocks[j] if w != v),) + after, before + ((v,),) + after
+
+
+class BlockCompression(SetEncodedCompression):
+    """Block variant of a deterministic, exact compression a, for the base
+    selector and reduction: g + (v,) splits into blocks of consecutive ids,
+    and a sees one pick per block, v's block without v against pinned to v.
+    The base keys and computes these pick laws, and they are memoised here.
+    No set is evaluated and no subset law asked for."""
+
+    def __init__(self, a: SetEncodedCompression, block_size: int):
+        if a.coin_bits != 0 or a.e_s != 0 or a.e_c != 0:
+            raise ValueError("the block reduction needs a deterministic, exact compression")
+        super().__init__(a.arity * block_size, output_bits=a.output_bits)
+        self.base = a
+        self.block_size = block_size
+
+    def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[Hashable, Hashable]:
+        without, pinned = _conditioned_pools(partition_blocks((*g, v), self.block_size), v)
+        return self.base.pick_key(without), self.base.pick_key(pinned)
+
+    def _compute_law(self, key: Hashable) -> FiniteDistribution:
+        return self.base.pick_law(key)
+
+
 def block_conditioned_distributions(
     a: SetEncodedCompression, blocks: Sequence[Edge], v: int
 ) -> tuple[FiniteDistribution, FiniteDistribution]:
@@ -781,71 +818,17 @@ def block_conditioned_distributions(
 
     The input set takes one uniformly chosen element from every block.  The
     first law conditions v's block to avoid v, the second pins it to v.
+    Every pick is enumerated: the reference for :class:`BlockCompression`.
     """
     blocks = [canonical_set(b) for b in blocks]
-    sizes = {len(b) for b in blocks}
-    if len(sizes) != 1:
+    if len({len(b) for b in blocks}) != 1:
         raise ValueError("blocks must have equal sizes")
-    if min(sizes) < 2:
+    if len(blocks[0]) < 2:
         raise ValueError("blocks need at least two elements")
     all_elems = [w for b in blocks for w in b]
     if len(set(all_elems)) != len(all_elems):
         raise ValueError("blocks must be disjoint")
     if len(blocks) > a.arity:
         raise ValueError("more blocks than the compression arity")
-    holder = [j for j, b in enumerate(blocks) if v in b]
-    if not holder:
-        raise ValueError(f"{v!r} is not in any block")
-    j = holder[0]
-
-    def law(choices_j: Edge) -> FiniteDistribution:
-        rows = 1
-        for idx, b in enumerate(blocks):
-            rows *= len(choices_j) if idx == j else len(b)
-        check_enumeration(rows * a.n_coins, "block output enumeration")
-        acc = [0] * (2**a.output_bits)
-
-        def rec(prefix: Edge, idx: int) -> None:
-            if idx == len(blocks):
-                for code, cnt in enumerate(a.output_counts(prefix)):
-                    acc[code] += cnt
-                return
-            pool = choices_j if idx == j else blocks[idx]
-            for w in pool:
-                rec(prefix + (w,), idx + 1)
-
-        rec((), 0)
-        return a.counts_to_distribution(acc, rows * a.n_coins)
-
-    without_v = tuple(w for w in blocks[j] if w != v)
-    return law(without_v), law((v,))
-
-
-def block_selector(a: SetEncodedCompression, blocks: Sequence[Edge], delta: float) -> int:
-    """Least element whose without/with conditioned laws are within delta."""
-    blocks = [canonical_set(b) for b in blocks]
-    for v in sorted(w for b in blocks for w in b):
-        left, right = block_conditioned_distributions(a, blocks, v)
-        if statistical_distance(left, right) <= delta:
-            return v
-    raise SelectorUndefinedError(
-        f"no block element qualifies at threshold {delta} on blocks {blocks!r}"
-    )
-
-
-def block_tournament(
-    a: SetEncodedCompression,
-    vertices: Iterable[int],
-    num_blocks: int,
-    block_size: int,
-    delta: float,
-    vertex_bits: int,
-) -> HypergraphTournament:
-    """Tournament on (block_size * num_blocks)-subsets via the block selector."""
-    if num_blocks > a.arity:
-        raise ValueError("more blocks than the compression arity")
-
-    def selector(e: Edge) -> int:
-        return block_selector(a, partition_blocks(e, block_size), delta)
-
-    return HypergraphTournament(vertices, num_blocks * block_size, selector, vertex_bits)
+    without, pinned = _conditioned_pools(blocks, v)
+    return enumerate_pick_law(a, without), enumerate_pick_law(a, pinned)

@@ -244,7 +244,7 @@ def test_criterion_7_block_variant_micro():
         if len(lang.no_instances()) <= 4:
             continue
         a = ideal_or_compression(lang, 2)
-        rep = audit_language(lang, a, mode="tlogt", block_size=2, delta=0.5)
+        rep = audit_language(lang, a, block_size=2, delta=0.5)
         ok &= rep.agreement == 1.0
         details.append((sorted(yes), rep.agreement, rep.advice_mode))
     crit.finish(ok, f"t=2 blocks of 2, n=3: {details}")

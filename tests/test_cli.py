@@ -284,10 +284,27 @@ def test_audit_past_the_edge_scan_wall(capsys):
 
 
 def test_malformed_language_file_exit_2(tmp_path):
-    for name, obj in (("no-n", {"yes": ["1"]}), ("no-yes", {"n": 3}), ("bad-n", {"n": None, "yes": []})):
+    for name, obj in (
+        ("no-n", {"yes": ["1"]}),
+        ("no-yes", {"n": 3}),
+        ("bad-n", {"n": None, "yes": []}),
+        ("yes-string", {"n": 3, "yes": "07"}),
+    ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))
         proc = _python("-m", "compresslab.cli", "reduce", "--language", str(path), "--audit")
+        assert proc.returncode == 2, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stderr)["kind"] == "usage"
+
+
+def test_malformed_coin_bits_exit_2(tmp_path):
+    # a negative coin count used to crash the OR constructor with a
+    # traceback, and a fractional one was truncated
+    for name, coin_bits in (("negative-coins", -1), ("fractional-coins", 1.5)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"kind": "or", "coin_bits": coin_bits}))
+        proc = _python("-m", "compresslab.cli", "reduce", "--compression", str(path), "--audit")
         assert proc.returncode == 2, (name, proc.stderr)
         assert "Traceback" not in proc.stderr
         assert json.loads(proc.stderr)["kind"] == "usage"
@@ -348,6 +365,8 @@ def _fuzz_files(tmp_path):
         "bad-kind": '{"kind": "xor"}',
         "bad-es": '{"kind": "or", "es": "ab"}',
         "zero-denominator": '{"kind": "or", "es": [1, 0]}',
+        "negative-coins": '{"kind": "or", "coin_bits": -1}',
+        "fractional-coins": '{"kind": "or", "coin_bits": 1.5}',
     }
     paths = []
     for name, text in files.items():

@@ -14,6 +14,7 @@ from compresslab import (
     CompressiveMap,
     FiniteDistribution,
     ProductDistribution,
+    SetEncodedCompression,
     SymmetricCompression,
     SymmetricFunction,
     ToyLanguage,
@@ -501,7 +502,7 @@ def test_law_keys_summarise_hit_counts():
     assert a.law_key((0b000, 0b111, 0b110), (0b001,)) == (2, 0)
     assert a.law_key((0b000, 0b111), (0b111,)) == (0, 1)
     e = (0b000, 0b001, 0b110, 0b111)
-    assert list(a.conditioned_law_keys(e)) == [
+    assert [a.conditioned_keys(tuple(w for w in e if w != v), v) for v in e] == [
         (a.law_key(tuple(w for w in e if w != v)), a.law_key(tuple(w for w in e if w != v), (v,)))
         for v in e
     ]
@@ -522,6 +523,14 @@ def test_error_bound_contract():
     lang = ToyLanguage(2, {0b11})
     with pytest.raises(ValueError, match="below 1"):
         noisy_or_compression(lang, 2, e_s=F(1, 2), e_c=F(1, 2), coin_bits=1)
+
+
+def test_negative_bit_counts_rejected():
+    lang = ToyLanguage(2, {0b11})
+    with pytest.raises(ValueError, match="nonnegative"):
+        noisy_or_compression(lang, 2, e_s=0, e_c=0, coin_bits=-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        SetEncodedCompression(2, output_bits=-1)
 
 
 def test_arity_enforced():

@@ -189,3 +189,21 @@ def test_grouped_audit_matches_per_input_loop_under_wrong_oracles(case, oracle):
         reference.query_tags,
         reference.mismatches,
     )
+
+
+@pytest.mark.parametrize(
+    "language, t, block_size, delta",
+    [
+        (ToyLanguage(3, {0b111}), 2, 2, 0.5),
+        (ToyLanguage.random(5, seed=7), 3, 2, 0.3),
+        (ToyLanguage(5, [v for v in range(32) if bin(v).count("1") % 2]), 2, 3, 0.5),
+    ],
+    ids=["single-yes-n3", "random-n5-t3", "parity-n5-sigma3"],
+)
+def test_block_audit_with_profile_keys_equals_pool_keys(language, t, block_size, delta):
+    # hit-count pick laws keyed by (size, hits) profile and computed in
+    # closed form, against pools as keys and every pick enumerated
+    a = ideal_or_compression(language, t)
+    report = audit_language(language, a, block_size=block_size, delta=delta)
+    assert report == audit_language(language, Opaque(a), block_size=block_size, delta=delta)
+    assert report.mode == "tlogt" and report.agreement == 1.0

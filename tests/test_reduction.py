@@ -6,22 +6,23 @@ import numpy as np
 import pytest
 
 from compresslab import (
+    BlockCompression,
     FiniteDistribution,
     SDQuery,
     ToyLanguage,
     audit_language,
     build_advice,
-    build_block_advice,
     decide,
     exact_sd_oracle,
     ideal_or_compression,
     noisy_or_compression,
+    selector_from_compression,
     statistical_distance,
     threshold_oracle,
 )
 from compresslab import compression as compression_module
 from compresslab import reduction
-from compresslab.reduction import block_queries_for, decide_with_queries, queries_for
+from compresslab.reduction import decide_with_queries, queries_for
 
 F = Fraction
 
@@ -181,6 +182,27 @@ def test_domination_soundness_over_built_advice():
             continue
         distances = [q.distance for q in queries_for(v, advice, a, Delta=1, delta=delta)]
         assert any(d <= delta for d in distances)
+    # block advice: whenever g + (v,) selects v, the query for (g, v) is on the NO side
+    parity = ToyLanguage(5, [v for v in range(32) if bin(v).count("1") % 2])
+    for lang, t, block_size, delta in (
+        (ToyLanguage(3, {0b111}), 2, 2, 0.5),
+        (ToyLanguage.random(5, seed=7), 3, 2, 0.3),
+        (parity, 2, 3, 0.5),
+    ):
+        b = BlockCompression(ideal_or_compression(lang, t), block_size)
+        advice = build_advice(lang, b, t * block_size, delta=delta)
+        assert advice.mode == "DOMSET"
+        tournament = selector_from_compression(b, lang.no_instances(), t * block_size, delta, lang.n)
+        selected = 0
+        for v in lang.no_instances().tolist():
+            if v in advice.member_elements:
+                continue
+            for g, q in zip(advice.elements, queries_for(v, advice, b, Delta=1, delta=delta)):
+                edge = [format(w, f"0{lang.n}b") for w in g + (v,)]
+                if tournament.select(edge) == edge[-1]:
+                    selected += 1
+                    assert q.promise_tag == "NO", (g, v)
+        assert selected
 
 
 def test_oracle_policy_independence():
@@ -279,13 +301,13 @@ def test_block_advice_requires_deterministic_compression():
     lang = ToyLanguage(3, {0b111})
     noisy = noisy_or_compression(lang, 2, e_s=F(1, 4), e_c=0, coin_bits=2)
     with pytest.raises(ValueError, match="deterministic"):
-        build_block_advice(lang, noisy, 2, 2, delta=0.5)
+        build_advice(lang, BlockCompression(noisy, 2), 4, delta=0.5)
 
 
 def test_block_decide_micro():
     lang = ToyLanguage(3, {0b111})
-    a = ideal_or_compression(lang, 2)
-    advice = build_block_advice(lang, a, 2, 2, delta=0.5)
+    a = BlockCompression(ideal_or_compression(lang, 2), 2)
+    advice = build_advice(lang, a, 4, delta=0.5)
     assert advice.mode == "DOMSET"
     assert decide(0b111, advice, a, delta=0.5)
     for v in lang.no_instances():
@@ -300,10 +322,10 @@ def test_block_decide_micro():
 def test_block_audit_micro():
     lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 2)
-    report = audit_language(lang, a, mode="tlogt", block_size=2, delta=0.5)
+    report = audit_language(lang, a, block_size=2, delta=0.5)
     assert report.agreement == 1.0
     assert report.Delta == 1.0  # 1 - (e_s + e_c) for an exact compression
-    report2 = audit_language(lang, a, mode="tlogt", block_size=2, delta=0.5)
+    report2 = audit_language(lang, a, block_size=2, delta=0.5)
     assert report.query_tags == report2.query_tags
 
 
@@ -311,24 +333,24 @@ def test_block_audit_needs_explicit_delta():
     lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 2)
     with pytest.raises(ValueError, match="delta"):
-        audit_language(lang, a, mode="tlogt", block_size=2)
+        audit_language(lang, a, block_size=2)
 
 
 def test_block_queries_oracle_independent():
     lang = ToyLanguage(3, {0b111})
-    a = ideal_or_compression(lang, 2)
-    advice = build_block_advice(lang, a, 2, 2, delta=0.5)
+    a = BlockCompression(ideal_or_compression(lang, 2), 2)
+    advice = build_advice(lang, a, 4, delta=0.5)
     v = 0b111
-    assert block_queries_for(v, advice, a, 1, 0.5) == block_queries_for(v, advice, a, 1, 0.5)
+    assert queries_for(v, advice, a, 1, 0.5) == queries_for(v, advice, a, 1, 0.5)
 
 
 def test_block_batch_carries_the_callers_Delta():
     lang = ToyLanguage(3, {0b111})
-    a = ideal_or_compression(lang, 2)
-    advice = build_block_advice(lang, a, 2, 2, delta=0.5)
+    a = BlockCompression(ideal_or_compression(lang, 2), 2)
+    advice = build_advice(lang, a, 4, delta=0.5)
     outside = [v for v in range(2**lang.n) if v not in advice.member_elements]
     assert outside
     for v in outside:
         _, batch = decide_with_queries(v, advice, a, Delta=0.6, delta=0.5)
         assert batch and all(q.Delta == 0.6 for q in batch)
-        assert all(q.Delta == 0.6 for q in block_queries_for(v, advice, a, 0.6, 0.5))
+        assert all(q.Delta == 0.6 for q in queries_for(v, advice, a, 0.6, 0.5))

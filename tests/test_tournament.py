@@ -2,17 +2,18 @@
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import numpy as np
 import pytest
 
 from compresslab import (
+    BlockCompression,
     DominatingSet,
     SelectorUndefinedError,
+    SymmetricCompression,
+    SymmetricFunction,
     ToyLanguage,
-    block_selector,
-    block_tournament,
     greedy_dominating_set,
     ideal_or_compression,
     noisy_or_compression,
@@ -253,29 +254,90 @@ def test_block_distributions_micro():
 def test_block_selector_examples():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 2)
-    all_no = ((0b000, 0b001), (0b010, 0b011))
-    assert block_selector(a, all_no, delta=0.5) == 0b000
-    with_yes = ((0b000, 0b111), (0b010, 0b011))
-    assert block_selector(a, with_yes, delta=0.5) != 0b111
+    s = selector_from_compression(BlockCompression(a, 2), range(8), 4, delta=0.5, vertex_bits=3)
+    all_no = (0b000, 0b001, 0b010, 0b011)  # blocks (000, 001) and (010, 011)
+    assert _select(s, all_no) == 0b000
+    with_yes = (0b000, 0b010, 0b011, 0b111)  # blocks (000, 010) and (011, 111)
+    assert _select(s, with_yes) != 0b111
     # degenerate: one block, two no-instances, arity-one compression
     a1 = ideal_or_compression(lang, 1)
-    assert block_selector(a1, ((0b000, 0b001),), delta=0.5) == 0b000
+    s1 = selector_from_compression(BlockCompression(a1, 2), range(8), 2, delta=0.5, vertex_bits=3)
+    assert _select(s1, (0b000, 0b001)) == 0b000
 
 
 def test_block_selector_disjointness_validation():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 2)
     with pytest.raises(ValueError, match="disjoint"):
-        block_selector(a, ((0b000, 0b001), (0b001, 0b010)), delta=0.5)
+        block_conditioned_distributions(a, ((0b000, 0b001), (0b001, 0b010)), 0b000)
 
 
 def test_block_tournament_dominates():
     lang = _single_yes(3)
     a = ideal_or_compression(lang, 2)
-    s = block_tournament(a, lang.no_instances(), 2, 2, delta=0.5, vertex_bits=3)
+    s = selector_from_compression(BlockCompression(a, 2), lang.no_instances(), 4, delta=0.5, vertex_bits=3)
     assert s.edge_size == 4
     dom = greedy_dominating_set(s)
     assert verify_domination(s, dom)[0]
+
+
+def _parity_language(n):
+    return ToyLanguage(n, [v for v in range(2**n) if bin(v).count("1") % 2])
+
+
+def _hit_count_bases(lang, arity):
+    return {
+        "ideal-or": ideal_or_compression(lang, arity),
+        "parity": SymmetricCompression(lang, SymmetricFunction.parity(arity)),
+    }
+
+
+@pytest.mark.parametrize("block_size", [2, 3])
+@pytest.mark.parametrize("kind", ["ideal-or", "parity"])
+def test_hit_count_pick_laws_equal_enumerated_block_laws(kind, block_size):
+    # every (size, hits) profile of one to three blocks that the n=4 ids
+    # realise, with v a hit and a miss of each block where it can be: the
+    # closed form against the enumerated reference, exactly
+    lang = _parity_language(4)
+    a = _hit_count_bases(lang, 3)[kind]
+    yes, no = lang.yes_instances().tolist(), lang.no_instances().tolist()
+    profiles, expected = set(), set()
+    for j in range(1, a.arity + 1):
+        for hits in combinations_with_replacement(range(block_size + 1), j):
+            if sum(hits) > len(yes) or j * block_size - sum(hits) > len(no):
+                continue
+            y, m = iter(yes), iter(no)
+            blocks = [tuple(next(y) for _ in range(h)) + tuple(next(m) for _ in range(block_size - h)) for h in hits]
+            for i, block in enumerate(blocks):
+                for v in {block[0], block[-1]}:
+                    without = blocks[:i] + [tuple(w for w in block if w != v)] + blocks[i + 1 :]
+                    pinned = blocks[:i] + [(v,)] + blocks[i + 1 :]
+                    keys = a.pick_key(without), a.pick_key(pinned)
+                    assert tuple(map(a.pick_law, keys)) == block_conditioned_distributions(a, blocks, v)
+                    profiles.update(keys)
+                    # the same profiles from the hit counts alone
+                    whole = [(block_size, h) for h in hits[:i] + hits[i + 1 :]]
+                    b = int(lang.is_yes(v))
+                    expected.add(tuple(sorted(whole + [(block_size - 1, hits[i] - b)])))
+                    expected.add(tuple(sorted(whole + [(1, b)])))
+    assert profiles == expected
+    assert {pool for p in profiles for pool in p} >= {(1, 0), (1, 1), (block_size, 0), (block_size, block_size)}
+
+
+@pytest.mark.parametrize("block_size", [2, 3])
+@pytest.mark.parametrize("kind", ["ideal-or", "parity"])
+def test_block_compression_laws_equal_enumerated_block_laws(kind, block_size):
+    # the wrapper's keys and memoised laws on every edge of two blocks
+    # among the first eight ids, against the reference on the same blocks
+    lang = _parity_language(4)
+    a = _hit_count_bases(lang, 2)[kind]
+    b = BlockCompression(a, block_size)
+    assert b.arity == 2 * block_size
+    for e in combinations(range(8), 2 * block_size):
+        blocks = partition_blocks(e, block_size)
+        for i, v in enumerate(e):
+            laws = tuple(map(b.law, b.conditioned_keys(e[:i] + e[i + 1 :], v)))
+            assert laws == block_conditioned_distributions(a, blocks, v)
 
 
 def test_noisy_selector_distances_are_zero_on_no_edges():
