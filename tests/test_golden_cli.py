@@ -14,7 +14,10 @@ implementation that passed vertices around as '0'/'1' strings, and of
 random tournaments at and past the benchmark's sizes, recorded from the
 earlier implementation that counted every greedy step by an edge scan, and
 of larger block (tlogt) audits, recorded from the earlier implementation
-that kept a separate selector, advice builder and query batch for blocks.
+that kept a separate selector, advice builder and query batch for blocks,
+and of runs whose advice lists every no-instance (FULL_V), recorded from
+the earlier implementation that decided and grouped FULL_V inputs on a
+path of their own.
 
 The final line of each file embeds the configuration.  Its `config` object
 was re-recorded once, when the options that no command read were dropped
@@ -93,6 +96,15 @@ EXAMPLES = {
     "tournament_random_v128_t3_seed1": "tournament --random --num-vertices 128 --t 3 --seed 1",
     "tournament_random_v400_t3_seed1": "tournament --random --num-vertices 400 --t 3 --seed 1",
     "tournament_random_v30_t6_seed1": "tournament --random --num-vertices 30 --t 6 --seed 1",
+    # FULL_V advice (at most t no-instances): base and block audits, one decision
+    "reduce_single_yes_n2_ideal_or_t4_audit": "reduce --language builtin:single-yes --n 2 --t 4 --audit",
+    "reduce_single_yes_n2_ideal_or_t4_input10": "reduce --language builtin:single-yes --n 2 --t 4 --input 10",
+    "reduce_majority_n2_ideal_or_t2_tlogt_sigma2_audit": (
+        "reduce --language builtin:majority --n 2 --t 2 --mode tlogt --sigma 2 --delta 0.5 --audit"
+    ),
+    "reduce_full_n3_ideal_or_t2_tlogt_sigma2_audit": (
+        "reduce --language builtin:full --n 3 --t 2 --mode tlogt --sigma 2 --delta 0.5 --audit"
+    ),
 }
 
 
