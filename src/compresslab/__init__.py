@@ -20,16 +20,7 @@ from .compression import (
     ideal_or_compression,
     noisy_or_compression,
 )
-from .distributions import (
-    FiniteDistribution,
-    ProductDistribution,
-    entropy,
-    kl_divergence,
-    mixture,
-    mutual_information,
-    push_forward,
-    statistical_distance,
-)
+from .distributions import FiniteDistribution, statistical_distance
 from .fcompression import (
     PivotView,
     SymmetricCompression,
@@ -46,14 +37,10 @@ from .reduction import (
     build_advice,
     decide,
     exact_sd_oracle,
-    threshold_oracle,
 )
 from .sensitivity import (
     LemmaReport,
-    avg_noise_sensitivity,
-    kl_sensitivity,
     map_input_mutual_information,
-    pinsker_chain,
     pinsker_threshold,
     vajda_threshold,
     verify_kl_bound,

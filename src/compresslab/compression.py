@@ -10,9 +10,9 @@ bounds; OR-style instances over a toy language are the canonical examples.
 Everything here is exact: output distributions are integer counts over a
 power-of-two denominator, so the resulting masses are exact rationals.
 There is no float mode at this layer: ``exact=False`` exists only on the
-distribution constructors, and a float input law handed to
-:meth:`CompressiveMap.output_distribution` is the one way float masses
-come out.
+distribution constructors.  A map's output law under uniform inputs is
+read from its counts (:meth:`CompressiveMap.output_counts`,
+:meth:`CompressiveMap.conditioned_output_counts`).
 Subset laws are memoised per compression under hashable law keys;
 compressions that only count hits in a language (OR and transformed-OR
 compressions) share one closed form, everything else enumerates.  So do the
@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .budget import check_enumeration
-from .distributions import FiniteDistribution, ProductDistribution
+from .distributions import FiniteDistribution
 
 BitString = str
 
@@ -120,28 +120,6 @@ class CompressiveMap:
         table = np.full((n, 2**coin_bits), value, dtype=np.int64)
         return cls(arity, output_bits, coin_bits, table)
 
-    @classmethod
-    def dictator(cls, arity: int, coordinate: int = 0) -> "CompressiveMap":
-        """Binary map that copies one input coordinate to a single output bit."""
-        idx = np.arange(2**arity)
-        shift = arity - 1 - coordinate
-        table = ((idx >> shift) & 1).reshape(-1, 1).astype(np.int64)
-        return cls(arity, 1, 0, table)
-
-    @classmethod
-    def xor(cls, arity: int) -> "CompressiveMap":
-        idx = np.arange(2**arity)
-        bits = (idx[:, None] >> np.arange(arity)[None, :]) & 1
-        table = (bits.sum(axis=1) % 2).reshape(-1, 1).astype(np.int64)
-        return cls(arity, 1, 0, table)
-
-    @classmethod
-    def symbol_identity(cls, alphabet_size: int) -> "CompressiveMap":
-        """Arity-1 map that outputs the binary code of its input symbol."""
-        m = max(1, (alphabet_size - 1).bit_length())
-        table = np.arange(alphabet_size, dtype=np.int64).reshape(-1, 1)
-        return cls(1, m, 0, table, alphabet_size)
-
     # -- indexing -----------------------------------------------------------
 
     @property
@@ -180,43 +158,6 @@ class CompressiveMap:
     def output_counts(self) -> np.ndarray:
         """Output-code counts over all (input, coin) rows of the table."""
         return np.bincount(self.table.ravel(), minlength=2**self.output_bits)
-
-    def output_distribution(
-        self, inputs: ProductDistribution | FiniteDistribution | None = None
-    ) -> FiniteDistribution:
-        """Distribution of the map's output under the given input law.
-
-        The default input law is the uniform distribution on Sigma^t.  A
-        ProductDistribution must match the map's alphabet and arity; a
-        FiniteDistribution must be over coordinate tuples (this covers
-        mixtures that are not products).  Uniform inputs give exact masses
-        from the output counts; any other law keeps its own arithmetic.
-        """
-        if inputs is None:
-            inputs = ProductDistribution.uniform(tuple(range(self.alphabet_size)), self.arity)
-        if isinstance(inputs, ProductDistribution):
-            if inputs.arity != self.arity:
-                raise ValueError("input arity mismatch")
-            if set(inputs.alphabet) != set(range(self.alphabet_size)):
-                raise ValueError("input alphabet mismatch")
-            if inputs.is_uniform():
-                counts = self.output_counts()
-                codes = np.nonzero(counts)[0]
-                labels = [self.output_label(int(c)) for c in codes]
-                denom = self.n_inputs * self.n_coins
-                return FiniteDistribution.from_counts(labels, counts[codes].tolist(), denom)
-            joint = inputs.joint()
-        else:
-            joint = inputs
-        acc: dict[int, Fraction] = {}
-        for symbols in joint.support():
-            weight = joint.prob(symbols)
-            row = self.table[self.input_index(symbols)]
-            for code, cnt in zip(*np.unique(row, return_counts=True)):
-                acc[int(code)] = acc.get(int(code), Fraction(0)) + weight * Fraction(int(cnt), self.n_coins)
-        codes = sorted(acc)
-        labels = [self.output_label(c) for c in codes]
-        return FiniteDistribution(labels, [acc[c] for c in codes])
 
     def conditioned_output_counts(self) -> np.ndarray:
         """Counts of outputs with one coordinate pinned to each symbol.

@@ -2,9 +2,10 @@
 
 The advice for one input length is a dominating set of the tournament on
 the no-instances (or the no-instance list itself when it is small).  To
-decide an input v, the algorithm rejects when v lies inside an advice
-member and otherwise asks, for every member g, whether the output laws of
-the compression on a random subset of g with and without v are far apart.
+decide an input v, the algorithm rejects when the list holds v or an
+advice member contains it, and otherwise asks, for every member g, whether
+the output laws of the compression on a random subset of g with and without
+v are far apart.
 One-yes sets keep the laws at distance at least 1 - (e_s + e_c), while a
 dominating member of a no-instance keeps them within the selector
 threshold, so the conjunction of oracle answers decides membership exactly.
@@ -86,15 +87,6 @@ def exact_sd_oracle(query: SDQuery) -> bool:
     return query.distance >= (query.Delta + query.delta) / 2
 
 
-def threshold_oracle(theta: Number) -> Oracle:
-    """Oracle answering true at distance >= theta; valid for theta in (delta, Delta]."""
-
-    def oracle(query: SDQuery) -> bool:
-        return query.distance >= theta
-
-    return oracle
-
-
 # ---------------------------------------------------------------------------
 # advice
 # ---------------------------------------------------------------------------
@@ -128,8 +120,11 @@ class Advice:
         return len(self.vertices) if self.mode == "FULL_V" else len(self.elements)
 
     @cached_property
-    def member_elements(self) -> frozenset[int]:
-        """Every id lying inside some member; the inputs rejected without queries."""
+    def rejected(self) -> frozenset[int]:
+        """The inputs rejected without queries: the listed no-instances of
+        FULL_V advice, the ids inside some member of DOMSET advice."""
+        if self.mode == "FULL_V":
+            return frozenset(self.vertices)
         return frozenset(v for g in self.elements for v in g)
 
 
@@ -223,16 +218,14 @@ def decide_with_queries(
 ) -> tuple[bool, list[SDQuery]]:
     """The decision procedure: the verdict on one input and its query batch.
 
-    FULL_V advice rejects exactly the listed no-instances, and DOMSET advice
-    rejects v when it lies inside a member; both return an empty batch and
-    call no oracle.  Otherwise v is accepted exactly when the oracle affirms
-    every query of its batch (:func:`queries_for`).
+    v is rejected with an empty batch, calling no oracle, when it is in
+    :attr:`Advice.rejected`.  Otherwise v is accepted exactly when the oracle
+    affirms every query of its batch (:func:`queries_for`); FULL_V advice
+    has no members, so its batch is empty and every other input is accepted.
     """
     if not 0 <= v < 2**advice.n:
         raise ValueError(f"input {v} is not an id of the advice length {advice.n}")
-    if advice.mode == "FULL_V":
-        return v not in advice.vertices, []
-    if v in advice.member_elements:
+    if v in advice.rejected:
         return False, []
     batch = queries_for(v, advice, a, Delta, delta, shared=shared)
     return all(oracle(q) for q in batch), batch
@@ -305,9 +298,9 @@ def audit_language(
     """Build advice once, decide every input of the length, tally tags.
 
     Inputs are grouped into classes that provably share their verdict and
-    query batch: with FULL_V advice the listed inputs and the rest; with
-    DOMSET advice the inputs inside a member, and the others by
-    forced-element class (:meth:`SetEncodedCompression.forced_class`).
+    query batch: the inputs the advice rejects outright
+    (:attr:`Advice.rejected`), and the others by forced-element class
+    (:meth:`SetEncodedCompression.forced_class`).
     Each class is decided once, by :func:`decide_with_queries` on its least
     input, and its batch's tags are counted once per input.  An audit
     therefore costs one query batch per class (two for hit-count
@@ -337,13 +330,9 @@ def audit_language(
     advice = build_advice(language, a, t if block_size is None else t * block_size, float(delta))
 
     inputs = np.arange(2**language.n)
-    if advice.mode == "FULL_V":
-        key = np.zeros(len(inputs), dtype=np.int8)
-        key[list(advice.vertices)] = -1
-    else:
-        classes = a.forced_class(inputs)
-        key = classes.astype(np.result_type(np.int8, classes.dtype))  # narrow keys sort fast
-        key[list(advice.member_elements)] = -1
+    classes = a.forced_class(inputs)
+    key = classes.astype(np.result_type(np.int8, classes.dtype))  # narrow keys sort fast
+    key[list(advice.rejected)] = -1
     _, first, inverse, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
     verdicts = np.empty(len(first), dtype=bool)
     tags = {"yes": 0, "no": 0, "gap": 0}

