@@ -83,12 +83,16 @@ EXAMPLES = {
     "tournament_random_n10_seed2_ideal_or_t3": "tournament --language builtin:random --n 10 --t 3 --seed 2",
     "reduce_parity_n6_ideal_or_t4_audit": "reduce --language builtin:parity --n 6 --t 4 --audit",
     "tournament_majority_n7_ideal_or_t3": "tournament --language builtin:majority --n 7 --t 3",
-    # block audits past the README's n=3: block size 3, and three blocks
+    # block audits past the README's n=3: block size 3, three blocks, and
+    # 2^7 inputs
     "reduce_parity_n5_ideal_or_t2_tlogt_sigma3_audit": (
         "reduce --language builtin:parity --n 5 --t 2 --mode tlogt --sigma 3 --delta 0.5 --audit"
     ),
     "reduce_random_n5_seed7_ideal_or_t3_tlogt_sigma2_audit": (
         "reduce --language builtin:random --n 5 --seed 7 --t 3 --mode tlogt --sigma 2 --delta 0.3 --audit"
+    ),
+    "reduce_random_n7_seed1_ideal_or_t2_tlogt_sigma2_audit": (
+        "reduce --language builtin:random --n 7 --seed 1 --t 2 --mode tlogt --sigma 2 --delta 0.5 --audit"
     ),
     # random tournaments at the benchmark's sizes and beyond, in closed form
     # for k >= 3: members and traces of every greedy step
