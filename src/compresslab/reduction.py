@@ -44,6 +44,12 @@ Number = Fraction | float
 Oracle = Callable[["SDQuery"], bool]
 
 
+def _check_gap(Delta: Number, delta: Number) -> None:
+    """Raise unless the promise gap 0 <= delta < Delta <= 1 is non-empty."""
+    if not (0 <= delta < Delta <= 1):
+        raise ValueError(f"empty promise gap: need 0 <= delta < Delta <= 1, got delta={delta}, Delta={Delta}")
+
+
 @dataclass(frozen=True)
 class SDQuery:
     """One statistical-distance promise query.
@@ -59,11 +65,7 @@ class SDQuery:
     delta: Number
 
     def __post_init__(self):
-        if not (0 <= self.delta < self.Delta <= 1):
-            raise ValueError(
-                f"empty promise gap: need 0 <= delta < Delta <= 1, got "
-                f"delta={self.delta}, Delta={self.Delta}"
-            )
+        _check_gap(self.Delta, self.delta)
 
     @cached_property
     def distance(self) -> Number:
@@ -222,7 +224,9 @@ def decide_with_queries(
     :attr:`Advice.rejected`.  Otherwise v is accepted exactly when the oracle
     affirms every query of its batch (:func:`queries_for`); FULL_V advice
     has no members, so its batch is empty and every other input is accepted.
+    An empty promise gap raises, whatever the advice.
     """
+    _check_gap(Delta, delta)
     if not 0 <= v < 2**advice.n:
         raise ValueError(f"input {v} is not an id of the advice length {advice.n}")
     if v in advice.rejected:
@@ -314,7 +318,8 @@ def audit_language(
     ``BlockCompression(a, block_size)``, with edges of edge_size blocks and
     each input its own class.  The promise gap defaults as in
     :func:`promise_gap`, but block mode needs an explicit delta.
-    Raises "empty promise gap" before any decision when delta >= Delta.
+    Raises "empty promise gap" before the advice is built when the gap is
+    empty.
     Agreement below 1.0 on a compression within its error budget indicates
     a bug, not noise: every law, distance and tag here is an exact rational
     (only the reported agreement, Delta and delta are converted to floats).
@@ -323,8 +328,7 @@ def audit_language(
     if block_size is not None and delta is None:
         raise ValueError("block mode needs an explicit delta below 1")
     Delta, delta = promise_gap(a, t, Delta, delta)
-    if not (0 <= delta < Delta <= 1):
-        raise ValueError(f"empty promise gap: delta={delta} must be below Delta={Delta}")
+    _check_gap(Delta, delta)
     if block_size is not None:
         a = BlockCompression(a, block_size)
     advice = build_advice(language, a, t if block_size is None else t * block_size, float(delta))

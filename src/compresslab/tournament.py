@@ -26,18 +26,19 @@ selected v of a gap in two lookups.  For k = 2 the parity of each pair's
 h decides it, a block of pairs at a time, and for k = 1 every v is
 selected (:meth:`_RandomTournament.candidate_counts`).
 
-The selector tournament of a hit-count compression on vertices of one hit
-bit needs no edge scan.  An element qualifies by its own hit bit and its
-edge's hit count alone, and these are the same for every element of every
-edge, so one verdict says whether every edge selects its first vertex.  A
-candidate then charges the vertices of R before its first vertex
-(:meth:`_HitCountTournament.candidate_counts`), and a member dominates the
-vertices before its first one (:meth:`_HitCountTournament.dominated`).
-Vertex sets of both hit bits, which no reduction builds, and tables where
-that verdict fails take the general scan.
+The selector tournament of a hit-count compression, or of its block
+compression, on vertices of one hit bit needs no edge scan.  An element
+qualifies by the hit counts of its conditioned laws alone, and these are the
+same for every element of every edge, so one verdict says whether every edge
+selects its first vertex (:func:`selector_from_compression`).  A candidate
+then charges the vertices of R before its first vertex
+(:meth:`_FirstVertexTournament.candidate_counts`), and a member dominates
+the vertices before its first one (:meth:`_FirstVertexTournament.dominated`).
+Vertex sets of both hit bits, which no reduction builds, take the general
+scan, and a failed verdict raises at the first edge.
 
 The block variant needs no selector of its own: the same one runs on a
-:class:`BlockCompression`, and its tournaments take the general scan.
+:class:`BlockCompression`.
 """
 
 from __future__ import annotations
@@ -82,13 +83,14 @@ class HypergraphTournament:
     """Complete k-uniform hypergraph with one selected vertex per edge.
 
     Vertices are vertex_bits-bit ids (see :class:`ToyLanguage`), held as
-    one ascending int64 array ``ids``.  The per-edge selector takes a
-    canonical edge, an ascending tuple of ids, and returns the selected id;
-    it is the definition that every batch answers for.  Batches of edges
-    are numpy rows of vertex indices: positions in ``ids``, increasing
-    along each row, so index order is id order and a row is a canonical
-    edge.  :meth:`select_rows` asks the per-edge selector once per row, and
-    the greedy's edge scan and the domination check select through it.
+    one ascending int64 array ``ids``: the array passed in, when it already
+    is one.  The per-edge selector takes a canonical edge, an ascending
+    tuple of ids, and returns the selected id; it is the definition that
+    every batch answers for.  Batches of edges are numpy rows of vertex
+    indices: positions in ``ids``, increasing along each row, so index
+    order is id order and a row is a canonical edge.  :meth:`select_rows`
+    asks the per-edge selector once per row, and the greedy's edge scan
+    and the domination check select through it.
     Tournaments with a vectorised selector override it, or the greedy's
     counts and the domination check themselves (:meth:`candidate_counts`,
     :meth:`dominated`).
@@ -98,8 +100,11 @@ class HypergraphTournament:
     """
 
     def __init__(self, ids: Iterable[int], edge_size: int, selector: Callable[[Edge], int], vertex_bits: int):
-        ids = np.sort(id_array(ids))
-        self.ids = ids[np.r_[True, ids[1:] != ids[:-1]]] if len(ids) else ids  # distinct, ascending
+        ids = id_array(ids)
+        if (ids[1:] <= ids[:-1]).any():  # not already distinct and ascending
+            ids = np.sort(ids)
+            ids = ids[np.r_[True, ids[1:] != ids[:-1]]]
+        self.ids = ids
         if edge_size < 1:
             raise ValueError("edge size must be at least 1")
         self.edge_size = edge_size
@@ -211,43 +216,17 @@ def _selected(
     return positions
 
 
-class _HitCountTournament(HypergraphTournament):
-    """Tournament of a hit-count compression's selector.
+class _FirstVertexTournament(HypergraphTournament):
+    """Tournament in which every edge selects its first vertex.
 
-    An element qualifies by the law keys of its edge minus it, without and
-    with it forced in.  With its own hit bit b and H hits in the edge, those
-    are ((H - b, 0), (H - b, b)); ``hit_member`` is the hit language's
-    membership vector, and ``verdict(keys)`` says whether a pair of keys
-    qualifies.  When every vertex has the same bit b, every element of
-    every edge has the keys of (b, k*b), so one verdict decides the whole
-    tournament.  If it qualifies, every edge selects its first vertex, and
-    the greedy's counts and domination follow in closed form.  Otherwise,
-    and on vertex sets of both bits, the per-edge selector, kept as the
-    definition, answers through the general scan and batches.
+    The greedy's counts and domination follow in closed form; the per-edge
+    selector is kept as the definition (see :func:`selector_from_compression`).
     """
 
-    def __init__(
-        self,
-        ids: Iterable[int],
-        edge_size: int,
-        selector: Callable[[Edge], int],
-        vertex_bits: int,
-        hit_member: np.ndarray,
-        verdict: Callable[[tuple[Hashable, Hashable]], bool],
-    ):
-        super().__init__(ids, edge_size, selector, vertex_bits)
-        k = edge_size
-        hits = hit_member[self.ids]
-        b = int(hits[0]) if len(hits) else 0
-        # every edge selects its first vertex
-        self._first = len(hits) >= k and bool((hits == b).all()) and verdict(((k * b - b, 0), (k * b - b, b)))
-
     def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
-        """When every edge selects its first vertex, each candidate's first
-        position in `remaining`: g + (v,) selects v exactly when v precedes
-        g's first vertex.  The empty candidate, for k = 1, selects every v."""
-        if not self._first:
-            return super().candidate_counts(remaining, binom)
+        """Each candidate's first position in `remaining`: g + (v,) selects v
+        exactly when v precedes g's first vertex.  The empty candidate, for
+        k = 1, selects every v."""
         m, size = self.edge_size - 1, len(remaining)
         if not m:
             return np.array([size])
@@ -255,11 +234,8 @@ class _HitCountTournament(HypergraphTournament):
         return np.repeat(c, binom[m - 1, size - 1 - c])  # the candidates beginning at c
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
-        """When every edge selects its first vertex, membership, and for
-        each (k-1)-member the v before its first vertex (every v, for
-        k = 1)."""
-        if not self._first:
-            return super().dominated(members, vs)
+        """Membership, and for each (k-1)-member the v before its first
+        vertex (every v, for k = 1)."""
         dom = np.isin(vs, np.concatenate([np.empty(0, dtype=np.intp), *members]))
         firsts = [g[0] if len(g) else len(self.ids) for g in members if len(g) == self.edge_size - 1]
         return dom | (vs < max(firsts)) if firsts else dom
@@ -278,9 +254,12 @@ def selector_from_compression(
     no-instances and that delta is at least the sensitivity ceiling, which
     together guarantee a qualifying element exists.
 
-    Hit-count compressions on vertices of one hit bit are decided by one
-    verdict (see :class:`_HitCountTournament`); other tournaments are asked
-    edge by edge.
+    A hit-count compression, or the block compression of one, keys these
+    laws by hit counts.  When every vertex has one hit bit, every element of
+    every edge has the keys of the first edge's first vertex, so one verdict
+    decides the tournament: if it qualifies, every edge selects its first
+    vertex (:class:`_FirstVertexTournament`).  Other tournaments are asked
+    edge by edge, and one whose verdict fails raises at its first edge.
     """
     if edge_size > a.arity:
         raise ValueError("edge size exceeds the compression arity")
@@ -307,9 +286,15 @@ def selector_from_compression(
             "compression may violate its error bounds"
         )
 
-    if isinstance(a, HitCountCompression):
-        return _HitCountTournament(vertices, edge_size, selector, vertex_bits, a.hit_language.member, verdict)
-    return HypergraphTournament(vertices, edge_size, selector, vertex_bits)
+    tournament = HypergraphTournament(vertices, edge_size, selector, vertex_bits)
+    ids = tournament.ids
+    hit = a.base if isinstance(a, BlockCompression) else a
+    if isinstance(hit, HitCountCompression) and len(ids) >= edge_size:
+        hits = hit.hit_language.member[ids]
+        first = tuple(ids[:edge_size].tolist())
+        if (hits.all() or not hits.any()) and verdict(a.conditioned_keys(first[1:], first[0])):
+            return _FirstVertexTournament(ids, edge_size, selector, vertex_bits)
+    return tournament
 
 
 # the random tournament's mix: Horner's rule modulo the Mersenne prime M

@@ -209,6 +209,17 @@ def test_usage_errors_exit_2(capsys):
         assert "Traceback" not in err, argv
 
 
+def test_input_with_empty_promise_gap_exits_2(capsys):
+    # FULL_V advice (3 no-instances, t = 4) asks no query for --input 00
+    argv = ["reduce", "--language", "builtin:single-yes", "--n", "2", "--t", "4"]
+    for gap in (["--Delta", "0.3", "--delta", "0.5"], ["--delta", "1.5"], ["--delta", "-0.5"]):
+        for mode in (["--input", "00"], ["--audit"]):
+            assert main([*argv, *gap, *mode]) == 2, (gap, mode)
+            err = capsys.readouterr().err
+            assert json.loads(err)["kind"] == "usage", (gap, mode)
+            assert "empty promise gap" in err, (gap, mode)
+
+
 def test_block_size_below_two_exits_2(capsys):
     # the full language has no no-instance, so no selector ever partitions an edge
     for language, n in (("builtin:full", "2"), ("builtin:single-yes", "3")):

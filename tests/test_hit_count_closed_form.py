@@ -3,31 +3,44 @@
 A hit-count tournament is built here directly from a random hit vector and a
 random qualify table Q[b, H] (an element of hit bit b in an edge of H hits
 qualifies when Q[b, H]), with no compression behind it.  On vertices of one
-hit bit b whose Q[b, k*b] holds it takes the closed form; otherwise it takes
-the general scan, where random tables give selections that are not the
-least element of their edge.  Unless a case patches them, some edges have
-no selection at all.  Its greedy members and trace, domination masks,
-verification and raised errors must equal those of the per-edge selector of
-the same table, asked edge by edge through the references of
-``test_batched_scan``.
+hit bit b whose Q[b, k*b] holds it is the first-vertex tournament, in closed
+form; otherwise it is the plain tournament, whose general scan gives, for
+random tables, selections that are not the least element of their edge.
+Unless a case patches them, some edges have no selection at all.  Its greedy
+members and trace, domination masks, verification and raised errors must
+equal those of the per-edge selector of the same table, asked edge by edge
+through the references of ``test_batched_scan``.  The last tests check which
+of the two tournaments :func:`selector_from_compression` builds for OR
+compressions and their block compressions.
 """
 
 import math
-from itertools import combinations
+import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compresslab import (
+    BlockCompression,
     DominatingSet,
     HypergraphTournament,
     SelectorUndefinedError,
+    ToyLanguage,
     greedy_dominating_set,
+    ideal_or_compression,
+    selector_from_compression,
+    statistical_distance,
     verify_domination,
 )
 from compresslab import tournament as tournament_module
-from compresslab.tournament import DominatingSearchError, _HitCountTournament
+from compresslab.tournament import (
+    DominatingSearchError,
+    _FirstVertexTournament,
+    block_conditioned_distributions,
+    partition_blocks,
+)
 from test_batched_scan import reference_greedy
 
 # vertex ids have this many bits; edges per greedy step stay small enough
@@ -42,12 +55,6 @@ class Case:
 
     def __init__(self, k, ids, hit_member, table):
         self.k, self.table, self.hit_member = k, table, hit_member
-        self.asked = []
-
-        def verdict(keys):
-            (ground, _), (_, forced) = keys
-            self.asked.append((forced, ground + forced))
-            return bool(table[forced, ground + forced])
 
         def selector(e):
             hits = sum(int(hit_member[v]) for v in e)
@@ -56,16 +63,11 @@ class Case:
                     return v
             raise SelectorUndefinedError(f"no element of {e!r} qualifies")
 
-        self.tournament = _HitCountTournament(ids, k, selector, VERTEX_BITS, hit_member, verdict)
+        # one hit bit b whose Q[b, k*b] holds: every edge selects its first vertex
+        bits = hit_member[ids]
+        first = len(ids) >= k and (bits.all() or not bits.any()) and table[int(bits[0]), k * int(bits[0])]
+        self.tournament = (_FirstVertexTournament if first else HypergraphTournament)(ids, k, selector, VERTEX_BITS)
         self.reference = HypergraphTournament(ids, k, selector, VERTEX_BITS)
-
-    def feasible(self):
-        """(b, H) for every element of bit b of an edge of H hits inside the vertex set."""
-        bits = self.hit_member[self.tournament.ids]
-        out = set()
-        for e in combinations(bits.tolist(), self.k):
-            out.update((b, sum(e)) for b in e)
-        return out
 
 
 @st.composite
@@ -110,13 +112,6 @@ def _reference_dominated(case, g, vs):
         else:
             out.append(len(g_ids) == case.k - 1 and case.reference._selector(tuple(sorted(g_ids + (v,)))) == v)
     return out
-
-
-@settings(max_examples=150, deadline=None)
-@given(cases())
-def test_verdicts_are_asked_for_feasible_pairs_only(case):
-    assert len(case.asked) == len(set(case.asked))
-    assert set(case.asked) <= case.feasible()
 
 
 @settings(max_examples=120, deadline=None)
@@ -195,15 +190,6 @@ def test_verification_matches_per_pair_definition(case, seed):
     assert outcome(verify_domination, case.tournament, dom) == outcome(_reference_verification, case, members)
 
 
-def test_closed_form_asks_no_verdict_for_an_absent_bit():
-    # every vertex has bit 0, as in the tournament of an OR on its
-    # no-instances: no pair of bit 1 occurs, nor more hits than 0
-    case = Case(3, np.arange(10), np.zeros(32, dtype=bool), np.ones((2, 4), dtype=bool))
-    assert case.asked == [(0, 0)]
-    # vertices of both bits take the general scan, which asks no verdict up front
-    assert Case(3, np.arange(10), np.arange(32) == 4, np.ones((2, 4), dtype=bool)).asked == []
-
-
 def test_closed_form_members_dominate_up_to_the_latest_first_vertex():
     # every edge selects its first vertex: a vertex is dominated by any
     # member whose first vertex comes after it, here by (8, 9) alone for 4-7
@@ -211,3 +197,91 @@ def test_closed_form_members_dominate_up_to_the_latest_first_vertex():
     members = ((8, 9), (2, 3))
     dom = DominatingSet(3, VERTEX_BITS, members, (12,))
     assert verify_domination(case.tournament, dom) == _reference_verification(case, members) == (False, [10, 11])
+
+
+# -- the decision point: selector_from_compression ------------------------------
+
+
+def _count_distances(monkeypatch):
+    """The pairs of laws whose statistical distance the selector computes."""
+    calls = []
+
+    def counting(p, q):
+        calls.append((p, q))
+        return statistical_distance(p, q)
+
+    monkeypatch.setattr(tournament_module, "statistical_distance", counting)
+    return calls
+
+
+def _compression(language, t, block_size):
+    """Ideal OR of arity t, or its block compression, and the edge size."""
+    a = ideal_or_compression(language, t)
+    return (a, t) if block_size is None else (BlockCompression(a, block_size), t * block_size)
+
+
+@pytest.mark.parametrize("block_size", [None, 2, 3])
+def test_one_verdict_selects_every_first_vertex_on_no_instances(monkeypatch, block_size):
+    language = ToyLanguage.random(6, seed=1)
+    a, k = _compression(language, 2, block_size)
+    calls = _count_distances(monkeypatch)
+    tournament = selector_from_compression(a, language.no_instances(), k, 0.5, language.n)
+    assert type(tournament) is _FirstVertexTournament
+    assert len(calls) == 1
+    dom = greedy_dominating_set(tournament)
+    assert verify_domination(tournament, dom) == (True, [])
+    assert len(calls) == 1  # the closed form asks no other distance
+
+
+@pytest.mark.parametrize("block_size", [None, 2, 3])
+def test_vertices_of_both_hit_bits_take_the_plain_tournament(monkeypatch, block_size):
+    language = ToyLanguage.random(6, seed=1)
+    a, k = _compression(language, 2, block_size)
+    vertices = np.r_[language.no_instances(), language.yes_instances()[:1]]
+    calls = _count_distances(monkeypatch)
+    tournament = selector_from_compression(a, vertices, k, 0.5, language.n)
+    assert type(tournament) is HypergraphTournament
+    assert calls == []
+
+
+@pytest.mark.parametrize("block_size", [None, 2, 3])
+def test_failed_verdict_raises_at_the_first_edge(monkeypatch, block_size):
+    language = ToyLanguage.random(6, seed=1)
+    a, k = _compression(language, 2, block_size)
+    no = language.no_instances()
+    calls = _count_distances(monkeypatch)
+    tournament = selector_from_compression(a, no, k, -0.5, language.n)
+    assert type(tournament) is HypergraphTournament
+    assert len(calls) == 1
+    first = tuple(no[:k].tolist())
+    with pytest.raises(SelectorUndefinedError, match=re.escape(f"no element of {first!r} is insensitive")):
+        greedy_dominating_set(tournament)
+
+
+def _per_edge_block_tournament(a, vertices, block_size, k, delta, vertex_bits):
+    """The block selector asked edge by edge, every pick law enumerated."""
+
+    def selector(e):
+        blocks = partition_blocks(e, block_size)
+        for v in e:
+            if statistical_distance(*block_conditioned_distributions(a, blocks, v)) <= delta:
+                return v
+        raise SelectorUndefinedError(f"no element of {e!r} qualifies")
+
+    return HypergraphTournament(vertices, k, selector, vertex_bits)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("t, block_size", [(2, 2), (2, 3), (3, 2)])
+def test_block_greedy_matches_per_edge_block_selector(t, block_size, seed):
+    # ten no-instances keep the per-edge scan small: C(10, 6) edges at most
+    language = ToyLanguage.random(5, seed=seed)
+    a = ideal_or_compression(language, t)
+    k, vertices = t * block_size, language.no_instances()[:10]
+    fast = selector_from_compression(BlockCompression(a, block_size), vertices, k, 0.5, language.n)
+    slow = _per_edge_block_tournament(a, vertices, block_size, k, 0.5, language.n)
+    assert type(fast) is _FirstVertexTournament
+    for kwargs in ({}, {"exhaustive_limit": 0, "seed": seed}):
+        got, expected = greedy_dominating_set(fast, **kwargs), greedy_dominating_set(slow, **kwargs)
+        assert (got.elements, got.trace) == (expected.elements, expected.trace)
+        assert verify_domination(slow, got) == (True, [])

@@ -127,6 +127,19 @@ def test_decide_full_v_mode():
     assert decide(0b00, advice, a)
 
 
+def test_decide_rejects_empty_promise_gap_on_full_v_advice():
+    # FULL_V advice asks no query, so no query's own check can catch the gap:
+    # neither for a listed no-instance, rejected outright, nor for a member
+    lang = ToyLanguage(2, {0b11})
+    a = ideal_or_compression(lang, 4)
+    advice = build_advice(lang, a)
+    assert advice.mode == "FULL_V"
+    for Delta, delta in ((0.3, 0.5), (1, 1.5), (1, -0.5)):
+        for v in (0b00, 0b11):
+            with pytest.raises(ValueError, match="empty promise gap"):
+                decide(v, advice, a, Delta, delta)
+
+
 def test_decide_length_mismatch():
     lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
