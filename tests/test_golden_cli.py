@@ -17,7 +17,11 @@ of larger block (tlogt) audits, recorded from the earlier implementation
 that kept a separate selector, advice builder and query batch for blocks,
 and of runs whose advice lists every no-instance (FULL_V), recorded from
 the earlier implementation that decided and grouped FULL_V inputs on a
-path of their own.
+path of their own, and of an n=16 ideal-or audit and the benchmark's
+noisy-or audit shape (17 members, from sampled and exhaustive greedy
+steps), recorded from the earlier implementation that grouped audited
+inputs by sorting a key per input and checked domination with set
+membership tests.
 
 The final line of each file embeds the configuration.  Its `config` object
 was re-recorded once, when the options that no command read were dropped
@@ -108,6 +112,12 @@ EXAMPLES = {
     ),
     "reduce_full_n3_ideal_or_t2_tlogt_sigma2_audit": (
         "reduce --language builtin:full --n 3 --t 2 --mode tlogt --sigma 2 --delta 0.5 --audit"
+    ),
+    # a 2^16-input audit, and noisy-or DOMSET advice of sampled and
+    # exhaustive greedy steps
+    "reduce_random_n16_seed1_ideal_or_t4_audit": "reduce --language builtin:random --n 16 --seed 1 --t 4 --audit",
+    "reduce_random_n10_seed1_noisy_or_t16_audit": (
+        "reduce --language builtin:random --n 10 --seed 1 --compression noisy-or:1/8,1/8 --t 16 --audit"
     ),
 }
 
