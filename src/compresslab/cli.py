@@ -34,7 +34,7 @@ from .compression import (
     parse_bits,
 )
 from .fcompression import SymmetricCompression, SymmetricFunction, find_pivot_view, transform_to_relaxed_or
-from .reduction import audit_language, build_advice, decide_with_queries, promise_gap
+from .reduction import audit_language, build_advice, check_gap, decide_with_queries, promise_gap
 from .sensitivity import (
     SLACK_TOL,
     verify_kl_bound,
@@ -223,6 +223,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
         raise ValueError("single decisions are supported in base mode only")
     v = parse_bits(args.input, language.n)
     Delta, delta = promise_gap(compression, args.t, args.Delta, args.delta)
+    check_gap(Delta, delta)  # before the selector runs at delta
     advice = build_advice(language, compression, args.t, delta)
     verdict, batch = decide_with_queries(v, advice, compression, Delta, delta)
     report.emit(

@@ -325,8 +325,15 @@ class ToyLanguage:
         return bool(self.member[v])
 
     def count_yes(self, xs: Iterable[int]) -> int:
-        """Number of members among the distinct ids of xs."""
-        return sum(self.is_yes(v) for v in set(xs))
+        """Number of members among the distinct ids of xs, read in one gather."""
+        ids = set(xs)
+        try:
+            if min(ids, default=0) < 0:  # numpy would read it from the end
+                raise IndexError
+            return int(np.count_nonzero(self.member[id_array(ids)]))
+        except IndexError:
+            v = next(v for v in ids if not 0 <= v < self.member.size)
+            raise ValueError(f"{v} is not an {self.n}-bit id") from None
 
     def yes_instances(self) -> np.ndarray:
         """The members' ids, ascending."""
@@ -471,13 +478,14 @@ class SetEncodedCompression:
         """
         return _split_ground(ground, forced)
 
-    def forced_class(self, vs: np.ndarray) -> np.ndarray:
-        """Class of each input id in vs forced into a subset law, for audits.
+    def forced_class(self) -> np.ndarray | None:
+        """The class of every input id forced into a subset law, for audits:
+        a boolean vector indexed by id, or None for one class per input.
 
         For every ground set g not containing v, ``law_key(g, (v,))`` depends
-        on v only through its class.  The default is v itself.
+        on v only through its class.  The default is None.
         """
-        return vs
+        return None
 
     def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[Hashable, Hashable]:
         """The law keys that the selector compares for v in the edge g + (v,),
@@ -584,9 +592,18 @@ class HitCountCompression(SetEncodedCompression):
             raise ValueError("ground plus forced elements exceed the arity")
         return self.hits(ground), self.hits(forced)
 
-    def forced_class(self, vs: np.ndarray) -> np.ndarray:
-        """The hit bit of each input: a forced element adds one forced hit or none."""
-        return self.hit_language.member[vs]
+    def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """``law_key(g)`` and ``law_key(g, (v,))``, from one count of g's hits."""
+        ground = set(g)
+        inside = v in ground
+        if len(ground) + (not inside) > self.arity:
+            raise ValueError("ground plus forced elements exceed the arity")
+        h, hit = self.hits(ground), int(self.hit_language.is_yes(v))
+        return (h, 0), (h - hit if inside else h, hit)
+
+    def forced_class(self) -> np.ndarray:
+        """The hit bits: a forced element adds one forced hit or none."""
+        return self.hit_language.member
 
     def _compute_law(self, key: tuple[int, int]) -> FiniteDistribution:
         k, forced_hits = key

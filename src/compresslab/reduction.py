@@ -44,7 +44,7 @@ Number = Fraction | float
 Oracle = Callable[["SDQuery"], bool]
 
 
-def _check_gap(Delta: Number, delta: Number) -> None:
+def check_gap(Delta: Number, delta: Number) -> None:
     """Raise unless the promise gap 0 <= delta < Delta <= 1 is non-empty."""
     if not (0 <= delta < Delta <= 1):
         raise ValueError(f"empty promise gap: need 0 <= delta < Delta <= 1, got delta={delta}, Delta={Delta}")
@@ -65,7 +65,7 @@ class SDQuery:
     delta: Number
 
     def __post_init__(self):
-        _check_gap(self.Delta, self.delta)
+        check_gap(self.Delta, self.delta)
 
     @cached_property
     def distance(self) -> Number:
@@ -226,7 +226,7 @@ def decide_with_queries(
     has no members, so its batch is empty and every other input is accepted.
     An empty promise gap raises, whatever the advice.
     """
-    _check_gap(Delta, delta)
+    check_gap(Delta, delta)
     if not 0 <= v < 2**advice.n:
         raise ValueError(f"input {v} is not an id of the advice length {advice.n}")
     if v in advice.rejected:
@@ -304,12 +304,14 @@ def audit_language(
     Inputs are grouped into classes that provably share their verdict and
     query batch: the inputs the advice rejects outright
     (:attr:`Advice.rejected`), and the others by forced-element class
-    (:meth:`SetEncodedCompression.forced_class`).
+    (:meth:`SetEncodedCompression.forced_class`).  Hit bits make three
+    classes, held as one int8 label per input and found by masks, with no
+    sort and no array of ids; without classes each input is its own.
     Each class is decided once, by :func:`decide_with_queries` on its least
     input, and its batch's tags are counted once per input.  An audit
     therefore costs one query batch per class (two for hit-count
-    compressions, one per input otherwise), and its verdicts meet the
-    membership vector in one array comparison.
+    compressions, one per input otherwise), and its verdicts, gathered by
+    label, meet the membership vector in one array comparison.
     This treats the oracle as a function of the query, as the shared query
     objects already do: an oracle whose answer depends on anything else
     gets one answer per class, not per input.
@@ -328,29 +330,41 @@ def audit_language(
     if block_size is not None and delta is None:
         raise ValueError("block mode needs an explicit delta below 1")
     Delta, delta = promise_gap(a, t, Delta, delta)
-    _check_gap(Delta, delta)
+    check_gap(Delta, delta)
     if block_size is not None:
         a = BlockCompression(a, block_size)
     advice = build_advice(language, a, t if block_size is None else t * block_size, float(delta))
 
-    inputs = np.arange(2**language.n)
-    classes = a.forced_class(inputs)
-    key = classes.astype(np.result_type(np.int8, classes.dtype))  # narrow keys sort fast
-    key[list(advice.rejected)] = -1
-    _, first, inverse, sizes = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
-    verdicts = np.empty(len(first), dtype=bool)
     tags = {"yes": 0, "no": 0, "gap": 0}
     shared: dict[tuple, Any] = {}
-    for c, (v, size) in enumerate(zip(first.tolist(), sizes.tolist())):
-        verdicts[c], batch = decide_with_queries(v, advice, a, Delta, delta, oracle, shared)
+
+    def verdict(v: int, size: int) -> bool:
+        accept, batch = decide_with_queries(v, advice, a, Delta, delta, oracle, shared)
         for q in batch:
             tags[q.promise_tag.lower()] += size
-    mismatches = np.flatnonzero(verdicts[inverse] != language.member)
+        return accept
+
+    total = language.member.size
+    classes = a.forced_class()
+    if classes is None:
+        predicted = np.array([verdict(v, 1) for v in range(total)], dtype=bool)
+    else:
+        # label 0: rejected outright; 1 + c: the other inputs of class c
+        label = classes.view(np.int8) + np.int8(1)
+        label[list(advice.rejected)] = 0
+        verdicts = np.zeros(3, dtype=bool)
+        for c in range(3):
+            mask = label == c
+            size = int(np.count_nonzero(mask))
+            if size:
+                verdicts[c] = verdict(int(mask.argmax()), size)
+        predicted = verdicts[label]
+    mismatches = np.flatnonzero(predicted != language.member)
     return AuditReport(
         n=language.n,
         t=t,
         mode="base" if block_size is None else "tlogt",
-        agreement=(len(inputs) - len(mismatches)) / len(inputs),
+        agreement=(total - len(mismatches)) / total,
         advice_size=advice.size,
         advice_mode=advice.mode,
         query_tags=tags,

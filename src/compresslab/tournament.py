@@ -24,7 +24,9 @@ selected depends on G only through G mod k and the number of v whose lead
 wraps past M.  Per-gap prefix tables of the remaining vertices count the
 selected v of a gap in two lookups.  For k = 2 the parity of each pair's
 h decides it, a block of pairs at a time, and for k = 1 every v is
-selected (:meth:`_RandomTournament.candidate_counts`).
+selected (:meth:`_RandomTournament.candidate_counts`).  The domination
+check reads each v's h from the same sums, one G per gap of the member
+(:meth:`_RandomTournament.dominated`).
 
 The selector tournament of a hit-count compression, or of its block
 compression, on vertices of one hit bit needs no edge scan.  An element
@@ -192,11 +194,12 @@ class HypergraphTournament:
 
 def _positions(tournament: HypergraphTournament, vs: Iterable[int]) -> np.ndarray:
     """Vertex indices of the ids vs, in the order given."""
-    vs = id_array(vs)
-    outside = vs[~np.isin(vs, tournament.ids)]
+    vs, ids = id_array(vs), tournament.ids
+    at = np.searchsorted(ids, vs)
+    outside = vs[ids.take(at, mode="clip") != vs] if len(ids) else vs
     if outside.size:
         raise ValueError(f"{outside[0]} is not a vertex of the tournament")
-    return np.searchsorted(tournament.ids, vs)
+    return at
 
 
 def _selected(
@@ -235,10 +238,21 @@ class _FirstVertexTournament(HypergraphTournament):
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
         """Membership, and for each (k-1)-member the v before its first
-        vertex (every v, for k = 1)."""
-        dom = np.isin(vs, np.concatenate([np.empty(0, dtype=np.intp), *members]))
+        vertex (every v, for k = 1).
+
+        vs must be ascending, as the greedy and verification pass it: the v
+        before the last first vertex are then a prefix, and each member's
+        elements are found in vs by one search.
+        """
+        dom = np.zeros(len(vs), dtype=bool)
         firsts = [g[0] if len(g) else len(self.ids) for g in members if len(g) == self.edge_size - 1]
-        return dom | (vs < max(firsts)) if firsts else dom
+        if firsts:
+            dom[: np.searchsorted(vs, max(firsts))] = True
+        if len(vs):
+            elements = np.concatenate([np.empty(0, dtype=np.intp), *members])
+            at = np.minimum(np.searchsorted(vs, elements), len(vs) - 1)
+            dom[at[vs[at] == elements]] = True
+        return dom
 
 
 def selector_from_compression(
@@ -314,9 +328,9 @@ class _RandomTournament(HypergraphTournament):
     """Tournament selecting position h mod k of an edge, where h mixes the
     vertex keys of the (canonically sorted) edge by Horner's rule mod M;
     vertex v has key keys[v].  The per-edge selector is kept as the
-    definition.  Expanded, h = sum_i key_(e_i) * P**(k-1-i) mod M, so
-    :meth:`select_rows` adds one lead ``_leads[j, v] = key_v * P**j mod M``
-    per column."""
+    definition.  Expanded, h = sum_i key_(e_i) * P**(k-1-i) mod M, a sum of
+    one lead ``_leads[j, v] = key_v * P**j mod M`` per position, from which
+    :meth:`candidate_counts` and :meth:`dominated` select in closed form."""
 
     def __init__(self, keys: Sequence[int], edge_size: int):
         keys = [int(key) for key in keys]
@@ -332,12 +346,31 @@ class _RandomTournament(HypergraphTournament):
         scales = [pow(_P, j, _M) for j in range(edge_size)]
         self._leads = np.array([[key * s % _M for key in keys] for s in scales], dtype=np.uint64)
 
-    def select_rows(self, rows: np.ndarray) -> np.ndarray:
+    def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
+        """Membership, and for each (k-1)-member g the v it selects, in
+        closed form; vs may come in any order and repeat.
+
+        v in gap p = searchsorted(g, v) sits at position p of the edge, whose
+        Horner value is h = (G_p(g) + _leads[k-1-p, v]) mod M, with G_p(g)
+        as in :meth:`candidate_counts`; v is selected when h mod k = p.
+        """
         k = self.edge_size
-        h = self._leads[k - 1, rows[:, 0]]
-        for i in range(1, k):
-            _add_mod(h, self._leads[k - 1 - i, rows[:, i]])
-        return (h - h // np.uint64(k) * np.uint64(k)).view(np.int64)  # h mod k; numpy's % is slower
+        dom = np.zeros(len(vs), dtype=bool)
+        for g in members:
+            gap = np.searchsorted(g, vs)
+            dom |= np.append(g, -1)[gap] == vs  # v is an element of g
+            if len(g) != k - 1:
+                continue
+            # G_0 has every element after the gap; each later gap moves one
+            # element before it, from exponent k-2-i to k-1-i
+            lead = self._leads[:, g].tolist()
+            sums = [sum(lead[k - 2 - i][i] for i in range(k - 1))]
+            for i in range(k - 1):
+                sums.append(sums[-1] + lead[k - 1 - i][i] - lead[k - 2 - i][i])
+            h = np.array([x % _M for x in sums], dtype=np.uint64)[gap]
+            _add_mod(h, self._leads[k - 1 - gap, vs])
+            dom |= (h % np.uint64(k)).view(np.int64) == gap
+        return dom
 
     def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
         """For k >= 3, two table lookups per candidate and gap.  For k = 2,
@@ -641,19 +674,29 @@ def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, b
     return counts
 
 
-def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndarray) -> np.ndarray:
+def _binomials(size: int, k: int) -> np.ndarray:
+    """binom[j, x] = C(x, j) for j < k and x <= size, capped at 2**62 to fit
+    int64 when k is near |R|.
+
+    Every entry a greedy step reads is at most C(|R|, k-1), at most |R| *
+    2**24 within the exhaustive limits, and the cap keeps each row
+    non-decreasing for the searches of _lex_subsets.  The table for a
+    smaller size is a slice of this one.
+    """
+    return np.array([[min(math.comb(x, j), 2**62) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
+
+
+def _best_member_exhaustive(
+    tournament: HypergraphTournament, remaining: np.ndarray, binom: np.ndarray
+) -> np.ndarray:
     # Candidates, the (k-1)-subsets of positions in `remaining`, are counted
     # under their lexicographic index, so the first maximum is also the
     # lexicographically least, and max count + (k-1) is the best domination
-    # total.
+    # total.  binom is _binomials(s, k) for some s >= |R|.
     k = tournament.edge_size
     m, size = k - 1, len(remaining)
     check_enumeration(math.comb(size, k), "greedy edge scan")
-    # binom[j, x] = C(x, j), capped at 2**62 to fit int64 when k is near |R|.
-    # Every entry read is at most C(|R|, k-1), at most |R| * 2**24 within
-    # the exhaustive limits, and the cap keeps each row non-decreasing for
-    # the searches of _lex_subsets.
-    binom = np.array([[min(math.comb(x, j), 2**62) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
+    binom = binom[:, : size + 1]
     counts = tournament.candidate_counts(remaining, binom)
     best = int(counts.max())
     need = -(-size // k)  # ceil(|R| / k)
@@ -716,6 +759,7 @@ def greedy_dominating_set(
     elements: list[Edge] = []
     trace = [len(ids)]
     bound = k * math.log2(max(len(ids), 2))
+    binom = None  # one table for every exhaustive step: |R| only shrinks
     # a step that dominates nothing, against the counts, ends at the bound
     while len(remaining) and len(elements) <= bound + 1e-9:
         if len(remaining) < k:
@@ -729,7 +773,9 @@ def greedy_dominating_set(
             math.comb(len(remaining), k - 1) <= exhaustive_limit
             and math.comb(len(remaining), k) <= EXHAUSTIVE_EDGE_LIMIT
         ):
-            g = _best_member_exhaustive(tournament, remaining)
+            if binom is None:
+                binom = _binomials(len(remaining), k)
+            g = _best_member_exhaustive(tournament, remaining, binom)
             dom = tournament.dominated([g], remaining)
         else:
             g, dom = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)

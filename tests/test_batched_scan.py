@@ -171,7 +171,8 @@ def test_hit_count_rows_match_per_edge_selector(case):
 def mix_positions(keys):
     """Horner's rule mod 2**61 - 1 column by column over (E, k) int64 keys,
     exact in uint64, then position h mod k: the reference for the random
-    tournament's select_rows, which sums per-vertex leads instead."""
+    tournament's selection, whose closed forms sum per-vertex leads
+    instead."""
     keys = keys.astype(np.uint64)
     m = np.uint64(2**61 - 1)
     h = np.zeros(len(keys), dtype=np.uint64)

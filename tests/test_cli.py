@@ -220,6 +220,18 @@ def test_input_with_empty_promise_gap_exits_2(capsys):
             assert "empty promise gap" in err, (gap, mode)
 
 
+def test_input_with_empty_promise_gap_exits_2_on_domset_advice(capsys):
+    # five no-instances, t = 2: DOMSET advice, whose selector would run at the
+    # threshold; the gap is checked before the advice is built
+    argv = ["reduce", "--language", "builtin:random", "--n", "3", "--t", "2"]
+    for gap in (["--delta", "-0.5"], ["--delta", "nan"], ["--Delta", "0.3", "--delta", "0.5"]):
+        for mode in (["--input", "101"], ["--audit"]):
+            assert main([*argv, *gap, *mode]) == 2, (gap, mode)
+            err = capsys.readouterr().err
+            assert json.loads(err)["kind"] == "usage", (gap, mode)
+            assert "empty promise gap" in err, (gap, mode)
+
+
 def test_block_size_below_two_exits_2(capsys):
     # the full language has no no-instance, so no selector ever partitions an edge
     for language, n in (("builtin:full", "2"), ("builtin:single-yes", "3")):

@@ -313,6 +313,24 @@ def test_language_validation():
             ToyLanguage(3, {0b111}).count_yes(ids)
 
 
+def test_count_yes_on_numpy_ids_and_duplicates():
+    lang = ToyLanguage(4, {0b0001, 0b0110, 0b1111})
+    for xs, members in (
+        (np.array([1, 6, 6, 2, 1]), 2),
+        (np.array([1, 6, 6, 2, 1], dtype=np.uint8), 2),
+        ([np.int64(15), 15, 1, np.int32(1)], 2),
+        (iter((6, 6, 0, 6)), 1),
+    ):
+        assert lang.count_yes(xs) == members
+    assert lang.count_yes(()) == lang.count_yes(np.empty(0, dtype=np.int64)) == 0
+    # the first id out of range in the distinct ids' order is named, as
+    # is_yes names it
+    for xs in (np.array([1, 16, 16]), [-3, -3], np.array([2, -1])):
+        bad = next(v for v in set(xs) if not 0 <= v < 16)
+        with pytest.raises(ValueError, match=f"^{bad} is not an 4-bit id$"):
+            lang.count_yes(xs)
+
+
 def test_language_serialization():
     lang = ToyLanguage(5, {0b11111, 0b00001, 0b10000})
     assert ToyLanguage.from_json(lang.to_json()) == lang

@@ -169,7 +169,7 @@ def test_full_v_audit_with_default_keys_equals_hit_count_keys():
 def test_forced_class_determines_the_forced_law_key(case):
     language, a, t, _, _ = CASES[case]()
     universe = range(2**language.n)
-    classes = a.forced_class(np.arange(2**language.n)).tolist()
+    classes = a.forced_class().tolist()
     for g in combinations(universe[: t + 1], t - 1):
         keys = {}
         for v in universe:

@@ -8,7 +8,9 @@ the same keys, whose selector is Horner's rule in Python integers.  Keys are
 drawn from the edge cases of the arithmetic (0, 1, around the modulus
 2**61 - 1, the top of the key range), from small pools that repeat keys
 (tied leads) and from the whole key range; the remaining sets are random
-ascending subsets, and every case runs at three scan chunk sizes.
+ascending subsets, and every case runs at three scan chunk sizes.  The
+closed-form domination check must likewise equal the per-pair definition,
+for members of every size and vertices in any order.
 """
 
 import math
@@ -82,3 +84,44 @@ def test_closed_form_counts_equal_the_edge_scan(case):
             assert tournament.candidate_counts(remaining, binom).tolist() == expected
     finally:
         tournament_module.SCAN_CHUNK = saved
+
+
+@st.composite
+def domination_cases(draw):
+    """Keys, k = 1..5, member index rows of k-2, k-1 and k elements, and
+    the vertex indices to check, in any order and with repeats."""
+    k = draw(st.integers(1, 5))
+    num_vertices = draw(st.integers(k, 24))
+    key = st.one_of(st.sampled_from(EDGE_CASE_KEYS), st.integers(0, 2**62 - 1))
+    pool = draw(st.lists(key, min_size=1, max_size=num_vertices))
+    keys = draw(st.lists(st.sampled_from(pool), min_size=num_vertices, max_size=num_vertices))
+    vertex = st.integers(0, num_vertices - 1)
+    sizes = st.sampled_from([size for size in (k - 2, k - 1, k - 1, k) if 0 <= size <= num_vertices])
+    members = draw(
+        st.lists(sizes.flatmap(lambda size: st.sets(vertex, min_size=size, max_size=size)), min_size=1, max_size=4)
+    )
+    vs = draw(st.lists(vertex, max_size=3 * num_vertices))
+    return keys, k, [sorted(g) for g in members], vs
+
+
+@settings(max_examples=200, deadline=None)
+@given(domination_cases())
+# vertex 0 in the gap before the member (1, 2): its edge (0, 1, 2) sums to
+# exactly M before its reduction, h = 0
+@example(([1, 0, M - P * P % M, 5], 3, [[1, 2]], [0, 3, 0]))
+@example(([2**62 - 1] * 5, 1, [[], [3]], [4, 3, 0]))
+def test_closed_form_domination_equals_the_per_pair_definition(case):
+    # a member dominates its own elements and, with k-1 of them, each v whose
+    # edge member + (v,) selects v by Horner's rule in Python integers
+    keys, k, members, vs = case
+    selector = per_edge(keys, k)._selector
+
+    def dominates(g, v):
+        return v in g or (len(g) == k - 1 and selector(tuple(sorted(g + [v]))) == v)
+
+    tournament = _RandomTournament(keys, k)
+    rows = [np.array(g, dtype=np.intp) for g in members]
+    at = np.array(vs, dtype=np.intp)
+    for g, row in zip(members, rows):
+        assert tournament.dominated([row], at).tolist() == [dominates(g, v) for v in vs]
+    assert tournament.dominated(rows, at).tolist() == [any(dominates(g, v) for g in members) for v in vs]

@@ -9,6 +9,8 @@ from compresslab import (
     BlockCompression,
     FiniteDistribution,
     SDQuery,
+    SymmetricCompression,
+    SymmetricFunction,
     ToyLanguage,
     audit_language,
     build_advice,
@@ -18,10 +20,11 @@ from compresslab import (
     noisy_or_compression,
     selector_from_compression,
     statistical_distance,
+    transform_to_relaxed_or,
 )
 from compresslab import compression as compression_module
 from compresslab import reduction
-from compresslab.reduction import decide_with_queries, queries_for
+from compresslab.reduction import decide_with_queries, promise_gap, queries_for
 from reference_routes import threshold_oracle
 
 F = Fraction
@@ -290,6 +293,60 @@ def test_audit_formats_no_vertex_string(monkeypatch):
     report = audit_language(lang, a)
     assert report.agreement == 1.0 and report.advice_mode == "DOMSET"
     assert formatted == []
+
+
+AUDIT_LANGUAGES = {
+    "random": lambda n: ToyLanguage.random(n, seed=5),
+    "empty": lambda n: ToyLanguage(n, ()),
+    "full": lambda n: ToyLanguage(n, range(2**n)),
+    "single-yes": lambda n: ToyLanguage(n, {2**n - 1}),
+}
+
+
+def _ideal_audit(language):
+    a = ideal_or_compression(language, 4)
+    return language, a, 4, *promise_gap(a, 4)
+
+
+def _noisy_audit(language):
+    a = noisy_or_compression(language, 3, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
+    return language, a, 3, *promise_gap(a, 3)
+
+
+def _transformed_audit(language):
+    # the OR-like 0111 has a pivot-0 view, which needs no pool of yes-instances
+    a = transform_to_relaxed_or(SymmetricCompression(language, SymmetricFunction.from_bits("0111")))
+    return a.source_language, a, a.arity, 1, F(1, 2)
+
+
+AUDIT_COMPRESSIONS = {"ideal-or": _ideal_audit, "noisy-or": _noisy_audit, "transformed-or": _transformed_audit}
+
+
+@pytest.mark.parametrize("oracle", ["exact", "always-true"])
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("language_name", sorted(AUDIT_LANGUAGES))
+@pytest.mark.parametrize("compression_name", sorted(AUDIT_COMPRESSIONS))
+def test_grouped_audit_equals_a_per_input_decision_loop(compression_name, language_name, n, oracle):
+    # n = 2 leaves at most t no-instances (FULL_V advice) for the t = 4 audits;
+    # an oracle that affirms every query misjudges each accepted no-instance
+    language, a, t, Delta, delta = AUDIT_COMPRESSIONS[compression_name](AUDIT_LANGUAGES[language_name](n))
+    answer = exact_sd_oracle if oracle == "exact" else (lambda q: True)
+    report = audit_language(language, a, edge_size=t, Delta=Delta, delta=delta, oracle=answer)
+    advice = build_advice(language, a, t, float(delta))
+    tags = {"yes": 0, "no": 0, "gap": 0}
+    mismatches = []
+    for v in range(2**n):
+        verdict, batch = decide_with_queries(v, advice, a, Delta, delta, answer)
+        for q in batch:
+            tags[q.promise_tag.lower()] += 1
+        if verdict != language.is_yes(v):
+            mismatches.append(v)
+    assert (report.advice_mode, report.advice_size) == (advice.mode, advice.size)
+    assert report.query_tags == tags
+    assert report.mismatches == tuple(mismatches)
+    assert report.agreement == 1 - len(mismatches) / 2**n
+    if oracle == "exact":
+        assert not mismatches
 
 
 def test_audit_rejects_empty_promise_gap():
