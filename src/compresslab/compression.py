@@ -325,15 +325,8 @@ class ToyLanguage:
         return bool(self.member[v])
 
     def count_yes(self, xs: Iterable[int]) -> int:
-        """Number of members among the distinct ids of xs, read in one gather."""
-        ids = set(xs)
-        try:
-            if min(ids, default=0) < 0:  # numpy would read it from the end
-                raise IndexError
-            return int(np.count_nonzero(self.member[id_array(ids)]))
-        except IndexError:
-            v = next(v for v in ids if not 0 <= v < self.member.size)
-            raise ValueError(f"{v} is not an {self.n}-bit id") from None
+        """Number of members among the distinct ids of xs."""
+        return sum(self.is_yes(v) for v in set(xs))
 
     def yes_instances(self) -> np.ndarray:
         """The members' ids, ascending."""
@@ -588,18 +581,21 @@ class HitCountCompression(SetEncodedCompression):
     def law_key(self, ground: Sequence[int], forced: Sequence[int] = ()) -> tuple[int, int]:
         forced = set(forced)
         ground = set(ground) - forced
-        if len(ground) + len(forced) > self.arity:
-            raise ValueError("ground plus forced elements exceed the arity")
+        self._check_arity(len(ground) + len(forced))
         return self.hits(ground), self.hits(forced)
 
     def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """``law_key(g)`` and ``law_key(g, (v,))``, from one count of g's hits."""
         ground = set(g)
         inside = v in ground
-        if len(ground) + (not inside) > self.arity:
-            raise ValueError("ground plus forced elements exceed the arity")
+        self._check_arity(len(ground) + (not inside))
         h, hit = self.hits(ground), int(self.hit_language.is_yes(v))
         return (h, 0), (h - hit if inside else h, hit)
+
+    def _check_arity(self, size: int) -> None:
+        """Raise unless a query on size elements, ground plus forced, fits the arity."""
+        if size > self.arity:
+            raise ValueError("ground plus forced elements exceed the arity")
 
     def forced_class(self) -> np.ndarray:
         """The hit bits: a forced element adds one forced hit or none."""

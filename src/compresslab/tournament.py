@@ -240,10 +240,13 @@ class _FirstVertexTournament(HypergraphTournament):
         """Membership, and for each (k-1)-member the v before its first
         vertex (every v, for k = 1).
 
-        vs must be ascending, as the greedy and verification pass it: the v
-        before the last first vertex are then a prefix, and each member's
-        elements are found in vs by one search.
+        Unlike the other tournaments, vs must be strictly ascending, as the
+        greedy and verification pass it (ValueError otherwise): the v before
+        the last first vertex are then a prefix, and each member's elements
+        are found in vs by one search.
         """
+        if (vs[1:] <= vs[:-1]).any():
+            raise ValueError("vs must be strictly ascending")
         dom = np.zeros(len(vs), dtype=bool)
         firsts = [g[0] if len(g) else len(self.ids) for g in members if len(g) == self.edge_size - 1]
         if firsts:

@@ -324,8 +324,10 @@ def test_count_yes_on_numpy_ids_and_duplicates():
         assert lang.count_yes(xs) == members
     assert lang.count_yes(()) == lang.count_yes(np.empty(0, dtype=np.int64)) == 0
     # the first id out of range in the distinct ids' order is named, as
-    # is_yes names it
-    for xs in (np.array([1, 16, 16]), [-3, -3], np.array([2, -1])):
+    # is_yes names it; ids at the top of the uint64 range are out of range
+    # too, not read from the end of the membership vector
+    wrapping = ([1, 2**64 - 1], np.array([2**64 - 1], dtype=np.uint64))
+    for xs in (np.array([1, 16, 16]), [-3, -3], np.array([2, -1]), *wrapping):
         bad = next(v for v in set(xs) if not 0 <= v < 16)
         with pytest.raises(ValueError, match=f"^{bad} is not an 4-bit id$"):
             lang.count_yes(xs)
@@ -523,8 +525,14 @@ def test_law_keys_summarise_hit_counts():
         (a.law_key(tuple(w for w in e if w != v)), a.law_key(tuple(w for w in e if w != v), (v,)))
         for v in e
     ]
+    # v inside g is forced out of the ground set, as law_key forces it
+    assert a.conditioned_keys((0b000, 0b111, 0b110), 0b111) == (a.law_key((0b000, 0b111, 0b110)), (1, 1))
     with pytest.raises(ValueError, match="exceed the arity"):
         a.law_key((0b000, 0b001, 0b010, 0b011), (0b100,))
+    with pytest.raises(ValueError, match="exceed the arity"):
+        a.conditioned_keys((0b000, 0b001, 0b010, 0b011), 0b100)
+    g = (0b000, 0b001, 0b010, 0b110)
+    assert a.conditioned_keys(g, 0b110) == (a.law_key(g), a.law_key(g, (0b110,))) == ((1, 0), (0, 1))
 
 
 def test_or_closed_form_handles_forced_overlap():

@@ -156,6 +156,16 @@ def test_dominated_matches_per_pair_definition(case, seed):
         assert got == outcome(_reference_dominated, case, g, vs)
 
 
+def test_closed_form_domination_needs_strictly_ascending_vertices():
+    case = Case(3, np.arange(12), np.zeros(32, dtype=bool), np.ones((2, 4), dtype=bool))
+    assert isinstance(case.tournament, _FirstVertexTournament)
+    g = np.array([8, 9])
+    assert case.tournament.dominated([g], np.array([4, 9, 11])).tolist() == [True, True, False]
+    for vs in ([9, 4], [4, 4, 9]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            case.tournament.dominated([g], np.array(vs))
+
+
 def _reference_verification(case, members):
     """Undominated ids, asking the per-edge selector about every pair of a
     vertex and a (k-1)-member without it, vertex by vertex and then member
