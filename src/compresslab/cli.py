@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import operator
 import sys
 from fractions import Fraction
@@ -180,6 +181,8 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
         language = _build_language(args.language, args.n, args.seed)
         compression = _build_compression(args.compression, language, args.t)
         _, delta = promise_gap(compression, args.t, delta=args.delta)
+        if math.isnan(delta):
+            raise ValueError("the selector threshold --delta must be a number, got nan")
         vertices = language.no_instances()
         if len(vertices) < args.t:
             raise ValueError(

@@ -11,10 +11,8 @@ some member or is selected when appended to one.
 An exhaustive greedy step counts, for every candidate member g (a
 (k-1)-subset of the undominated set R), the vertices v of R that g + (v,)
 selects.  For a general tournament the counts come from one scan of every
-edge inside R in lexicographic order.  An edge is a first position followed
-by a suffix, a (k-1)-subset of the later positions, and each piece of edges
-is selected in one :meth:`HypergraphTournament.select_rows` batch.  Each
-edge charges one candidate: itself without its selected vertex.
+edge inside R in lexicographic order, one per-edge selector call each.
+Each edge charges one candidate: itself without its selected vertex.
 
 The random tournament mixes an edge by Horner's rule modulo M = 2**61 - 1,
 h = sum_i key_i * P**(k-1-i) mod M, and selects position h mod k.  Its
@@ -48,6 +46,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -88,14 +87,11 @@ class HypergraphTournament:
     one ascending int64 array ``ids``: the array passed in, when it already
     is one.  The per-edge selector takes a canonical edge, an ascending
     tuple of ids, and returns the selected id; it is the definition that
-    every batch answers for.  Batches of edges are numpy rows of vertex
-    indices: positions in ``ids``, increasing along each row, so index
-    order is id order and a row is a canonical edge.  :meth:`select_rows`
-    asks the per-edge selector once per row, and the greedy's edge scan
-    and the domination check select through it.
-    Tournaments with a vectorised selector override it, or the greedy's
-    counts and the domination check themselves (:meth:`candidate_counts`,
-    :meth:`dominated`).
+    every closed form is checked against.  The greedy and verification
+    address vertices by index, their position in ``ids``, so index order is
+    id order.  By default the greedy's counts and the domination check ask
+    the per-edge selector edge by edge (:meth:`candidate_counts`,
+    :meth:`dominated`); tournaments with a closed form override them.
 
     Bit strings appear only in :attr:`vertices` and :meth:`select`, the form
     in which reports name vertices.
@@ -130,58 +126,52 @@ class HypergraphTournament:
             raise ValueError(f"{text[outside[0]]!r} is not a vertex of the tournament")
         return bits_label(ids[self._position(ids)], self.vertex_bits)
 
-    def select_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Selected position within each row of an (E, k) batch of index rows."""
-        out = np.empty(len(rows), dtype=np.intp)
-        for j, e in enumerate(self.ids[rows].tolist()):
-            out[j] = self._position(tuple(e))
-        return out
-
     def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
         """counts[i]: the vertices v of `remaining` outside candidate i whose
         edge candidate + (v,) selects v.
 
         Candidate i is the i-th (k-1)-subset of positions in `remaining`
         (ascending vertex indices) in lexicographic order; binom[j, c] =
-        C(c, j).  An edge without a selection raises through the per-edge
-        selector, at the lexicographically first such edge.  By default
-        every edge inside `remaining` is selected in one scan
-        (:func:`_edge_scan_counts`).
+        C(c, j).  By default every edge inside `remaining` is asked in
+        lexicographic order, so an edge without a selection raises through
+        the per-edge selector at the lexicographically first such edge.  The
+        edge e with selected vertex v certifies that e minus v dominates v,
+        so every edge charges exactly one candidate, e without v.
         """
-        return _edge_scan_counts(self, remaining, binom)
+        k = self.edge_size
+        ids = self.ids[remaining].tolist()
+        index = {g: i for i, g in enumerate(combinations(ids, k - 1))}
+        counts = [0] * len(index)
+        for e in combinations(ids, k):
+            p = self._position(e)
+            counts[index[e[:p] + e[p + 1 :]]] += 1
+        return np.array(counts)
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
-        """dom[j]: some member dominates vertex index vs[j].
+        """dom[j]: some member dominates vertex index vs[j]; vs may come in
+        any order and repeat.
 
         Members are ascending rows of vertex indices (see
         :func:`_member_rows`).  A member dominates its own elements and,
         when it has k-1 elements, every v whose edge member + (v,) selects
-        v.  Every pair of a vertex and a (k-1)-member without it is
-        selected, in one batch, so an edge without a selection raises
-        through the per-edge selector at the first such pair, vertex by
-        vertex and then member by member.
+        v.  Every pair of a vertex and a (k-1)-member without it is asked,
+        vertex by vertex and then member by member, so an edge without a
+        selection raises through the per-edge selector at the first such
+        pair.
         """
         k = self.edge_size
-        # mark[i, x]: vertex x is an element of member i
-        mark = np.zeros((len(members), len(self.ids)), dtype=bool)
-        for i, g in enumerate(members):
-            mark[i, g] = True
-        dom = mark[:, vs].T
-        full = np.array([len(g) == k - 1 for g in members], dtype=bool)
-        vj, gi = np.nonzero(~dom & full)
-        if vj.size:
-            # g_full[i]: the elements of member i, when it has k-1 of them
-            g_full = np.zeros((len(members), k - 1), dtype=np.intp)
-            for i in np.flatnonzero(full).tolist():
-                g_full[i] = members[i]
-            # the edge member + (v,) in ascending order, and v's slot in it: the
-            # elements before v
-            v_col = vs[vj, None]
-            rows = np.concatenate([g_full[gi], v_col], axis=1)
-            rows.sort(axis=1)
-            slot = np.count_nonzero(rows < v_col, axis=1)
-            dom[vj, gi] = _selected(self, self.select_rows(rows), rows.__getitem__) == slot
-        return dom.any(axis=1)
+        rows = [tuple(self.ids[g].tolist()) for g in members]
+        dom = []
+        for v in self.ids[vs].tolist():
+            hit = False
+            for g in rows:
+                p = bisect_left(g, v)  # v's slot in the edge g + (v,)
+                if p < len(g) and g[p] == v:
+                    hit = True
+                elif len(g) == k - 1 and self._position(g[:p] + (v,) + g[p:]) == p:
+                    hit = True
+            dom.append(hit)
+        return np.array(dom, dtype=bool)
 
     def _position(self, e: Edge) -> int:
         """Position of the per-edge selector's choice in the canonical edge e."""
@@ -200,23 +190,6 @@ def _positions(tournament: HypergraphTournament, vs: Iterable[int]) -> np.ndarra
     if outside.size:
         raise ValueError(f"{outside[0]} is not a vertex of the tournament")
     return at
-
-
-def _selected(
-    tournament: HypergraphTournament, positions: np.ndarray, edge: Callable[[int], Sequence[int]]
-) -> np.ndarray:
-    """positions, once each lies inside its edge.
-
-    At the first position that does not, the per-edge selector is asked
-    about that edge (edge(i) gives its vertex indices), so a selector that
-    is undefined there raises its own error.
-    """
-    k = tournament.edge_size
-    if len(positions) and (positions.min() < 0 or positions.max() >= k):
-        i = int(np.argmax((positions < 0) | (positions >= k)))
-        tournament._position(tuple(tournament.ids[edge(i)].tolist()))
-        raise InvariantError("selector returned a position outside the edge")
-    return positions
 
 
 class _FirstVertexTournament(HypergraphTournament):
@@ -554,13 +527,12 @@ class DominatingSet:
         return cls(int(obj["t"]), int(obj["n"]), elements, tuple(int(c) for c in obj["trace"]))
 
 
-# Edges per piece of the exhaustive greedy scan, candidates per piece of the
-# random tournament's closed form, and a sixteenth of the pairs per block of
-# its k = 2 counts.  A piece is a run of whole slices of consecutive first
-# positions, or a part of one slice.  The pieces bound the working memory (a
-# few arrays of this many entries, k or 16 times as many in the random
-# counts) on top of the per-step tables and the candidate counts, while
-# keeping the per-piece overhead small.
+# Candidates per piece of the random tournament's closed-form counts, and a
+# sixteenth of the pairs per block of its k = 2 counts.  A piece is a run of
+# whole slices of consecutive first positions, or a part of one slice.  The
+# pieces bound the working memory (a few arrays of k times this many entries,
+# or 16 times as many pairs) on top of the per-step tables and the candidate
+# counts, while keeping the per-piece overhead small.
 SCAN_CHUNK = 4096
 
 # Most edges the greedy search scans exhaustively in one step; past it the
@@ -568,6 +540,10 @@ SCAN_CHUNK = 4096
 # read from COMPLAB_BUDGET: a larger budget leaves the exhaustive range as it
 # is, and a smaller one still stops an exhaustive scan with a budget error.
 EXHAUSTIVE_EDGE_LIMIT = 2**24
+
+# A sampled greedy step draws at most this many times k * |R| members before
+# it gives up with DominatingSearchError.
+SAMPLE_CAP_FACTOR = 10
 
 
 def _member_rows(tournament: HypergraphTournament, members: Sequence[Edge]) -> list[np.ndarray]:
@@ -612,19 +588,6 @@ def _lex_rows(binom: np.ndarray, size: int, m: int) -> np.ndarray:
     return rows
 
 
-def _lex_rank(binom: np.ndarray, size: int, rows: np.ndarray) -> np.ndarray:
-    """Lexicographic index of each row x_0 < ... < x_{m-1} among the
-    m-subsets of range(size): C(size, m) - 1 - sum_i C(size - 1 - x_i, m - i).
-
-    binom[j, c] = C(c, j); the inverse of :func:`_lex_subsets`.
-    """
-    m = rows.shape[1]
-    rank = np.full(len(rows), binom[m, size] - 1, dtype=np.int64)
-    for i in range(m):
-        rank -= binom[m - i, size - 1 - rows[:, i]]
-    return rank
-
-
 def _following(c: np.ndarray, lengths: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
     """(firsts, at): each first position c[i] followed by each of the last
     lengths[i] of `total` suffixes, in order; at indexes the suffix."""
@@ -654,27 +617,6 @@ def _scan_pieces(lengths: np.ndarray, total: int) -> Iterator[tuple[np.ndarray, 
     for lo, hi in zip(cuts, cuts[1:]):
         if lo < hi:
             yield _following(np.arange(lo, hi), lengths[lo:hi], total)
-
-
-def _edge_scan_counts(tournament: HypergraphTournament, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    # One pass over all edges inside the remaining set, in lexicographic
-    # order: a first position c followed by each suffix, an m-subset of the
-    # later positions (module docstring), one `select_rows` batch per piece.
-    # The edge e with selected vertex v certifies that e minus v dominates v,
-    # so every edge charges exactly one candidate, e without its selected
-    # column.
-    k = tournament.edge_size
-    m, size = k - 1, len(remaining)
-    total = math.comb(size, m)
-    suffixes = _lex_rows(binom, size, m)
-    counts = np.zeros(total, dtype=np.int32)
-    for firsts, at in _scan_pieces(binom[m, size - 1 :: -1][: size - m], total):
-        edges = np.concatenate([firsts[:, None], suffixes[at]], axis=1)
-        rows = remaining[edges]
-        picked = _selected(tournament, tournament.select_rows(rows), rows.__getitem__)
-        charged = edges[np.arange(k) != picked[:, None]].reshape(len(edges), m)
-        np.add.at(counts, _lex_rank(binom, size, charged), 1)
-    return counts
 
 
 def _binomials(size: int, k: int) -> np.ndarray:
@@ -714,13 +656,12 @@ def _best_member_sampled(
     tournament: HypergraphTournament,
     remaining: np.ndarray,
     rng: np.random.Generator,
-    cap_factor: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The first sampled member that dominates a 1/k fraction of
     `remaining`, with the mask of the vertices it dominates."""
     k = tournament.edge_size
     need = -(-len(remaining) // k)
-    cap = cap_factor * k * len(remaining)
+    cap = SAMPLE_CAP_FACTOR * k * len(remaining)
     best_fraction = 0.0
     for _ in range(cap):
         picks = rng.choice(len(remaining), size=k - 1, replace=False)
@@ -739,7 +680,6 @@ def _best_member_sampled(
 def greedy_dominating_set(
     tournament: HypergraphTournament,
     exhaustive_limit: int = 10**6,
-    sample_cap_factor: int = 10,
     seed: int = 0,
 ) -> DominatingSet:
     """Greedy dominating set of at most edge_size * log2|V| members.
@@ -781,7 +721,7 @@ def greedy_dominating_set(
             g = _best_member_exhaustive(tournament, remaining, binom)
             dom = tournament.dominated([g], remaining)
         else:
-            g, dom = _best_member_sampled(tournament, remaining, rng, sample_cap_factor)
+            g, dom = _best_member_sampled(tournament, remaining, rng)
         elements.append(tuple(ids[g].tolist()))
         remaining = remaining[~dom]
         trace.append(len(remaining))

@@ -1,10 +1,11 @@
-"""Batched selections against per-edge references.
+"""Tournament selections and greedy runs against per-edge references.
 
-Random and hit-count tournaments select whole batches of index rows with
-numpy; the greedy scan, the domination filter and verification send their
-edges in batches.  Here every batch is compared with the per-edge selector
-it replaces, and every greedy run with a per-edge greedy kept in this file:
-one selector call per edge, a dict of candidate counts, a rescan per step.
+Random and first-vertex tournaments count the greedy's candidates and check
+domination in closed form; other tournaments ask their per-edge selector
+edge by edge.  Here every tournament's selections are compared with an
+independent per-edge reference selector, and every greedy run with a
+per-edge greedy kept in this file: one selector call per edge, a dict of
+candidate counts, a rescan per step.
 """
 
 from fractions import Fraction
@@ -138,9 +139,14 @@ def _all_rows(tournament):
     return np.array(list(combinations(range(len(tournament.ids)), tournament.edge_size)))
 
 
+def select_positions(tournament, rows):
+    """Selected position within each row of vertex indices, edge by edge."""
+    return np.array([tournament._position(tuple(e)) for e in tournament.ids[rows].tolist()], dtype=np.intp)
+
+
 def _rows_match_edges(tournament, reference):
     rows = _all_rows(tournament)
-    positions = tournament.select_rows(rows)
+    positions = select_positions(tournament, rows)
     vertices = tournament.vertices
     for row, pos in zip(rows.tolist(), positions.tolist()):
         e = tuple(vertices[i] for i in row)
@@ -148,7 +154,7 @@ def _rows_match_edges(tournament, reference):
     return positions
 
 
-# -- select_rows -------------------------------------------------------------------
+# -- per-edge selections ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("k,num_vertices", [(2, 40), (3, 40), (4, 24), (5, 18)])
@@ -197,7 +203,7 @@ def test_random_rows_match_column_by_column_mix(k):
     keys[rng.choice(40, size=6, replace=False)] = [2**61 - 1, 2**61, 2**61 + 1, 2**61 - 2, 2**62 - 1, 0]
     tournament = keyed_random(keys.tolist(), k)
     rows = np.sort(np.array([rng.choice(40, size=k, replace=False) for _ in range(3000)]), axis=1)
-    positions = tournament.select_rows(rows)
+    positions = select_positions(tournament, rows)
     assert positions.tolist() == mix_positions(keys[rows]).tolist()
     assert set(positions.tolist()) == set(range(k))
 
@@ -208,7 +214,7 @@ def test_random_hash_is_exact_at_extreme_keys():
         h = 0
         for key in keys:
             h = (h * 1099511628211 + key) % (2**61 - 1)
-        assert keyed_random(keys, 4).select_rows(np.array([[0, 1, 2, 3]])).tolist() == [h % 4]
+        assert select_positions(keyed_random(keys, 4), np.array([[0, 1, 2, 3]])).tolist() == [h % 4]
 
 
 # -- greedy against the per-edge greedy ------------------------------------------------
@@ -256,12 +262,13 @@ def test_small_and_degenerate_sizes():
 
 
 def test_sampled_search_counts_like_single_edges():
-    # the sampled search scores each sampled member with one batch; its
-    # result must not depend on whether the selector is vectorised
+    # the sampled search scores each sampled member with `dominated`; its
+    # result must not depend on whether that runs in closed form or asks the
+    # per-edge selector
     for seed in range(4):
-        batched = greedy_dominating_set(random_tournament(20, 3, seed), exhaustive_limit=0, seed=7)
+        closed = greedy_dominating_set(random_tournament(20, 3, seed), exhaustive_limit=0, seed=7)
         single = greedy_dominating_set(reference_random(20, 3, seed), exhaustive_limit=0, seed=7)
-        assert batched == single
+        assert closed == single
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10**9])
@@ -277,24 +284,13 @@ def test_scan_chunk_changes_nothing(monkeypatch, chunk):
 # -- guardrails ---------------------------------------------------------------------
 
 
-class OutsidePositions(HypergraphTournament):
-    """A batch selector that answers one past the end of every row."""
-
-    def select_rows(self, rows):
-        return np.full(len(rows), rows.shape[1], dtype=np.intp)
-
-
-def test_batch_position_outside_the_edge_raises():
-    s = OutsidePositions([0b00, 0b01, 0b10, 0b11], 2, min, 2)
-    with pytest.raises(InvariantError, match="outside the edge"):
-        greedy_dominating_set(s)
-    with pytest.raises(InvariantError, match="outside the edge"):
-        greedy_dominating_set(s, exhaustive_limit=0)
+def test_selector_outside_the_edge_raises():
     bad = HypergraphTournament([0b00, 0b01, 0b10], 2, lambda e: 0b11, 2)
     with pytest.raises(InvariantError, match="outside the edge"):
-        bad.select_rows(np.array([[0, 1]]))
-    with pytest.raises(InvariantError, match="outside the edge"):
-        greedy_dominating_set(bad)
+        bad.select(("00", "01"))
+    for kwargs in ({}, {"exhaustive_limit": 0}):  # the exhaustive and the sampled search
+        with pytest.raises(InvariantError, match="outside the edge"):
+            greedy_dominating_set(bad, **kwargs)
 
 
 def test_selector_undefined_names_the_first_failing_edge():
@@ -329,8 +325,8 @@ def test_first_failing_edge_at_any_first_position(monkeypatch, chunk, lead):
     # qualifying element.  The `lead` no-instances below the least
     # yes-instance put the first failing edge at first position `lead`,
     # after the edges of every earlier first position; no-instances among
-    # the yes-instances put it inside its slice.  Chunk 1 makes every edge a
-    # piece of its own
+    # the yes-instances put it inside its slice.  The scan chunk size, which
+    # only the random tournament's closed form reads, must change nothing
     language = ToyLanguage(5, {16, 18, 19, 23, 27})
     a = ideal_or_compression(language, 3)
     no = language.no_instances()

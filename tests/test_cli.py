@@ -282,6 +282,16 @@ def test_selector_failure_exit_1(capsys):
     capsys.readouterr()
 
 
+def test_nan_selector_threshold_exits_2(capsys):
+    # reduce and fcomp refuse a NaN threshold through the promise gap; the
+    # tournament command has no gap and refuses it before the selector runs
+    code = main(["tournament", "--language", "builtin:single-yes", "--n", "3",
+                 "--compression", "ideal-or", "--t", "3", "--delta", "nan"])
+    assert code == 2
+    report = json.loads(capsys.readouterr().err)
+    assert report["kind"] == "usage" and "nan" in report["error"]
+
+
 def test_verify_lemma_trials_at_least_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-lemma", "pinsker", "--trials", "-1"])
@@ -374,9 +384,10 @@ def test_sampled_search_failure_exit_1(capsys, monkeypatch):
     from functools import partial
 
     from compresslab import cli
+    from compresslab import tournament as tournament_module
 
-    starved = partial(cli.greedy_dominating_set, exhaustive_limit=0, sample_cap_factor=0)
-    monkeypatch.setattr(cli, "greedy_dominating_set", starved)
+    monkeypatch.setattr(tournament_module, "SAMPLE_CAP_FACTOR", 0)
+    monkeypatch.setattr(cli, "greedy_dominating_set", partial(cli.greedy_dominating_set, exhaustive_limit=0))
     assert main(["tournament", "--random", "--num-vertices", "12", "--t", "3"]) == 1
     report = json.loads(capsys.readouterr().err)
     assert report["kind"] == "search" and "fraction" in report["error"]

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from compresslab import HypergraphTournament
 from compresslab import tournament as tournament_module
-from compresslab.tournament import _edge_scan_counts, _RandomTournament
+from compresslab.tournament import _RandomTournament
 
 M = 2**61 - 1
 P = 1099511628211
@@ -75,7 +75,7 @@ def cases(draw):
 def test_closed_form_counts_equal_the_edge_scan(case):
     keys, k, remaining = case
     binom = binomials(len(remaining), k)
-    expected = _edge_scan_counts(per_edge(keys, k), remaining, binom).tolist()
+    expected = per_edge(keys, k).candidate_counts(remaining, binom).tolist()
     tournament = _RandomTournament(keys, k)
     saved = tournament_module.SCAN_CHUNK
     try:

@@ -10,6 +10,7 @@ import pytest
 from compresslab import (
     BlockCompression,
     DominatingSet,
+    HypergraphTournament,
     SelectorUndefinedError,
     SymmetricCompression,
     SymmetricFunction,
@@ -22,6 +23,7 @@ from compresslab import (
     statistical_distance,
     verify_domination,
 )
+from compresslab import tournament as tournament_module
 from compresslab.tournament import (
     DominatingSearchError,
     _member_rows,
@@ -159,10 +161,11 @@ def test_greedy_sampled_search_path():
         assert dom == again  # deterministic in the sampling seed
 
 
-def test_greedy_sampled_search_exhausts_its_cap():
+def test_greedy_sampled_search_exhausts_its_cap(monkeypatch):
+    monkeypatch.setattr(tournament_module, "SAMPLE_CAP_FACTOR", 0)
     s = random_tournament(12, 3, seed=1)
     with pytest.raises(DominatingSearchError, match="fraction"):
-        greedy_dominating_set(s, exhaustive_limit=0, sample_cap_factor=0)
+        greedy_dominating_set(s, exhaustive_limit=0)
 
 
 def _dominated_by(s, g, v):
@@ -195,21 +198,24 @@ def test_domination_matrix_matches_its_definition():
     # members enter as index rows; every entry must equal the per-pair
     # definition, for members holding vertices outside the checked rows,
     # short members, members not in sorted order, checked subsets and
-    # repeated rows.  An id that is no vertex is refused
+    # repeated rows, both in closed form and edge by edge through the same
+    # selector.  An id that is no vertex is refused
     s = random_tournament(16, 4, seed=2)
+    plain = HypergraphTournament(s.ids, s.edge_size, s._selector, s.vertex_bits)
     dom = greedy_dominating_set(s)
     vs = s.ids.tolist()
     members = dom.elements + (vs[5:6], (vs[1], vs[2], vs[3]), (vs[12], vs[7], vs[10]))
     extended = DominatingSet(4, dom.vertex_bits, members, dom.trace)
-    for rows in (vs, vs[::3], vs[4:9] + vs[4:6]):
-        want = [[_dominated_by(s, g, v) for g in members] for v in rows]
-        at = _positions(s, rows)
-        got = [s.dominated([g], at) for g in _member_rows(s, members)]
-        assert np.column_stack(got).tolist() == want
-        assert s.dominated(_member_rows(s, members), at).tolist() == [any(w) for w in want]
-    ok, undominated = verify_domination(s, extended)
-    assert undominated == [v for v in vs if not any(_dominated_by(s, g, v) for g in members)]
-    assert ok == (not undominated)
+    for tournament in (s, plain):
+        for rows in (vs, vs[::3], vs[4:9] + vs[4:6]):
+            want = [[_dominated_by(s, g, v) for g in members] for v in rows]
+            at = _positions(tournament, rows)
+            got = [tournament.dominated([g], at) for g in _member_rows(tournament, members)]
+            assert np.column_stack(got).tolist() == want
+            assert tournament.dominated(_member_rows(tournament, members), at).tolist() == [any(w) for w in want]
+        ok, undominated = verify_domination(tournament, extended)
+        assert undominated == [v for v in vs if not any(_dominated_by(s, g, v) for g in members)]
+        assert ok == (not undominated)
     for member in ((vs[0], 16), (-1, vs[9])):
         with pytest.raises(ValueError, match="not a vertex"):
             _member_rows(s, [member])
