@@ -79,6 +79,13 @@ class SDQuery:
             return "NO"
         return "GAP"
 
+    @cached_property
+    def midpoint(self) -> Fraction:
+        """(Delta + delta) / 2 as an exact Fraction; a float midpoint, from
+        a float bound, is converted exactly, so comparisons with it are the
+        float's."""
+        return Fraction((self.Delta + self.delta) / 2)
+
 
 def exact_sd_oracle(query: SDQuery) -> bool:
     """Thresholds the exact distance at the midpoint of the promise gap.
@@ -86,7 +93,7 @@ def exact_sd_oracle(query: SDQuery) -> bool:
     Answers true on every YES-side query and false on every NO-side query,
     which is all the reduction's correctness uses; ties go up.
     """
-    return query.distance >= (query.Delta + query.delta) / 2
+    return query.distance >= query.midpoint
 
 
 # ---------------------------------------------------------------------------

@@ -31,11 +31,13 @@ compression, on vertices of one hit bit needs no edge scan.  An element
 qualifies by the hit counts of its conditioned laws alone, and these are the
 same for every element of every edge, so one verdict says whether every edge
 selects its first vertex (:func:`selector_from_compression`).  A candidate
-then charges the vertices of R before its first vertex
-(:meth:`_FirstVertexTournament.candidate_counts`), and a member dominates
-the vertices before its first one (:meth:`_FirstVertexTournament.dominated`).
-Vertex sets of both hit bits, which no reduction builds, take the general
-scan, and a failed verdict raises at the first edge.
+then charges the vertices of R before its first vertex, so the last k-1
+vertices of R, the exhaustive step's choice, dominate all of R.  The greedy
+takes them as its one member at any size, with no count and no sample
+(:meth:`_FirstVertexTournament.candidate_argmax`).  A member dominates the vertices before its first one
+(:meth:`_FirstVertexTournament.dominated`).  Vertex sets of both hit bits,
+which no reduction builds, take the general scan, and a failed verdict
+raises at the first edge.
 
 The block variant needs no selector of its own: the same one runs on a
 :class:`BlockCompression`.
@@ -91,7 +93,9 @@ class HypergraphTournament:
     address vertices by index, their position in ``ids``, so index order is
     id order.  By default the greedy's counts and the domination check ask
     the per-edge selector edge by edge (:meth:`candidate_counts`,
-    :meth:`dominated`); tournaments with a closed form override them.
+    :meth:`dominated`), and no step has a closed-form best member
+    (:meth:`candidate_argmax`); tournaments with a closed form override
+    them.
 
     Bit strings appear only in :attr:`vertices` and :meth:`select`, the form
     in which reports name vertices.
@@ -147,6 +151,13 @@ class HypergraphTournament:
             counts[index[e[:p] + e[p + 1 :]]] += 1
         return np.array(counts)
 
+    def candidate_argmax(self, remaining: np.ndarray) -> np.ndarray | None:
+        """The candidate an exhaustive greedy step picks, when it has a closed
+        form: the lexicographically least (k-1)-subset of `remaining` with
+        the largest count, as ascending vertex indices.  None by default,
+        and the greedy counts or samples."""
+        return None
+
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
         """dom[j]: some member dominates vertex index vs[j]; vs may come in
         any order and repeat.
@@ -195,19 +206,17 @@ def _positions(tournament: HypergraphTournament, vs: Iterable[int]) -> np.ndarra
 class _FirstVertexTournament(HypergraphTournament):
     """Tournament in which every edge selects its first vertex.
 
-    The greedy's counts and domination follow in closed form; the per-edge
-    selector is kept as the definition (see :func:`selector_from_compression`).
+    The greedy's best member and domination follow in closed form; the
+    per-edge selector is kept as the definition (see
+    :func:`selector_from_compression`).
     """
 
-    def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
-        """Each candidate's first position in `remaining`: g + (v,) selects v
-        exactly when v precedes g's first vertex.  The empty candidate, for
-        k = 1, selects every v."""
-        m, size = self.edge_size - 1, len(remaining)
-        if not m:
-            return np.array([size])
-        c = np.arange(size - m + 1)
-        return np.repeat(c, binom[m - 1, size - 1 - c])  # the candidates beginning at c
+    def candidate_argmax(self, remaining: np.ndarray) -> np.ndarray:
+        """The last k-1 positions of `remaining`, none for k = 1: g + (v,)
+        selects v exactly when v precedes g's first vertex, so a candidate
+        counts its first position, and the one candidate beginning last
+        counts every other vertex."""
+        return remaining[len(remaining) - (self.edge_size - 1) :]
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
         """Membership, and for each (k-1)-member the v before its first
@@ -643,13 +652,18 @@ def _best_member_exhaustive(
     check_enumeration(math.comb(size, k), "greedy edge scan")
     binom = binom[:, : size + 1]
     counts = tournament.candidate_counts(remaining, binom)
-    best = int(counts.max())
-    need = -(-size // k)  # ceil(|R| / k)
-    if best + (k - 1) < need:
+    _check_fraction(int(counts.max()) + (k - 1), size, k)
+    return remaining[_lex_subsets(binom, size, m, [int(np.argmax(counts))])[0]]
+
+
+def _check_fraction(best: int, size: int, k: int) -> None:
+    """Raise unless the best candidate dominates ceil(|R| / k) of the |R| =
+    size remaining vertices, as averaging over edges guarantees in a
+    tournament."""
+    if best < -(-size // k):
         raise InvariantError(
             "no candidate dominates a 1/k fraction; the selector is not a tournament"
         )
-    return remaining[_lex_subsets(binom, size, m, [int(np.argmax(counts))])[0]]
 
 
 def _best_member_sampled(
@@ -686,12 +700,15 @@ def greedy_dominating_set(
 
     Each step adds a (k-1)-subset of the undominated vertices that dominates
     at least a 1/k fraction of them; such a member always exists by
-    averaging over edges.  The search is exhaustive while the candidate
-    count stays below exhaustive_limit and the edge count below
-    EXHAUSTIVE_EDGE_LIMIT (ties broken toward more dominated vertices, then
-    lexicographically) and sampled beyond that.  Fewer than k
-    undominated vertices are finished off with one padded member containing
-    them all.
+    averaging over edges.  A tournament whose best member has a closed form
+    (:meth:`HypergraphTournament.candidate_argmax`, the first-vertex
+    tournaments of every reduction) gives it at any size, with no count and
+    no sample, and a member below the 1/k fraction raises InvariantError.
+    Otherwise the search is exhaustive while the candidate count stays
+    below exhaustive_limit and the edge count below EXHAUSTIVE_EDGE_LIMIT
+    (ties broken toward more dominated vertices, then lexicographically)
+    and sampled beyond that.  Fewer than k undominated vertices are
+    finished off with one padded member containing them all.
     """
     ids = tournament.ids
     if not len(ids):
@@ -712,7 +729,11 @@ def greedy_dominating_set(
             elements.append(tuple(ids[np.sort(np.r_[remaining, fill])].tolist()))
             trace.append(0)
             break
-        if (
+        g = tournament.candidate_argmax(remaining)
+        if g is not None:
+            dom = tournament.dominated([g], remaining)
+            _check_fraction(int(np.count_nonzero(dom)), len(remaining), k)
+        elif (
             math.comb(len(remaining), k - 1) <= exhaustive_limit
             and math.comb(len(remaining), k) <= EXHAUSTIVE_EDGE_LIMIT
         ):

@@ -317,8 +317,8 @@ def test_greedy_edge_scan_is_budget_guarded(capsys, monkeypatch):
 
 
 def test_audit_past_the_edge_scan_wall(capsys):
-    # C(4095, 4) edges are far past 2**24, so the first greedy steps sample
-    # instead of stopping on the budget
+    # C(4095, 4) edges are far past 2**24; the first-vertex greedy step
+    # takes its closed-form member, with no edge scan and no budget stop
     code, [line] = _run(capsys, "reduce", "--audit", "--t", "4", "--n", "12", "--seed", "1")
     assert code == 0
     assert line["agreement"] == 1.0 and line["advice_mode"] == "DOMSET"

@@ -9,13 +9,17 @@ random tables, selections that are not the least element of their edge.
 Unless a case patches them, some edges have no selection at all.  Its greedy
 members and trace, domination masks, verification and raised errors must
 equal those of the per-edge selector of the same table, asked edge by edge
-through the references of ``test_batched_scan``.  The last tests check which
+through the references of ``test_batched_scan``; so must its closed-form
+best member (``candidate_argmax``) against the per-edge counts, and the
+sampled search, which the greedy no longer runs on first-vertex tournaments,
+step by step.  The last tests check which
 of the two tournaments :func:`selector_from_compression` builds for OR
 compressions and their block compressions.
 """
 
 import math
 import re
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from compresslab import (
     BlockCompression,
     DominatingSet,
     HypergraphTournament,
+    InvariantError,
     SelectorUndefinedError,
     ToyLanguage,
     greedy_dominating_set,
@@ -37,6 +42,7 @@ from compresslab import (
 from compresslab import tournament as tournament_module
 from compresslab.tournament import (
     DominatingSearchError,
+    _best_member_sampled,
     _FirstVertexTournament,
     block_conditioned_distributions,
     partition_blocks,
@@ -135,13 +141,61 @@ def test_exhaustive_greedy_matches_per_edge_greedy(case):
         tournament_module.SCAN_CHUNK = saved
 
 
+def sampled_steps(tournament, seed):
+    """The sampled search's member and domination mask at every greedy step,
+    while k or more vertices remain, from one seeded generator.  The greedy
+    itself never samples a first-vertex tournament, whose best member has a
+    closed form, so the steps call the sampled search directly."""
+    rng = np.random.default_rng(seed)
+    remaining, steps = np.arange(len(tournament.ids)), []
+    while len(remaining) >= tournament.edge_size:
+        g, dom = _best_member_sampled(tournament, remaining, rng)
+        steps.append((g.tolist(), dom.tolist()))
+        remaining = remaining[~dom]
+    return steps
+
+
 @settings(max_examples=120, deadline=None)
 @given(cases(), st.integers(0, 2**16))
 def test_sampled_greedy_matches_per_edge_domination(case, seed):
     # every step samples; the per-edge tournament checks each sample edge
     # by edge, from the same draws
-    got = outcome(greedy_dominating_set, case.tournament, exhaustive_limit=0, seed=seed)
-    assert got == outcome(greedy_dominating_set, case.reference, exhaustive_limit=0, seed=seed)
+    got = outcome(sampled_steps, case.tournament, seed)
+    assert got == outcome(sampled_steps, case.reference, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases(), st.integers(0, 2**32 - 1))
+def test_candidate_argmax_is_the_first_per_edge_argmax(case, seed):
+    # on an ascending subset of at least k positions, the closed form's
+    # member is the lexicographically first candidate of largest count
+    # under the per-edge scan; other tournaments have no closed form
+    rng = np.random.default_rng(seed)
+    n = len(case.tournament.ids)
+    remaining = np.sort(rng.choice(n, size=int(rng.integers(case.k, n + 1)), replace=False))
+    got = case.tournament.candidate_argmax(remaining)
+    if type(case.tournament) is not _FirstVertexTournament:
+        assert got is None
+        return
+    binom = tournament_module._binomials(len(remaining), case.k)
+    counts = case.reference.candidate_counts(remaining, binom)
+    candidates = list(combinations(remaining.tolist(), case.k - 1))
+    assert got.tolist() == list(candidates[int(np.argmax(counts))])
+
+
+class _WeakArgmax(_FirstVertexTournament):
+    """A first-vertex tournament whose hook claims its first k-1 remaining
+    vertices, which dominate only themselves."""
+
+    def candidate_argmax(self, remaining):
+        return remaining[: self.edge_size - 1]
+
+
+def test_hook_member_below_the_fraction_raises():
+    # 2 of 12 vertices, where a 1/3 fraction needs 4
+    tournament = _WeakArgmax(np.arange(12), 3, lambda e: e[0], VERTEX_BITS)
+    with pytest.raises(InvariantError, match="1/k fraction"):
+        greedy_dominating_set(tournament)
 
 
 @settings(max_examples=150, deadline=None)
@@ -291,7 +345,8 @@ def test_block_greedy_matches_per_edge_block_selector(t, block_size, seed):
     fast = selector_from_compression(BlockCompression(a, block_size), vertices, k, 0.5, language.n)
     slow = _per_edge_block_tournament(a, vertices, block_size, k, 0.5, language.n)
     assert type(fast) is _FirstVertexTournament
-    for kwargs in ({}, {"exhaustive_limit": 0, "seed": seed}):
-        got, expected = greedy_dominating_set(fast, **kwargs), greedy_dominating_set(slow, **kwargs)
-        assert (got.elements, got.trace) == (expected.elements, expected.trace)
-        assert verify_domination(slow, got) == (True, [])
+    got, expected = greedy_dominating_set(fast), greedy_dominating_set(slow)
+    assert (got.elements, got.trace) == (expected.elements, expected.trace)
+    assert verify_domination(slow, got) == (True, [])
+    # sampled steps, from the same draws
+    assert sampled_steps(fast, seed) == sampled_steps(slow, seed)

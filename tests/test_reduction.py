@@ -63,6 +63,23 @@ def test_exact_oracle_thresholds():
     assert exact_sd_oracle(q)
 
 
+def test_exact_oracle_at_a_float_midpoint():
+    # Fraction + float bounds give a float midpoint, held once per query as
+    # the exact Fraction of that float: a distance at exactly that value is
+    # affirmed, one just below it is not, and every verdict is the float
+    # comparison's
+    point = FiniteDistribution.point("0")
+    for Delta, delta in ((F(3, 4), 0.25), (1, 0.1), (F(2, 3), 0.2943)):
+        mid = (Delta + delta) / 2
+        assert isinstance(mid, float)
+        for d in (F(mid), F(mid) - F(1, 2**80), F(mid) + F(1, 2**80), F(mid).limit_denominator(100)):
+            q = SDQuery(_bern(d), point, Delta=Delta, delta=delta)
+            assert q.distance == d and q.midpoint == F(mid)
+            assert exact_sd_oracle(q) == (d >= mid)
+        assert exact_sd_oracle(SDQuery(_bern(F(mid)), point, Delta=Delta, delta=delta))
+        assert not exact_sd_oracle(SDQuery(_bern(F(mid) - F(1, 2**80)), point, Delta=Delta, delta=delta))
+
+
 # -- advice ---------------------------------------------------------------------
 
 
@@ -274,6 +291,55 @@ def test_audit_builds_one_batch_per_hit_class(monkeypatch, make):
     assert report.advice_mode == "DOMSET" and report.agreement == 1.0
     assert sorted(lang.is_yes(v) for v in batches) == [False, True]
     assert sum(report.query_tags.values()) > 2 * report.advice_size
+
+
+def _transformed_advice(bits, seed):
+    a = transform_to_relaxed_or(SymmetricCompression(ToyLanguage.random(6, seed=seed), SymmetricFunction.from_bits(bits)))
+    return a.source_language, a, a.arity, 0.5
+
+
+def _block_advice(n, seed, t, block_size):
+    lang = ToyLanguage.random(n, seed=seed)
+    return lang, BlockCompression(ideal_or_compression(lang, t), block_size), t * block_size, 0.5
+
+
+# (language, compression, edge size k, delta or None); the noisy-or audits at
+# n = 10 and 11 and the ideal-or audit at n = 12 are the golden shapes whose
+# greedy once sampled
+HIT_COUNT_ADVICE = {
+    "ideal-or-n6-t2": lambda: (lang := ToyLanguage.random(6, seed=1), ideal_or_compression(lang, 2), 2, None),
+    "ideal-or-n12-t4": lambda: (lang := ToyLanguage.random(12, seed=3), ideal_or_compression(lang, 4), 4, None),
+    "noisy-or-n10-t16": lambda: (
+        lang := ToyLanguage.random(10, seed=1),
+        noisy_or_compression(lang, 16, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3),
+        16,
+        None,
+    ),
+    "noisy-or-n11-t16": lambda: (
+        lang := ToyLanguage.random(11, seed=3),
+        noisy_or_compression(lang, 16, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3),
+        16,
+        None,
+    ),
+    "transformed-0111": lambda: _transformed_advice("0111", 2),
+    "transformed-0011": lambda: _transformed_advice("0011", 5),
+    "block-n7-t2-sigma2": lambda: _block_advice(7, 1, 2, 2),
+    "block-n10-t3-sigma2": lambda: _block_advice(10, 4, 3, 2),
+    "block-n9-t2-sigma3": lambda: _block_advice(9, 2, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIT_COUNT_ADVICE))
+def test_hit_count_advice_has_one_member(name):
+    # the first-vertex tournament on more than k no-instances: its greedy
+    # takes the last k-1 of them, which dominate the rest, at any size
+    language, a, k, delta = HIT_COUNT_ADVICE[name]()
+    no = language.no_instances()
+    assert len(no) > k
+    advice = build_advice(language, a, k, delta)
+    assert advice.mode == "DOMSET" and advice.size == 1
+    assert advice.elements == (tuple(no[len(no) - (k - 1) :].tolist()),)
+    assert advice.dominating.trace == (len(no), 0)
 
 
 def test_audit_formats_no_vertex_string(monkeypatch):
