@@ -25,8 +25,14 @@ membership tests.
 
 The final line of each file embeds the configuration.  Its `config` object
 was re-recorded once, when the options that no command read were dropped
-(`verify-lemma --arithmetic`, `reduce --arithmetic`, `fcomp --seed`);
-every other byte is as first recorded.
+(`verify-lemma --arithmetic`, `reduce --arithmetic`, `fcomp --seed`).
+Five example files were re-recorded once more, when the greedy stopped
+sampling first-vertex tournaments and took the exact step's one member:
+the noisy-or audits at n=10 and n=11, the ideal-or audits at n=12 and
+n=16, and the n=10 tournament, whose greedy had sampled.  Their advice
+went from 17, 23, 6 and 10 members, and the tournament's from 2, to one,
+with the query tags that follow from it; their agreement stayed 1.0.
+Every other byte is as first recorded.
 
 A difference is a regression to explain, not a file to re-record.
 """
@@ -113,8 +119,8 @@ EXAMPLES = {
     "reduce_full_n3_ideal_or_t2_tlogt_sigma2_audit": (
         "reduce --language builtin:full --n 3 --t 2 --mode tlogt --sigma 2 --delta 0.5 --audit"
     ),
-    # a 2^16-input audit, and noisy-or DOMSET advice of sampled and
-    # exhaustive greedy steps
+    # a 2^16-input audit, and the benchmark's noisy-or audit shape; both
+    # sampled greedy steps before first-vertex steps became exact
     "reduce_random_n16_seed1_ideal_or_t4_audit": "reduce --language builtin:random --n 16 --seed 1 --t 4 --audit",
     "reduce_random_n10_seed1_noisy_or_t16_audit": (
         "reduce --language builtin:random --n 10 --seed 1 --compression noisy-or:1/8,1/8 --t 16 --audit"
