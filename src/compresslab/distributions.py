@@ -190,10 +190,14 @@ def statistical_distance(p: FiniteDistribution, q: FiniteDistribution) -> Mass:
     """Total variation distance, computed as half the 1-norm of the mass gap.
 
     Symmetric, zero exactly for equal distributions, one exactly for disjoint
-    supports.  Exact when both inputs are exact.
+    supports.  Exact when both inputs are exact.  A law against itself, as
+    the memoised laws of a hit-count selector and its no-instance queries
+    often are, is zero without a sum.
     """
     exact = p.exact and q.exact
     total: Mass = Fraction(0) if exact else 0.0
+    if p is q:
+        return total
     for w in _universe(p, q):
         total += abs(p.prob(w) - q.prob(w))
     return total / 2

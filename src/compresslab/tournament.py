@@ -34,10 +34,10 @@ selects its first vertex (:func:`selector_from_compression`).  A candidate
 then charges the vertices of R before its first vertex, so the last k-1
 vertices of R, the exhaustive step's choice, dominate all of R.  The greedy
 takes them as its one member at any size, with no count and no sample
-(:meth:`_FirstVertexTournament.candidate_argmax`).  A member dominates the vertices before its first one
-(:meth:`_FirstVertexTournament.dominated`).  Vertex sets of both hit bits,
-which no reduction builds, take the general scan, and a failed verdict
-raises at the first edge.
+(:meth:`_FirstVertexTournament.candidate_argmax`).  A member dominates the
+vertices before its first one (:meth:`_FirstVertexTournament.dominated`).
+Vertex sets of both hit bits, which no reduction builds, take the general
+scan, and a failed verdict raises at the first edge.
 
 The block variant needs no selector of its own: the same one runs on a
 :class:`BlockCompression`.
@@ -714,7 +714,7 @@ def greedy_dominating_set(
     if not len(ids):
         raise ValueError("empty vertex set")
     k = tournament.edge_size
-    rng = np.random.default_rng(seed)
+    rng = None  # made at the first sampled step; closed-form and exhaustive steps draw nothing
     remaining = np.arange(len(ids))  # vertex indices, ascending
     elements: list[Edge] = []
     trace = [len(ids)]
@@ -742,6 +742,8 @@ def greedy_dominating_set(
             g = _best_member_exhaustive(tournament, remaining, binom)
             dom = tournament.dominated([g], remaining)
         else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
             g, dom = _best_member_sampled(tournament, remaining, rng)
         elements.append(tuple(ids[g].tolist()))
         remaining = remaining[~dom]

@@ -76,6 +76,16 @@ def test_distance_identical_and_disjoint():
     assert statistical_distance(FiniteDistribution.point("0"), FiniteDistribution.point("1")) == 1
 
 
+def test_distance_of_a_law_to_itself_equals_the_sum_over_a_copy():
+    # the same object skips the sum; an equal copy takes it, with the same
+    # value and type in both modes
+    rng = np.random.default_rng(3)
+    for p in (random_exact_distribution(rng), random_float_distribution(rng)):
+        copy = FiniteDistribution(p.outcomes, p.mass)
+        for d in (statistical_distance(p, p), statistical_distance(p, copy)):
+            assert d == 0 and type(d) is (F if p.exact else float)
+
+
 def test_distance_bernoulli_pair():
     p = FiniteDistribution(["0", "1"], [F(1, 4), F(3, 4)])
     q = FiniteDistribution(["0", "1"], [F(3, 4), F(1, 4)])

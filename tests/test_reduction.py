@@ -65,9 +65,9 @@ def test_exact_oracle_thresholds():
 
 def test_exact_oracle_at_a_float_midpoint():
     # Fraction + float bounds give a float midpoint, held once per query as
-    # the exact Fraction of that float: a distance at exactly that value is
-    # affirmed, one just below it is not, and every verdict is the float
-    # comparison's
+    # the exact Fraction of that float; distances at exactly that value
+    # (affirmed: ties go up), just below and above it, and near it, each get
+    # the verdict of the comparison with the float
     point = FiniteDistribution.point("0")
     for Delta, delta in ((F(3, 4), 0.25), (1, 0.1), (F(2, 3), 0.2943)):
         mid = (Delta + delta) / 2
@@ -75,9 +75,7 @@ def test_exact_oracle_at_a_float_midpoint():
         for d in (F(mid), F(mid) - F(1, 2**80), F(mid) + F(1, 2**80), F(mid).limit_denominator(100)):
             q = SDQuery(_bern(d), point, Delta=Delta, delta=delta)
             assert q.distance == d and q.midpoint == F(mid)
-            assert exact_sd_oracle(q) == (d >= mid)
-        assert exact_sd_oracle(SDQuery(_bern(F(mid)), point, Delta=Delta, delta=delta))
-        assert not exact_sd_oracle(SDQuery(_bern(F(mid) - F(1, 2**80)), point, Delta=Delta, delta=delta))
+            assert exact_sd_oracle(q) == (d >= mid) == (d >= F(mid))
 
 
 # -- advice ---------------------------------------------------------------------
@@ -293,6 +291,13 @@ def test_audit_builds_one_batch_per_hit_class(monkeypatch, make):
     assert sum(report.query_tags.values()) > 2 * report.advice_size
 
 
+def _or_advice(n, seed, t, noise=None):
+    lang = ToyLanguage.random(n, seed=seed)
+    if noise is None:
+        return lang, ideal_or_compression(lang, t), t, None
+    return lang, noisy_or_compression(lang, t, e_s=noise, e_c=noise, coin_bits=3), t, None
+
+
 def _transformed_advice(bits, seed):
     a = transform_to_relaxed_or(SymmetricCompression(ToyLanguage.random(6, seed=seed), SymmetricFunction.from_bits(bits)))
     return a.source_language, a, a.arity, 0.5
@@ -307,20 +312,10 @@ def _block_advice(n, seed, t, block_size):
 # n = 10 and 11 and the ideal-or audit at n = 12 are the golden shapes whose
 # greedy once sampled
 HIT_COUNT_ADVICE = {
-    "ideal-or-n6-t2": lambda: (lang := ToyLanguage.random(6, seed=1), ideal_or_compression(lang, 2), 2, None),
-    "ideal-or-n12-t4": lambda: (lang := ToyLanguage.random(12, seed=3), ideal_or_compression(lang, 4), 4, None),
-    "noisy-or-n10-t16": lambda: (
-        lang := ToyLanguage.random(10, seed=1),
-        noisy_or_compression(lang, 16, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3),
-        16,
-        None,
-    ),
-    "noisy-or-n11-t16": lambda: (
-        lang := ToyLanguage.random(11, seed=3),
-        noisy_or_compression(lang, 16, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3),
-        16,
-        None,
-    ),
+    "ideal-or-n6-t2": lambda: _or_advice(6, 1, 2),
+    "ideal-or-n12-t4": lambda: _or_advice(12, 3, 4),
+    "noisy-or-n10-t16": lambda: _or_advice(10, 1, 16, F(1, 8)),
+    "noisy-or-n11-t16": lambda: _or_advice(11, 3, 16, F(1, 8)),
     "transformed-0111": lambda: _transformed_advice("0111", 2),
     "transformed-0011": lambda: _transformed_advice("0011", 5),
     "block-n7-t2-sigma2": lambda: _block_advice(7, 1, 2, 2),
