@@ -1,8 +1,9 @@
 """Tournament selections and greedy runs against per-edge references.
 
-Random and first-vertex tournaments count the greedy's candidates and check
-domination in closed form; other tournaments ask their per-edge selector
-edge by edge.  Here every tournament's selections are compared with an
+Random tournaments count the greedy's candidates in closed form, and
+first-vertex tournaments give its member in closed form; both check
+domination in closed form, and other tournaments ask their per-edge
+selector edge by edge.  Here every tournament's selections are compared with an
 independent per-edge reference selector, and every greedy run with a
 per-edge greedy kept in this file: one selector call per edge, a dict of
 candidate counts, a rescan per step.
