@@ -41,6 +41,10 @@ BitString = str
 #: 64 KiB, so every block reuses the same few pages.
 BLOCK_CELLS = 2**13
 
+#: Widest output code of a :class:`CompressiveMap`: one 32-bit generator
+#: word per cell (:meth:`CompressiveMap.random`).
+MAX_OUTPUT_BITS = 32
+
 
 def bits_label(code: int, width: int) -> BitString:
     """m-bit string for an output code; the empty string when width is 0."""
@@ -71,15 +75,7 @@ class CompressiveMap:
         table: np.ndarray,
         alphabet_size: int = 2,
     ):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
-        if output_bits < 0 or coin_bits < 0:
-            raise ValueError("bit counts must be nonnegative")
-        if alphabet_size < 2:
-            raise ValueError("alphabet needs at least two symbols")
-        n_inputs = alphabet_size**arity
-        n_coins = 2**coin_bits
-        check_enumeration(n_inputs * n_coins, "compressive-map table")
+        n_inputs, n_coins = self._check_shape(arity, output_bits, coin_bits, alphabet_size)
         table = np.asarray(table, dtype=np.int64)
         if table.shape != (n_inputs, n_coins):
             raise ValueError(f"table shape {table.shape} != {(n_inputs, n_coins)}")
@@ -92,6 +88,27 @@ class CompressiveMap:
         self.table = table
         self.table.setflags(write=False)
 
+    @staticmethod
+    def _check_shape(arity: int, output_bits: int, coin_bits: int, alphabet_size: int) -> tuple[int, int]:
+        """(inputs, coins) of a table of this shape, after the shape and budget checks.
+
+        Output codes are at most 32 bits wide, and the 2**output_bits codes
+        are budgeted like table rows: every count vector is that long.
+        """
+        if arity < 1:
+            raise ValueError("arity must be at least 1")
+        if output_bits < 0 or coin_bits < 0:
+            raise ValueError("bit counts must be nonnegative")
+        if output_bits > MAX_OUTPUT_BITS:
+            raise ValueError(f"at most {MAX_OUTPUT_BITS} output bits, got {output_bits}")
+        if alphabet_size < 2:
+            raise ValueError("alphabet needs at least two symbols")
+        n_inputs = alphabet_size**arity
+        n_coins = 2**coin_bits
+        check_enumeration(n_inputs * n_coins, "compressive-map table")
+        check_enumeration(2**output_bits, "output codes")
+        return n_inputs, n_coins
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -100,18 +117,34 @@ class CompressiveMap:
         arity: int,
         output_bits: int,
         coin_bits: int,
-        seed: int | np.random.SeedSequence,
+        seed: int | Sequence[int] | np.random.SeedSequence,
         alphabet_size: int = 2,
     ) -> "CompressiveMap":
-        """Uniformly random truth table, a deterministic function of the seed."""
-        n_inputs = alphabet_size**arity
-        n_coins = 2**coin_bits
-        check_enumeration(n_inputs * n_coins, "compressive-map table")
-        rng = np.random.default_rng(seed)
+        """Uniformly random truth table, a deterministic function of the seed.
+
+        The table is, cell for cell in row-major order, what
+        ``np.random.default_rng(seed).integers(0, 2**output_bits,
+        size=(n_inputs, n_coins), dtype=np.int64)`` returns.  The golden
+        files and ``bench/checks.py``, which redraws every table that way,
+        rely on that identity.  For a power-of-two range of 1 to 32 bits,
+        that call keeps the top m bits of one 32-bit word per cell
+        (Lemire's method never rejects there), and PCG64 hands out the low
+        half of each raw 64-bit word first.  So the table is filled from
+        raw words, one block of 2 * BLOCK_CELLS cells at a time, read as
+        little-endian halves whatever the host's byte order and shifted
+        into the table's own slice.
+        """
+        n_inputs, n_coins = cls._check_shape(arity, output_bits, coin_bits, alphabet_size)
         if output_bits == 0:
-            table = np.zeros((n_inputs, n_coins), dtype=np.int64)
-        else:
-            table = rng.integers(0, 2**output_bits, size=(n_inputs, n_coins), dtype=np.int64)
+            return cls(arity, 0, coin_bits, np.zeros((n_inputs, n_coins), dtype=np.int64), alphabet_size)
+        table = np.empty((n_inputs, n_coins), dtype=np.int64)
+        cells = table.reshape(-1)
+        raw = np.random.default_rng(seed).bit_generator.random_raw
+        step = 2 * BLOCK_CELLS
+        for lo in range(0, cells.size, step):
+            hi = min(lo + step, cells.size)
+            halves = raw((hi - lo + 1) // 2).astype("<u8", copy=False).view("<u4")
+            np.right_shift(halves[: hi - lo], 32 - output_bits, out=cells[lo:hi])
         return cls(arity, output_bits, coin_bits, table, alphabet_size)
 
     @classmethod

@@ -30,7 +30,11 @@ counts, and H(output | input) as the input-average of each table row's coin
 entropy.  Those are summed one block of rows at a time, about BLOCK_CELLS
 (row, code) cells each, so no (inputs x codes) table is built.  numpy sums
 each row of a block along its codes in the same grouping whatever the
-block's height, so the float result is the full table's, to the bit.
+block's height, so the float result is the full table's, to the bit.  A
+row's coin entropy depends only on its tuple of coin codes, so a map with
+fewer such tuples, (2**m)**(2**r), than rows sums one representative row
+per tuple and gathers each row's entropy by its tuple's key: the same
+values, averaged over the same full-length array of rows.
 """
 
 from __future__ import annotations
@@ -140,27 +144,55 @@ def _coin_terms(n_coins: int) -> np.ndarray:
     return terms
 
 
-def _coin_entropy_bits(f: CompressiveMap) -> float:
-    """H(output | input) in bits: the input-average of each table row's coin entropy.
+def _row_entropies(table: np.ndarray, m_codes: int) -> np.ndarray:
+    """Each table row's coin entropy in bits: -p log2 p summed over its (row, code) cells.
 
-    A row's entropy sums -p log2 p over its (row, code) cells.  The rows are
-    taken in blocks of about BLOCK_CELLS cells and keys (one row when a row
-    alone has more): each block's cells come from one keyed bincount and
-    one gather from :func:`_coin_terms`, and each row is summed along its
-    codes, as one (inputs x codes) table would be.  numpy sums each row of
-    a block the same way whatever the block's height, so the row entropies,
-    and their one mean, do not depend on the blocking.
+    The rows are taken in blocks of about BLOCK_CELLS cells and keys (one
+    row when a row alone has more): each block's cells come from one keyed
+    bincount and one gather from :func:`_coin_terms`, and each row is summed
+    along its codes, as one (rows x codes) table would be.  numpy sums each
+    row of a block the same way whatever the block's height, so the row
+    entropies do not depend on the blocking.
     """
-    m_codes, n = 2**f.output_bits, f.n_inputs
-    terms = _coin_terms(f.n_coins)
-    rows = max(1, BLOCK_CELLS // max(m_codes, f.n_coins))
+    n, n_coins = table.shape
+    terms = _coin_terms(n_coins)
+    rows = max(1, BLOCK_CELLS // max(m_codes, n_coins))
     offsets = np.arange(rows)[:, None] * m_codes
     h_rows = np.empty(n)
     for lo in range(0, n, rows):
-        block = f.table[lo : lo + rows]
+        block = table[lo : lo + rows]
         keyed = (block + offsets[: len(block)]).ravel()
         cells = np.bincount(keyed, minlength=len(block) * m_codes).reshape(len(block), m_codes)
         h_rows[lo : lo + len(block)] = terms[cells].sum(axis=1)
+    return h_rows
+
+
+def _coin_entropy_bits(f: CompressiveMap) -> float:
+    """H(output | input) in bits: the input-average of each table row's coin entropy.
+
+    A row's entropy depends only on its tuple of coin codes, its key
+    sum_c table[:, c] * (2**m)**c.  When there are fewer keys than rows,
+    :func:`_row_entropies` runs once over one representative row per key,
+    and each row's entropy is gathered by its key, the keys computed one
+    block of BLOCK_CELLS rows at a time so no key array over all rows is
+    held.  Otherwise it runs over the table's own rows.  Either way each
+    row's entropy is the same float sum, and the mean is taken over the
+    same full-length array of row entropies, so the result does not depend
+    on the route, to the bit.
+    """
+    m, n_coins, n = f.output_bits, f.n_coins, f.n_inputs
+    m_codes = 2**m
+    if m * n_coins >= (n - 1).bit_length():  # (2**m)**n_coins >= n, without the power
+        return float(_row_entropies(f.table, m_codes).mean())
+    shifts = m * np.arange(n_coins)
+    h_keys = _row_entropies((np.arange(2 ** (m * n_coins))[:, None] >> shifts) & (m_codes - 1), m_codes)
+    h_rows = np.empty(n)
+    for lo in range(0, n, BLOCK_CELLS):
+        block = f.table[lo : lo + BLOCK_CELLS]
+        key = block[:, 0].copy()
+        for c in range(1, n_coins):
+            key += block[:, c] << shifts[c]
+        np.take(h_keys, key, out=h_rows[lo : lo + len(block)])
     return float(h_rows.mean())
 
 

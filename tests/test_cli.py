@@ -274,6 +274,20 @@ def test_budget_exit_3(capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_output_codes_exit_3_or_2(capsys, monkeypatch):
+    # 2**31 and 2**29 codes are past the default budget, checked before any
+    # count vector is allocated; past 32 bits the code width is a usage error
+    monkeypatch.delenv("COMPLAB_BUDGET", raising=False)
+    for argv, code, kind in (
+        (["pinsker", "--t", "1", "--m", "31"], 3, "budget"),
+        (["kl", "--t", "2", "--m", "29"], 3, "budget"),
+        (["pinsker", "--t", "1", "--m", "64"], 2, "usage"),
+    ):
+        assert main(["verify-lemma", *argv, "--trials", "1"]) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["kind"] == kind, argv
+
+
 def test_selector_failure_exit_1(capsys):
     # a negative threshold disqualifies every candidate
     code = main(["tournament", "--language", "builtin:single-yes", "--n", "3",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from compresslab import (
@@ -200,6 +200,53 @@ def test_random_map_deterministic_in_seed():
     c = CompressiveMap.random(4, 2, 1, seed=124)
     assert np.array_equal(a.table, b.table)
     assert not np.array_equal(a.table, c.table)
+
+
+@st.composite
+def _map_shapes(draw):
+    """(t, r, s) of tables up to 2**17 cells: several draw blocks, odd cell counts at s = 3."""
+    s = draw(st.integers(2, 4))
+    r = draw(st.integers(0, 3))
+    t = draw(st.integers(1, next(t for t in itertools.count(1) if s ** (t + 1) * 2**r > 2**17)))
+    return t, r, s
+
+
+_SEEDS = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+    st.builds(np.random.SeedSequence, st.integers(0, 2**64 - 1)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 32), shape=_map_shapes(), seed=_SEEDS)
+@example(m=32, shape=(10, 0, 3), seed=1)
+@example(m=1, shape=(1, 0, 3), seed=[7, 8])
+@example(m=31, shape=(16, 1, 2), seed=np.random.SeedSequence(5))
+def test_random_map_is_the_generator_integers_stream(m, shape, seed):
+    # the raw-word draw returns, cell for cell, what Generator.integers does;
+    # 2**m codes need a budget past 2**24 for m > 24
+    t, r, s = shape
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("COMPLAB_BUDGET", str(2**32))
+        f = CompressiveMap.random(t, m, r, seed, alphabet_size=s)
+    want = np.random.default_rng(seed).integers(0, 2**m, size=(s**t, 2**r), dtype=np.int64)
+    assert f.table.dtype == np.int64
+    assert np.array_equal(f.table, want)
+
+
+def test_output_bits_are_bounded_and_budgeted(monkeypatch):
+    for m in (33, 64):
+        with pytest.raises(ValueError, match="at most 32 output bits"):
+            CompressiveMap.random(1, m, 0, seed=0)
+        with pytest.raises(ValueError, match="at most 32 output bits"):
+            CompressiveMap(1, m, 0, np.zeros((2, 1), dtype=np.int64))
+    with pytest.raises(BudgetExceededError, match="output codes"):
+        CompressiveMap.random(1, 25, 0, seed=0)
+    with pytest.raises(BudgetExceededError, match="output codes"):
+        CompressiveMap(1, 25, 0, np.zeros((2, 1), dtype=np.int64))
+    monkeypatch.setenv("COMPLAB_BUDGET", str(2**25))
+    assert CompressiveMap.random(1, 25, 0, seed=0).output_bits == 25
 
 
 def test_random_map_regression_fixture():

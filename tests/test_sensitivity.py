@@ -335,6 +335,52 @@ def test_information_at_small_blocks_equals_per_entry_reference(monkeypatch, blo
         assert map_input_mutual_information(f) == _per_entry_mutual_information(f), (t, m, r, s)
 
 
+def _keyed_rows(monkeypatch) -> list[np.ndarray]:
+    """The table of each :func:`_row_entropies` call, recorded as the calls pass."""
+    seen: list[np.ndarray] = []
+    row_entropies = sensitivity_module._row_entropies
+
+    def counted(table, m_codes):
+        seen.append(table)
+        return row_entropies(table, m_codes)
+
+    monkeypatch.setattr(sensitivity_module, "_row_entropies", counted)
+    return seen
+
+
+@pytest.mark.parametrize("t, m, r, s", [(9, 1, 3, 2), (10, 1, 3, 2), (13, 1, 3, 2), (7, 1, 3, 3), (12, 2, 2, 2)])
+def test_keyed_information_equals_per_entry_reference(monkeypatch, t, m, r, s):
+    # fewer coin-code tuples than rows: one representative row per tuple; at
+    # r = 3 a row's float sum depends on how its cells are grouped, so ==
+    # checks that each representative row is summed as the table's row is
+    seen = _keyed_rows(monkeypatch)
+    f = CompressiveMap.random(t, m, r, seed=[t, m, r, s, 3], alphabet_size=s)
+    keys = (2**m) ** (2**r)
+    assert keys < f.n_inputs
+    assert map_input_mutual_information(f) == _per_entry_mutual_information(f)
+    assert [len(table) for table in seen] == [keys]
+
+
+@pytest.mark.parametrize("t, keyed", [(12, False), (13, True)])
+def test_keyed_information_at_the_boundary(monkeypatch, t, keyed):
+    # m = 3, r = 2: 8**4 = 4096 coin-code tuples, as many as the rows at t = 12
+    seen = _keyed_rows(monkeypatch)
+    f = CompressiveMap.random(t, 3, 2, seed=[t, 3, 2])
+    assert map_input_mutual_information(f) == _per_entry_mutual_information(f)
+    [table] = seen
+    assert len(table) == 4096 and (table is not f.table) == keyed
+
+
+@pytest.mark.parametrize("block_cells", [1, 7, 2**6])
+def test_keyed_information_at_small_blocks(monkeypatch, block_cells):
+    # the keys are computed one block of BLOCK_CELLS rows at a time
+    monkeypatch.setattr(sensitivity_module, "BLOCK_CELLS", block_cells)
+    for t, m, r, s in [(9, 1, 3, 2), (13, 3, 2, 2), (6, 1, 2, 3), (8, 2, 1, 2)]:
+        f = CompressiveMap.random(t, m, r, seed=[t, m, r, s, block_cells], alphabet_size=s)
+        assert (2**m) ** (2**r) < f.n_inputs
+        assert map_input_mutual_information(f) == _per_entry_mutual_information(f), (t, m, r, s)
+
+
 def test_verifiers_read_the_output_entropy_from_their_counts(monkeypatch):
     calls = []
     count = CompressiveMap.output_counts
