@@ -79,7 +79,7 @@ class CompressiveMap:
         table = np.asarray(table, dtype=np.int64)
         if table.shape != (n_inputs, n_coins):
             raise ValueError(f"table shape {table.shape} != {(n_inputs, n_coins)}")
-        if table.size and (table.min() < 0 or table.max() >= 2**output_bits):
+        if table.size and table.view(np.uint64).max() >= 2**output_bits:  # negative codes read as >= 2**63
             raise ValueError("table entry outside the output code range")
         self.arity = arity
         self.output_bits = output_bits

@@ -8,11 +8,13 @@ output distribution.  Greedy construction then yields a dominating set of
 (k-1)-subsets of size at most k*log2|V|: every vertex either sits inside
 some member or is selected when appended to one.
 
-An exhaustive greedy step counts, for every candidate member g (a
-(k-1)-subset of the undominated set R), the vertices v of R that g + (v,)
-selects.  For a general tournament the counts come from one scan of every
-edge inside R in lexicographic order, one per-edge selector call each.
-Each edge charges one candidate: itself without its selected vertex.
+A greedy step takes the closed-form best member where a tournament has
+one.  Otherwise it counts, for every candidate member g (a (k-1)-subset of
+the undominated set R), the vertices v of R that g + (v,) selects; nothing
+is sampled, and a step past the enumeration budget raises.  For a general
+tournament the counts come from one scan of every edge inside R in
+lexicographic order, one per-edge selector call each.  Each edge charges
+one candidate: itself without its selected vertex.
 
 The random tournament mixes an edge by Horner's rule modulo M = 2**61 - 1,
 h = sum_i key_i * P**(k-1-i) mod M, and selects position h mod k.  Its
@@ -33,7 +35,7 @@ same for every element of every edge, so one verdict says whether every edge
 selects its first vertex (:func:`selector_from_compression`).  A candidate
 then charges the vertices of R before its first vertex, so the last k-1
 vertices of R, the exhaustive step's choice, dominate all of R.  The greedy
-takes them as its one member at any size, with no count and no sample
+takes them as its one member at any size, with no count
 (:meth:`_FirstVertexTournament.candidate_argmax`).  A member dominates the
 vertices before its first one (:meth:`_FirstVertexTournament.dominated`).
 Vertex sets of both hit bits, which no reduction builds, take the general
@@ -45,6 +47,7 @@ The block variant needs no selector of its own: the same one runs on a
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -76,10 +79,6 @@ class SelectorUndefinedError(InvariantError):
     sensitivity ceiling, a vertex that is not actually a no-instance, or a
     compression violating its declared error bounds.
     """
-
-
-class DominatingSearchError(RuntimeError):
-    """The sampled search for a greedy step ran out of attempts."""
 
 
 class HypergraphTournament:
@@ -155,7 +154,7 @@ class HypergraphTournament:
         """The candidate an exhaustive greedy step picks, when it has a closed
         form: the lexicographically least (k-1)-subset of `remaining` with
         the largest count, as ascending vertex indices.  None by default,
-        and the greedy counts or samples."""
+        and the greedy counts every candidate."""
         return None
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
@@ -544,16 +543,6 @@ class DominatingSet:
 # counts, while keeping the per-piece overhead small.
 SCAN_CHUNK = 4096
 
-# Most edges the greedy search scans exhaustively in one step; past it the
-# step samples.  Fixed at the default enumeration budget and deliberately not
-# read from COMPLAB_BUDGET: a larger budget leaves the exhaustive range as it
-# is, and a smaller one still stops an exhaustive scan with a budget error.
-EXHAUSTIVE_EDGE_LIMIT = 2**24
-
-# A sampled greedy step draws at most this many times k * |R| members before
-# it gives up with DominatingSearchError.
-SAMPLE_CAP_FACTOR = 10
-
 
 def _member_rows(tournament: HypergraphTournament, members: Sequence[Edge]) -> list[np.ndarray]:
     """Ascending index rows of dominating-set members of vertex ids, for
@@ -632,95 +621,56 @@ def _binomials(size: int, k: int) -> np.ndarray:
     """binom[j, x] = C(x, j) for j < k and x <= size, capped at 2**62 to fit
     int64 when k is near |R|.
 
-    Every entry a greedy step reads is at most C(|R|, k-1), at most |R| *
-    2**24 within the exhaustive limits, and the cap keeps each row
-    non-decreasing for the searches of _lex_subsets.  The table for a
-    smaller size is a slice of this one.
+    Every entry a greedy step reads is at most C(|R|, k-1), within the
+    enumeration budget, and the cap keeps each row non-decreasing for the
+    searches of _lex_subsets.  The table for a smaller size is a slice of
+    this one.
     """
     return np.array([[min(math.comb(x, j), 2**62) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
 
 
 def _best_member_exhaustive(
-    tournament: HypergraphTournament, remaining: np.ndarray, binom: np.ndarray
+    tournament: HypergraphTournament, remaining: np.ndarray, binom: Callable[[], np.ndarray]
 ) -> np.ndarray:
     # Candidates, the (k-1)-subsets of positions in `remaining`, are counted
     # under their lexicographic index, so the first maximum is also the
-    # lexicographically least, and max count + (k-1) is the best domination
-    # total.  binom is _binomials(s, k) for some s >= |R|.
+    # lexicographically least.  binom() is _binomials(s, k) for some s >=
+    # |R|, built only once a step fits the budget.  The closed forms make k
+    # lookups per candidate, and the generic scan holds every candidate.
     k = tournament.edge_size
     m, size = k - 1, len(remaining)
     check_enumeration(math.comb(size, k), "greedy edge scan")
-    binom = binom[:, : size + 1]
+    check_enumeration(k * math.comb(size, k - 1), "greedy candidate lookups")
+    binom = binom()[:, : size + 1]
     counts = tournament.candidate_counts(remaining, binom)
-    _check_fraction(int(counts.max()) + (k - 1), size, k)
     return remaining[_lex_subsets(binom, size, m, [int(np.argmax(counts))])[0]]
 
 
-def _check_fraction(best: int, size: int, k: int) -> None:
-    """Raise unless the best candidate dominates ceil(|R| / k) of the |R| =
-    size remaining vertices, as averaging over edges guarantees in a
-    tournament."""
-    if best < -(-size // k):
-        raise InvariantError(
-            "no candidate dominates a 1/k fraction; the selector is not a tournament"
-        )
-
-
-def _best_member_sampled(
-    tournament: HypergraphTournament,
-    remaining: np.ndarray,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first sampled member that dominates a 1/k fraction of
-    `remaining`, with the mask of the vertices it dominates."""
-    k = tournament.edge_size
-    need = -(-len(remaining) // k)
-    cap = SAMPLE_CAP_FACTOR * k * len(remaining)
-    best_fraction = 0.0
-    for _ in range(cap):
-        picks = rng.choice(len(remaining), size=k - 1, replace=False)
-        g = np.sort(remaining[picks])
-        dom = tournament.dominated([g], remaining)
-        dominated = int(np.count_nonzero(dom))
-        if dominated >= need:
-            return g, dom
-        best_fraction = max(best_fraction, dominated / len(remaining))
-    raise DominatingSearchError(
-        f"no sampled member reached a 1/{k} domination fraction within {cap} samples; "
-        f"best fraction found was {best_fraction:.4f}"
-    )
-
-
-def greedy_dominating_set(
-    tournament: HypergraphTournament,
-    exhaustive_limit: int = 10**6,
-    seed: int = 0,
-) -> DominatingSet:
+def greedy_dominating_set(tournament: HypergraphTournament) -> DominatingSet:
     """Greedy dominating set of at most edge_size * log2|V| members.
 
     Each step adds a (k-1)-subset of the undominated vertices that dominates
     at least a 1/k fraction of them; such a member always exists by
-    averaging over edges.  A tournament whose best member has a closed form
+    averaging over edges, and a member below the fraction raises
+    InvariantError.  A tournament whose best member has a closed form
     (:meth:`HypergraphTournament.candidate_argmax`, the first-vertex
-    tournaments of every reduction) gives it at any size, with no count and
-    no sample, and a member below the 1/k fraction raises InvariantError.
-    Otherwise the search is exhaustive while the candidate count stays
-    below exhaustive_limit and the edge count below EXHAUSTIVE_EDGE_LIMIT
-    (ties broken toward more dominated vertices, then lexicographically)
-    and sampled beyond that.  Fewer than k undominated vertices are
-    finished off with one padded member containing them all.
+    tournaments of every reduction) gives it at any size, with no count.
+    Otherwise every candidate is counted and the lexicographically least of
+    the largest count is taken; a step whose edges or candidate lookups
+    exceed the enumeration budget raises BudgetExceededError.  Fewer than k
+    undominated vertices are finished off with one padded member containing
+    them all.
     """
     ids = tournament.ids
     if not len(ids):
         raise ValueError("empty vertex set")
     k = tournament.edge_size
-    rng = None  # made at the first sampled step; closed-form and exhaustive steps draw nothing
     remaining = np.arange(len(ids))  # vertex indices, ascending
     elements: list[Edge] = []
     trace = [len(ids)]
     bound = k * math.log2(max(len(ids), 2))
-    binom = None  # one table for every exhaustive step: |R| only shrinks
-    # a step that dominates nothing, against the counts, ends at the bound
+    binom = functools.cache(lambda: _binomials(len(ids), k))  # one table for every step: |R| only shrinks
+    # every step removes a 1/k fraction of R or raises, so the bound only backs up that check
     while len(remaining) and len(elements) <= bound + 1e-9:
         if len(remaining) < k:
             outside = np.ones(len(ids), dtype=bool)
@@ -730,21 +680,11 @@ def greedy_dominating_set(
             trace.append(0)
             break
         g = tournament.candidate_argmax(remaining)
-        if g is not None:
-            dom = tournament.dominated([g], remaining)
-            _check_fraction(int(np.count_nonzero(dom)), len(remaining), k)
-        elif (
-            math.comb(len(remaining), k - 1) <= exhaustive_limit
-            and math.comb(len(remaining), k) <= EXHAUSTIVE_EDGE_LIMIT
-        ):
-            if binom is None:
-                binom = _binomials(len(remaining), k)
+        if g is None:
             g = _best_member_exhaustive(tournament, remaining, binom)
-            dom = tournament.dominated([g], remaining)
-        else:
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            g, dom = _best_member_sampled(tournament, remaining, rng)
+        dom = tournament.dominated([g], remaining)
+        if np.count_nonzero(dom) < -(-len(remaining) // k):
+            raise InvariantError("no candidate dominates a 1/k fraction; the selector is not a tournament")
         elements.append(tuple(ids[g].tolist()))
         remaining = remaining[~dom]
         trace.append(len(remaining))

@@ -229,8 +229,8 @@ def _criterion_4_family():
         yield n_v, t, i
 
 
-def _same_greedy(tournament, reference, seed=0):
-    dom = greedy_dominating_set(tournament, seed=seed)
+def _same_greedy(tournament, reference):
+    dom = greedy_dominating_set(tournament)
     assert (dom.elements, dom.trace) == reference_greedy(reference)
     assert verify_domination(tournament, dom) == (True, [])
     return dom
@@ -243,7 +243,7 @@ def test_greedy_matches_per_edge_greedy_on_criterion_4_family():
 
 @pytest.mark.parametrize("num_vertices,k", [(60, 4), (128, 3)])
 def test_greedy_matches_per_edge_greedy_at_benchmark_sizes(num_vertices, k):
-    _same_greedy(random_tournament(num_vertices, k, 5), reference_random(num_vertices, k, 5), seed=5)
+    _same_greedy(random_tournament(num_vertices, k, 5), reference_random(num_vertices, k, 5))
 
 
 @pytest.mark.parametrize("case", sorted(HIT_COUNT_CASES))
@@ -260,16 +260,6 @@ def test_small_and_degenerate_sizes():
     for k in (1, 2, 5, 6):
         for n_v in (1, 3, 7, 15):
             _same_greedy(random_tournament(n_v, k, 3 * n_v + k), reference_random(n_v, k, 3 * n_v + k))
-
-
-def test_sampled_search_counts_like_single_edges():
-    # the sampled search scores each sampled member with `dominated`; its
-    # result must not depend on whether that runs in closed form or asks the
-    # per-edge selector
-    for seed in range(4):
-        closed = greedy_dominating_set(random_tournament(20, 3, seed), exhaustive_limit=0, seed=7)
-        single = greedy_dominating_set(reference_random(20, 3, seed), exhaustive_limit=0, seed=7)
-        assert closed == single
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 10**9])
@@ -289,9 +279,8 @@ def test_selector_outside_the_edge_raises():
     bad = HypergraphTournament([0b00, 0b01, 0b10], 2, lambda e: 0b11, 2)
     with pytest.raises(InvariantError, match="outside the edge"):
         bad.select(("00", "01"))
-    for kwargs in ({}, {"exhaustive_limit": 0}):  # the exhaustive and the sampled search
-        with pytest.raises(InvariantError, match="outside the edge"):
-            greedy_dominating_set(bad, **kwargs)
+    with pytest.raises(InvariantError, match="outside the edge"):
+        greedy_dominating_set(bad)
 
 
 def test_selector_undefined_names_the_first_failing_edge():

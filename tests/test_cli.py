@@ -330,6 +330,31 @@ def test_greedy_edge_scan_is_budget_guarded(capsys, monkeypatch):
     assert json.loads(err)["kind"] == "budget" and "greedy edge scan" in err
 
 
+@pytest.mark.parametrize(
+    "num_vertices, t, what",
+    [
+        ("1500", "3", "greedy edge scan"),  # C(1500, 3) = 561,375,500 edges
+        ("28", "20", "greedy candidate lookups"),  # 20 * C(28, 19) = 138,138,000 lookups, C(28, 20) edges fit
+    ],
+)
+def test_greedy_step_past_the_budget_exits_3(capsys, num_vertices, t, what):
+    # a greedy step is counted exactly or refused; nothing is sampled
+    assert main(["tournament", "--random", "--num-vertices", num_vertices, "--t", t, "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    report = json.loads(captured.err)
+    assert report["kind"] == "budget" and what in report["error"]
+
+
+def test_greedy_counts_every_candidate_near_the_budget(capsys):
+    # C(72, 5) = 13,991,544 edges and 5 * C(72, 4) = 5,153,220 lookups both
+    # fit the default budget, so every step is exact
+    code, [line] = _run(capsys, "tournament", "--random", "--num-vertices", "72", "--t", "5", "--seed", "1")
+    assert code == 0
+    assert line["dominates"] is True and line["undominated"] == []
+    assert len(line["elements"]) == 4 and line["trace"] == [72, 36, 15, 3, 0]
+
+
 def test_audit_past_the_edge_scan_wall(capsys):
     # C(4095, 4) edges are far past 2**24; the first-vertex greedy step
     # takes its closed-form member, with no edge scan and no budget stop
@@ -392,19 +417,6 @@ sys.exit("oversized advice passed")
 """
     proc = _python("-O", "-c", script)
     assert proc.returncode == 0, proc.stderr
-
-
-def test_sampled_search_failure_exit_1(capsys, monkeypatch):
-    from functools import partial
-
-    from compresslab import cli
-    from compresslab import tournament as tournament_module
-
-    monkeypatch.setattr(tournament_module, "SAMPLE_CAP_FACTOR", 0)
-    monkeypatch.setattr(cli, "greedy_dominating_set", partial(cli.greedy_dominating_set, exhaustive_limit=0))
-    assert main(["tournament", "--random", "--num-vertices", "12", "--t", "3"]) == 1
-    report = json.loads(capsys.readouterr().err)
-    assert report["kind"] == "search" and "fraction" in report["error"]
 
 
 def _fuzz_files(tmp_path):
@@ -470,4 +482,4 @@ def test_cli_fuzz_exit_codes_without_traceback(tmp_path, capsys, monkeypatch):
         assert code in (0, 1, 2, 3), (argv, code, err)
         assert "Traceback" not in err, argv
         if code and not err.startswith("usage:"):
-            assert json.loads(err)["kind"] in {"invariant", "search", "usage", "budget"}, argv
+            assert json.loads(err)["kind"] in {"invariant", "usage", "budget"}, argv

@@ -249,6 +249,22 @@ def test_output_bits_are_bounded_and_budgeted(monkeypatch):
     assert CompressiveMap.random(1, 25, 0, seed=0).output_bits == 25
 
 
+@pytest.mark.parametrize("m", [1, 3, 32])
+@pytest.mark.parametrize("bad", [-1, 2**32, np.iinfo(np.int64).min])
+def test_table_codes_outside_the_output_range_raise(monkeypatch, m, bad):
+    # codes 0 and 2**m - 1 are accepted; a negative code and any code from
+    # 2**m on are rejected, in row- and column-major tables alike
+    monkeypatch.setenv("COMPLAB_BUDGET", str(2**32))
+    table = np.array([[0, 2**m - 1], [1, 0], [0, 0], [2**m - 1, 1]], dtype=np.int64)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        CompressiveMap(2, m, 1, layout(table.copy()))
+    for code in {bad, 2**m}:
+        table[1, 1] = code
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            with pytest.raises(ValueError, match="outside the output code range"):
+                CompressiveMap(2, m, 1, layout(table.copy()))
+
+
 def test_random_map_regression_fixture():
     f = CompressiveMap.random(2, 1, 0, seed=42)
     assert f.table.ravel().tolist() == [0, 1, 1, 0]

@@ -23,9 +23,7 @@ from compresslab import (
     statistical_distance,
     verify_domination,
 )
-from compresslab import tournament as tournament_module
 from compresslab.tournament import (
-    DominatingSearchError,
     _member_rows,
     _positions,
     block_conditioned_distributions,
@@ -150,22 +148,6 @@ def test_greedy_ideal_or_tournament():
     # dominate every vertex at once
     assert dom.size == 1
     assert verify_domination(s, dom)[0]
-
-
-def test_greedy_sampled_search_path():
-    for seed in range(5):
-        s = random_tournament(20, 3, seed=seed)
-        dom = greedy_dominating_set(s, exhaustive_limit=0, seed=7)
-        assert verify_domination(s, dom)[0]
-        again = greedy_dominating_set(s, exhaustive_limit=0, seed=7)
-        assert dom == again  # deterministic in the sampling seed
-
-
-def test_greedy_sampled_search_exhausts_its_cap(monkeypatch):
-    monkeypatch.setattr(tournament_module, "SAMPLE_CAP_FACTOR", 0)
-    s = random_tournament(12, 3, seed=1)
-    with pytest.raises(DominatingSearchError, match="fraction"):
-        greedy_dominating_set(s, exhaustive_limit=0)
 
 
 def _dominated_by(s, g, v):
