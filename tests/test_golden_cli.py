@@ -21,7 +21,9 @@ path of their own, and of an n=16 ideal-or audit and the benchmark's
 noisy-or audit shape (17 members, from sampled and exhaustive greedy
 steps), recorded from the earlier implementation that grouped audited
 inputs by sorting a key per input and checked domination with set
-membership tests.
+membership tests, and of random tournaments with k near |V|, recorded from
+the earlier implementation that listed and unranked greedy candidates
+through a table of binomials capped at 2**62.
 
 The final line of each file embeds the configuration.  Its `config` object
 was re-recorded once, when the options that no command read were dropped
@@ -110,6 +112,10 @@ EXAMPLES = {
     "tournament_random_v128_t3_seed1": "tournament --random --num-vertices 128 --t 3 --seed 1",
     "tournament_random_v400_t3_seed1": "tournament --random --num-vertices 400 --t 3 --seed 1",
     "tournament_random_v30_t6_seed1": "tournament --random --num-vertices 30 --t 6 --seed 1",
+    # k near |V|, where C(|R|, j) passes int64 for j near |R| / 2
+    "tournament_random_v22_t12_seed1": "tournament --random --num-vertices 22 --t 12 --seed 1",
+    "tournament_random_v40_t37_seed1": "tournament --random --num-vertices 40 --t 37 --seed 1",
+    "tournament_random_v200_t200_seed1": "tournament --random --num-vertices 200 --t 200 --seed 1",
     # FULL_V advice (at most t no-instances): base and block audits, one decision
     "reduce_single_yes_n2_ideal_or_t4_audit": "reduce --language builtin:single-yes --n 2 --t 4 --audit",
     "reduce_single_yes_n2_ideal_or_t4_input10": "reduce --language builtin:single-yes --n 2 --t 4 --input 10",
