@@ -8,13 +8,14 @@ output distribution.  Greedy construction then yields a dominating set of
 (k-1)-subsets of size at most k*log2|V|: every vertex either sits inside
 some member or is selected when appended to one.
 
-A greedy step takes the closed-form best member where a tournament has
-one.  Otherwise it counts, for every candidate member g (a (k-1)-subset of
-the undominated set R), the vertices v of R that g + (v,) selects; nothing
-is sampled, and a step past the enumeration budget raises.  For a general
-tournament the counts come from one scan of every edge inside R in
-lexicographic order, one per-edge selector call each.  Each edge charges
-one candidate: itself without its selected vertex.
+A greedy step takes the tournament's best member
+(:meth:`HypergraphTournament.best_member`), by default by counting, for
+every candidate member g (a (k-1)-subset of the undominated set R), the
+vertices v of R that g + (v,) selects; nothing is sampled, and a step past
+the enumeration budget raises.  For a general tournament the counts come
+from one scan of every edge inside R in lexicographic order, one per-edge
+selector call each.  Each edge charges one candidate: itself without its
+selected vertex.
 
 The random tournament mixes an edge by Horner's rule modulo M = 2**61 - 1,
 h = sum_i key_i * P**(k-1-i) mod M, and selects position h mod k.  Its
@@ -36,7 +37,7 @@ selects its first vertex (:func:`selector_from_compression`).  A candidate
 then charges the vertices of R before its first vertex, so the last k-1
 vertices of R, the exhaustive step's choice, dominate all of R.  The greedy
 takes them as its one member at any size, with no count
-(:meth:`_FirstVertexTournament.candidate_argmax`).  A member dominates the
+(:meth:`_FirstVertexTournament.best_member`).  A member dominates the
 vertices before its first one (:meth:`_FirstVertexTournament.dominated`).
 Vertex sets of both hit bits, which no reduction builds, take the general
 scan, and a failed verdict raises at the first edge.
@@ -47,7 +48,6 @@ The block variant needs no selector of its own: the same one runs on a
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -90,11 +90,11 @@ class HypergraphTournament:
     tuple of ids, and returns the selected id; it is the definition that
     every closed form is checked against.  The greedy and verification
     address vertices by index, their position in ``ids``, so index order is
-    id order.  By default the greedy's counts and the domination check ask
-    the per-edge selector edge by edge (:meth:`candidate_counts`,
-    :meth:`dominated`), and no step has a closed-form best member
-    (:meth:`candidate_argmax`); tournaments with a closed form override
-    them.
+    id order.  By default a greedy step's best member is the first candidate
+    of largest count (:meth:`best_member`), and the counts and the
+    domination check ask the per-edge selector edge by edge
+    (:meth:`candidate_counts`, :meth:`dominated`); tournaments with a closed
+    form override them.
 
     Bit strings appear only in :attr:`vertices` and :meth:`select`, the form
     in which reports name vertices.
@@ -129,17 +129,17 @@ class HypergraphTournament:
             raise ValueError(f"{text[outside[0]]!r} is not a vertex of the tournament")
         return bits_label(ids[self._position(ids)], self.vertex_bits)
 
-    def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    def candidate_counts(self, remaining: np.ndarray) -> np.ndarray:
         """counts[i]: the vertices v of `remaining` outside candidate i whose
         edge candidate + (v,) selects v.
 
         Candidate i is the i-th (k-1)-subset of positions in `remaining`
-        (ascending vertex indices) in lexicographic order; binom[j, c] =
-        C(c, j).  By default every edge inside `remaining` is asked in
-        lexicographic order, so an edge without a selection raises through
-        the per-edge selector at the lexicographically first such edge.  The
-        edge e with selected vertex v certifies that e minus v dominates v,
-        so every edge charges exactly one candidate, e without v.
+        (ascending vertex indices) in lexicographic order.  By default every
+        edge inside `remaining` is asked in lexicographic order, so an edge
+        without a selection raises through the per-edge selector at the
+        lexicographically first such edge.  The edge e with selected vertex
+        v certifies that e minus v dominates v, so every edge charges
+        exactly one candidate, e without v.
         """
         k = self.edge_size
         ids = self.ids[remaining].tolist()
@@ -150,12 +150,11 @@ class HypergraphTournament:
             counts[index[e[:p] + e[p + 1 :]]] += 1
         return np.array(counts)
 
-    def candidate_argmax(self, remaining: np.ndarray) -> np.ndarray | None:
-        """The candidate an exhaustive greedy step picks, when it has a closed
-        form: the lexicographically least (k-1)-subset of `remaining` with
-        the largest count, as ascending vertex indices.  None by default,
-        and the greedy counts every candidate."""
-        return None
+    def best_member(self, remaining: np.ndarray) -> np.ndarray:
+        """The member a greedy step adds, as ascending vertex indices: the
+        lexicographically least (k-1)-subset of `remaining` of largest count,
+        every candidate counted within the budget (:func:`_best_member_exhaustive`)."""
+        return _best_member_exhaustive(self, remaining)
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
         """dom[j]: some member dominates vertex index vs[j]; vs may come in
@@ -210,7 +209,7 @@ class _FirstVertexTournament(HypergraphTournament):
     :func:`selector_from_compression`).
     """
 
-    def candidate_argmax(self, remaining: np.ndarray) -> np.ndarray:
+    def best_member(self, remaining: np.ndarray) -> np.ndarray:
         """The last k-1 positions of `remaining`, none for k = 1: g + (v,)
         selects v exactly when v precedes g's first vertex, so a candidate
         counts its first position, and the one candidate beginning last
@@ -356,7 +355,7 @@ class _RandomTournament(HypergraphTournament):
             dom |= (h % np.uint64(k)).view(np.int64) == gap
         return dom
 
-    def candidate_counts(self, remaining: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    def candidate_counts(self, remaining: np.ndarray) -> np.ndarray:
         """For k >= 3, two table lookups per candidate and gap.  For k = 2,
         whose tables would take |R|**2 entries per gap and residue, the
         parity of each pair (:meth:`_pair_counts`); for k = 1 the empty
@@ -417,12 +416,13 @@ class _RandomTournament(HypergraphTournament):
         base = gaps * (k * span * span - span - width - window)
 
         # A candidate is a first position c and a tail, an (m-1)-subset of
-        # the positions after c: the last C(size-1-c, m-1) tails of range(1,
-        # size), which are never more than the candidates.  G_p is c's lead,
-        # at exponent k-2 in gap 0 and k-1 after it, plus the tail's leads:
-        # tail element j (g[j + 1]) at exponent k-2-j before the gap and
-        # k-3-j after it.
-        tails = _lex_rows(binom, size - 1, m - 1) + 1
+        # the positions after c: the last tails of range(1, size), as many as
+        # begin after c, which are never more than the candidates.  G_p is
+        # c's lead, at exponent k-2 in gap 0 and k-1 after it, plus the
+        # tail's leads: tail element j (g[j + 1]) at exponent k-2-j before
+        # the gap and k-3-j after it.
+        tails, per_first = _lex_rows(size - 1, m - 1)
+        tails += 1
         first_lead = lead[[k - 2] + [k - 1] * m]
         # Tail element j lies before gap p when j + 1 < p: row p = i + 1 of
         # tail_sum sums the elements j >= i, after the gap, and then gains
@@ -437,7 +437,7 @@ class _RandomTournament(HypergraphTournament):
             _add_mod(tail_sum[j + 2], ahead.copy())
         tail_sum[0] = tail_sum[1]
         counts = []
-        for firsts, at in _scan_pieces(binom[m - 1, size - 1 :: -1][: size - m + 1], len(tails)):
+        for firsts, at in _scan_pieces(per_first[::-1].cumsum()[::-1], len(tails)):
             sums = _add_mod(first_lead.take(firsts, axis=1), tail_sum.take(at, axis=1))
             u = start.take((sums >> shift).view(np.int64) + bucket_row)
             step = window >> 1
@@ -550,40 +550,38 @@ def _member_rows(tournament: HypergraphTournament, members: Sequence[Edge]) -> l
     return [np.sort(_positions(tournament, g)) for g in members]
 
 
-def _lex_subsets(binom: np.ndarray, size: int, m: int, index: np.ndarray) -> np.ndarray:
-    """Rows of the m-subsets of range(size) at the given lexicographic indices.
-
-    binom[j, c] = C(c, j).  Index i of x_0 < ... < x_{m-1} is colex rank
-    C(size, m) - 1 - i of the reflected subset {size - 1 - x}, unranked from
-    its largest element down (the largest y with C(y, j) at most the rank
-    left).
-    """
-    left = math.comb(size, m) - 1 - np.asarray(index, dtype=np.int64)
-    rows = np.empty((len(left), m), dtype=np.intp)
+def _unrank(size: int, m: int, index: int) -> list[int]:
+    """The m-subset of range(size) at lexicographic index `index`, ascending:
+    with j elements left, C(size - 1 - x, j - 1) subsets take x next, and
+    such groups are skipped, in Python ints that no cap bounds."""
+    row, x = [], 0
     for j in range(m, 0, -1):
-        y = np.searchsorted(binom[j], left, side="right") - 1
-        left = left - binom[j, y]
-        rows[:, m - j] = size - 1 - y
-    return rows
+        while index >= (group := math.comb(size - 1 - x, j - 1)):
+            index -= group
+            x += 1
+        row.append(x)
+        x += 1
+    return row
 
 
-def _lex_rows(binom: np.ndarray, size: int, m: int) -> np.ndarray:
-    """All m-subsets of range(size) as rows of the smallest unsigned dtype
-    that holds size, in lexicographic order.
+def _lex_rows(size: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, lengths): all m-subsets of range(size), m >= 1, in
+    lexicographic order as rows of the smallest unsigned dtype that holds
+    size, and lengths[c], the rows beginning at c, for c <= size - m.
 
-    binom[j, c] = C(c, j).  Level j holds the j-subsets of range(m - j,
-    size), the last j elements of every m-subset: those beginning at c are
-    c followed by the (j-1)-subsets of range(c + 1, size), the last
-    C(size - 1 - c, j - 1) rows of level j - 1.  No level is longer than
-    the last.
+    Level j holds the j-subsets of range(m - j, size), the last j elements
+    of every m-subset: those beginning at c are c followed by the last rows
+    of level j - 1, as many as begin after c, so its lengths are the reverse
+    cumsum of level j - 1's.  No level is longer than the last.
     """
     dtype = np.min_scalar_type(size)
-    rows = np.arange(m - 1, size, dtype=dtype)[:, None] if m else np.empty((1, 0), dtype=dtype)
+    rows = np.arange(m - 1, size, dtype=dtype)[:, None]
+    lengths = np.ones(size - m + 1, dtype=np.int64)
     for j in range(2, m + 1):
-        c = np.arange(m - j, size - j + 1, dtype=dtype)
-        firsts, at = _following(c, binom[j - 1, size - 1 - c], len(rows))
+        lengths = lengths[::-1].cumsum()[::-1]
+        firsts, at = _following(np.arange(m - j, size - j + 1, dtype=dtype), lengths, len(rows))
         rows = np.concatenate([firsts[:, None], rows[at]], axis=1)
-    return rows
+    return rows, lengths
 
 
 def _following(c: np.ndarray, lengths: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
@@ -617,33 +615,16 @@ def _scan_pieces(lengths: np.ndarray, total: int) -> Iterator[tuple[np.ndarray, 
             yield _following(np.arange(lo, hi), lengths[lo:hi], total)
 
 
-def _binomials(size: int, k: int) -> np.ndarray:
-    """binom[j, x] = C(x, j) for j < k and x <= size, capped at 2**62 to fit
-    int64 when k is near |R|.
-
-    Every entry a greedy step reads is at most C(|R|, k-1), within the
-    enumeration budget, and the cap keeps each row non-decreasing for the
-    searches of _lex_subsets.  The table for a smaller size is a slice of
-    this one.
-    """
-    return np.array([[min(math.comb(x, j), 2**62) for x in range(size + 1)] for j in range(k)], dtype=np.int64)
-
-
-def _best_member_exhaustive(
-    tournament: HypergraphTournament, remaining: np.ndarray, binom: Callable[[], np.ndarray]
-) -> np.ndarray:
+def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndarray) -> np.ndarray:
     # Candidates, the (k-1)-subsets of positions in `remaining`, are counted
     # under their lexicographic index, so the first maximum is also the
-    # lexicographically least.  binom() is _binomials(s, k) for some s >=
-    # |R|, built only once a step fits the budget.  The closed forms make k
-    # lookups per candidate, and the generic scan holds every candidate.
-    k = tournament.edge_size
-    m, size = k - 1, len(remaining)
+    # lexicographically least.  The closed forms make k lookups per
+    # candidate, and the generic scan holds every candidate.
+    k, size = tournament.edge_size, len(remaining)
     check_enumeration(math.comb(size, k), "greedy edge scan")
     check_enumeration(k * math.comb(size, k - 1), "greedy candidate lookups")
-    binom = binom()[:, : size + 1]
-    counts = tournament.candidate_counts(remaining, binom)
-    return remaining[_lex_subsets(binom, size, m, [int(np.argmax(counts))])[0]]
+    counts = tournament.candidate_counts(remaining)
+    return remaining[_unrank(size, k - 1, int(np.argmax(counts)))]
 
 
 def greedy_dominating_set(tournament: HypergraphTournament) -> DominatingSet:
@@ -652,12 +633,12 @@ def greedy_dominating_set(tournament: HypergraphTournament) -> DominatingSet:
     Each step adds a (k-1)-subset of the undominated vertices that dominates
     at least a 1/k fraction of them; such a member always exists by
     averaging over edges, and a member below the fraction raises
-    InvariantError.  A tournament whose best member has a closed form
-    (:meth:`HypergraphTournament.candidate_argmax`, the first-vertex
-    tournaments of every reduction) gives it at any size, with no count.
-    Otherwise every candidate is counted and the lexicographically least of
-    the largest count is taken; a step whose edges or candidate lookups
-    exceed the enumeration budget raises BudgetExceededError.  Fewer than k
+    InvariantError.  The tournament gives the member
+    (:meth:`HypergraphTournament.best_member`): the first-vertex tournaments
+    of every reduction in closed form, at any size, with no count; the
+    others count every candidate and take the lexicographically least of
+    the largest count, and a step whose edges or candidate lookups exceed
+    the enumeration budget raises BudgetExceededError.  Fewer than k
     undominated vertices are finished off with one padded member containing
     them all.
     """
@@ -669,7 +650,6 @@ def greedy_dominating_set(tournament: HypergraphTournament) -> DominatingSet:
     elements: list[Edge] = []
     trace = [len(ids)]
     bound = k * math.log2(max(len(ids), 2))
-    binom = functools.cache(lambda: _binomials(len(ids), k))  # one table for every step: |R| only shrinks
     # every step removes a 1/k fraction of R or raises, so the bound only backs up that check
     while len(remaining) and len(elements) <= bound + 1e-9:
         if len(remaining) < k:
@@ -679,9 +659,7 @@ def greedy_dominating_set(tournament: HypergraphTournament) -> DominatingSet:
             elements.append(tuple(ids[np.sort(np.r_[remaining, fill])].tolist()))
             trace.append(0)
             break
-        g = tournament.candidate_argmax(remaining)
-        if g is None:
-            g = _best_member_exhaustive(tournament, remaining, binom)
+        g = tournament.best_member(remaining)
         dom = tournament.dominated([g], remaining)
         if np.count_nonzero(dom) < -(-len(remaining) // k):
             raise InvariantError("no candidate dominates a 1/k fraction; the selector is not a tournament")

@@ -150,8 +150,8 @@ def test_tournament_random(capsys):
 
 
 def test_tournament_random_with_k_near_the_vertex_count(capsys):
-    # the greedy's binomials C(x, j) pass int64 for j near |V| / 2; they are
-    # capped, and the steps stay exhaustive
+    # the binomials C(|R|, j) that rank greedy candidates pass int64 for j
+    # near |R| / 2; the steps stay exhaustive and unrank in Python ints
     for num_vertices, t in ((100, 98), (200, 200)):
         code = main(["tournament", "--random", "--num-vertices", str(num_vertices), "--t", str(t), "--seed", "1"])
         captured = capsys.readouterr()

@@ -9,8 +9,8 @@ random tables, selections that are not the least element of their edge.
 Unless a case patches them, some edges have no selection at all.  Its greedy
 members and trace, domination masks, verification and raised errors must
 equal those of the per-edge selector of the same table, asked edge by edge
-through the references of ``test_batched_scan``; so must its closed-form
-best member (``candidate_argmax``) against the per-edge counts.  The last
+through the references of ``test_batched_scan``; so must its best member
+(``best_member``, closed-form or counted) against the per-edge counts.  The last
 tests check which of the two tournaments :func:`selector_from_compression`
 builds for OR compressions and their block compressions.
 """
@@ -139,34 +139,32 @@ def test_exhaustive_greedy_matches_per_edge_greedy(case):
 
 @settings(max_examples=150, deadline=None)
 @given(cases(), st.integers(0, 2**32 - 1))
-def test_candidate_argmax_is_the_first_per_edge_argmax(case, seed):
-    # on an ascending subset of at least k positions, the closed form's
-    # member is the lexicographically first candidate of largest count
-    # under the per-edge scan; other tournaments have no closed form
+def test_best_member_is_the_first_per_edge_argmax(case, seed):
+    # on an ascending subset of at least k positions, every tournament's
+    # member, in closed form or counted, is the lexicographically first
+    # candidate of largest count under the per-edge scan, or the same error
     rng = np.random.default_rng(seed)
     n = len(case.tournament.ids)
     remaining = np.sort(rng.choice(n, size=int(rng.integers(case.k, n + 1)), replace=False))
-    got = case.tournament.candidate_argmax(remaining)
-    if type(case.tournament) is not _FirstVertexTournament:
-        assert got is None
-        return
-    binom = tournament_module._binomials(len(remaining), case.k)
-    counts = case.reference.candidate_counts(remaining, binom)
-    candidates = list(combinations(remaining.tolist(), case.k - 1))
-    assert got.tolist() == list(candidates[int(np.argmax(counts))])
+
+    def first_argmax():
+        counts = case.reference.candidate_counts(remaining)
+        return list(list(combinations(remaining.tolist(), case.k - 1))[int(np.argmax(counts))])
+
+    assert outcome(lambda: case.tournament.best_member(remaining).tolist()) == outcome(first_argmax)
 
 
-class _WeakArgmax(_FirstVertexTournament):
-    """A first-vertex tournament whose hook claims its first k-1 remaining
-    vertices, which dominate only themselves."""
+class _WeakMember(_FirstVertexTournament):
+    """A first-vertex tournament whose best member is its first k-1
+    remaining vertices, which dominate only themselves."""
 
-    def candidate_argmax(self, remaining):
+    def best_member(self, remaining):
         return remaining[: self.edge_size - 1]
 
 
 def test_hook_member_below_the_fraction_raises():
     # 2 of 12 vertices, where a 1/3 fraction needs 4
-    tournament = _WeakArgmax(np.arange(12), 3, lambda e: e[0], VERTEX_BITS)
+    tournament = _WeakMember(np.arange(12), 3, lambda e: e[0], VERTEX_BITS)
     with pytest.raises(InvariantError, match="1/k fraction"):
         greedy_dominating_set(tournament)
 

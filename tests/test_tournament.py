@@ -24,8 +24,10 @@ from compresslab import (
     verify_domination,
 )
 from compresslab.tournament import (
+    _lex_rows,
     _member_rows,
     _positions,
+    _unrank,
     block_conditioned_distributions,
     partition_blocks,
 )
@@ -203,6 +205,30 @@ def test_domination_matrix_matches_its_definition():
             _member_rows(s, [member])
     with pytest.raises(ValueError, match="not a vertex"):
         _positions(s, [vs[3], 16])
+
+
+def test_lex_rows_list_every_subset_with_its_per_first_lengths():
+    for size in range(1, 11):
+        for m in range(1, size + 1):
+            rows, lengths = _lex_rows(size, m)
+            expected = list(combinations(range(size), m))
+            assert rows.tolist() == [list(row) for row in expected]
+            assert lengths.tolist() == [sum(row[0] == c for row in expected) for c in range(size - m + 1)]
+
+
+def test_unrank_inverts_the_lexicographic_order():
+    for size in range(10):
+        for m in range(size + 1):
+            for index, subset in enumerate(combinations(range(size), m)):
+                assert _unrank(size, m, index) == list(subset)
+
+
+def test_unrank_past_int64():
+    # C(1000, 500) has 300 digits: the last 500-subset, and every 999-subset,
+    # the i-th of which leaves out 999 - i
+    assert _unrank(1000, 500, math.comb(1000, 500) - 1) == list(range(500, 1000))
+    for i in range(1000):
+        assert _unrank(1000, 999, i) == [x for x in range(1000) if x != 999 - i]
 
 
 def test_dominating_set_json_round_trip():
