@@ -48,6 +48,7 @@ The block variant needs no selector of its own: the same one runs on a
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -316,7 +317,7 @@ class _RandomTournament(HypergraphTournament):
     :meth:`candidate_counts` and :meth:`dominated` select in closed form."""
 
     def __init__(self, keys: Sequence[int], edge_size: int):
-        keys = [int(key) for key in keys]
+        keys = self._keys = [int(key) for key in keys]
 
         def selector(e: Edge) -> int:
             h = 0
@@ -326,8 +327,13 @@ class _RandomTournament(HypergraphTournament):
 
         width = max(1, (len(keys) - 1).bit_length())
         super().__init__(range(len(keys)), edge_size, selector, width)
-        scales = [pow(_P, j, _M) for j in range(edge_size)]
-        self._leads = np.array([[key * s % _M for key in keys] for s in scales], dtype=np.uint64)
+
+    @functools.cached_property
+    def _leads(self) -> np.ndarray:
+        """k x |V| leads, built at first use, which a greedy step reaches
+        only past its budget checks: none when k > |V| leaves no edge."""
+        scales = [pow(_P, j, _M) for j in range(self.edge_size)]
+        return np.array([[key * s % _M for key in self._keys] for s in scales], dtype=np.uint64)
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
         """Membership, and for each (k-1)-member g the v it selects, in

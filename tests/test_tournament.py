@@ -1,6 +1,7 @@
 """Tournament selectors, greedy dominating sets, and the block variant."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -205,6 +206,21 @@ def test_domination_matrix_matches_its_definition():
             _member_rows(s, [member])
     with pytest.raises(ValueError, match="not a vertex"):
         _positions(s, [vs[3], 16])
+
+
+def test_random_tournament_without_edges_builds_no_lead_table():
+    # k > |V|: the greedy pads one member and verification asks no edge, so
+    # the k x |V| leads (35 MB at these sizes, built eagerly) are never made
+    tracemalloc.start()
+    try:
+        tournament = random_tournament(4, 10**5, 1)
+        dominating = greedy_dominating_set(tournament)
+        verdict = verify_domination(tournament, dominating)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dominating.size == 1 and verdict == (True, [])
+    assert peak < 5 * 2**20
 
 
 def test_lex_rows_list_every_subset_with_its_per_first_lengths():
