@@ -559,7 +559,7 @@ def _member_rows(tournament: HypergraphTournament, members: Sequence[Edge]) -> l
 def _unrank(size: int, m: int, index: int) -> list[int]:
     """The m-subset of range(size) at lexicographic index `index`, ascending:
     with j elements left, C(size - 1 - x, j - 1) subsets take x next, and
-    such groups are skipped, in Python ints that no cap bounds."""
+    such groups are skipped, in uncapped Python ints."""
     row, x = [], 0
     for j in range(m, 0, -1):
         while index >= (group := math.comb(size - 1 - x, j - 1)):
