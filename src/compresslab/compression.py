@@ -8,10 +8,9 @@ to an m-bit output and carries declared soundness and completeness error
 bounds; OR-style instances over a toy language are the canonical examples.
 
 Everything here is exact: output distributions are integer counts over a
-power-of-two denominator, so the resulting masses are exact rationals.
-There is no float mode at this layer: ``exact=False`` exists only on the
-distribution constructors.  A map's output law under uniform inputs is
-read from its counts (:meth:`CompressiveMap.output_counts`,
+power-of-two denominator, so the resulting masses are exact rationals.  A
+map's output law under uniform inputs is read from its counts
+(:meth:`CompressiveMap.output_counts`,
 :meth:`CompressiveMap.conditioned_output_counts`).
 Subset laws are memoised per compression under hashable law keys;
 compressions that only count hits in a language (OR and transformed-OR
@@ -172,13 +171,6 @@ class CompressiveMap:
                 raise ValueError(f"symbol {a} outside the alphabet")
             idx = idx * self.alphabet_size + a
         return idx
-
-    def input_symbols(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.arity):
-            out.append(index % self.alphabet_size)
-            index //= self.alphabet_size
-        return tuple(reversed(out))
 
     def evaluate(self, symbols: Sequence[int], coin: int = 0) -> int:
         return int(self.table[self.input_index(symbols), coin])

@@ -1,38 +1,35 @@
 """Exact finite probability distributions and their statistical distance.
 
 A :class:`FiniteDistribution` is an ordered list of distinct outcomes with a
-probability mass per outcome.  Masses are either `fractions.Fraction` (exact
-mode, the default) or `float` (fast mode).  Statistical distance stays in
-the mass arithmetic, so exact inputs give exact answers; it unions the two
-outcome universes, with missing outcomes carrying mass zero.  Entropies and
-divergences of compressive maps are computed from count tables, not from
-distributions (see :mod:`compresslab.sensitivity`).
+probability mass per outcome.  Masses are `fractions.Fraction` values; there
+is no float mode, so a statistical distance is an exact rational that the
+reduction can compare against its promise gap without a tolerance.  The
+distance unions the two outcome universes, with missing outcomes carrying
+mass zero.  Entropies and divergences of compressive maps are computed from
+count tables, not from distributions (see :mod:`compresslab.sensitivity`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 from fractions import Fraction
+from numbers import Rational
 from typing import Any
 
 Outcome = Hashable
-Mass = Fraction | float
-
-
-def _is_exact(value: Mass) -> bool:
-    return isinstance(value, (Fraction, int))
 
 
 class FiniteDistribution:
     """Probability mass over a finite, duplicate-free outcome list.
 
-    Masses must be nonnegative and sum to exactly 1 in exact mode, or to 1
-    within 1e-12 in float mode.  Instances are immutable and safe to share.
+    Masses must be exact rationals (Fractions, or Python or numpy integers),
+    nonnegative, and sum to exactly 1; they are stored as Fractions.
+    Instances are immutable and safe to share.
     """
 
-    __slots__ = ("_outcomes", "_mass", "_prob", "_exact", "_hash")
+    __slots__ = ("_outcomes", "_mass", "_prob", "_hash")
 
-    def __init__(self, outcomes: Sequence[Outcome], mass: Sequence[Mass]):
+    def __init__(self, outcomes: Sequence[Outcome], mass: Sequence[Rational]):
         outcomes = tuple(outcomes)
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("duplicate outcomes")
@@ -40,60 +37,43 @@ class FiniteDistribution:
             raise ValueError("outcomes and mass differ in length")
         if not outcomes:
             raise ValueError("empty support")
-        exact = all(_is_exact(m) for m in mass)
-        if exact:
-            mass = tuple(Fraction(m) for m in mass)
-            if any(m < 0 for m in mass):
-                raise ValueError("negative mass")
-            if sum(mass) != 1:
-                raise ValueError(f"mass sums to {sum(mass)}, not 1")
-        else:
-            mass = tuple(float(m) for m in mass)
-            if any(m < -1e-12 for m in mass):
-                raise ValueError("negative mass")
-            if abs(sum(mass) - 1.0) > 1e-12:
-                raise ValueError(f"mass sums to {sum(mass)!r}, not 1 within 1e-12")
+        if not all(isinstance(m, Rational) for m in mass):
+            raise TypeError("masses must be Fractions or integers")
+        # Fraction(m) would keep a numpy integer as the numerator
+        mass = tuple(m if type(m) is Fraction else Fraction(int(m.numerator), int(m.denominator)) for m in mass)
+        if any(m < 0 for m in mass):
+            raise ValueError("negative mass")
+        if sum(mass) != 1:
+            raise ValueError(f"mass sums to {sum(mass)}, not 1")
         self._outcomes = outcomes
         self._mass = mass
         self._prob = dict(zip(outcomes, mass))
-        self._exact = exact
         self._hash: int | None = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def uniform(cls, ground_set: Sequence[Outcome], exact: bool = True) -> "FiniteDistribution":
+    def uniform(cls, ground_set: Sequence[Outcome]) -> "FiniteDistribution":
         """Uniform distribution over a non-empty, duplicate-free ground set."""
         ground_set = tuple(ground_set)
         if not ground_set:
             raise ValueError("empty support")
         n = len(ground_set)
-        m: Mass = Fraction(1, n) if exact else 1.0 / n
-        return cls(ground_set, (m,) * n)
+        return cls(ground_set, (Fraction(1, n),) * n)
 
     @classmethod
-    def point(cls, outcome: Outcome, exact: bool = True) -> "FiniteDistribution":
+    def point(cls, outcome: Outcome) -> "FiniteDistribution":
         """Point mass on a single outcome."""
-        return cls((outcome,), (Fraction(1) if exact else 1.0,))
+        return cls((outcome,), (Fraction(1),))
 
     @classmethod
-    def from_counts(
-        cls,
-        outcomes: Sequence[Outcome],
-        counts: Sequence[int],
-        denominator: int,
-        exact: bool = True,
-    ) -> "FiniteDistribution":
+    def from_counts(cls, outcomes: Sequence[Outcome], counts: Sequence[int], denominator: int) -> "FiniteDistribution":
         """Distribution with mass count/denominator per outcome.
 
         The counts must sum to the denominator; this is how exhaustive
         enumeration results become distributions without rounding.
         """
-        if exact:
-            mass = [Fraction(int(c), denominator) for c in counts]
-        else:
-            mass = [int(c) / denominator for c in counts]
-        return cls(outcomes, mass)
+        return cls(outcomes, [Fraction(int(c), denominator) for c in counts])
 
     # -- basic access ------------------------------------------------------
 
@@ -102,16 +82,12 @@ class FiniteDistribution:
         return self._outcomes
 
     @property
-    def mass(self) -> tuple[Mass, ...]:
+    def mass(self) -> tuple[Fraction, ...]:
         return self._mass
 
-    @property
-    def exact(self) -> bool:
-        return self._exact
-
-    def prob(self, outcome: Outcome) -> Mass:
+    def prob(self, outcome: Outcome) -> Fraction:
         """Mass of an outcome, zero for outcomes outside the list."""
-        return self._prob.get(outcome, Fraction(0) if self._exact else 0.0)
+        return self._prob.get(outcome, Fraction(0))
 
     def support(self) -> tuple[Outcome, ...]:
         """Exactly the outcomes carrying positive mass, in listed order."""
@@ -120,14 +96,9 @@ class FiniteDistribution:
     def items(self):
         return zip(self._outcomes, self._mass)
 
-    def as_dict(self) -> dict[Outcome, Mass]:
+    def as_dict(self) -> dict[Outcome, Fraction]:
         """Support outcomes mapped to their masses (zero-mass entries dropped)."""
         return {w: m for w, m in self.items() if m > 0}
-
-    def to_float(self) -> "FiniteDistribution":
-        if not self._exact:
-            return self
-        return FiniteDistribution(self._outcomes, tuple(float(m) for m in self._mass))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteDistribution):
@@ -146,34 +117,14 @@ class FiniteDistribution:
     # -- serialization -----------------------------------------------------
 
     def to_json(self) -> dict[str, Any]:
-        """JSON object with outcomes plus [num, den] pairs (exact) or floats."""
-        if self._exact:
-            mass = [[m.numerator, m.denominator] for m in self._mass]
-        else:
-            mass = list(self._mass)
+        """JSON object with outcomes (tuples as lists) plus [num, den] pairs."""
+        mass = [[m.numerator, m.denominator] for m in self._mass]
         return {"outcomes": [_jsonify_outcome(w) for w in self._outcomes], "mass": mass}
-
-    @classmethod
-    def from_json(cls, obj: dict[str, Any]) -> "FiniteDistribution":
-        outcomes = [_unjsonify_outcome(w) for w in obj["outcomes"]]
-        raw = obj["mass"]
-        mass: list[Mass]
-        if raw and isinstance(raw[0], (list, tuple)):
-            mass = [Fraction(int(num), int(den)) for num, den in raw]
-        else:
-            mass = [float(m) for m in raw]
-        return cls(outcomes, mass)
 
 
 def _jsonify_outcome(w: Outcome) -> Any:
     if isinstance(w, tuple):
         return [_jsonify_outcome(v) for v in w]
-    return w
-
-
-def _unjsonify_outcome(w: Any) -> Outcome:
-    if isinstance(w, list):
-        return tuple(_unjsonify_outcome(v) for v in w)
     return w
 
 
@@ -186,16 +137,15 @@ def _universe(p: FiniteDistribution, q: FiniteDistribution) -> tuple[Outcome, ..
     return tuple(seen)
 
 
-def statistical_distance(p: FiniteDistribution, q: FiniteDistribution) -> Mass:
+def statistical_distance(p: FiniteDistribution, q: FiniteDistribution) -> Fraction:
     """Total variation distance, computed as half the 1-norm of the mass gap.
 
     Symmetric, zero exactly for equal distributions, one exactly for disjoint
-    supports.  Exact when both inputs are exact.  A law against itself, as
-    the memoised laws of a hit-count selector and its no-instance queries
-    often are, is zero without a sum.
+    supports, and always an exact Fraction.  A law against itself, as the
+    memoised laws of a hit-count selector and its no-instance queries often
+    are, is zero without a sum.
     """
-    exact = p.exact and q.exact
-    total: Mass = Fraction(0) if exact else 0.0
+    total = Fraction(0)
     if p is q:
         return total
     for w in _universe(p, q):

@@ -68,7 +68,7 @@ class SDQuery:
         check_gap(self.Delta, self.delta)
 
     @cached_property
-    def distance(self) -> Number:
+    def distance(self) -> Fraction:
         return statistical_distance(self.left, self.right)
 
     @cached_property

@@ -58,7 +58,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .budget import check_enumeration
-from .compression import HitCountCompression, SetEncodedCompression, bits_label, canonical_set, enumerate_pick_law
+from .compression import HitCountCompression, SetEncodedCompression, bits_label, canonical_set
 from .compression import id_array, parse_bits
 from .distributions import FiniteDistribution, statistical_distance
 
@@ -351,11 +351,13 @@ class _RandomTournament(HypergraphTournament):
             if len(g) != k - 1:
                 continue
             # G_0 has every element after the gap; each later gap moves one
-            # element before it, from exponent k-2-i to k-1-i
-            lead = self._leads[:, g].tolist()
-            sums = [sum(lead[k - 2 - i][i] for i in range(k - 1))]
+            # element before it, from exponent k-2-i to k-1-i, so only these
+            # two diagonals of g's leads are read
+            upper = self._leads[np.arange(k - 1, 0, -1), g].tolist()
+            lower = self._leads[np.arange(k - 2, -1, -1), g].tolist()
+            sums = [sum(lower)]
             for i in range(k - 1):
-                sums.append(sums[-1] + lead[k - 1 - i][i] - lead[k - 2 - i][i])
+                sums.append(sums[-1] + upper[i] - lower[i])
             h = np.array([x % _M for x in sums], dtype=np.uint64)[gap]
             _add_mod(h, self._leads[k - 1 - gap, vs])
             dom |= (h % np.uint64(k)).view(np.int64) == gap
@@ -733,25 +735,3 @@ class BlockCompression(SetEncodedCompression):
     def _compute_law(self, key: Hashable) -> FiniteDistribution:
         return self.base.pick_law(key)
 
-
-def block_conditioned_distributions(
-    a: SetEncodedCompression, blocks: Sequence[Edge], v: int
-) -> tuple[FiniteDistribution, FiniteDistribution]:
-    """Output laws of A on one uniform pick per block, without / with v.
-
-    The input set takes one uniformly chosen element from every block.  The
-    first law conditions v's block to avoid v, the second pins it to v.
-    Every pick is enumerated: the reference for :class:`BlockCompression`.
-    """
-    blocks = [canonical_set(b) for b in blocks]
-    if len({len(b) for b in blocks}) != 1:
-        raise ValueError("blocks must have equal sizes")
-    if len(blocks[0]) < 2:
-        raise ValueError("blocks need at least two elements")
-    all_elems = [w for b in blocks for w in b]
-    if len(set(all_elems)) != len(all_elems):
-        raise ValueError("blocks must be disjoint")
-    if len(blocks) > a.arity:
-        raise ValueError("more blocks than the compression arity")
-    without, pinned = _conditioned_pools(blocks, v)
-    return enumerate_pick_law(a, without), enumerate_pick_law(a, pinned)

@@ -15,10 +15,3 @@ def random_exact_distribution(rng: np.random.Generator, max_outcomes: int = 6) -
     total = int(weights.sum())
     outcomes = [f"w{i}" for i in range(k)]
     return FiniteDistribution(outcomes, [Fraction(int(w), total) for w in weights])
-
-
-def random_float_distribution(rng: np.random.Generator, max_outcomes: int = 6) -> FiniteDistribution:
-    k = int(rng.integers(1, max_outcomes + 1))
-    weights = rng.random(k) + 1e-3
-    weights /= weights.sum()
-    return FiniteDistribution([f"w{i}" for i in range(k)], list(weights))

@@ -4,10 +4,12 @@ The library computes each quantity of the sensitivity lemma one way, from
 count tables.  This module is the independent second way the tests compare
 against: distribution algebra (products, push-forwards, mixtures, entropy,
 KL divergence, mutual information), output laws of compressive maps under
-any input law, fixture maps, and a fixed-threshold oracle.  Probability
-arithmetic stays exact on exact inputs; entropy functionals return float
-bits.  Its name differs from the benchmark's ``reference`` module, so the
-two suites can run in one process.
+any input law, fixture maps, the enumerated block laws, and a
+fixed-threshold oracle; also the readers (JSON distributions, input
+symbols) that only the tests need.  Probability arithmetic is exact
+Fractions; entropy functionals return float bits.  Its name differs from
+the benchmark's ``reference`` module, so the two suites can run in one
+process.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Any
 import numpy as np
 
 from compresslab.budget import check_enumeration
-from compresslab.compression import CompressiveMap
-from compresslab.distributions import FiniteDistribution, Mass, Outcome, _is_exact
+from compresslab.compression import CompressiveMap, SetEncodedCompression, canonical_set, enumerate_pick_law
+from compresslab.distributions import FiniteDistribution, Outcome
 from compresslab.reduction import Number, Oracle, SDQuery
 from compresslab.sensitivity import (
     LEMMA_KL_BOUND,
@@ -31,19 +33,30 @@ from compresslab.sensitivity import (
     pinsker_threshold,
     verify_kl_bound,
 )
+from compresslab.tournament import Edge, _conditioned_pools
 
 # -- distribution algebra ----------------------------------------------------
 
 
-def mixture(components: Sequence[tuple[Mass, FiniteDistribution]]) -> FiniteDistribution:
+def distribution_from_json(obj: dict[str, Any]) -> FiniteDistribution:
+    """Inverse of :meth:`FiniteDistribution.to_json`: list outcomes become
+    tuples, and each mass is a [num, den] pair."""
+
+    def outcome(w: Any) -> Outcome:
+        return tuple(map(outcome, w)) if isinstance(w, list) else w
+
+    mass = [Fraction(int(num), int(den)) for num, den in obj["mass"]]
+    return FiniteDistribution([outcome(w) for w in obj["outcomes"]], mass)
+
+
+def mixture(components: Sequence[tuple[Fraction, FiniteDistribution]]) -> FiniteDistribution:
     """Convex combination of distributions; weights must sum to 1."""
     if not components:
         raise ValueError("empty mixture")
-    exact = all(_is_exact(w) and d.exact for w, d in components)
-    acc: dict[Outcome, Mass] = {}
+    acc: dict[Outcome, Fraction] = {}
     for weight, dist in components:
         for w, m in dist.items():
-            acc[w] = acc.get(w, Fraction(0) if exact else 0.0) + weight * m
+            acc[w] = acc.get(w, Fraction(0)) + weight * m
     return FiniteDistribution(tuple(acc.keys()), tuple(acc.values()))
 
 
@@ -79,9 +92,9 @@ def mutual_information(joint: FiniteDistribution) -> float:
     Computed as H(X) minus the conditional entropy H(X|Y), where H(X|Y) is
     the Y-average of the entropies of the conditional slices.
     """
-    x_marg: dict[Outcome, Mass] = {}
-    y_marg: dict[Outcome, Mass] = {}
-    by_y: dict[Outcome, dict[Outcome, Mass]] = {}
+    x_marg: dict[Outcome, Fraction] = {}
+    y_marg: dict[Outcome, Fraction] = {}
+    by_y: dict[Outcome, dict[Outcome, Fraction]] = {}
     for w in joint.support():
         if not isinstance(w, tuple) or len(w) != 2:
             raise ValueError(f"joint outcome {w!r} is not a pair")
@@ -133,13 +146,13 @@ def push_forward(
 
     n_coins = 2**coin_bits
     check_enumeration(len(p.support()) * n_coins, "push_forward enumeration")
-    coin_weight: Mass = Fraction(1, n_coins) if p.exact else 1.0 / n_coins
-    acc: dict[Outcome, Mass] = {}
+    coin_weight = Fraction(1, n_coins)
+    acc: dict[Outcome, Fraction] = {}
     for w in p.support():
         pw = p.prob(w)
         for c in range(n_coins):
             out = apply(w, c)
-            acc[out] = acc.get(out, Fraction(0) if p.exact else 0.0) + pw * coin_weight
+            acc[out] = acc.get(out, Fraction(0)) + pw * coin_weight
     return FiniteDistribution(tuple(acc.keys()), tuple(acc.values()))
 
 
@@ -168,8 +181,8 @@ class ProductDistribution:
         self._alphabet = alphabet
 
     @classmethod
-    def uniform(cls, alphabet: Sequence[Outcome], arity: int, exact: bool = True) -> "ProductDistribution":
-        base = FiniteDistribution.uniform(alphabet, exact=exact)
+    def uniform(cls, alphabet: Sequence[Outcome], arity: int) -> "ProductDistribution":
+        base = FiniteDistribution.uniform(alphabet)
         return cls((base,) * arity, alphabet)
 
     @property
@@ -184,14 +197,10 @@ class ProductDistribution:
     def arity(self) -> int:
         return len(self._factors)
 
-    @property
-    def exact(self) -> bool:
-        return all(f.exact for f in self._factors)
-
     def is_uniform(self) -> bool:
         """True when every factor is uniform over the full alphabet."""
         full = FiniteDistribution.uniform(self._alphabet)
-        return all(f.to_float() == full.to_float() if not f.exact else f == full for f in self._factors)
+        return all(f == full for f in self._factors)
 
     def condition(
         self,
@@ -205,18 +214,17 @@ class ProductDistribution:
             raise ValueError("give exactly one of equal_to / not_equal_to")
         if not 0 <= j < self.arity:
             raise ValueError(f"coordinate {j} out of range for arity {self.arity}")
-        exact = self.exact
         if equal_to is not None:
             if equal_to not in self._alphabet:
                 raise ValueError(f"{equal_to!r} not in the alphabet")
-            new = FiniteDistribution.point(equal_to, exact=exact)
+            new = FiniteDistribution.point(equal_to)
         else:
             rest = tuple(a for a in self._alphabet if a != not_equal_to)
             if not_equal_to not in self._alphabet:
                 raise ValueError(f"{not_equal_to!r} not in the alphabet")
             if not rest:
                 raise ValueError("empty conditional support")
-            new = FiniteDistribution.uniform(rest, exact=exact)
+            new = FiniteDistribution.uniform(rest)
         factors = self._factors[:j] + (new,) + self._factors[j + 1 :]
         return ProductDistribution(factors, self._alphabet)
 
@@ -228,10 +236,9 @@ class ProductDistribution:
             rows *= len(s)
         check_enumeration(rows, "product joint enumeration")
         outcomes: list[tuple[Outcome, ...]] = []
-        masses: list[Mass] = []
-        exact = self.exact
+        masses: list[Fraction] = []
 
-        def rec(prefix: tuple[Outcome, ...], weight: Mass, k: int) -> None:
+        def rec(prefix: tuple[Outcome, ...], weight: Fraction, k: int) -> None:
             if k == len(self._factors):
                 outcomes.append(prefix)
                 masses.append(weight)
@@ -239,11 +246,20 @@ class ProductDistribution:
             for a in supports[k]:
                 rec(prefix + (a,), weight * self._factors[k].prob(a), k + 1)
 
-        rec((), Fraction(1) if exact else 1.0, 0)
+        rec((), Fraction(1), 0)
         return FiniteDistribution(outcomes, masses)
 
 
 # -- compressive maps: fixtures and output laws under any input law ----------
+
+
+def input_symbols(f: CompressiveMap, index: int) -> tuple[int, ...]:
+    """The symbol tuple of input row ``index``: the inverse of ``f.input_index``."""
+    out = []
+    for _ in range(f.arity):
+        out.append(index % f.alphabet_size)
+        index //= f.alphabet_size
+    return tuple(reversed(out))
 
 
 def dictator(arity: int, coordinate: int = 0) -> CompressiveMap:
@@ -277,9 +293,8 @@ def output_distribution(
     The default input law is the uniform distribution on Sigma^t.  A
     ProductDistribution must match the map's alphabet and arity; a
     FiniteDistribution must be over coordinate tuples (this covers
-    mixtures that are not products).  Uniform inputs give exact masses
-    from the output counts; any other law keeps its own arithmetic, so a
-    float input law gives float masses.
+    mixtures that are not products).  Uniform inputs give their masses
+    from the output counts; any other law is summed input by input.
     """
     if inputs is None:
         inputs = ProductDistribution.uniform(tuple(range(f.alphabet_size)), f.arity)
@@ -313,12 +328,39 @@ def joint_output_input_distribution(f: CompressiveMap) -> FiniteDistribution:
     pairs = []
     counts = []
     for idx in range(f.n_inputs):
-        symbols = f.input_symbols(idx)
+        symbols = input_symbols(f, idx)
         row = f.table[idx]
         for code, cnt in zip(*np.unique(row, return_counts=True)):
             pairs.append((f.output_label(int(code)), symbols))
             counts.append(int(cnt))
     return FiniteDistribution.from_counts(pairs, counts, f.n_inputs * f.n_coins)
+
+
+# -- block laws, every pick enumerated ---------------------------------------
+
+
+def block_conditioned_distributions(
+    a: SetEncodedCompression, blocks: Sequence[Edge], v: int
+) -> tuple[FiniteDistribution, FiniteDistribution]:
+    """Output laws of A on one uniform pick per block, without / with v.
+
+    The input set takes one uniformly chosen element from every block.  The
+    first law conditions v's block to avoid v, the second pins it to v.
+    Every pick is enumerated: the reference for
+    :class:`compresslab.tournament.BlockCompression`.
+    """
+    blocks = [canonical_set(b) for b in blocks]
+    if len({len(b) for b in blocks}) != 1:
+        raise ValueError("blocks must have equal sizes")
+    if len(blocks[0]) < 2:
+        raise ValueError("blocks need at least two elements")
+    all_elems = [w for b in blocks for w in b]
+    if len(set(all_elems)) != len(all_elems):
+        raise ValueError("blocks must be disjoint")
+    if len(blocks) > a.arity:
+        raise ValueError("more blocks than the compression arity")
+    without, pinned = _conditioned_pools(blocks, v)
+    return enumerate_pick_law(a, without), enumerate_pick_law(a, pinned)
 
 
 # -- sensitivity functionals over the public term tables ---------------------

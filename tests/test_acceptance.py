@@ -32,7 +32,7 @@ from compresslab import (
     verify_pinsker_sensitivity,
     verify_vajda_sensitivity,
 )
-from conftest import random_exact_distribution, random_float_distribution
+from conftest import random_exact_distribution
 from reference_routes import avg_noise_sensitivity, dictator, kl_divergence, kl_sensitivity, push_forward, xor
 
 F = Fraction
@@ -281,27 +281,23 @@ def test_criterion_9_distribution_suite():
     rng = np.random.default_rng(909)
     ln2 = math.log(2)
     ok = True
-    for i in range(10000):
-        exact = i % 2 == 0
-        gen = random_exact_distribution if exact else random_float_distribution
-        p, q, r = gen(rng), gen(rng), gen(rng)
-        tol = 0 if exact else TOL
+    for _ in range(10000):
+        p, q, r = (random_exact_distribution(rng) for _ in range(3))
         dpq = statistical_distance(p, q)
-        # triangle inequality
-        ok &= statistical_distance(p, r) <= dpq + statistical_distance(q, r) + tol
-        # data processing under a random two-valued map
+        # triangle inequality, exact: zero tolerance
+        ok &= statistical_distance(p, r) <= dpq + statistical_distance(q, r)
+        # data processing under a random two-valued map, zero tolerance
         table = {w: f"z{int(rng.integers(0, 2))}" for w in set(p.outcomes) | set(q.outcomes)}
-        ok &= statistical_distance(push_forward(p, table), push_forward(q, table)) <= dpq + tol
+        ok &= statistical_distance(push_forward(p, table), push_forward(q, table)) <= dpq
         # distance-divergence bounds (float comparisons, 1e-9)
         kl_nats = kl_divergence(p, q) * ln2
         d = float(dpq)
         ok &= 2 * d * d <= kl_nats + TOL
         vajda = 1.0 if math.isinf(kl_nats) else 1.0 - math.exp(-1.0 - kl_nats)
         ok &= d <= vajda + TOL
-        if exact:
-            # exact-mode identities, zero tolerance
-            ok &= statistical_distance(p, p) == 0
-            ok &= (dpq == 0) == (p == q)
+        # exact identities, zero tolerance
+        ok &= statistical_distance(p, p) == 0
+        ok &= (dpq == 0) == (p == q)
         if not ok:
             break
     crit.finish(ok, "10000 pairs: triangle, data processing, divergence bounds")

@@ -86,11 +86,12 @@ def test_reduce_single_input(capsys):
     assert code == 0
     assert lines[0]["accept"] is True and lines[0]["member"] is True
     # the query distributions round-trip through the serialization format
-    from compresslab import FiniteDistribution, statistical_distance
+    from compresslab import statistical_distance
+    from reference_routes import distribution_from_json
 
     for q in lines[0]["queries"]:
-        left = FiniteDistribution.from_json(q["left"])
-        right = FiniteDistribution.from_json(q["right"])
+        left = distribution_from_json(q["left"])
+        right = distribution_from_json(q["right"])
         assert float(statistical_distance(left, right)) == q["distance"] == 1.0
 
 

@@ -27,7 +27,7 @@ from compresslab import (
 )
 from compresslab import compression as compression_module
 from compresslab.fcompression import VIEW_ORDER
-from reference_routes import ProductDistribution, dictator, mixture, output_distribution, xor
+from reference_routes import ProductDistribution, dictator, input_symbols, mixture, output_distribution, xor
 
 F = Fraction
 
@@ -43,7 +43,7 @@ def test_output_distribution_constant():
 def test_output_distribution_dictator():
     f = dictator(4, coordinate=0)
     # oracle: walk all 16 inputs by hand
-    ones = sum(1 for idx in range(16) if f.input_symbols(idx)[0] == 1)
+    ones = sum(1 for idx in range(16) if input_symbols(f, idx)[0] == 1)
     assert ones == 8
     assert output_distribution(f) == FiniteDistribution.uniform(["0", "1"])
 
@@ -54,7 +54,7 @@ def test_output_distribution_conditioned_xor():
     # oracle: enumerate the 8 remaining inputs
     counts = {0: 0, 1: 0}
     for idx in range(16):
-        symbols = f.input_symbols(idx)
+        symbols = input_symbols(f, idx)
         if symbols[0] == 0:
             counts[sum(symbols) % 2] += 1
     assert counts == {0: 4, 1: 4}
@@ -87,7 +87,7 @@ def _row_reference_conditioned_counts(f: CompressiveMap) -> np.ndarray:
     coords = np.arange(f.arity)
     for idx in range(f.n_inputs):
         row = np.bincount(f.table[idx], minlength=m_codes)
-        ref[coords, list(f.input_symbols(idx))] += row
+        ref[coords, list(input_symbols(f, idx))] += row
     return ref
 
 
@@ -291,7 +291,7 @@ def test_budget_env_override(monkeypatch):
 def test_epsilon_and_indexing():
     f = CompressiveMap.random(4, 2, 0, seed=3)
     for idx in (0, 5, 15):
-        assert f.input_index(f.input_symbols(idx)) == idx
+        assert f.input_index(input_symbols(f, idx)) == idx
 
 
 def test_map_serialization_round_trip():
@@ -551,7 +551,7 @@ def test_or_closed_form_matches_enumeration():
                 slow = enumerate_subset_law(a, ground, forced)
                 assert a.subset_output_distribution(ground, forced) == slow
                 assert a.subset_output_distribution(ground, forced) == slow
-                assert slow.exact
+                assert all(type(m) is F for m in slow.mass)
 
 
 def test_transformed_or_closed_form_matches_enumeration():

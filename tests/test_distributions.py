@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from compresslab import FiniteDistribution, statistical_distance
-from conftest import random_exact_distribution, random_float_distribution
+from conftest import random_exact_distribution
 from reference_routes import (
     ProductDistribution,
+    distribution_from_json,
     entropy,
     kl_divergence,
     mixture,
@@ -46,10 +47,13 @@ def test_mass_validation():
         FiniteDistribution(["a", "b"], [F(1, 2), F(1, 3)])
     with pytest.raises(ValueError, match="negative"):
         FiniteDistribution(["a", "b"], [F(3, 2), F(-1, 2)])
-    # float mode tolerates 1e-12 drift but not more
-    FiniteDistribution(["a", "b"], [0.5, 0.5 + 5e-13])
-    with pytest.raises(ValueError):
-        FiniteDistribution(["a", "b"], [0.5, 0.51])
+    # masses are exact: a float is refused, even one that sums to 1
+    with pytest.raises(TypeError):
+        FiniteDistribution(["a", "b"], [0.5, 0.5])
+    # numpy integers are exact too, and become Fractions over Python ints
+    d = FiniteDistribution(["a", "b"], [np.int64(0), np.int64(1)])
+    assert all(type(m) is F and type(m.numerator) is int for m in d.mass)
+    assert statistical_distance(d, FiniteDistribution.point("b")) == 0
 
 
 def test_support_drops_zero_mass():
@@ -60,11 +64,7 @@ def test_support_drops_zero_mass():
 
 def test_serialization_round_trip():
     d = FiniteDistribution(["a", ("x", "y")], [F(1, 3), F(2, 3)])
-    assert FiniteDistribution.from_json(d.to_json()) == d
-    f = d.to_float()
-    back = FiniteDistribution.from_json(f.to_json())
-    assert not back.exact
-    assert back == f
+    assert distribution_from_json(d.to_json()) == d
 
 
 # -- statistical distance ------------------------------------------------------
@@ -78,12 +78,12 @@ def test_distance_identical_and_disjoint():
 
 def test_distance_of_a_law_to_itself_equals_the_sum_over_a_copy():
     # the same object skips the sum; an equal copy takes it, with the same
-    # value and type in both modes
+    # value and type
     rng = np.random.default_rng(3)
-    for p in (random_exact_distribution(rng), random_float_distribution(rng)):
+    for p in (random_exact_distribution(rng), random_exact_distribution(rng)):
         copy = FiniteDistribution(p.outcomes, p.mass)
         for d in (statistical_distance(p, p), statistical_distance(p, copy)):
-            assert d == 0 and type(d) is (F if p.exact else float)
+            assert d == 0 and type(d) is F
 
 
 def test_distance_bernoulli_pair():
@@ -105,9 +105,10 @@ def test_distance_is_a_metric_exact():
     for _ in range(300):
         p, q, r = (random_exact_distribution(rng) for _ in range(3))
         dpq = statistical_distance(p, q)
+        assert type(dpq) is F
         assert 0 <= dpq <= 1
         assert dpq == statistical_distance(q, p)
-        # exact mode: zero tolerance
+        # exact: zero tolerance
         assert statistical_distance(p, r) <= dpq + statistical_distance(q, r)
         assert (dpq == 0) == (p == q)
 
@@ -118,15 +119,6 @@ def test_distance_one_iff_disjoint_supports():
         p, q = random_exact_distribution(rng), random_exact_distribution(rng)
         disjoint = not set(p.support()) & set(q.support())
         assert (statistical_distance(p, q) == 1) == disjoint
-
-
-def test_distance_float_mode():
-    rng = np.random.default_rng(9)
-    for _ in range(200):
-        p, q, r = (random_float_distribution(rng) for _ in range(3))
-        dpq = statistical_distance(p, q)
-        assert isinstance(dpq, float)
-        assert statistical_distance(p, r) <= dpq + statistical_distance(q, r) + 1e-9
 
 
 # -- KL divergence ----------------------------------------------------------

@@ -38,11 +38,8 @@ from compresslab import (
     verify_domination,
 )
 from compresslab import tournament as tournament_module
-from compresslab.tournament import (
-    _FirstVertexTournament,
-    block_conditioned_distributions,
-    partition_blocks,
-)
+from compresslab.tournament import _FirstVertexTournament, partition_blocks
+from reference_routes import block_conditioned_distributions
 from test_batched_scan import reference_greedy
 
 # vertex ids have this many bits; edges per greedy step stay small enough

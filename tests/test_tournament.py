@@ -29,9 +29,9 @@ from compresslab.tournament import (
     _member_rows,
     _positions,
     _unrank,
-    block_conditioned_distributions,
     partition_blocks,
 )
+from reference_routes import block_conditioned_distributions
 
 F = Fraction
 
