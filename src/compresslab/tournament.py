@@ -23,11 +23,13 @@ counts need no edge scan.  For k >= 3, with g's leads summed to G and v's
 lead L in the gap of g where v falls, h = (G + L) mod M, and whether v is
 selected depends on G only through G mod k and the number of v whose lead
 wraps past M.  Per-gap prefix tables of the remaining vertices count the
-selected v of a gap in two lookups.  For k = 2 the parity of each pair's
-h decides it, a block of pairs at a time, and for k = 1 every v is
-selected (:meth:`_RandomTournament.candidate_counts`).  The domination
-check reads each v's h from the same sums, one G per gap of the member
-(:meth:`_RandomTournament.dominated`).
+selected v of a gap in two lookups.  The candidates are walked by
+lexicographic index, each read as a first position and a tail, in pieces
+(index ranges) of about 2 * SCAN_CHUNK (candidate, gap) pairs.  For k = 2
+the parity of each pair's h decides it, a block of pairs at a time, and for
+k = 1 every v is selected (:meth:`_RandomTournament.candidate_counts`).
+The domination check reads each v's h from the same sums, one G per gap of
+the member (:meth:`_RandomTournament.dominated`).
 
 The selector tournament of a hit-count compression, or of its block
 compression, on vertices of one hit bit needs no edge scan.  An element
@@ -53,7 +55,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
@@ -332,8 +334,11 @@ class _RandomTournament(HypergraphTournament):
     def _leads(self) -> np.ndarray:
         """k x |V| leads, built at first use, which a greedy step reaches
         only past its budget checks: none when k > |V| leaves no edge."""
-        scales = [pow(_P, j, _M) for j in range(self.edge_size)]
-        return np.array([[key * s % _M for key in self._keys] for s in scales], dtype=np.uint64)
+        leads = np.empty((self.edge_size, len(self._keys)), dtype=np.uint64)
+        for j, row in enumerate(leads):  # one row of Python ints at a time
+            scale = pow(_P, j, _M)
+            row[:] = [key * scale % _M for key in self._keys]
+        return leads
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
         """Membership, and for each (k-1)-member g the v it selects, in
@@ -444,8 +449,16 @@ class _RandomTournament(HypergraphTournament):
             _add_mod(ahead, lead[k - 2 - j, tails[:, j]])
             _add_mod(tail_sum[j + 2], ahead.copy())
         tail_sum[0] = tail_sum[1]
+        # The candidates beginning at c end at lexicographic index ends[c],
+        # so candidate i begins at the first c with ends[c] > i and takes
+        # tail i - ends[c] + len(tails).  A piece is a range of indices.
+        ends = per_first[::-1].cumsum()[::-1].cumsum()
+        total, piece = int(ends[-1]), max(1, 2 * SCAN_CHUNK // k)
         counts = []
-        for firsts, at in _scan_pieces(per_first[::-1].cumsum()[::-1], len(tails)):
+        for first in range(0, total, piece):
+            i = np.arange(first, min(first + piece, total))
+            firsts = ends.searchsorted(i, side="right")
+            at = i - ends[firsts] + len(tails)
             sums = _add_mod(first_lead.take(firsts, axis=1), tail_sum.take(at, axis=1))
             u = start.take((sums >> shift).view(np.int64) + bucket_row)
             step = window >> 1
@@ -543,12 +556,13 @@ class DominatingSet:
         return cls(int(obj["t"]), int(obj["n"]), elements, tuple(int(c) for c in obj["trace"]))
 
 
-# Candidates per piece of the random tournament's closed-form counts, and a
-# sixteenth of the pairs per block of its k = 2 counts.  A piece is a run of
-# whole slices of consecutive first positions, or a part of one slice.  The
-# pieces bound the working memory (a few arrays of k times this many entries,
-# or 16 times as many pairs) on top of the per-step tables and the candidate
-# counts, while keeping the per-piece overhead small.
+# Half the (candidate, gap) pairs per piece of the random tournament's
+# closed-form counts, and a sixteenth of the pairs per block of its k = 2
+# counts.  A piece is a range of max(1, 2 * SCAN_CHUNK // k) lexicographic
+# candidate indices, k gaps each.  The pieces bound the working memory (a few
+# arrays of about twice this many entries, or 16 times as many pairs) on top
+# of the per-step tables and the candidate counts, while keeping the
+# per-piece overhead small.
 SCAN_CHUNK = 4096
 
 
@@ -580,47 +594,26 @@ def _lex_rows(size: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     Level j holds the j-subsets of range(m - j, size), the last j elements
     of every m-subset: those beginning at c are c followed by the last rows
     of level j - 1, as many as begin after c, so its lengths are the reverse
-    cumsum of level j - 1's.  No level is longer than the last.
+    cumsum of level j - 1's.  A level keeps only its first column and, past
+    level 1, a pointer to each row's rest in the level before; the rows are
+    gathered one column at a time along the pointers.  No level is longer
+    than the last, so the work is O(m * rows).
     """
     dtype = np.min_scalar_type(size)
-    rows = np.arange(m - 1, size, dtype=dtype)[:, None]
+    levels = [(np.arange(m - 1, size, dtype=dtype), None)]  # (firsts, pointers)
     lengths = np.ones(size - m + 1, dtype=np.int64)
     for j in range(2, m + 1):
         lengths = lengths[::-1].cumsum()[::-1]
-        firsts, at = _following(np.arange(m - j, size - j + 1, dtype=dtype), lengths, len(rows))
-        rows = np.concatenate([firsts[:, None], rows[at]], axis=1)
+        ends = lengths.cumsum()
+        firsts = np.arange(m - j, size - j + 1, dtype=dtype).repeat(lengths)
+        levels.append((firsts, np.arange(ends[-1]) + (len(levels[-1][0]) - ends).repeat(lengths)))
+    rows = np.empty((len(levels[-1][0]), m), dtype=dtype)
+    at = np.arange(len(rows))
+    for column, (firsts, pointers) in enumerate(reversed(levels)):
+        rows[:, column] = firsts[at]
+        if pointers is not None:
+            at = pointers[at]
     return rows, lengths
-
-
-def _following(c: np.ndarray, lengths: np.ndarray, total: int) -> tuple[np.ndarray, np.ndarray]:
-    """(firsts, at): each first position c[i] followed by each of the last
-    lengths[i] of `total` suffixes, in order; at indexes the suffix."""
-    ends = lengths.cumsum()
-    return c.repeat(lengths), np.arange(ends[-1]) + (total - ends).repeat(lengths)
-
-
-def _scan_pieces(lengths: np.ndarray, total: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The subsets made of a first position and a later suffix, in
-    lexicographic order, in pieces of at most SCAN_CHUNK: arrays (firsts,
-    at) as from :func:`_following`.
-
-    lengths[c], non-increasing, counts the suffixes after c, the last
-    lengths[c] of `total`.  A slice of at least half a chunk is cut into
-    parts of SCAN_CHUNK; the shorter slices after it form runs whose first
-    subsets share one half-chunk window of the scan order.
-    """
-    half = max(1, SCAN_CHUNK // 2)
-    big = int((-lengths).searchsorted(-half, side="right"))
-    for c in range(big):
-        for lo in range(total - int(lengths[c]), total, SCAN_CHUNK):
-            at = np.arange(lo, min(lo + SCAN_CHUNK, total))
-            yield np.full(len(at), c), at
-    short = lengths[big:]
-    window = (short.cumsum() - short) // half
-    cuts = [big, *((window[1:] != window[:-1]).nonzero()[0] + big + 1).tolist(), len(lengths)]
-    for lo, hi in zip(cuts, cuts[1:]):
-        if lo < hi:
-            yield _following(np.arange(lo, hi), lengths[lo:hi], total)
 
 
 def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndarray) -> np.ndarray:

@@ -68,6 +68,14 @@ def cases(draw):
 @example(([1, 0, M - P * P % M, 5], 3, np.arange(4)))
 # likewise for the pair (0, 1) at k = 2, which selects its first vertex
 @example(([1, M - P, M, 2**62 - 1], 2, np.arange(4)))
+# candidate counts at the ends of the pieces of 2 * chunk // k candidates:
+# C(105, 2) = 5,460 is 2 whole pieces at the default chunk and 1,365 at chunk 7;
+# C(7, 2) = 21 is 5 pieces of 4 and one more; C(8, 4) = 70 is 35 pieces of 2
+# at k = 5 and C(6, 4) = 15 is 7 and one more (at chunk 1 every piece is one)
+@example(([pow(3, i, 2**62) for i in range(105)], 3, np.arange(105)))
+@example(([pow(3, i, 2**62) for i in range(9)], 3, np.arange(1, 8)))
+@example(([pow(5, i, 2**62) for i in range(8)], 5, np.arange(8)))
+@example((list(EDGE_CASE_KEYS), 5, np.arange(6)))
 def test_closed_form_counts_equal_the_edge_scan(case):
     keys, k, remaining = case
     expected = per_edge(keys, k).candidate_counts(remaining).tolist()
@@ -79,6 +87,13 @@ def test_closed_form_counts_equal_the_edge_scan(case):
             assert tournament.candidate_counts(remaining).tolist() == expected
     finally:
         tournament_module.SCAN_CHUNK = saved
+
+
+def test_lead_table_holds_each_key_times_each_power():
+    keys = list(EDGE_CASE_KEYS) + np.random.default_rng(3).integers(0, 2**62, size=40).tolist()
+    want = np.array([[key * pow(P, j, M) % M for key in keys] for j in range(7)], dtype=np.uint64)
+    leads = _RandomTournament(keys, 7)._leads
+    assert leads.dtype == np.uint64 and np.array_equal(leads, want)
 
 
 @st.composite

@@ -232,6 +232,17 @@ def test_lex_rows_list_every_subset_with_its_per_first_lengths():
             assert lengths.tolist() == [sum(row[0] == c for row in expected) for c in range(size - m + 1)]
 
 
+def test_lex_rows_near_the_full_set():
+    # the size subsets of size - 1 elements: row i leaves out size - 1 - i, so
+    # all but the last begin at 0 (the tails of the k = |V| = 2000 greedy step)
+    for size in (2000, 1999):
+        rows, lengths = _lex_rows(size, size - 1)
+        expected = np.tile(np.arange(size - 1), (size, 1))
+        expected += np.arange(size - 1) >= np.arange(size - 1, -1, -1)[:, None]
+        assert np.array_equal(rows, expected)
+        assert lengths.tolist() == [size - 1, 1]
+
+
 def test_unrank_inverts_the_lexicographic_order():
     for size in range(10):
         for m in range(size + 1):
