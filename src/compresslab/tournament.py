@@ -91,13 +91,12 @@ class HypergraphTournament:
     one ascending int64 array ``ids``: the array passed in, when it already
     is one.  The per-edge selector takes a canonical edge, an ascending
     tuple of ids, and returns the selected id; it is the definition that
-    every closed form is checked against.  The greedy and verification
-    address vertices by index, their position in ``ids``, so index order is
-    id order.  By default a greedy step's best member is the first candidate
-    of largest count (:meth:`best_member`), and the counts and the
-    domination check ask the per-edge selector edge by edge
-    (:meth:`candidate_counts`, :meth:`dominated`); tournaments with a closed
-    form override them.
+    every closed form is checked against.  The greedy and verification pass
+    vertex sets and members as ascending id arrays.  By default a greedy
+    step's best member is the first candidate of largest count
+    (:meth:`best_member`), and the counts and the domination check ask the
+    per-edge selector edge by edge (:meth:`candidate_counts`,
+    :meth:`dominated`); tournaments with a closed form override them.
 
     Bit strings appear only in :attr:`vertices` and :meth:`select`, the form
     in which reports name vertices.
@@ -136,16 +135,16 @@ class HypergraphTournament:
         """counts[i]: the vertices v of `remaining` outside candidate i whose
         edge candidate + (v,) selects v.
 
-        Candidate i is the i-th (k-1)-subset of positions in `remaining`
-        (ascending vertex indices) in lexicographic order.  By default every
-        edge inside `remaining` is asked in lexicographic order, so an edge
-        without a selection raises through the per-edge selector at the
-        lexicographically first such edge.  The edge e with selected vertex
-        v certifies that e minus v dominates v, so every edge charges
-        exactly one candidate, e without v.
+        Candidate i is the i-th (k-1)-subset of `remaining` (ascending ids)
+        in lexicographic order.  By default every edge inside `remaining` is
+        asked in lexicographic order, so an edge without a selection raises
+        through the per-edge selector at the lexicographically first such
+        edge.  The edge e with selected vertex v certifies that e minus v
+        dominates v, so every edge charges exactly one candidate, e without
+        v.
         """
         k = self.edge_size
-        ids = self.ids[remaining].tolist()
+        ids = remaining.tolist()
         index = {g: i for i, g in enumerate(combinations(ids, k - 1))}
         counts = [0] * len(index)
         for e in combinations(ids, k):
@@ -154,27 +153,27 @@ class HypergraphTournament:
         return np.array(counts)
 
     def best_member(self, remaining: np.ndarray) -> np.ndarray:
-        """The member a greedy step adds, as ascending vertex indices: the
-        lexicographically least (k-1)-subset of `remaining` of largest count,
-        every candidate counted within the budget (:func:`_best_member_exhaustive`)."""
+        """The member a greedy step adds, as ascending ids: the
+        lexicographically least (k-1)-subset of `remaining` of largest
+        count, every candidate counted within the budget
+        (:func:`_best_member_exhaustive`)."""
         return _best_member_exhaustive(self, remaining)
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
-        """dom[j]: some member dominates vertex index vs[j]; vs may come in
-        any order and repeat.
+        """dom[j]: some member dominates vertex vs[j]; vs may come in any
+        order and repeat.
 
-        Members are ascending rows of vertex indices (see
-        :func:`_member_rows`).  A member dominates its own elements and,
-        when it has k-1 elements, every v whose edge member + (v,) selects
-        v.  Every pair of a vertex and a (k-1)-member without it is asked,
-        vertex by vertex and then member by member, so an edge without a
-        selection raises through the per-edge selector at the first such
-        pair.
+        Members are ascending id arrays.  A member dominates its own
+        elements and, when it has k-1 elements, every v whose edge
+        member + (v,) selects v.  Every pair of a vertex and a (k-1)-member
+        without it is asked, vertex by vertex and then member by member, so
+        an edge without a selection raises through the per-edge selector at
+        the first such pair.
         """
         k = self.edge_size
-        rows = [tuple(self.ids[g].tolist()) for g in members]
+        rows = [tuple(g.tolist()) for g in members]
         dom = []
-        for v in self.ids[vs].tolist():
+        for v in vs.tolist():
             hit = False
             for g in rows:
                 p = bisect_left(g, v)  # v's slot in the edge g + (v,)
@@ -194,16 +193,6 @@ class HypergraphTournament:
             raise InvariantError(f"selector returned {v!r} outside the edge") from None
 
 
-def _positions(tournament: HypergraphTournament, vs: Iterable[int]) -> np.ndarray:
-    """Vertex indices of the ids vs, in the order given."""
-    vs, ids = id_array(vs), tournament.ids
-    at = np.searchsorted(ids, vs)
-    outside = vs[ids.take(at, mode="clip") != vs] if len(ids) else vs
-    if outside.size:
-        raise ValueError(f"{outside[0]} is not a vertex of the tournament")
-    return at
-
-
 class _FirstVertexTournament(HypergraphTournament):
     """Tournament in which every edge selects its first vertex.
 
@@ -213,10 +202,10 @@ class _FirstVertexTournament(HypergraphTournament):
     """
 
     def best_member(self, remaining: np.ndarray) -> np.ndarray:
-        """The last k-1 positions of `remaining`, none for k = 1: g + (v,)
+        """The last k-1 vertices of `remaining`, none for k = 1: g + (v,)
         selects v exactly when v precedes g's first vertex, so a candidate
-        counts its first position, and the one candidate beginning last
-        counts every other vertex."""
+        counts the vertices before its first, and the one candidate beginning
+        last counts every other vertex."""
         return remaining[len(remaining) - (self.edge_size - 1) :]
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:
@@ -231,11 +220,11 @@ class _FirstVertexTournament(HypergraphTournament):
         if (vs[1:] <= vs[:-1]).any():
             raise ValueError("vs must be strictly ascending")
         dom = np.zeros(len(vs), dtype=bool)
-        firsts = [g[0] if len(g) else len(self.ids) for g in members if len(g) == self.edge_size - 1]
-        if firsts:
-            dom[: np.searchsorted(vs, max(firsts))] = True
+        ends = [np.searchsorted(vs, g[0]) if len(g) else len(vs) for g in members if len(g) == self.edge_size - 1]
+        if ends:
+            dom[: max(ends)] = True
         if len(vs):
-            elements = np.concatenate([np.empty(0, dtype=np.intp), *members])
+            elements = np.concatenate([np.empty(0, dtype=np.int64), *members])
             at = np.minimum(np.searchsorted(vs, elements), len(vs) - 1)
             dom[at[vs[at] == elements]] = True
         return dom
@@ -436,7 +425,7 @@ class _RandomTournament(HypergraphTournament):
         # the gap and k-3-j after it.
         tails, per_first = _lex_rows(size - 1, m - 1)
         tails += 1
-        first_lead = lead[[k - 2] + [k - 1] * m]
+        first_lead, first_row = lead[k - 2 :], np.minimum(np.arange(k), 1)  # gap p reads row first_row[p]
         # Tail element j lies before gap p when j + 1 < p: row p = i + 1 of
         # tail_sum sums the elements j >= i, after the gap, and then gains
         # those before it, j < i.  Gap 0, like gap 1, has none before it.
@@ -459,7 +448,7 @@ class _RandomTournament(HypergraphTournament):
             i = np.arange(first, min(first + piece, total))
             firsts = ends.searchsorted(i, side="right")
             at = i - ends[firsts] + len(tails)
-            sums = _add_mod(first_lead.take(firsts, axis=1), tail_sum.take(at, axis=1))
+            sums = _add_mod(first_lead.take(firsts, axis=1).take(first_row, axis=0), tail_sum.take(at, axis=1))
             u = start.take((sums >> shift).view(np.int64) + bucket_row)
             step = window >> 1
             while step:
@@ -566,12 +555,6 @@ class DominatingSet:
 SCAN_CHUNK = 4096
 
 
-def _member_rows(tournament: HypergraphTournament, members: Sequence[Edge]) -> list[np.ndarray]:
-    """Ascending index rows of dominating-set members of vertex ids, for
-    :meth:`HypergraphTournament.dominated`."""
-    return [np.sort(_positions(tournament, g)) for g in members]
-
-
 def _unrank(size: int, m: int, index: int) -> list[int]:
     """The m-subset of range(size) at lexicographic index `index`, ascending:
     with j elements left, C(size - 1 - x, j - 1) subsets take x next, and
@@ -617,10 +600,10 @@ def _lex_rows(size: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _best_member_exhaustive(tournament: HypergraphTournament, remaining: np.ndarray) -> np.ndarray:
-    # Candidates, the (k-1)-subsets of positions in `remaining`, are counted
-    # under their lexicographic index, so the first maximum is also the
-    # lexicographically least.  The closed forms make k lookups per
-    # candidate, and the generic scan holds every candidate.
+    # Candidates, the (k-1)-subsets of `remaining`, are counted under their
+    # lexicographic index, so the first maximum is also the lexicographically
+    # least.  The closed forms make k lookups per candidate, and the generic
+    # scan holds every candidate.
     k, size = tournament.edge_size, len(remaining)
     check_enumeration(math.comb(size, k), "greedy edge scan")
     check_enumeration(k * math.comb(size, k - 1), "greedy candidate lookups")
@@ -647,24 +630,22 @@ def greedy_dominating_set(tournament: HypergraphTournament) -> DominatingSet:
     if not len(ids):
         raise ValueError("empty vertex set")
     k = tournament.edge_size
-    remaining = np.arange(len(ids))  # vertex indices, ascending
+    remaining = ids
     elements: list[Edge] = []
     trace = [len(ids)]
     bound = k * math.log2(max(len(ids), 2))
     # every step removes a 1/k fraction of R or raises, so the bound only backs up that check
     while len(remaining) and len(elements) <= bound + 1e-9:
         if len(remaining) < k:
-            outside = np.ones(len(ids), dtype=bool)
-            outside[remaining] = False
-            fill = np.flatnonzero(outside)[: k - 1 - len(remaining)]
-            elements.append(tuple(ids[np.sort(np.r_[remaining, fill])].tolist()))
+            fill = np.setdiff1d(ids, remaining, assume_unique=True)[: k - 1 - len(remaining)]
+            elements.append(tuple(np.sort(np.r_[remaining, fill]).tolist()))
             trace.append(0)
             break
         g = tournament.best_member(remaining)
         dom = tournament.dominated([g], remaining)
         if np.count_nonzero(dom) < -(-len(remaining) // k):
             raise InvariantError("no candidate dominates a 1/k fraction; the selector is not a tournament")
-        elements.append(tuple(ids[g].tolist()))
+        elements.append(tuple(g.tolist()))
         remaining = remaining[~dom]
         trace.append(len(remaining))
     if len(elements) > bound + 1e-9:
@@ -674,9 +655,14 @@ def greedy_dominating_set(tournament: HypergraphTournament) -> DominatingSet:
 
 def verify_domination(tournament: HypergraphTournament, dominating: DominatingSet) -> tuple[bool, list[int]]:
     """Exhaustively check domination; returns (all dominated, undominated ids)."""
-    rows = _member_rows(tournament, dominating.elements)
-    dominated = tournament.dominated(rows, np.arange(len(tournament.ids)))
-    undominated = tournament.ids[~dominated].tolist()
+    ids = tournament.ids
+    members = [id_array(g) for g in dominating.elements]
+    elements = np.concatenate([np.empty(0, dtype=np.int64), *members])
+    outside = elements[ids.take(np.searchsorted(ids, elements), mode="clip") != elements] if len(ids) else elements
+    if outside.size:
+        raise ValueError(f"{outside[0]} is not a vertex of the tournament")
+    dominated = tournament.dominated([np.sort(g) for g in members], ids)
+    undominated = ids[~dominated].tolist()
     return not undominated, undominated
 
 

@@ -33,6 +33,7 @@ from compresslab import (
     ToyLanguage,
     greedy_dominating_set,
     ideal_or_compression,
+    random_tournament,
     selector_from_compression,
     statistical_distance,
     verify_domination,
@@ -102,15 +103,30 @@ def outcome(fn, *args, **kwargs):
 
 def _reference_dominated(case, g, vs):
     """Per pair: v is in g, or g has k - 1 elements and the edge g + (v,) selects v."""
-    ids = case.tournament.ids
-    g_ids = tuple(ids[g].tolist())
+    g = tuple(g.tolist())
     out = []
-    for v in ids[vs].tolist():
-        if v in g_ids:
+    for v in vs.tolist():
+        if v in g:
             out.append(True)
         else:
-            out.append(len(g_ids) == case.k - 1 and case.reference._selector(tuple(sorted(g_ids + (v,)))) == v)
+            out.append(len(g) == case.k - 1 and case.reference._selector(tuple(sorted(g + (v,)))) == v)
     return out
+
+
+def _reference_counts(case, remaining):
+    """Per candidate, in lexicographic order: the edges inside `remaining`,
+    asked in lexicographic order, that select the one vertex outside it."""
+    counts = {}
+    for e in combinations(remaining.tolist(), case.k):
+        v = case.reference._selector(e)
+        g = tuple(w for w in e if w != v)
+        counts[g] = counts.get(g, 0) + 1
+    return [counts.get(g, 0) for g in combinations(remaining.tolist(), case.k - 1)]
+
+
+# sparse ids, 3i + 1, so that an id read as a position into the ids, or the
+# other way round, names another vertex or none
+SPARSE = 3 * np.arange(10) + 1
 
 
 @settings(max_examples=120, deadline=None)
@@ -118,6 +134,11 @@ def _reference_dominated(case, g, vs):
 @example(Case(1, np.array([3, 9]), np.arange(32) % 2 == 1, np.array([[True, False], [False, True]])))
 @example(Case(1, np.array([3, 9]), np.arange(32) % 2 == 1, np.array([[True, False], [False, False]])))
 @example(Case(3, np.arange(8), np.arange(32) % 3 == 0, np.array([[False] * 4, [True] * 4])))
+# sparse ids: k > |V| pads one member, and first-vertex k = 1 dominates with
+# its empty member
+@example(Case(5, SPARSE[:3], np.arange(32) % 2 == 1, np.ones((2, 6), dtype=bool)))
+@example(Case(1, SPARSE[:6], np.zeros(32, dtype=bool), np.ones((2, 2), dtype=bool)))
+@example(Case(3, SPARSE, np.arange(32) % 2 == 1, np.array([[True, False, True, False], [False, True, False, True]])))
 def test_exhaustive_greedy_matches_per_edge_greedy(case):
     # at three chunk sizes: one candidate per chunk, seven, and the default
     expected = outcome(reference_greedy, case.reference)
@@ -136,19 +157,37 @@ def test_exhaustive_greedy_matches_per_edge_greedy(case):
 
 @settings(max_examples=150, deadline=None)
 @given(cases(), st.integers(0, 2**32 - 1))
+@example(Case(3, SPARSE[:8], np.zeros(32, dtype=bool), np.ones((2, 4), dtype=bool)), 1)
+@example(Case(3, SPARSE, np.arange(32) % 2 == 1, np.array([[True, False, True, False], [False, True, False, True]])), 2)
 def test_best_member_is_the_first_per_edge_argmax(case, seed):
-    # on an ascending subset of at least k positions, every tournament's
-    # member, in closed form or counted, is the lexicographically first
-    # candidate of largest count under the per-edge scan, or the same error
+    # on an ascending subset of at least k vertices, every tournament's
+    # counts equal the per-edge counts, and its member, in closed form or
+    # counted, is the lexicographically first candidate of largest count, or
+    # the same error
     rng = np.random.default_rng(seed)
-    n = len(case.tournament.ids)
-    remaining = np.sort(rng.choice(n, size=int(rng.integers(case.k, n + 1)), replace=False))
+    ids = case.tournament.ids
+    remaining = np.sort(rng.choice(ids, size=int(rng.integers(case.k, len(ids) + 1)), replace=False))
+    expected = outcome(_reference_counts, case, remaining)
+    assert outcome(lambda: case.tournament.candidate_counts(remaining).tolist()) == expected
 
     def first_argmax():
-        counts = case.reference.candidate_counts(remaining)
+        counts = _reference_counts(case, remaining)
         return list(list(combinations(remaining.tolist(), case.k - 1))[int(np.argmax(counts))])
 
     assert outcome(lambda: case.tournament.best_member(remaining).tolist()) == outcome(first_argmax)
+
+
+def test_padded_member_fills_with_the_least_dominated_ids():
+    # the random tournament's selector moved onto the ids 3i + 1: the first
+    # member leaves one vertex, and the last member pads it with the least
+    # id already dominated
+    r = random_tournament(4, 3, 2)
+    tournament = HypergraphTournament(
+        SPARSE[:4], 3, lambda e: 3 * r._selector(tuple((v - 1) // 3 for v in e)) + 1, VERTEX_BITS
+    )
+    dom = greedy_dominating_set(tournament)
+    assert (dom.elements, dom.trace) == reference_greedy(tournament) == (((1, 4), (1, 7)), (4, 1, 0))
+    assert verify_domination(tournament, dom) == (True, [])
 
 
 class _WeakMember(_FirstVertexTournament):
@@ -168,12 +207,15 @@ def test_hook_member_below_the_fraction_raises():
 
 @settings(max_examples=150, deadline=None)
 @given(cases(), st.integers(0, 2**32 - 1))
+@example(Case(3, SPARSE[:8], np.zeros(32, dtype=bool), np.ones((2, 4), dtype=bool)), 1)
+@example(Case(1, SPARSE[:6], np.zeros(32, dtype=bool), np.ones((2, 2), dtype=bool)), 1)
+@example(Case(3, SPARSE, np.arange(32) % 2 == 1, np.array([[True, False, True, False], [False, True, False, True]])), 2)
 def test_dominated_matches_per_pair_definition(case, seed):
     rng = np.random.default_rng(seed)
-    n = len(case.tournament.ids)
-    vs = np.flatnonzero(rng.random(n) < 0.7)  # ascending, as the greedy and verification pass them
+    ids = case.tournament.ids
+    vs = ids[rng.random(len(ids)) < 0.7]  # ascending, as the greedy and verification pass them
     for size in (case.k - 1, case.k - 1, max(0, case.k - 2), case.k):
-        g = np.sort(rng.choice(n, size=min(size, n), replace=False))
+        g = np.sort(rng.choice(ids, size=min(size, len(ids)), replace=False))
         got = outcome(lambda: case.tournament.dominated([g], vs).tolist())
         assert got == outcome(_reference_dominated, case, g, vs)
 
@@ -318,7 +360,7 @@ def test_block_greedy_matches_per_edge_block_selector(t, block_size, seed):
     assert verify_domination(slow, got) == (True, [])
     # the closed-form domination of members the greedy never picks
     rng = np.random.default_rng(seed)
-    vs = np.arange(len(fast.ids))
+    vs = fast.ids
     for _ in range(20):
-        g = np.sort(rng.choice(len(vs), size=k - 1, replace=False))
+        g = np.sort(rng.choice(vs, size=k - 1, replace=False))
         assert fast.dominated([g], vs).tolist() == slow.dominated([g], vs).tolist()

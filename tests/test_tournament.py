@@ -26,8 +26,6 @@ from compresslab import (
 )
 from compresslab.tournament import (
     _lex_rows,
-    _member_rows,
-    _positions,
     _unrank,
     partition_blocks,
 )
@@ -180,32 +178,32 @@ def test_verify_domination_reports_missing():
 
 
 def test_domination_matrix_matches_its_definition():
-    # members enter as index rows; every entry must equal the per-pair
-    # definition, for members holding vertices outside the checked rows,
-    # short members, members not in sorted order, checked subsets and
+    # members enter as ascending id rows; every entry must equal the
+    # per-pair definition, for members holding vertices outside the checked
+    # rows, short members, members not in sorted order, checked subsets and
     # repeated rows, both in closed form and edge by edge through the same
-    # selector.  An id that is no vertex is refused
+    # selector.  Verification refuses a member holding an id that is no vertex
     s = random_tournament(16, 4, seed=2)
     plain = HypergraphTournament(s.ids, s.edge_size, s._selector, s.vertex_bits)
     dom = greedy_dominating_set(s)
     vs = s.ids.tolist()
     members = dom.elements + (vs[5:6], (vs[1], vs[2], vs[3]), (vs[12], vs[7], vs[10]))
     extended = DominatingSet(4, dom.vertex_bits, members, dom.trace)
+    ascending = [np.array(sorted(g)) for g in members]
     for tournament in (s, plain):
         for rows in (vs, vs[::3], vs[4:9] + vs[4:6]):
             want = [[_dominated_by(s, g, v) for g in members] for v in rows]
-            at = _positions(tournament, rows)
-            got = [tournament.dominated([g], at) for g in _member_rows(tournament, members)]
+            got = [tournament.dominated([g], np.array(rows)) for g in ascending]
             assert np.column_stack(got).tolist() == want
-            assert tournament.dominated(_member_rows(tournament, members), at).tolist() == [any(w) for w in want]
+            assert tournament.dominated(ascending, np.array(rows)).tolist() == [any(w) for w in want]
         ok, undominated = verify_domination(tournament, extended)
         assert undominated == [v for v in vs if not any(_dominated_by(s, g, v) for g in members)]
         assert ok == (not undominated)
-    for member in ((vs[0], 16), (-1, vs[9])):
-        with pytest.raises(ValueError, match="not a vertex"):
-            _member_rows(s, [member])
-    with pytest.raises(ValueError, match="not a vertex"):
-        _positions(s, [vs[3], 16])
+    for member, foreign in (((vs[0], 16), 16), ((-1, vs[9]), -1)):
+        outside = DominatingSet(4, dom.vertex_bits, dom.elements + (member,), dom.trace)
+        for tournament in (s, plain):
+            with pytest.raises(ValueError, match=f"^{foreign} is not a vertex"):
+                verify_domination(tournament, outside)
 
 
 def test_random_tournament_without_edges_builds_no_lead_table():
