@@ -23,7 +23,10 @@ steps), recorded from the earlier implementation that grouped audited
 inputs by sorting a key per input and checked domination with set
 membership tests, and of random tournaments with k near |V|, recorded from
 the earlier implementation that listed and unranked greedy candidates
-through a table of binomials capped at 2**62.
+through a table of binomials capped at 2**62, and of single noisy-or
+decisions on DOMSET advice (a YES query, a NO query, and a GAP query that
+the float midpoint decides), recorded from the earlier implementation that
+passed Delta and delta to every query as two separate numbers.
 
 The final line of each file embeds the configuration.  Its `config` object
 was re-recorded once, when the options that no command read were dropped
@@ -130,6 +133,19 @@ EXAMPLES = {
     "reduce_random_n16_seed1_ideal_or_t4_audit": "reduce --language builtin:random --n 16 --seed 1 --t 4 --audit",
     "reduce_random_n10_seed1_noisy_or_t16_audit": (
         "reduce --language builtin:random --n 10 --seed 1 --compression noisy-or:1/8,1/8 --t 16 --audit"
+    ),
+    # single decisions on DOMSET advice (one member): accepted at distance
+    # 0.75, rejected at distance 0, and a query in the gap of Delta 0.8 and
+    # delta 0.5 that the float midpoint 0.65 accepts
+    "reduce_random_n6_seed1_noisy_or_t16_input000010": (
+        "reduce --language builtin:random --n 6 --seed 1 --compression noisy-or:1/8,1/8 --t 16 --input 000010"
+    ),
+    "reduce_random_n6_seed1_noisy_or_t16_input000000": (
+        "reduce --language builtin:random --n 6 --seed 1 --compression noisy-or:1/8,1/8 --t 16 --input 000000"
+    ),
+    "reduce_random_n6_seed1_noisy_or_t16_Delta0p8_delta0p5_input000010": (
+        "reduce --language builtin:random --n 6 --seed 1 --compression noisy-or:1/8,1/8 --t 16"
+        " --Delta 0.8 --delta 0.5 --input 000010"
     ),
 }
 
