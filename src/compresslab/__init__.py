@@ -32,6 +32,7 @@ from .fcompression import (
 from .reduction import (
     Advice,
     AuditReport,
+    PromiseGap,
     SDQuery,
     audit_language,
     build_advice,

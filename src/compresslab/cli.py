@@ -35,9 +35,10 @@ from .compression import (
     parse_bits,
 )
 from .fcompression import SymmetricCompression, SymmetricFunction, find_pivot_view, transform_to_relaxed_or
-from .reduction import audit_language, build_advice, check_gap, decide_with_queries, promise_gap
+from .reduction import audit_language, build_advice, decide, promise_gap
 from .sensitivity import (
     SLACK_TOL,
+    pinsker_threshold,
     verify_kl_bound,
     verify_pinsker_sensitivity,
     verify_vajda_sensitivity,
@@ -179,7 +180,8 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
     else:
         language = _build_language(args.language, args.n, args.seed)
         compression = _build_compression(args.compression, language, args.t)
-        _, delta = promise_gap(compression, args.t, delta=args.delta)
+        # a selector threshold with no promise gap around it: any number but nan
+        delta = pinsker_threshold(compression.output_bits, args.t) if args.delta is None else args.delta
         if math.isnan(delta):
             raise ValueError("the selector threshold --delta must be a number, got nan")
         vertices = language.no_instances()
@@ -224,10 +226,9 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.mode != "base":
         raise ValueError("single decisions are supported in base mode only")
     v = parse_bits(args.input, language.n)
-    Delta, delta = promise_gap(compression, args.t, args.Delta, args.delta)
-    check_gap(Delta, delta)  # before the selector runs at delta
-    advice = build_advice(language, compression, args.t, delta)
-    verdict, batch = decide_with_queries(v, advice, compression, Delta, delta)
+    gap = promise_gap(compression, args.t, args.Delta, args.delta)
+    advice = build_advice(language, compression, args.t, gap)
+    verdict, batch = decide(v, advice, compression)
     report.emit(
         {
             "input": args.input,

@@ -622,6 +622,16 @@ class HitCountCompression(SetEncodedCompression):
         if size > self.arity:
             raise ValueError("ground plus forced elements exceed the arity")
 
+    def _checked_input(self, x: Collection[int], coin: int) -> tuple[int, ...]:
+        """The canonical set of an :meth:`evaluate` input, after checking
+        its size against the arity and the coin against the coin strings."""
+        x = canonical_set(x)
+        if len(x) > self.arity:
+            raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
+        if not 0 <= coin < self.n_coins:
+            raise ValueError(f"coin {coin} outside {self.n_coins} coin strings")
+        return x
+
     def forced_class(self) -> np.ndarray:
         """The hit bits: a forced element adds one forced hit or none."""
         return self.hit_language.member
@@ -671,11 +681,7 @@ class OrCompression(HitCountCompression):
         self._flip_yes = int(self.e_c * n_coins)
 
     def evaluate(self, x: Collection[int], coin: int = 0) -> int:
-        x = canonical_set(x)
-        if len(x) > self.arity:
-            raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
-        if not 0 <= coin < self.n_coins:
-            raise ValueError(f"coin {coin} outside {self.n_coins} coin strings")
+        x = self._checked_input(x, coin)
         ideal = 1 if self.hits(x) else 0
         flip_below = self._flip_yes if ideal else self._flip_no
         return ideal ^ (1 if coin < flip_below else 0)

@@ -136,10 +136,7 @@ class SymmetricCompression(HitCountCompression):
         self.f = f
 
     def evaluate(self, x: Collection[int], coin: int = 0) -> int:
-        x = canonical_set(x)
-        if len(x) > self.arity:
-            raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
-        return self.f.values[self.hits(x)]
+        return self.f.values[self.hits(self._checked_input(x, coin))]
 
     def hit_counts(self, h: int) -> list[int]:
         counts = [0, 0]
@@ -186,7 +183,6 @@ class TransformedOrCompression(HitCountCompression):
                 f"language trivial or pool too small: pivot {view.pivot} needs at least "
                 f"{t} source yes-instances, got {len(canon)}"
             )
-        self.base = base
         self.view = view
         self.pool = canon[: 2 * t]
         self.source_language = source
@@ -200,9 +196,7 @@ class TransformedOrCompression(HitCountCompression):
         return tuple(picked)
 
     def evaluate(self, x: Collection[int], coin: int = 0) -> int:
-        x = canonical_set(x)
-        if len(x) > self.arity:
-            raise ValueError(f"set of size {len(x)} exceeds arity {self.arity}")
+        x = self._checked_input(x, coin)
         return self.view.transformed.values[self.hits(x + self.injected_for(x))]
 
     def hit_counts(self, h: int) -> list[int]:

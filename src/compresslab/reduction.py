@@ -1,11 +1,15 @@
 """End-to-end reduction from a toy language to statistical-distance queries.
 
-The advice for one input length is a dominating set of the tournament on
-the no-instances (or the no-instance list itself when it is small).  To
-decide an input v, the algorithm rejects when the list holds v or an
-advice member contains it, and otherwise asks, for every member g, whether
-the output laws of the compression on a random subset of g with and without
-v are far apart.
+One promise gap (Delta, delta) of the statistical-distance problem serves
+the whole reduction (:class:`PromiseGap`, defaults from :func:`promise_gap`).
+The advice for one input length is built under it (:func:`build_advice`):
+a dominating set of the tournament on the no-instances, whose selector runs
+at delta, or the no-instance list itself when it is small.  The advice
+carries its gap, so :func:`decide` asks every query at the delta the
+advice was built at.  To decide an input v, the algorithm rejects when the
+list holds v or an advice member contains it, and otherwise asks, for
+every member g, whether the output laws of the compression on a random
+subset of g with and without v are far apart.
 One-yes sets keep the laws at distance at least 1 - (e_s + e_c), while a
 dominating member of a no-instance keeps them within the selector
 threshold, so the conjunction of oracle answers decides membership exactly.
@@ -44,40 +48,23 @@ Number = Fraction | float
 Oracle = Callable[["SDQuery"], bool]
 
 
-def check_gap(Delta: Number, delta: Number) -> None:
-    """Raise unless the promise gap 0 <= delta < Delta <= 1 is non-empty."""
-    if not (0 <= delta < Delta <= 1):
-        raise ValueError(f"empty promise gap: need 0 <= delta < Delta <= 1, got delta={delta}, Delta={Delta}")
-
-
 @dataclass(frozen=True)
-class SDQuery:
-    """One statistical-distance promise query.
+class PromiseGap:
+    """The promise of the statistical-distance problem.
 
-    The promise gap requires 0 <= delta < Delta <= 1.  The tag classifies
-    the pair: YES at distance >= Delta, NO at distance <= delta, GAP in
-    between (no promise, the oracle may answer either way).
+    Pairs at distance >= Delta are YES instances, pairs at distance <= delta
+    NO instances.  The gap must be non-empty, 0 <= delta < Delta <= 1, and
+    is checked here, once, when it is built (NaN bounds fail the check).
     """
 
-    left: FiniteDistribution
-    right: FiniteDistribution
     Delta: Number
     delta: Number
 
     def __post_init__(self):
-        check_gap(self.Delta, self.delta)
-
-    @cached_property
-    def distance(self) -> Fraction:
-        return statistical_distance(self.left, self.right)
-
-    @cached_property
-    def promise_tag(self) -> str:
-        if self.distance >= self.Delta:
-            return "YES"
-        if self.distance <= self.delta:
-            return "NO"
-        return "GAP"
+        if not (0 <= self.delta < self.Delta <= 1):
+            raise ValueError(
+                f"empty promise gap: need 0 <= delta < Delta <= 1, got delta={self.delta}, Delta={self.Delta}"
+            )
 
     @cached_property
     def midpoint(self) -> Fraction:
@@ -87,13 +74,38 @@ class SDQuery:
         return Fraction((self.Delta + self.delta) / 2)
 
 
+@dataclass(frozen=True)
+class SDQuery:
+    """One statistical-distance query under a promise gap.
+
+    The tag classifies the pair: YES at distance >= Delta, NO at distance
+    <= delta, GAP in between (no promise, the oracle may answer either way).
+    """
+
+    left: FiniteDistribution
+    right: FiniteDistribution
+    gap: PromiseGap
+
+    @cached_property
+    def distance(self) -> Fraction:
+        return statistical_distance(self.left, self.right)
+
+    @cached_property
+    def promise_tag(self) -> str:
+        if self.distance >= self.gap.Delta:
+            return "YES"
+        if self.distance <= self.gap.delta:
+            return "NO"
+        return "GAP"
+
+
 def exact_sd_oracle(query: SDQuery) -> bool:
     """Thresholds the exact distance at the midpoint of the promise gap.
 
     Answers true on every YES-side query and false on every NO-side query,
     which is all the reduction's correctness uses; ties go up.
     """
-    return query.distance >= query.midpoint
+    return query.distance >= query.gap.midpoint
 
 
 # ---------------------------------------------------------------------------
@@ -103,38 +115,36 @@ def exact_sd_oracle(query: SDQuery) -> bool:
 
 @dataclass(frozen=True)
 class Advice:
-    """Per-input-length advice: a dominating set or the full no-instance list.
+    """Per-input-length advice, with the promise gap it was built at.
 
-    FULL_V mode lists every no-instance (used when there are at most
-    edge_size of them); DOMSET mode carries the greedy dominating set of the
-    tournament on the no-instances.  Instances are n-bit vertex ids.
+    FULL_V advice lists every no-instance (used when there are at most
+    edge-size many); DOMSET advice carries the greedy dominating set of the
+    tournament on the no-instances, whose selector ran at ``gap.delta``.
+    Instances are n-bit vertex ids.
     """
 
     n: int
-    mode: Literal["DOMSET", "FULL_V"]
-    edge_size: int
+    gap: PromiseGap
     vertices: tuple[int, ...] = ()
     dominating: DominatingSet | None = None
 
     @property
+    def mode(self) -> Literal["DOMSET", "FULL_V"]:
+        return "FULL_V" if self.dominating is None else "DOMSET"
+
+    @property
     def elements(self) -> tuple[tuple[int, ...], ...]:
-        if self.mode == "FULL_V":
-            return ()
-        if self.dominating is None:
-            raise InvariantError("DOMSET advice without a dominating set")
-        return self.dominating.elements
+        return () if self.dominating is None else self.dominating.elements
 
     @property
     def size(self) -> int:
-        return len(self.vertices) if self.mode == "FULL_V" else len(self.elements)
+        return len(self.vertices) if self.dominating is None else self.dominating.size
 
     @cached_property
     def rejected(self) -> frozenset[int]:
         """The inputs rejected without queries: the listed no-instances of
         FULL_V advice, the ids inside some member of DOMSET advice."""
-        if self.mode == "FULL_V":
-            return frozenset(self.vertices)
-        return frozenset(v for g in self.elements for v in g)
+        return frozenset(self.vertices).union(*self.elements)
 
 
 def promise_gap(
@@ -142,43 +152,42 @@ def promise_gap(
     edge_size: int,
     Delta: Number | None = None,
     delta: Number | None = None,
-) -> tuple[Number, Number]:
+) -> PromiseGap:
     """The reduction's promise gap, filling in the defaults.
 
     Delta defaults to 1 - (e_s + e_c), the distance every one-yes set keeps;
     delta to the noise-sensitivity ceiling sqrt(2 ln 2 * m/t) at which the
     selector runs.
     """
-    if Delta is None:
-        Delta = 1 - (a.e_s + a.e_c)
-    if delta is None:
-        delta = pinsker_threshold(a.output_bits, edge_size)
-    return Delta, delta
+    return PromiseGap(
+        1 - (a.e_s + a.e_c) if Delta is None else Delta,
+        pinsker_threshold(a.output_bits, edge_size) if delta is None else delta,
+    )
 
 
 def build_advice(
     language: ToyLanguage,
     a: SetEncodedCompression,
     edge_size: int | None = None,
-    delta: float | None = None,
+    gap: PromiseGap | None = None,
 ) -> Advice:
     """Advice for the base reduction: dominate the no-instances.
 
     With at most edge_size no-instances the list itself is the advice.
-    Otherwise the tournament selector runs at threshold delta (default:
-    the noise-sensitivity ceiling sqrt(2 ln 2 * m/t)) and the greedy
-    dominating set becomes the advice.
+    Otherwise the tournament selector runs at exactly ``gap.delta`` (the
+    gap defaults as in :func:`promise_gap`) and the greedy dominating set
+    becomes the advice.  Either way the advice carries the gap.
     """
     t = a.arity if edge_size is None else edge_size
-    _, delta = promise_gap(a, t, delta=delta)
+    gap = promise_gap(a, t) if gap is None else gap
     no_instances = language.no_instances()
     if len(no_instances) <= t:
-        return Advice(language.n, "FULL_V", t, vertices=tuple(no_instances.tolist()))
-    tournament = selector_from_compression(a, no_instances, t, delta, language.n)
+        return Advice(language.n, gap, vertices=tuple(no_instances.tolist()))
+    tournament = selector_from_compression(a, no_instances, t, gap.delta, language.n)
     dom = greedy_dominating_set(tournament)
     if dom.size > t * 2 * language.n:
         raise InvariantError("advice grew past the polynomial guardrail")
-    return Advice(language.n, "DOMSET", t, dominating=dom)
+    return Advice(language.n, gap, dominating=dom)
 
 
 # ---------------------------------------------------------------------------
@@ -190,13 +199,11 @@ def queries_for(
     v: int,
     advice: Advice,
     a: SetEncodedCompression,
-    Delta: Number,
-    delta: Number,
     shared: dict[tuple, Any] | None = None,
 ) -> list[SDQuery]:
     """The query batch for one input: one query per advice member g, on the
     laws of :meth:`SetEncodedCompression.conditioned_keys` (g, v), the pair
-    the selector compared for v in the edge g + (v,).
+    the selector compared for v in the edge g + (v,), under the advice's gap.
 
     Pure in (v, advice); oracle answers never influence it.  Members
     containing v produce no queries (the decision rejects beforehand).
@@ -208,20 +215,18 @@ def queries_for(
     queries = []
     for g in advice.elements:
         left, right = map(a.law, a.conditioned_keys(g, v))
-        key = (left, right, Delta, delta)
+        key = (left, right, advice.gap)
         q = shared.get(key)
         if q is None:
-            q = shared[key] = SDQuery(left, right, Delta, delta)
+            q = shared[key] = SDQuery(left, right, advice.gap)
         queries.append(q)
     return queries
 
 
-def decide_with_queries(
+def decide(
     v: int,
     advice: Advice,
     a: SetEncodedCompression,
-    Delta: Number,
-    delta: Number,
     oracle: Oracle = exact_sd_oracle,
     shared: dict[tuple, Any] | None = None,
 ) -> tuple[bool, list[SDQuery]]:
@@ -231,32 +236,13 @@ def decide_with_queries(
     :attr:`Advice.rejected`.  Otherwise v is accepted exactly when the oracle
     affirms every query of its batch (:func:`queries_for`); FULL_V advice
     has no members, so its batch is empty and every other input is accepted.
-    An empty promise gap raises, whatever the advice.
     """
-    check_gap(Delta, delta)
     if not 0 <= v < 2**advice.n:
         raise ValueError(f"input {v} is not an id of the advice length {advice.n}")
     if v in advice.rejected:
         return False, []
-    batch = queries_for(v, advice, a, Delta, delta, shared=shared)
+    batch = queries_for(v, advice, a, shared)
     return all(oracle(q) for q in batch), batch
-
-
-def decide(
-    v: int,
-    advice: Advice,
-    a: SetEncodedCompression,
-    Delta: Number | None = None,
-    delta: Number | None = None,
-    oracle: Oracle = exact_sd_oracle,
-) -> bool:
-    """Accept/reject one input using the advice and the distance oracle.
-
-    The promise gap defaults as in :func:`promise_gap`; see
-    :func:`decide_with_queries` for the verdict.
-    """
-    Delta, delta = promise_gap(a, advice.edge_size, Delta, delta)
-    return decide_with_queries(v, advice, a, Delta, delta, oracle)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +300,11 @@ def audit_language(
     (:meth:`SetEncodedCompression.forced_class`).  Hit bits make three
     classes, held as one int8 label per input and found by masks, with no
     sort and no array of ids; without classes each input is its own.
-    Each class is decided once, by :func:`decide_with_queries` on its least
-    input, and its batch's tags are counted once per input.  An audit
-    therefore costs one query batch per class (two for hit-count
-    compressions, one per input otherwise), and its verdicts, gathered by
-    label, meet the membership vector in one array comparison.
+    Each class is decided once, by :func:`decide` on its least input, and
+    its batch's tags are counted once per input.  An audit therefore costs
+    one query batch per class (two for hit-count compressions, one per
+    input otherwise), and its verdicts, gathered by label, meet the
+    membership vector in one array comparison.
     This treats the oracle as a function of the query, as the shared query
     objects already do: an oracle whose answer depends on anything else
     gets one answer per class, not per input.
@@ -326,9 +312,8 @@ def audit_language(
     A block size selects block ("tlogt") mode: the same audit on
     ``BlockCompression(a, block_size)``, with edges of edge_size blocks and
     each input its own class.  The promise gap defaults as in
-    :func:`promise_gap`, but block mode needs an explicit delta.
-    Raises "empty promise gap" before the advice is built when the gap is
-    empty.
+    :func:`promise_gap`, but block mode needs an explicit delta.  An empty
+    gap raises "empty promise gap" before the advice is built.
     Agreement below 1.0 on a compression within its error budget indicates
     a bug, not noise: every law, distance and tag here is an exact rational
     (only the reported agreement, Delta and delta are converted to floats).
@@ -336,17 +321,16 @@ def audit_language(
     t = a.arity if edge_size is None else edge_size
     if block_size is not None and delta is None:
         raise ValueError("block mode needs an explicit delta below 1")
-    Delta, delta = promise_gap(a, t, Delta, delta)
-    check_gap(Delta, delta)
+    gap = promise_gap(a, t, Delta, delta)
     if block_size is not None:
         a = BlockCompression(a, block_size)
-    advice = build_advice(language, a, t if block_size is None else t * block_size, float(delta))
+    advice = build_advice(language, a, t if block_size is None else t * block_size, gap)
 
     tags = {"yes": 0, "no": 0, "gap": 0}
     shared: dict[tuple, Any] = {}
 
     def verdict(v: int, size: int) -> bool:
-        accept, batch = decide_with_queries(v, advice, a, Delta, delta, oracle, shared)
+        accept, batch = decide(v, advice, a, oracle, shared)
         for q in batch:
             tags[q.promise_tag.lower()] += size
         return accept
@@ -375,7 +359,7 @@ def audit_language(
         advice_size=advice.size,
         advice_mode=advice.mode,
         query_tags=tags,
-        Delta=float(Delta),
-        delta=float(delta),
+        Delta=float(gap.Delta),
+        delta=float(gap.delta),
         mismatches=tuple(mismatches.tolist()),
     )

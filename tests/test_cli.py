@@ -213,7 +213,7 @@ def test_usage_errors_exit_2(capsys):
 def test_input_with_empty_promise_gap_exits_2(capsys):
     # FULL_V advice (3 no-instances, t = 4) asks no query for --input 00
     argv = ["reduce", "--language", "builtin:single-yes", "--n", "2", "--t", "4"]
-    for gap in (["--Delta", "0.3", "--delta", "0.5"], ["--delta", "1.5"], ["--delta", "-0.5"]):
+    for gap in (["--Delta", "0.3", "--delta", "0.5"], ["--delta", "1.5"], ["--delta", "-0.5"], ["--Delta", "nan"]):
         for mode in (["--input", "00"], ["--audit"]):
             assert main([*argv, *gap, *mode]) == 2, (gap, mode)
             err = capsys.readouterr().err
@@ -295,6 +295,17 @@ def test_selector_failure_exit_1(capsys):
                  "--compression", "ideal-or", "--t", "3", "--delta", "-0.5"])
     assert code == 1
     capsys.readouterr()
+
+
+def test_tournament_threshold_has_no_promise_gap(capsys):
+    # a selector threshold at or above Delta, or above 1, leaves an empty
+    # promise gap, but the tournament command asks no query and needs none
+    argv = ["tournament", "--language", "builtin:random", "--n", "5", "--seed", "1",
+            "--compression", "noisy-or:1/4,1/4", "--t", "3"]
+    for delta in ("0.6", "1.0", "1.5"):
+        assert main([*argv, "--delta", delta]) == 0, delta
+        line = json.loads(capsys.readouterr().out)
+        assert line["dominates"] is True and line["config"]["delta"] == float(delta)
 
 
 def test_nan_selector_threshold_exits_2(capsys):
@@ -397,16 +408,10 @@ def test_guardrails_hold_under_python_O():
 import sys
 from compresslab import InvariantError, ToyLanguage, ideal_or_compression
 from compresslab import reduction
-from compresslab.reduction import Advice, build_advice
+from compresslab.reduction import build_advice
 from compresslab.tournament import DominatingSet
 
 assert False, "assert statements are live"
-try:
-    Advice(3, "DOMSET", 3).elements
-except InvariantError:
-    pass
-else:
-    sys.exit("DOMSET advice without members passed")
 big = DominatingSet(3, 3, tuple((0b000, 0b001) for _ in range(50)), (8, 0))
 reduction.greedy_dominating_set = lambda tournament: big
 lang = ToyLanguage(3, {0b111})

@@ -12,6 +12,7 @@ from compresslab import (
     audit_language,
     enumerate_subset_law,
     find_pivot_view,
+    noisy_or_compression,
     transform_to_relaxed_or,
 )
 
@@ -191,3 +192,32 @@ def test_transformed_evaluator_is_set_invariant():
     lang = _language_for(view, 3, 3)
     out = transform_to_relaxed_or(SymmetricCompression(lang, f))
     assert out.evaluate((0b000, 0b010)) == out.evaluate((0b010, 0b000))
+
+
+# -- evaluation input checks ---------------------------------------------------------
+
+
+def _majority3():
+    return SymmetricCompression(ToyLanguage(3, [1, 2]), SF.majority(3))
+
+
+HIT_COUNT_EVALUATORS = {
+    "or": lambda: noisy_or_compression(ToyLanguage(3, [1, 2]), 3, 0.25, 0.25, coin_bits=2),
+    "symmetric": _majority3,
+    "transformed-or": lambda: transform_to_relaxed_or(SymmetricCompression(ToyLanguage(3, [1, 2]), SF.from_bits("0111"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HIT_COUNT_EVALUATORS))
+def test_hit_count_evaluate_checks_its_input(name):
+    # one check for every hit-count compression: a set past the arity and a
+    # coin outside the coin strings both raise, with the same messages
+    a = HIT_COUNT_EVALUATORS[name]()
+    fits = tuple(range(a.arity))
+    for coin in range(a.n_coins):
+        assert a.evaluate(fits, coin) in (0, 1)
+    with pytest.raises(ValueError, match=f"set of size {a.arity + 1} exceeds arity {a.arity}"):
+        a.evaluate(range(a.arity + 1))
+    for coin in (-1, a.n_coins, 9):
+        with pytest.raises(ValueError, match=f"coin {coin} outside {a.n_coins} coin strings"):
+            a.evaluate(fits, coin)

@@ -17,6 +17,7 @@ import pytest
 from compresslab import (
     AuditReport,
     HypergraphTournament,
+    PromiseGap,
     SDQuery,
     SelectorUndefinedError,
     SetEncodedCompression,
@@ -66,14 +67,15 @@ def plain_tournament(a, vertices, k, delta, vertex_bits):
 def plain_audit(language, a, t, Delta, delta, oracle=exact_sd_oracle):
     no_instances = language.no_instances()
     assert len(no_instances) > t, "the reference covers DOMSET advice only"
-    dom = greedy_dominating_set(plain_tournament(a, no_instances, t, float(delta), language.n))
+    gap = PromiseGap(Delta, delta)
+    dom = greedy_dominating_set(plain_tournament(a, no_instances, t, delta, language.n))
     tags = {"yes": 0, "no": 0, "gap": 0}
     mismatches = []
     for v in range(2**language.n):
         verdict = False
         if not any(v in g for g in dom.elements):
             batch = [
-                SDQuery(enumerate_subset_law(a, g), enumerate_subset_law(a, g, (v,)), Delta, delta)
+                SDQuery(enumerate_subset_law(a, g), enumerate_subset_law(a, g, (v,)), gap)
                 for g in dom.elements
             ]
             for q in batch:

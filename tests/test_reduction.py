@@ -1,5 +1,7 @@
-"""SD queries, advice construction, decisions, and exhaustive audits."""
+"""Promise gaps, SD queries, advice construction, decisions, and exhaustive audits."""
 
+import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +9,9 @@ import pytest
 
 from compresslab import (
     BlockCompression,
+    Advice,
     FiniteDistribution,
+    PromiseGap,
     SDQuery,
     SymmetricCompression,
     SymmetricFunction,
@@ -24,7 +28,7 @@ from compresslab import (
 )
 from compresslab import compression as compression_module
 from compresslab import reduction
-from compresslab.reduction import decide_with_queries, promise_gap, queries_for
+from compresslab.reduction import promise_gap, queries_for
 from reference_routes import threshold_oracle
 
 F = Fraction
@@ -34,37 +38,49 @@ def _bern(p):
     return FiniteDistribution(["0", "1"], [1 - F(p), F(p)])
 
 
-# -- SD queries and the oracle -------------------------------------------------
+# -- promise gaps, SD queries and the oracle ----------------------------------
+
+
+def test_promise_gap_must_be_non_empty():
+    # the one place that checks the gap: delta >= Delta, Delta > 1, delta < 0
+    # and NaN bounds all leave it empty, whether given or filled in
+    a = ideal_or_compression(ToyLanguage(3, {0b111}), 4)
+    nan = float("nan")
+    for Delta, delta in ((0.5, 0.5), (0.5, 0.6), (1.5, 0.1), (1, -0.1), (nan, 0.1), (1, nan), (nan, nan)):
+        with pytest.raises(ValueError, match="empty promise gap"):
+            PromiseGap(Delta, delta)
+        with pytest.raises(ValueError, match="empty promise gap"):
+            promise_gap(a, 4, Delta, delta)
+    # the defaults at t = 1: the ceiling sqrt(2 ln 2) is above Delta = 1
+    with pytest.raises(ValueError, match="empty promise gap"):
+        promise_gap(a, 1)
+    gap = promise_gap(a, 4)
+    assert gap == PromiseGap(1, math.sqrt(2 * math.log(2) / 4))
+    assert promise_gap(a, 4, Delta=F(3, 4), delta=0) == PromiseGap(F(3, 4), 0)
 
 
 def test_query_promise_tags():
-    q = SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("1"), Delta=1, delta=F(1, 2))
+    gap = PromiseGap(1, F(1, 2))
+    q = SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("1"), gap)
     assert q.distance == 1 and q.promise_tag == "YES"
-    q = SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("0"), Delta=1, delta=F(1, 2))
+    q = SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("0"), gap)
     assert q.promise_tag == "NO"
-    q = SDQuery(_bern(F(1, 8)), _bern(F(7, 8)), Delta=1, delta=F(1, 2))
+    q = SDQuery(_bern(F(1, 8)), _bern(F(7, 8)), gap)
     assert q.distance == F(3, 4) and q.promise_tag == "GAP"
-
-
-def test_query_requires_promise_gap():
-    with pytest.raises(ValueError, match="empty promise gap"):
-        SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("1"), Delta=0.5, delta=0.5)
-    with pytest.raises(ValueError, match="empty promise gap"):
-        SDQuery(FiniteDistribution.point("0"), FiniteDistribution.point("1"), Delta=1.5, delta=0.1)
 
 
 def test_exact_oracle_thresholds():
     zero, one = FiniteDistribution.point("0"), FiniteDistribution.point("1")
-    assert exact_sd_oracle(SDQuery(zero, one, Delta=1, delta=0.5))
-    assert not exact_sd_oracle(SDQuery(zero, zero, Delta=1, delta=0.5))
+    assert exact_sd_oracle(SDQuery(zero, one, PromiseGap(1, 0.5)))
+    assert not exact_sd_oracle(SDQuery(zero, zero, PromiseGap(1, 0.5)))
     # distance exactly at the midpoint: ties go up
-    q = SDQuery(_bern(F(1, 4)), _bern(F(3, 4)), Delta=1, delta=0)
-    assert q.distance == F(1, 2) == (q.Delta + q.delta) / 2
+    q = SDQuery(_bern(F(1, 4)), _bern(F(3, 4)), PromiseGap(1, 0))
+    assert q.distance == F(1, 2) == q.gap.midpoint
     assert exact_sd_oracle(q)
 
 
 def test_exact_oracle_at_a_float_midpoint():
-    # Fraction + float bounds give a float midpoint, held once per query as
+    # Fraction + float bounds give a float midpoint, held once per gap as
     # the exact Fraction of that float; distances at exactly that value
     # (affirmed: ties go up), just below and above it, and near it, each get
     # the verdict of the comparison with the float
@@ -72,9 +88,11 @@ def test_exact_oracle_at_a_float_midpoint():
     for Delta, delta in ((F(3, 4), 0.25), (1, 0.1), (F(2, 3), 0.2943)):
         mid = (Delta + delta) / 2
         assert isinstance(mid, float)
+        gap = PromiseGap(Delta, delta)
+        assert gap.midpoint == F(mid) and gap.midpoint is gap.midpoint
         for d in (F(mid), F(mid) - F(1, 2**80), F(mid) + F(1, 2**80), F(mid).limit_denominator(100)):
-            q = SDQuery(_bern(d), point, Delta=Delta, delta=delta)
-            assert q.distance == d and q.midpoint == F(mid)
+            q = SDQuery(_bern(d), point, gap)
+            assert q.distance == d
             assert exact_sd_oracle(q) == (d >= mid) == (d >= F(mid))
 
 
@@ -85,17 +103,18 @@ def test_advice_full_v_when_few_no_instances():
     lang = ToyLanguage(3, {0b000, 0b001, 0b010, 0b011, 0b100})
     a = ideal_or_compression(lang, 4)
     advice = build_advice(lang, a)
-    assert advice.mode == "FULL_V"
+    assert advice.mode == "FULL_V" and advice.dominating is None
     assert advice.vertices == tuple(lang.no_instances().tolist())
     assert advice.size == 3
+    assert advice.rejected == set(advice.vertices) and advice.elements == ()
 
 
 def test_advice_domset_single_yes():
     lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     advice = build_advice(lang, a)
-    assert advice.mode == "DOMSET"
-    assert advice.size <= 3 * 2 * 3
+    assert advice.mode == "DOMSET" and advice.vertices == ()
+    assert advice.size == advice.dominating.size == len(advice.elements) <= 3 * 2 * 3
 
 
 def test_advice_empty_language():
@@ -105,6 +124,24 @@ def test_advice_empty_language():
     assert advice.mode == "DOMSET"
     report = audit_language(lang, a)
     assert report.agreement == 1.0
+    assert (report.advice_mode, report.advice_size) == (advice.mode, advice.size)
+
+
+def test_advice_mode_is_read_from_its_contents():
+    # no stored mode: DOMSET exactly when a dominating set is present, so
+    # no DOMSET advice without one can be built
+    assert [f.name for f in dataclasses.fields(Advice)] == ["n", "gap", "vertices", "dominating"]
+    gap = PromiseGap(1, 0.5)
+    empty = Advice(3, gap)
+    assert (empty.mode, empty.size, empty.elements, empty.rejected) == ("FULL_V", 0, (), frozenset())
+    listed = Advice(3, gap, vertices=(1, 4))
+    assert (listed.mode, listed.size, listed.rejected) == ("FULL_V", 2, {1, 4})
+    lang = ToyLanguage(3, {0b111})
+    built = build_advice(lang, ideal_or_compression(lang, 3), gap=gap)
+    assert built.gap is gap
+    dominating = Advice(3, gap, dominating=built.dominating)
+    assert dominating == built and dominating.mode == "DOMSET"
+    assert dominating.rejected == {v for g in built.elements for v in g}
 
 
 # -- decisions --------------------------------------------------------------------
@@ -114,10 +151,10 @@ def test_decide_single_yes_language():
     lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     advice = build_advice(lang, a)
-    assert decide(0b111, advice, a)
-    assert not decide(0b000, advice, a)
+    assert decide(0b111, advice, a)[0]
+    assert not decide(0b000, advice, a)[0]
     # every query for the yes-instance is at full distance
-    for q in queries_for(0b111, advice, a, Delta=1, delta=0.5):
+    for q in queries_for(0b111, advice, a):
         assert q.distance == 1
 
 
@@ -132,7 +169,7 @@ def test_decide_rejects_member_without_oracle_calls():
         calls.append(q)
         return True
 
-    assert not decide(inside, advice, a, oracle=counting_oracle)
+    assert decide(inside, advice, a, oracle=counting_oracle) == (False, [])
     assert calls == []
 
 
@@ -141,21 +178,19 @@ def test_decide_full_v_mode():
     a = ideal_or_compression(lang, 4)
     advice = build_advice(lang, a)
     assert advice.mode == "FULL_V"
-    assert not decide(0b11, advice, a)
-    assert decide(0b00, advice, a)
+    assert decide(0b11, advice, a) == (False, [])
+    assert decide(0b00, advice, a) == (True, [])
 
 
-def test_decide_rejects_empty_promise_gap_on_full_v_advice():
-    # FULL_V advice asks no query, so no query's own check can catch the gap:
-    # neither for a listed no-instance, rejected outright, nor for a member
+def test_full_v_advice_cannot_carry_an_empty_promise_gap():
+    # FULL_V advice asks no query, so no query could catch an empty gap;
+    # the gap is checked when it is built, before any advice exists
     lang = ToyLanguage(2, {0b11})
     a = ideal_or_compression(lang, 4)
-    advice = build_advice(lang, a)
-    assert advice.mode == "FULL_V"
+    assert build_advice(lang, a).mode == "FULL_V"
     for Delta, delta in ((0.3, 0.5), (1, 1.5), (1, -0.5)):
-        for v in (0b00, 0b11):
-            with pytest.raises(ValueError, match="empty promise gap"):
-                decide(v, advice, a, Delta, delta)
+        with pytest.raises(ValueError, match="empty promise gap"):
+            build_advice(lang, a, gap=promise_gap(a, 4, Delta, delta))
 
 
 def test_decide_length_mismatch():
@@ -173,12 +208,12 @@ def test_query_batch_is_oracle_independent():
     for v in range(2**lang.n):
         if any(v in g for g in advice.elements):
             continue
-        first = queries_for(v, advice, a, Delta=1, delta=0.5)
-        second = queries_for(v, advice, a, Delta=1, delta=0.5)
+        first = queries_for(v, advice, a)
+        second = queries_for(v, advice, a)
         assert first == second
-        decide(v, advice, a, oracle=lambda q: True)
-        decide(v, advice, a, oracle=lambda q: False)
-        assert queries_for(v, advice, a, Delta=1, delta=0.5) == first
+        assert decide(v, advice, a, oracle=lambda q: True)[1] == first
+        assert decide(v, advice, a, oracle=lambda q: False)[1] == first
+        assert queries_for(v, advice, a) == first
 
 
 # -- correctness invariants ---------------------------------------------------------
@@ -207,11 +242,11 @@ def test_domination_soundness_over_built_advice():
     lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     delta = 0.5
-    advice = build_advice(lang, a, delta=delta)
+    advice = build_advice(lang, a, gap=PromiseGap(1, delta))
     for v in lang.no_instances():
         if any(v in g for g in advice.elements):
             continue
-        distances = [q.distance for q in queries_for(v, advice, a, Delta=1, delta=delta)]
+        distances = [q.distance for q in queries_for(v, advice, a)]
         assert any(d <= delta for d in distances)
     # block advice: whenever g + (v,) selects v, the query for (g, v) is on the NO side
     parity = ToyLanguage(5, [v for v in range(32) if bin(v).count("1") % 2])
@@ -221,14 +256,14 @@ def test_domination_soundness_over_built_advice():
         (parity, 2, 3, 0.5),
     ):
         b = BlockCompression(ideal_or_compression(lang, t), block_size)
-        advice = build_advice(lang, b, t * block_size, delta=delta)
+        advice = build_advice(lang, b, t * block_size, PromiseGap(1, delta))
         assert advice.mode == "DOMSET"
         tournament = selector_from_compression(b, lang.no_instances(), t * block_size, delta, lang.n)
         selected = 0
         for v in lang.no_instances().tolist():
             if v in advice.rejected:
                 continue
-            for g, q in zip(advice.elements, queries_for(v, advice, b, Delta=1, delta=delta)):
+            for g, q in zip(advice.elements, queries_for(v, advice, b)):
                 edge = [format(w, f"0{lang.n}b") for w in g + (v,)]
                 if tournament.select(edge) == edge[-1]:
                     selected += 1
@@ -239,13 +274,12 @@ def test_domination_soundness_over_built_advice():
 def test_oracle_policy_independence():
     lang = ToyLanguage(3, {0b011, 0b111})
     a = ideal_or_compression(lang, 4)
-    delta, big = 0.5, 1
-    advice = build_advice(lang, a, delta=delta)
-    baseline = {v: decide(v, advice, a, big, delta) for v in range(2**lang.n)}
+    advice = build_advice(lang, a, gap=PromiseGap(1, 0.5))
+    baseline = {v: decide(v, advice, a)[0] for v in range(2**lang.n)}
     for theta in (0.50001, 0.6, 0.75, 0.9, 1.0):
         oracle = threshold_oracle(theta)
         for v in range(2**lang.n):
-            assert decide(v, advice, a, big, delta, oracle=oracle) == baseline[v]
+            assert decide(v, advice, a, oracle=oracle)[0] == baseline[v]
 
 
 # -- audits -----------------------------------------------------------------------
@@ -300,15 +334,15 @@ def _or_advice(n, seed, t, noise=None):
 
 def _transformed_advice(bits, seed):
     a = transform_to_relaxed_or(SymmetricCompression(ToyLanguage.random(6, seed=seed), SymmetricFunction.from_bits(bits)))
-    return a.source_language, a, a.arity, 0.5
+    return a.source_language, a, a.arity, PromiseGap(1, 0.5)
 
 
 def _block_advice(n, seed, t, block_size):
     lang = ToyLanguage.random(n, seed=seed)
-    return lang, BlockCompression(ideal_or_compression(lang, t), block_size), t * block_size, 0.5
+    return lang, BlockCompression(ideal_or_compression(lang, t), block_size), t * block_size, PromiseGap(1, 0.5)
 
 
-# (language, compression, edge size k, delta or None); the noisy-or audits at
+# (language, compression, edge size k, gap or None); the noisy-or audits at
 # n = 10 and 11 and the ideal-or audit at n = 12 are the golden shapes whose
 # greedy once sampled
 HIT_COUNT_ADVICE = {
@@ -328,10 +362,10 @@ HIT_COUNT_ADVICE = {
 def test_hit_count_advice_has_one_member(name):
     # the first-vertex tournament on more than k no-instances: its greedy
     # takes the last k-1 of them, which dominate the rest, at any size
-    language, a, k, delta = HIT_COUNT_ADVICE[name]()
+    language, a, k, gap = HIT_COUNT_ADVICE[name]()
     no = language.no_instances()
     assert len(no) > k
-    advice = build_advice(language, a, k, delta)
+    advice = build_advice(language, a, k, gap)
     assert advice.mode == "DOMSET" and advice.size == 1
     assert advice.elements == (tuple(no[len(no) - (k - 1) :].tolist()),)
     assert advice.dominating.trace == (len(no), 0)
@@ -366,18 +400,18 @@ AUDIT_LANGUAGES = {
 
 def _ideal_audit(language):
     a = ideal_or_compression(language, 4)
-    return language, a, 4, *promise_gap(a, 4)
+    return language, a, 4, promise_gap(a, 4)
 
 
 def _noisy_audit(language):
     a = noisy_or_compression(language, 3, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
-    return language, a, 3, *promise_gap(a, 3)
+    return language, a, 3, promise_gap(a, 3)
 
 
 def _transformed_audit(language):
     # the OR-like 0111 has a pivot-0 view, which needs no pool of yes-instances
     a = transform_to_relaxed_or(SymmetricCompression(language, SymmetricFunction.from_bits("0111")))
-    return a.source_language, a, a.arity, 1, F(1, 2)
+    return a.source_language, a, a.arity, PromiseGap(1, F(1, 2))
 
 
 AUDIT_COMPRESSIONS = {"ideal-or": _ideal_audit, "noisy-or": _noisy_audit, "transformed-or": _transformed_audit}
@@ -390,14 +424,14 @@ AUDIT_COMPRESSIONS = {"ideal-or": _ideal_audit, "noisy-or": _noisy_audit, "trans
 def test_grouped_audit_equals_a_per_input_decision_loop(compression_name, language_name, n, oracle):
     # n = 2 leaves at most t no-instances (FULL_V advice) for the t = 4 audits;
     # an oracle that affirms every query misjudges each accepted no-instance
-    language, a, t, Delta, delta = AUDIT_COMPRESSIONS[compression_name](AUDIT_LANGUAGES[language_name](n))
+    language, a, t, gap = AUDIT_COMPRESSIONS[compression_name](AUDIT_LANGUAGES[language_name](n))
     answer = exact_sd_oracle if oracle == "exact" else (lambda q: True)
-    report = audit_language(language, a, edge_size=t, Delta=Delta, delta=delta, oracle=answer)
-    advice = build_advice(language, a, t, float(delta))
+    report = audit_language(language, a, edge_size=t, Delta=gap.Delta, delta=gap.delta, oracle=answer)
+    advice = build_advice(language, a, t, gap)
     tags = {"yes": 0, "no": 0, "gap": 0}
     mismatches = []
     for v in range(2**n):
-        verdict, batch = decide_with_queries(v, advice, a, Delta, delta, answer)
+        verdict, batch = decide(v, advice, a, answer)
         for q in batch:
             tags[q.promise_tag.lower()] += 1
         if verdict != language.is_yes(v):
@@ -432,7 +466,7 @@ def test_block_advice_requires_deterministic_compression():
     lang = ToyLanguage(3, {0b111})
     noisy = noisy_or_compression(lang, 2, e_s=F(1, 4), e_c=0, coin_bits=2)
     with pytest.raises(ValueError, match="deterministic"):
-        build_advice(lang, BlockCompression(noisy, 2), 4, delta=0.5)
+        build_advice(lang, BlockCompression(noisy, 2), 4, PromiseGap(F(3, 4), 0.5))
 
 
 def test_block_compression_needs_blocks_of_two():
@@ -447,15 +481,15 @@ def test_block_compression_needs_blocks_of_two():
 def test_block_decide_micro():
     lang = ToyLanguage(3, {0b111})
     a = BlockCompression(ideal_or_compression(lang, 2), 2)
-    advice = build_advice(lang, a, 4, delta=0.5)
+    advice = build_advice(lang, a, 4, PromiseGap(1, 0.5))
     assert advice.mode == "DOMSET"
-    assert decide(0b111, advice, a, delta=0.5)
+    assert decide(0b111, advice, a)[0]
     for v in lang.no_instances():
-        assert not decide(v, advice, a, delta=0.5)
+        assert not decide(v, advice, a)[0]
     # members reject without oracle calls
     inside = advice.elements[0][0]
     calls = []
-    assert not decide(inside, advice, a, delta=0.5, oracle=lambda q: calls.append(q) or True)
+    assert decide(inside, advice, a, oracle=lambda q: calls.append(q) or True) == (False, [])
     assert calls == []
 
 
@@ -479,18 +513,47 @@ def test_block_audit_needs_explicit_delta():
 def test_block_queries_oracle_independent():
     lang = ToyLanguage(3, {0b111})
     a = BlockCompression(ideal_or_compression(lang, 2), 2)
-    advice = build_advice(lang, a, 4, delta=0.5)
+    advice = build_advice(lang, a, 4, PromiseGap(1, 0.5))
     v = 0b111
-    assert queries_for(v, advice, a, 1, 0.5) == queries_for(v, advice, a, 1, 0.5)
+    assert queries_for(v, advice, a) == queries_for(v, advice, a)
 
 
 def test_block_batch_carries_the_callers_Delta():
     lang = ToyLanguage(3, {0b111})
     a = BlockCompression(ideal_or_compression(lang, 2), 2)
-    advice = build_advice(lang, a, 4, delta=0.5)
+    advice = build_advice(lang, a, 4, PromiseGap(0.6, 0.5))
     outside = [v for v in range(2**lang.n) if v not in advice.rejected]
     assert outside
     for v in outside:
-        _, batch = decide_with_queries(v, advice, a, Delta=0.6, delta=0.5)
-        assert batch and all(q.Delta == 0.6 for q in batch)
-        assert all(q.Delta == 0.6 for q in queries_for(v, advice, a, 0.6, 0.5))
+        _, batch = decide(v, advice, a)
+        assert batch and all(q.gap is advice.gap and q.gap.Delta == 0.6 for q in batch)
+        assert all(q.gap.Delta == 0.6 for q in queries_for(v, advice, a))
+
+
+@pytest.mark.parametrize("name", ["ideal-or-n6-t2", "noisy-or-n10-t16", "transformed-0111", "block-n7-t2-sigma2"])
+def test_every_query_carries_the_advice_gap(monkeypatch, name):
+    # no decision is asked at a gap its advice was not built at: from decide
+    # on advice built directly, and from the audit on the advice it builds
+    language, b, k, gap = HIT_COUNT_ADVICE[name]()
+    gap = promise_gap(b, k) if gap is None else gap
+    advice = build_advice(language, b, k, gap)
+    assert advice.gap is gap and advice.mode == "DOMSET"
+    shared = {}
+    batches = [decide(v, advice, b, shared=shared)[1] for v in range(2**language.n)]
+    assert any(batches)
+    assert all(q.gap is gap for batch in batches for q in batch)
+    seen = []
+
+    def recording(v, advice, *args, **kwargs):
+        batch = queries_for(v, advice, *args, **kwargs)
+        seen.append((advice.gap, batch))
+        return batch
+
+    monkeypatch.setattr(reduction, "queries_for", recording)
+    # a block audit wraps its base compression itself
+    a, block_size = (b.base, b.block_size) if isinstance(b, BlockCompression) else (b, None)
+    t = k if block_size is None else k // block_size
+    report = audit_language(language, a, edge_size=t, Delta=gap.Delta, delta=gap.delta, block_size=block_size)
+    assert report.agreement == 1.0 and (report.Delta, report.delta) == (float(gap.Delta), float(gap.delta))
+    assert any(batch for _, batch in seen)
+    assert all(advice_gap == gap and q.gap is advice_gap for advice_gap, batch in seen for q in batch)
