@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from compresslab import (
-    BlockCompression,
     Advice,
+    BlockCompression,
     FiniteDistribution,
     PromiseGap,
     SDQuery,
