@@ -16,9 +16,10 @@ from .compression import (
     ToyLanguage,
     bit_encode_subsets,
     canonical_set,
-    enumerate_subset_law,
+    enumerate_law,
     ideal_or_compression,
     noisy_or_compression,
+    subset_pools,
 )
 from .distributions import FiniteDistribution, statistical_distance
 from .fcompression import (

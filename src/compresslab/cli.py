@@ -279,7 +279,7 @@ def _cmd_fcomp(args: argparse.Namespace) -> int:
         base = SymmetricCompression(language, f)
         transformed = transform_to_relaxed_or(base)
         audit = audit_language(
-            transformed.source_language,
+            transformed.hit_language,
             transformed,
             Delta=1,
             delta=args.delta,

@@ -12,10 +12,12 @@ power-of-two denominator, so the resulting masses are exact rationals.  A
 map's output law under uniform inputs is read from its counts
 (:meth:`CompressiveMap.output_counts`,
 :meth:`CompressiveMap.conditioned_output_counts`).
-Subset laws are memoised per compression under hashable law keys;
-compressions that only count hits in a language (OR and transformed-OR
-compressions) share one closed form, everything else enumerates.  So do the
-pick laws of the block variant (:meth:`SetEncodedCompression.pick_key`).
+Every law of a set-encoded compression is that of one uniform pick from
+each of several disjoint pools of ids (None picks nothing): a uniform subset
+is pools (w, None) plus (v,) per forced v (:func:`subset_pools`), and each
+block of the block variant is one pool.  Laws are memoised per compression
+under hashable law keys; compressions that only count hits in a language
+share one closed form, everything else enumerates (:func:`enumerate_law`).
 """
 
 from __future__ import annotations
@@ -385,7 +387,7 @@ class ToyLanguage:
         if not isinstance(obj["yes"], list):
             raise ValueError('a language\'s "yes" entry must be a list of hex ids')
         try:
-            n = int(obj["n"])
+            n = operator.index(obj["n"])  # rejects 3.9 and "3" rather than read them as 3
             yes = [int(h, 16) for h in obj["yes"]]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed language: {exc}") from None
@@ -435,8 +437,8 @@ class SetEncodedCompression:
     bounds e_s and e_c must satisfy e_s + e_c < 1, which is what the
     sensitivity of one-yes inputs rests on.
 
-    Subset output laws are looked up by :meth:`law_key` and memoised on the
-    instance, so evaluate must be a fixed function of (set, coin).
+    Output laws of picks from pools are looked up by :meth:`law_key` and
+    memoised on the instance, so evaluate must be a fixed function of (set, coin).
     """
 
     def __init__(
@@ -487,36 +489,37 @@ class SetEncodedCompression:
         labels = [self.output_label(c) for c in codes]
         return FiniteDistribution.from_counts(labels, [counts[c] for c in codes], denom)
 
-    # -- subset laws ---------------------------------------------------------
+    # -- laws of picks from pools ----------------------------------------------
 
-    def law_key(self, ground: Sequence[int], forced: Sequence[int] = ()) -> Hashable:
-        """Hashable summary of a subset-law query; equal keys imply equal laws.
-
-        The default key is the canonical (ground minus forced, forced) pair.
+    def law_key(self, pools: Sequence[Sequence[int | None]]) -> Hashable:
+        """Hashable summary of the law on one uniform pick from each of
+        several disjoint pools of ids, where None picks nothing; equal keys
+        imply equal laws.  The default key is the pools as tuples.
         """
-        return _split_ground(ground, forced)
+        return tuple(map(tuple, pools))
 
     def forced_class(self) -> np.ndarray | None:
         """The class of every input id forced into a subset law, for audits:
         a boolean vector indexed by id, or None for one class per input.
 
-        For every ground set g not containing v, ``law_key(g, (v,))`` depends
-        on v only through its class.  The default is None.
+        For every g without v, ``law_key(subset_pools(g, (v,)))`` depends on v
+        only through its class.  The default is None.
         """
         return None
 
     def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[Hashable, Hashable]:
         """The law keys that the selector compares for v in the edge g + (v,),
-        and the query for v against member g; by default g without and with v."""
-        return self.law_key(g), self.law_key(g, (v,))
+        and the query for v against member g; by default the subset pools
+        of g without and with v forced in."""
+        return self.law_key(subset_pools(g)), self.law_key(subset_pools(g, (v,)))
 
     def law(self, key: Hashable) -> FiniteDistribution:
-        """Law of a key (a pick law on a block compression), memoised per key.
+        """Law of a key, memoised per key.
 
-        The memo lives as long as the compression.  Hit-count keys keep it
-        below (arity + 1)**2 entries; default keys add one entry per
-        distinct (ground, forced) pair asked for, about 2k per edge of size
-        k that a selector scans.
+        The memo lives as long as the compression.  Hit-count keys of subset
+        laws keep it below (arity + 1)**2 entries; default keys add one
+        entry per distinct pools asked for, about 2k per edge of size k
+        that a selector scans.
         """
         law = self._laws.get(key)
         if law is None:
@@ -524,16 +527,7 @@ class SetEncodedCompression:
         return law
 
     def _compute_law(self, key: Hashable) -> FiniteDistribution:
-        ground, forced = key
-        return enumerate_subset_law(self, ground, forced)
-
-    def pick_key(self, pools: Sequence[Sequence[int]]) -> Hashable:
-        """Key of the law on one uniform pick per disjoint pool; by default the pools."""
-        return tuple(pools)
-
-    def pick_law(self, key: Hashable) -> FiniteDistribution:
-        """Law of a pick key, not memoised (:func:`enumerate_pick_law` by default)."""
-        return enumerate_pick_law(self, key)
+        return enumerate_law(self, key)
 
     def subset_output_distribution(self, ground: Sequence[int], forced: Sequence[int] = ()) -> FiniteDistribution:
         """Distribution of the output on U ∪ forced, U a uniform subset of ground.
@@ -543,39 +537,28 @@ class SetEncodedCompression:
         uniform subset distribution.  Looked up by law key; a miss
         enumerates subsets and coins unless a subclass has a closed form.
         """
-        return self.law(self.law_key(ground, forced))
+        return self.law(self.law_key(subset_pools(ground, forced)))
 
 
-def _split_ground(ground: Sequence[int], forced: Sequence[int] = ()) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Canonical (ground minus forced, forced) pair of a subset-law query."""
+def subset_pools(ground: Sequence[int], forced: Sequence[int] = ()) -> tuple[tuple[int | None, ...], ...]:
+    """The pools of a uniform subset of ground plus forced elements: (w, None)
+    for each canonical ground element w not forced, then (v,) for each
+    canonical forced element v."""
     forced = canonical_set(forced)
-    return tuple(w for w in canonical_set(ground) if w not in forced), forced
+    return tuple((w, None) for w in canonical_set(ground) if w not in forced) + tuple((v,) for v in forced)
 
 
-def enumerate_subset_law(
-    a: SetEncodedCompression, ground: Sequence[int], forced: Sequence[int] = ()
-) -> FiniteDistribution:
-    """Reference subset law: exhaustive over the subsets of ground and all coins.
+def enumerate_law(a: SetEncodedCompression, pools: Sequence[Sequence[int | None]]) -> FiniteDistribution:
+    """Reference law: every pick (one per pool, None picking nothing) and
+    every coin enumerated.
 
     No memo and no closed form; tests compare every faster route with it.
     """
-    ground, forced = _split_ground(ground, forced)
-    check_enumeration(2 ** len(ground) * a.n_coins, "subset output enumeration")
-    acc = [0] * (2**a.output_bits)
-    for bits in range(2 ** len(ground)):
-        subset = tuple(w for k, w in enumerate(ground) if (bits >> k) & 1)
-        for code, cnt in enumerate(a.output_counts(subset + forced)):
-            acc[code] += cnt
-    return a.counts_to_distribution(acc, 2 ** len(ground) * a.n_coins)
-
-
-def enumerate_pick_law(a: SetEncodedCompression, pools: Sequence[Sequence[int]]) -> FiniteDistribution:
-    """Reference pick law: every pick (one per pool) and coin enumerated."""
     rows = math.prod(len(p) for p in pools)
-    check_enumeration(rows * a.n_coins, "block output enumeration")
+    check_enumeration(rows * a.n_coins, "pick output enumeration")
     acc = [0] * (2**a.output_bits)
     for picks in itertools.product(*pools):
-        for code, cnt in enumerate(a.output_counts(picks)):
+        for code, cnt in enumerate(a.output_counts([w for w in picks if w is not None])):
             acc[code] += cnt
     return a.counts_to_distribution(acc, rows * a.n_coins)
 
@@ -586,10 +569,10 @@ class HitCountCompression(SetEncodedCompression):
     A hit is an input element that lies in ``hit_language``; subclasses give
     :meth:`hit_counts`, the output-code counts over all coin strings for an
     input with h hits.  One uniform pick per pool then has a closed-form law
-    (:meth:`pick_law`) keyed by the pools' (size, hits) profile.  A uniform
-    subset of a ground set with k hits plus forced elements with h_f hits
-    is one pick from each of k pools of a hit and a miss and h_f pools of a
-    hit, so its law key is the pair (ground hits, forced hits).
+    keyed by the sorted (size, hits) profile of the pools that hold a hit
+    (:meth:`law_key`): a pool without a hit scales every count and the
+    denominator alike.  A uniform subset of a ground set with k hits plus
+    forced elements with h_f hits is h_f pools (1, 1) and k pools (2, 1).
     """
 
     def __init__(self, hit_language: ToyLanguage, arity: int, **kwargs: Any):
@@ -603,24 +586,24 @@ class HitCountCompression(SetEncodedCompression):
     def hit_counts(self, h: int) -> list[int]:
         raise NotImplementedError
 
-    def law_key(self, ground: Sequence[int], forced: Sequence[int] = ()) -> tuple[int, int]:
-        forced = set(forced)
-        ground = set(ground) - forced
-        self._check_arity(len(ground) + len(forced))
-        return self.hits(ground), self.hits(forced)
+    def law_key(self, pools: Sequence[Sequence[int | None]]) -> tuple[tuple[int, int], ...]:
+        """The sorted (size, hits) profile of the pools that hold a hit."""
+        if len(pools) > self.arity:
+            raise ValueError("pools exceed the arity")
+        is_yes, profile = self.hit_language.is_yes, []
+        for p in pools:
+            if hits := sum(is_yes(w) for w in p if w is not None):
+                profile.append((len(p), hits))
+        return tuple(sorted(profile))
 
-    def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """``law_key(g)`` and ``law_key(g, (v,))``, from one count of g's hits."""
+    def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Keys of g's subset pools without and with v forced in, from one hit count."""
         ground = set(g)
         inside = v in ground
-        self._check_arity(len(ground) + (not inside))
+        if len(ground) + (not inside) > self.arity:
+            raise ValueError("pools exceed the arity")
         h, hit = self.hits(ground), int(self.hit_language.is_yes(v))
-        return (h, 0), (h - hit if inside else h, hit)
-
-    def _check_arity(self, size: int) -> None:
-        """Raise unless a query on size elements, ground plus forced, fits the arity."""
-        if size > self.arity:
-            raise ValueError("ground plus forced elements exceed the arity")
+        return ((2, 1),) * h, ((1, 1),) * hit + ((2, 1),) * (h - hit if inside else h)
 
     def _checked_input(self, x: Collection[int], coin: int) -> tuple[int, ...]:
         """The canonical set of an :meth:`evaluate` input, after checking
@@ -633,18 +616,10 @@ class HitCountCompression(SetEncodedCompression):
         return x
 
     def forced_class(self) -> np.ndarray:
-        """The hit bits: a forced element adds one forced hit or none."""
+        """The hit bits: a forced pool (v,) adds (1, 1) to the key or nothing."""
         return self.hit_language.member
 
-    def _compute_law(self, key: tuple[int, int]) -> FiniteDistribution:
-        k, forced_hits = key
-        return self.pick_law(((2, 1),) * k + ((1, 1),) * forced_hits)
-
-    def pick_key(self, pools: Sequence[Sequence[int]]) -> tuple[tuple[int, int], ...]:
-        """The pools' sorted (size, hits) profile."""
-        return tuple(sorted((len(p), self.hits(p)) for p in pools))
-
-    def pick_law(self, profile: tuple[tuple[int, int], ...]) -> FiniteDistribution:
+    def _compute_law(self, profile: tuple[tuple[int, int], ...]) -> FiniteDistribution:
         """hit_counts(h) weighted by x**h's coefficient in prod (misses + hits * x)."""
         ways = [1]
         for size, hits in profile:

@@ -185,7 +185,6 @@ class TransformedOrCompression(HitCountCompression):
             )
         self.view = view
         self.pool = canon[: 2 * t]
-        self.source_language = source
 
     def injected_for(self, x: Collection[int]) -> tuple[int, ...]:
         """The pool instances fixed into this input: disjoint from it, sorted."""

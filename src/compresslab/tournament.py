@@ -45,7 +45,8 @@ Vertex sets of both hit bits, which no reduction builds, take the general
 scan, and a failed verdict raises at the first edge.
 
 The block variant needs no selector of its own: the same one runs on a
-:class:`BlockCompression`.
+:class:`BlockCompression`, whose blocks are pools of the base
+compression's law keys, so both variants share the base's one memo.
 """
 
 from __future__ import annotations
@@ -497,10 +498,12 @@ def random_tournament(num_vertices: int, edge_size: int, seed: int) -> Hypergrap
 
     Each vertex gets a seeded random key; the selector mixes the keys of a
     (canonically sorted) edge with fixed integer arithmetic and picks the
-    indexed element.  Stable across platforms and runs.
+    indexed element.  Stable across platforms and runs.  The vertex count
+    is budgeted before any key is drawn.
     """
     if num_vertices < 1:
         raise ValueError("need at least one vertex")
+    check_enumeration(num_vertices, "random-tournament vertices")
     rng = np.random.default_rng(seed)
     return _RandomTournament(rng.integers(0, 2**62, size=num_vertices, dtype=np.int64).tolist(), edge_size)
 
@@ -695,7 +698,7 @@ class BlockCompression(SetEncodedCompression):
     """Block variant of a deterministic, exact compression a, for the base
     selector and reduction: g + (v,) splits into blocks of consecutive ids,
     and a sees one pick per block, v's block without v against pinned to v.
-    The base keys and computes these pick laws, and they are memoised here.
+    The blocks are a's pools: a keys them, and its memo holds their laws.
     No set is evaluated and no subset law asked for."""
 
     def __init__(self, a: SetEncodedCompression, block_size: int):
@@ -709,8 +712,7 @@ class BlockCompression(SetEncodedCompression):
 
     def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[Hashable, Hashable]:
         without, pinned = _conditioned_pools(partition_blocks((*g, v), self.block_size), v)
-        return self.base.pick_key(without), self.base.pick_key(pinned)
+        return self.base.law_key(without), self.base.law_key(pinned)
 
-    def _compute_law(self, key: Hashable) -> FiniteDistribution:
-        return self.base.pick_law(key)
-
+    def law(self, key: Hashable) -> FiniteDistribution:
+        return self.base.law(key)

@@ -22,7 +22,7 @@ from typing import Any
 import numpy as np
 
 from compresslab.budget import check_enumeration
-from compresslab.compression import CompressiveMap, SetEncodedCompression, canonical_set, enumerate_pick_law
+from compresslab.compression import CompressiveMap, SetEncodedCompression, canonical_set, enumerate_law
 from compresslab.distributions import FiniteDistribution, Outcome
 from compresslab.reduction import Number, Oracle, SDQuery
 from compresslab.sensitivity import (
@@ -360,7 +360,7 @@ def block_conditioned_distributions(
     if len(blocks) > a.arity:
         raise ValueError("more blocks than the compression arity")
     without, pinned = _conditioned_pools(blocks, v)
-    return enumerate_pick_law(a, without), enumerate_pick_law(a, pinned)
+    return enumerate_law(a, without), enumerate_law(a, pinned)
 
 
 # -- sensitivity functionals over the public term tables ---------------------

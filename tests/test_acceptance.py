@@ -260,7 +260,7 @@ def test_criterion_8_symmetric_transforms():
             ok &= view.pivot <= t // 2
             lang = _pool_language(3, t, view.complement_source)
             transformed = transform_to_relaxed_or(SymmetricCompression(lang, f))
-            rep = audit_language(transformed.source_language, transformed, Delta=1, delta=0.5)
+            rep = audit_language(transformed.hit_language, transformed, Delta=1, delta=0.5)
             ok &= rep.agreement == 1.0
             checked += 1
     for t in range(2, 6):

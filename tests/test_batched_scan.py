@@ -30,6 +30,7 @@ from compresslab import (
     random_tournament,
     selector_from_compression,
     statistical_distance,
+    subset_pools,
     transform_to_relaxed_or,
     verify_domination,
 )
@@ -67,7 +68,7 @@ def reference_compression(a, vertices, edge_size, delta, vertex_bits):
     def selector(e):
         for v in e:
             rest = tuple(w for w in e if w != v)
-            left, right = a.law(a.law_key(rest)), a.law(a.law_key(rest, (v,)))
+            left, right = a.law(a.law_key(subset_pools(rest))), a.law(a.law_key(subset_pools(rest, (v,))))
             if statistical_distance(left, right) <= delta:
                 return v
         raise SelectorUndefinedError(f"no element of {e!r} qualifies")
@@ -115,7 +116,7 @@ def _noisy(n, seed, t):
 def _transformed(bits, seed):
     base = SymmetricCompression(ToyLanguage.random(5, seed=seed), SymmetricFunction.from_bits(bits))
     a = transform_to_relaxed_or(base)
-    return a.source_language, a, 0.5
+    return a.hit_language, a, 0.5
 
 
 # each case: (language, compression, delta); the tournament runs on the

@@ -347,6 +347,7 @@ def test_greedy_edge_scan_is_budget_guarded(capsys, monkeypatch):
     [
         ("1500", "3", "greedy edge scan"),  # C(1500, 3) = 561,375,500 edges
         ("28", "20", "greedy candidate lookups"),  # 20 * C(28, 19) = 138,138,000 lookups, C(28, 20) edges fit
+        ("1000000000000", "3", "random-tournament vertices"),  # refused before any key is drawn
     ],
 )
 def test_greedy_step_past_the_budget_exits_3(capsys, num_vertices, t, what):
@@ -381,6 +382,8 @@ def test_malformed_language_file_exit_2(tmp_path):
         ("no-yes", {"n": 3}),
         ("bad-n", {"n": None, "yes": []}),
         ("yes-string", {"n": 3, "yes": "07"}),
+        ("fractional-n", {"n": 3.9, "yes": ["7"]}),
+        ("string-n", {"n": "3", "yes": ["7"]}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))

@@ -19,10 +19,11 @@ from compresslab import (
     ToyLanguage,
     bit_encode_subsets,
     canonical_set,
-    enumerate_subset_law,
+    enumerate_law,
     ideal_or_compression,
     noisy_or_compression,
     statistical_distance,
+    subset_pools,
     transform_to_relaxed_or,
 )
 from compresslab import compression as compression_module
@@ -548,7 +549,7 @@ def test_or_closed_form_matches_enumeration():
             ideal_or_compression(lang, 4),
         ):
             for ground, forced in _subset_law_configurations(lang, 4, rng, 8):
-                slow = enumerate_subset_law(a, ground, forced)
+                slow = enumerate_law(a, subset_pools(ground, forced))
                 assert a.subset_output_distribution(ground, forced) == slow
                 assert a.subset_output_distribution(ground, forced) == slow
                 assert all(type(m) is F for m in slow.mass)
@@ -569,9 +570,8 @@ def test_transformed_or_closed_form_matches_enumeration():
             lang = ToyLanguage(4, {int(i) for i in members})
             a = transform_to_relaxed_or(SymmetricCompression(lang, f))
             seen.add((t, a.view.view, a.view.pivot))
-            source = a.source_language
-            for ground, forced in _subset_law_configurations(source, a.arity, rng, 8):
-                slow = enumerate_subset_law(a, ground, forced)
+            for ground, forced in _subset_law_configurations(a.hit_language, a.arity, rng, 8):
+                slow = enumerate_law(a, subset_pools(ground, forced))
                 assert a.subset_output_distribution(ground, forced) == slow
     assert {view for _, view, _ in seen} == set(VIEW_ORDER)
     for t in range(3, 6):
@@ -581,21 +581,27 @@ def test_transformed_or_closed_form_matches_enumeration():
 def test_law_keys_summarise_hit_counts():
     lang = ToyLanguage(3, {0b111, 0b110})
     a = noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3)
-    assert a.law_key((0b000, 0b111, 0b110), (0b001,)) == (2, 0)
-    assert a.law_key((0b000, 0b111), (0b111,)) == (0, 1)
+    # the key keeps only the pools that hold a hit: (2, 1) per ground hit,
+    # (1, 1) per forced hit
+    assert a.law_key(subset_pools((0b000, 0b111, 0b110), (0b001,))) == ((2, 1), (2, 1))
+    assert a.law_key(subset_pools((0b000, 0b111), (0b111,))) == ((1, 1),)
     e = (0b000, 0b001, 0b110, 0b111)
     assert [a.conditioned_keys(tuple(w for w in e if w != v), v) for v in e] == [
-        (a.law_key(tuple(w for w in e if w != v)), a.law_key(tuple(w for w in e if w != v), (v,)))
+        (a.law_key(subset_pools(tuple(w for w in e if w != v))), a.law_key(subset_pools(tuple(w for w in e if w != v), (v,))))
         for v in e
     ]
-    # v inside g is forced out of the ground set, as law_key forces it
-    assert a.conditioned_keys((0b000, 0b111, 0b110), 0b111) == (a.law_key((0b000, 0b111, 0b110)), (1, 1))
+    # v inside g is forced out of the ground set, as subset_pools forces it
+    assert a.conditioned_keys((0b000, 0b111, 0b110), 0b111) == (
+        a.law_key(subset_pools((0b000, 0b111, 0b110))),
+        ((1, 1), (2, 1)),
+    )
     with pytest.raises(ValueError, match="exceed the arity"):
-        a.law_key((0b000, 0b001, 0b010, 0b011), (0b100,))
+        a.law_key(subset_pools((0b000, 0b001, 0b010, 0b011), (0b100,)))
     with pytest.raises(ValueError, match="exceed the arity"):
         a.conditioned_keys((0b000, 0b001, 0b010, 0b011), 0b100)
     g = (0b000, 0b001, 0b010, 0b110)
-    assert a.conditioned_keys(g, 0b110) == (a.law_key(g), a.law_key(g, (0b110,))) == ((1, 0), (0, 1))
+    assert a.conditioned_keys(g, 0b110) == (a.law_key(subset_pools(g)), a.law_key(subset_pools(g, (0b110,))))
+    assert a.conditioned_keys(g, 0b110) == (((2, 1),), ((1, 1),))
 
 
 def test_or_closed_form_handles_forced_overlap():
@@ -603,7 +609,7 @@ def test_or_closed_form_handles_forced_overlap():
     a = ideal_or_compression(lang, 3)
     ground = (0b000, 0b001, 0b010)
     fast = a.subset_output_distribution(ground, forced=(0b001,))
-    slow = enumerate_subset_law(a, ground, forced=(0b001,))
+    slow = enumerate_law(a, subset_pools(ground, forced=(0b001,)))
     assert fast == slow
 
 

@@ -10,9 +10,10 @@ from compresslab import (
     SymmetricFunction,
     ToyLanguage,
     audit_language,
-    enumerate_subset_law,
+    enumerate_law,
     find_pivot_view,
     noisy_or_compression,
+    subset_pools,
     transform_to_relaxed_or,
 )
 
@@ -102,9 +103,10 @@ def test_symmetric_law_matches_enumeration(seed):
                     continue
                 ground = yes[:gy] + no[:gn]
                 forced = yes[gy : gy + fy] + no[gn : gn + fn]
-                key = a.law_key(ground, forced)
-                assert key == (gy, fy)
-                assert a.law(key) == enumerate_subset_law(a, ground, forced), (values, key)
+                pools = subset_pools(ground, forced)
+                key = a.law_key(pools)
+                assert key == ((1, 1),) * fy + ((2, 1),) * gy
+                assert a.law(key) == enumerate_law(a, pools), (values, key)
 
 
 # -- transformation -------------------------------------------------------------------
@@ -126,8 +128,8 @@ def test_and_transform_decides_complement():
     base = SymmetricCompression(lang, SF.and_function(3))
     out = transform_to_relaxed_or(base)
     assert out.view.view == "1-f(t-i)"
-    assert out.source_language == lang.complement()
-    report = audit_language(out.source_language, out, Delta=1, delta=0.5)
+    assert out.hit_language == lang.complement()
+    report = audit_language(out.hit_language, out, Delta=1, delta=0.5)
     assert report.agreement == 1.0
 
 
@@ -140,7 +142,7 @@ def test_majority_transform_promise_cases():
     base = SymmetricCompression(lang, f)
     out = transform_to_relaxed_or(base)
     assert out.arity == t - view.pivot == 2
-    src = out.source_language
+    src = out.hit_language
     for size in range(out.arity + 1):
         for x in combinations(range(2**lang.n), size):
             hits = sum(1 for w in x if src.is_yes(w))
@@ -160,7 +162,7 @@ def test_injected_instances_disjoint_and_sourced():
             pad = out.injected_for(x)
             assert len(pad) == view.pivot
             assert not set(pad) & set(x)
-            assert all(out.source_language.is_yes(w) for w in pad)
+            assert all(out.hit_language.is_yes(w) for w in pad)
 
 
 def test_pool_too_small():

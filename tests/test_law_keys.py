@@ -16,6 +16,7 @@ import pytest
 
 from compresslab import (
     AuditReport,
+    BlockCompression,
     HypergraphTournament,
     PromiseGap,
     SDQuery,
@@ -25,7 +26,7 @@ from compresslab import (
     SymmetricFunction,
     ToyLanguage,
     audit_language,
-    enumerate_subset_law,
+    enumerate_law,
     exact_sd_oracle,
     greedy_dominating_set,
     ideal_or_compression,
@@ -33,6 +34,7 @@ from compresslab import (
     pinsker_threshold,
     selector_from_compression,
     statistical_distance,
+    subset_pools,
     transform_to_relaxed_or,
 )
 from reference_routes import threshold_oracle
@@ -55,8 +57,8 @@ def plain_tournament(a, vertices, k, delta, vertex_bits):
     def selector(e):
         for v in e:
             rest = tuple(w for w in e if w != v)
-            left = enumerate_subset_law(a, rest)
-            right = enumerate_subset_law(a, rest, (v,))
+            left = enumerate_law(a, subset_pools(rest))
+            right = enumerate_law(a, subset_pools(rest, (v,)))
             if statistical_distance(left, right) <= delta:
                 return v
         raise SelectorUndefinedError(f"no element of {e!r} qualifies at {delta}")
@@ -75,7 +77,7 @@ def plain_audit(language, a, t, Delta, delta, oracle=exact_sd_oracle):
         verdict = False
         if not any(v in g for g in dom.elements):
             batch = [
-                SDQuery(enumerate_subset_law(a, g), enumerate_subset_law(a, g, (v,)), gap)
+                SDQuery(enumerate_law(a, subset_pools(g)), enumerate_law(a, subset_pools(g, (v,))), gap)
                 for g in dom.elements
             ]
             for q in batch:
@@ -114,7 +116,7 @@ def _noisy(seed):
 def _transformed(bits, seed):
     base = SymmetricCompression(ToyLanguage.random(5, seed=seed), SymmetricFunction.from_bits(bits))
     a = transform_to_relaxed_or(base)
-    return a.source_language, a, a.arity, 1, 0.5
+    return a.hit_language, a, a.arity, 1, 0.5
 
 
 # pivot-0 and pivot-1 views of OR-, AND- and parity-like functions
@@ -176,8 +178,52 @@ def test_forced_class_determines_the_forced_law_key(case):
         keys = {}
         for v in universe:
             if v not in g:
-                keys.setdefault(classes[v], set()).add(a.law_key(g, (v,)))
+                keys.setdefault(classes[v], set()).add(a.law_key(subset_pools(g, (v,))))
         assert all(len(found) == 1 for found in keys.values())
+
+
+def _pool_compressions():
+    lang = ToyLanguage.random(4, seed=3)
+    return {
+        "ideal-or": ideal_or_compression(lang, 3),
+        "noisy-or": noisy_or_compression(lang, 3, F(1, 8), F(1, 4), coin_bits=3),
+        "symmetric": SymmetricCompression(lang, SymmetricFunction.from_bits("0110")),
+        "transformed": transform_to_relaxed_or(SymmetricCompression(lang, SymmetricFunction.from_bits("00101"))),
+    }
+
+
+@pytest.mark.parametrize("kind", ["ideal-or", "noisy-or", "symmetric", "transformed"])
+def test_pool_law_keys_match_enumerated_laws(kind):
+    # disjoint pools of ids, some with None, up to the arity: the keyed law
+    # against every pick and coin enumerated
+    a = _pool_compressions()[kind]
+    hit = a.hit_language.member
+    rng = np.random.default_rng(11)
+    with_hit = without_hit = 0
+    for _ in range(40):
+        ids = rng.permutation(hit.size).tolist()
+        pools = []
+        for _ in range(rng.integers(0, a.arity + 1)):
+            pool = [ids.pop() for _ in range(rng.integers(0, 4))]
+            if not pool or rng.random() < 0.5:
+                pool.append(None)
+            pools.append(tuple(pool))
+            if any(hit[w] for w in pool if w is not None):
+                with_hit += 1
+            else:
+                without_hit += 1
+        assert a.law(a.law_key(pools)) == enumerate_law(a, pools), pools
+    assert with_hit and without_hit
+
+
+@pytest.mark.parametrize("default_keys", [False, True])
+def test_block_compression_laws_live_in_the_base_memo(default_keys):
+    a = ideal_or_compression(ToyLanguage(4, {0b0001, 0b0110, 0b0111}), 3)
+    a = Opaque(a) if default_keys else a
+    b = BlockCompression(a, 2)
+    for g, v in (((0, 1, 6), 7), ((2, 3, 4), 5), ((0, 1, 6, 7, 8), 9)):
+        for k in b.conditioned_keys(g, v):
+            assert b.law(k) is a.law(k)
 
 
 # wrong on purpose: the first accepts every no-instance outside the advice,
@@ -213,8 +259,9 @@ def test_grouped_audit_matches_per_input_loop_under_wrong_oracles(case, oracle):
     ids=["single-yes-n3", "random-n5-t3", "parity-n5-sigma3"],
 )
 def test_block_audit_with_profile_keys_equals_pool_keys(language, t, block_size, delta):
-    # hit-count pick laws keyed by (size, hits) profile and computed in
-    # closed form, against pools as keys and every pick enumerated
+    # hit-count laws keyed by the (size, hits) profile of the pools with a
+    # hit and computed in closed form, against pools as keys and every pick
+    # enumerated
     a = ideal_or_compression(language, t)
     report = audit_language(language, a, block_size=block_size, delta=delta)
     assert report == audit_language(language, Opaque(a), block_size=block_size, delta=delta)

@@ -334,7 +334,7 @@ def _or_advice(n, seed, t, noise=None):
 
 def _transformed_advice(bits, seed):
     a = transform_to_relaxed_or(SymmetricCompression(ToyLanguage.random(6, seed=seed), SymmetricFunction.from_bits(bits)))
-    return a.source_language, a, a.arity, PromiseGap(1, 0.5)
+    return a.hit_language, a, a.arity, PromiseGap(1, 0.5)
 
 
 def _block_advice(n, seed, t, block_size):
@@ -411,7 +411,7 @@ def _noisy_audit(language):
 def _transformed_audit(language):
     # the OR-like 0111 has a pivot-0 view, which needs no pool of yes-instances
     a = transform_to_relaxed_or(SymmetricCompression(language, SymmetricFunction.from_bits("0111")))
-    return a.source_language, a, a.arity, PromiseGap(1, F(1, 2))
+    return a.hit_language, a, a.arity, PromiseGap(1, F(1, 2))
 
 
 AUDIT_COMPRESSIONS = {"ideal-or": _ideal_audit, "noisy-or": _noisy_audit, "transformed-or": _transformed_audit}

@@ -340,7 +340,7 @@ def test_hit_count_pick_laws_equal_enumerated_block_laws(kind, block_size):
     lang = _parity_language(4)
     a = _hit_count_bases(lang, 3)[kind]
     yes, no = lang.yes_instances().tolist(), lang.no_instances().tolist()
-    profiles, expected = set(), set()
+    shapes, profiles, expected = set(), set(), set()
     for j in range(1, a.arity + 1):
         for hits in combinations_with_replacement(range(block_size + 1), j):
             if sum(hits) > len(yes) or j * block_size - sum(hits) > len(no):
@@ -351,16 +351,18 @@ def test_hit_count_pick_laws_equal_enumerated_block_laws(kind, block_size):
                 for v in {block[0], block[-1]}:
                     without = blocks[:i] + [tuple(w for w in block if w != v)] + blocks[i + 1 :]
                     pinned = blocks[:i] + [(v,)] + blocks[i + 1 :]
-                    keys = a.pick_key(without), a.pick_key(pinned)
-                    assert tuple(map(a.pick_law, keys)) == block_conditioned_distributions(a, blocks, v)
+                    keys = a.law_key(without), a.law_key(pinned)
+                    assert tuple(map(a.law, keys)) == block_conditioned_distributions(a, blocks, v)
                     profiles.update(keys)
-                    # the same profiles from the hit counts alone
+                    shapes.update((len(p), a.hits(p)) for p in without + pinned)
+                    # the same profiles from the hit counts alone, pools
+                    # without a hit left out
                     whole = [(block_size, h) for h in hits[:i] + hits[i + 1 :]]
                     b = int(lang.is_yes(v))
-                    expected.add(tuple(sorted(whole + [(block_size - 1, hits[i] - b)])))
-                    expected.add(tuple(sorted(whole + [(1, b)])))
+                    for pools in (whole + [(block_size - 1, hits[i] - b)], whole + [(1, b)]):
+                        expected.add(tuple(sorted(pool for pool in pools if pool[1])))
     assert profiles == expected
-    assert {pool for p in profiles for pool in p} >= {(1, 0), (1, 1), (block_size, 0), (block_size, block_size)}
+    assert shapes >= {(1, 0), (1, 1), (block_size, 0), (block_size, block_size)}
 
 
 @pytest.mark.parametrize("block_size", [2, 3])
