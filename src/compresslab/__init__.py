@@ -9,6 +9,7 @@ exhaustive enumeration under a configurable budget; nothing is sampled.
 
 from .budget import BudgetExceededError, enumeration_budget
 from .compression import (
+    BlockCompression,
     CompressiveMap,
     HitCountCompression,
     OrCompression,
@@ -19,6 +20,7 @@ from .compression import (
     enumerate_law,
     ideal_or_compression,
     noisy_or_compression,
+    partition_blocks,
     subset_pools,
 )
 from .distributions import FiniteDistribution, statistical_distance
@@ -50,7 +52,6 @@ from .sensitivity import (
     verify_vajda_sensitivity,
 )
 from .tournament import (
-    BlockCompression,
     DominatingSet,
     HypergraphTournament,
     InvariantError,

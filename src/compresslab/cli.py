@@ -278,12 +278,7 @@ def _cmd_fcomp(args: argparse.Namespace) -> int:
         language = _pool_friendly_language(args.n, f.t, view.complement_source)
         base = SymmetricCompression(language, f)
         transformed = transform_to_relaxed_or(base)
-        audit = audit_language(
-            transformed.hit_language,
-            transformed,
-            Delta=1,
-            delta=args.delta,
-        )
+        audit = audit_language(transformed.hit_language, transformed, delta=args.delta)
         line["audit_agreement"] = audit.agreement
         line["audit"] = audit.to_json()
         if audit.agreement != 1.0:

@@ -15,9 +15,11 @@ map's output law under uniform inputs is read from its counts
 Every law of a set-encoded compression is that of one uniform pick from
 each of several disjoint pools of ids (None picks nothing): a uniform subset
 is pools (w, None) plus (v,) per forced v (:func:`subset_pools`), and each
-block of the block variant is one pool.  Laws are memoised per compression
-under hashable law keys; compressions that only count hits in a language
-share one closed form, everything else enumerates (:func:`enumerate_law`).
+block of the block variant (:class:`BlockCompression`) is one pool.  Laws
+are memoised per compression under hashable law keys; compressions that only
+count hits in a language share one closed form, everything else enumerates
+(:func:`enumerate_law`).  The inputs a compression cannot tell apart, its
+classes, are one vector (:meth:`SetEncodedCompression.forced_class`).
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .budget import check_enumeration
 from .distributions import FiniteDistribution
 
 BitString = str
+Edge = tuple[int, ...]
 
 #: Cells per block of the blocked bincounts (conditioned counts here, coin
 #: entropies in sensitivity): a block's int64 or float64 temporaries stay at
@@ -388,6 +391,10 @@ class ToyLanguage:
             raise ValueError('a language\'s "yes" entry must be a list of hex ids')
         try:
             n = operator.index(obj["n"])  # rejects 3.9 and "3" rather than read them as 3
+            # int(h, 16) alone would also read "0x7", " 5", "+3" and "0_5": what
+            # is left of the joined entries without their hex digits is refused
+            if "".join(obj["yes"]).encode("ascii").translate(None, b"0123456789abcdefABCDEF") or not all(obj["yes"]):
+                raise ValueError('"yes" entries must be strings of hex digits')
             yes = [int(h, 16) for h in obj["yes"]]
         except (TypeError, ValueError) as exc:
             raise ValueError(f"malformed language: {exc}") from None
@@ -499,18 +506,21 @@ class SetEncodedCompression:
         return tuple(map(tuple, pools))
 
     def forced_class(self) -> np.ndarray | None:
-        """The class of every input id forced into a subset law, for audits:
-        a boolean vector indexed by id, or None for one class per input.
-
-        For every g without v, ``law_key(subset_pools(g, (v,)))`` depends on v
-        only through its class.  The default is None.
-        """
+        """The class of every input id, as :meth:`conditioned_keys` reads it:
+        a boolean vector indexed by id, or None for one class per input (the
+        default)."""
         return None
 
     def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[Hashable, Hashable]:
         """The law keys that the selector compares for v in the edge g + (v,),
         and the query for v against member g; by default the subset pools
-        of g without and with v forced in."""
+        of g without and with v forced in.
+
+        For a g whose ids all share one class (:meth:`forced_class`, v not
+        in g), the keys depend only on |g|, that class and v's class: hit-count
+        keys meet this for every g, block keys over a hit-count base for g of
+        one class, since every block then holds ids of g's class besides v.
+        """
         return self.law_key(subset_pools(g)), self.law_key(subset_pools(g, (v,)))
 
     def law(self, key: Hashable) -> FiniteDistribution:
@@ -538,6 +548,12 @@ class SetEncodedCompression:
         enumerates subsets and coins unless a subclass has a closed form.
         """
         return self.law(self.law_key(subset_pools(ground, forced)))
+
+
+def one_class(classes: np.ndarray, ids: Sequence[int]) -> bool:
+    """Whether all of ids fall in one class of a :meth:`forced_class` vector."""
+    inside = np.count_nonzero(classes[id_array(ids)])
+    return inside == 0 or inside == len(ids)
 
 
 def subset_pools(ground: Sequence[int], forced: Sequence[int] = ()) -> tuple[tuple[int | None, ...], ...]:
@@ -702,3 +718,51 @@ def bit_encode_subsets(a: SetEncodedCompression, e: Sequence[int]) -> Compressiv
         for coin in range(a.n_coins):
             table[idx, coin] = a.evaluate(subset, coin)
     return CompressiveMap(t, a.output_bits, a.coin_bits, table)
+
+
+def partition_blocks(e: Sequence[int], block_size: int) -> tuple[Edge, ...]:
+    """Canonical partition of a sorted edge into consecutive equal blocks."""
+    e = canonical_set(e)
+    if block_size < 2:
+        raise ValueError("blocks need at least two elements")
+    if len(e) % block_size:
+        raise ValueError(f"edge of size {len(e)} does not split into blocks of {block_size}")
+    return tuple(e[i : i + block_size] for i in range(0, len(e), block_size))
+
+
+def _conditioned_pools(blocks: Sequence[Edge], v: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
+    """The blocks with v's block conditioned to avoid v, and pinned to v."""
+    holder = [j for j, b in enumerate(blocks) if v in b]
+    if not holder:
+        raise ValueError(f"{v!r} is not in any block")
+    j = holder[0]
+    before, after = tuple(blocks[:j]), tuple(blocks[j + 1 :])
+    return before + (tuple(w for w in blocks[j] if w != v),) + after, before + ((v,),) + after
+
+
+class BlockCompression(SetEncodedCompression):
+    """Block variant of a deterministic, exact compression a, for the base
+    selector and reduction: g + (v,) splits into blocks of consecutive ids,
+    and a sees one pick per block, v's block without v against pinned to v.
+    The blocks are a's pools: a keys them, and its memo holds their laws.
+    No set is evaluated and no subset law asked for."""
+
+    def __init__(self, a: SetEncodedCompression, block_size: int):
+        if a.coin_bits != 0 or a.e_s != 0 or a.e_c != 0:
+            raise ValueError("the block reduction needs a deterministic, exact compression")
+        if block_size < 2:
+            raise ValueError("blocks need at least two elements")
+        super().__init__(a.arity * block_size, output_bits=a.output_bits)
+        self.base = a
+        self.block_size = block_size
+
+    def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[Hashable, Hashable]:
+        without, pinned = _conditioned_pools(partition_blocks((*g, v), self.block_size), v)
+        return self.base.law_key(without), self.base.law_key(pinned)
+
+    def law(self, key: Hashable) -> FiniteDistribution:
+        return self.base.law(key)
+
+    def forced_class(self) -> np.ndarray | None:
+        """The base's classes (see :meth:`SetEncodedCompression.conditioned_keys`)."""
+        return self.base.forced_class()

@@ -16,7 +16,8 @@ threshold, so the conjunction of oracle answers decides membership exactly.
 The query for member g and input v compares the pair of laws the selector
 compared for v in the edge g + (v,) (``conditioned_keys``), so a dominated
 no-instance lands on the NO side.  The block (t log t) variant is the same
-procedure on a :class:`BlockCompression`.
+procedure on a :class:`BlockCompression`.  An exhaustive audit decides one
+input per class of the compression (:func:`audit_language`).
 
 Queries are non-adaptive: the query list is a pure function of the input
 and the advice, and the verdict is the conjunction of the answers.  Every
@@ -33,16 +34,10 @@ from typing import Any, Callable, Literal
 
 import numpy as np
 
-from .compression import SetEncodedCompression, ToyLanguage, bits_label
+from .compression import BlockCompression, SetEncodedCompression, ToyLanguage, bits_label, one_class
 from .distributions import FiniteDistribution, statistical_distance
 from .sensitivity import pinsker_threshold
-from .tournament import (
-    BlockCompression,
-    DominatingSet,
-    InvariantError,
-    greedy_dominating_set,
-    selector_from_compression,
-)
+from .tournament import DominatingSet, InvariantError, greedy_dominating_set, selector_from_compression
 
 Number = Fraction | float
 Oracle = Callable[["SDQuery"], bool]
@@ -294,24 +289,24 @@ def audit_language(
 ) -> AuditReport:
     """Build advice once, decide every input of the length, tally tags.
 
-    Inputs are grouped into classes that provably share their verdict and
-    query batch: the inputs the advice rejects outright
-    (:attr:`Advice.rejected`), and the others by forced-element class
-    (:meth:`SetEncodedCompression.forced_class`).  Hit bits make three
-    classes, held as one int8 label per input and found by masks, with no
-    sort and no array of ids; without classes each input is its own.
+    When every advice member falls in one input class
+    (:meth:`SetEncodedCompression.forced_class`, :func:`one_class`), inputs
+    are grouped into classes that provably share their verdict and query
+    batch: the inputs the advice rejects outright (:attr:`Advice.rejected`),
+    and the others by class.  Hit bits make three classes, held as one int8
+    label per input and found by masks, with no sort and no array of ids.
     Each class is decided once, by :func:`decide` on its least input, and
-    its batch's tags are counted once per input.  An audit therefore costs
-    one query batch per class (two for hit-count compressions, one per
-    input otherwise), and its verdicts, gathered by label, meet the
-    membership vector in one array comparison.
+    its batch's tags are counted once per input, so a hit-count audit, base
+    or block, costs two query batches, and its verdicts, gathered by label,
+    meet the membership vector in one array comparison.  Without classes,
+    or with a member of both classes, each input is decided on its own.
     This treats the oracle as a function of the query, as the shared query
     objects already do: an oracle whose answer depends on anything else
     gets one answer per class, not per input.
 
     A block size selects block ("tlogt") mode: the same audit on
     ``BlockCompression(a, block_size)``, with edges of edge_size blocks and
-    each input its own class.  The promise gap defaults as in
+    the classes of a.  The promise gap defaults as in
     :func:`promise_gap`, but block mode needs an explicit delta.  An empty
     gap raises "empty promise gap" before the advice is built.
     Agreement below 1.0 on a compression within its error budget indicates
@@ -337,7 +332,7 @@ def audit_language(
 
     total = language.member.size
     classes = a.forced_class()
-    if classes is None:
+    if classes is None or not all(one_class(classes, g) for g in advice.elements):
         predicted = np.array([verdict(v, 1) for v in range(total)], dtype=bool)
     else:
         # label 0: rejected outright; 1 + c: the other inputs of class c

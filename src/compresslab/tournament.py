@@ -31,22 +31,19 @@ k = 1 every v is selected (:meth:`_RandomTournament.candidate_counts`).
 The domination check reads each v's h from the same sums, one G per gap of
 the member (:meth:`_RandomTournament.dominated`).
 
-The selector tournament of a hit-count compression, or of its block
-compression, on vertices of one hit bit needs no edge scan.  An element
-qualifies by the hit counts of its conditioned laws alone, and these are the
-same for every element of every edge, so one verdict says whether every edge
-selects its first vertex (:func:`selector_from_compression`).  A candidate
-then charges the vertices of R before its first vertex, so the last k-1
-vertices of R, the exhaustive step's choice, dominate all of R.  The greedy
-takes them as its one member at any size, with no count
-(:meth:`_FirstVertexTournament.best_member`).  A member dominates the
-vertices before its first one (:meth:`_FirstVertexTournament.dominated`).
-Vertex sets of both hit bits, which no reduction builds, take the general
-scan, and a failed verdict raises at the first edge.
-
-The block variant needs no selector of its own: the same one runs on a
-:class:`BlockCompression`, whose blocks are pools of the base
-compression's law keys, so both variants share the base's one memo.
+A compression with input classes (:meth:`SetEncodedCompression.forced_class`:
+the hit bit, for hit-count compressions and their block compressions) keys
+the laws of an element of an edge inside one class by that class and the
+edge size alone.  So the selector tournament on vertices of one class needs
+no edge scan: one verdict says whether every edge selects its first vertex
+(:func:`selector_from_compression`).  A candidate then charges the vertices
+of R before its first vertex, so the last k-1 vertices of R, the exhaustive
+step's choice, dominate all of R.  The greedy takes them as its one member
+at any size, with no count (:meth:`_FirstVertexTournament.best_member`).  A
+member dominates the vertices before its first one
+(:meth:`_FirstVertexTournament.dominated`).  Vertex sets of both classes,
+which no reduction builds, take the general scan, and a failed verdict
+raises at the first edge.
 """
 
 from __future__ import annotations
@@ -61,11 +58,8 @@ from typing import Any, Callable, Hashable, Iterable, Sequence
 import numpy as np
 
 from .budget import check_enumeration
-from .compression import HitCountCompression, SetEncodedCompression, bits_label, canonical_set
-from .compression import id_array, parse_bits
-from .distributions import FiniteDistribution, statistical_distance
-
-Edge = tuple[int, ...]
+from .compression import Edge, SetEncodedCompression, bits_label, canonical_set, id_array, one_class, parse_bits
+from .distributions import statistical_distance
 
 
 class InvariantError(RuntimeError):
@@ -244,12 +238,12 @@ def selector_from_compression(
     no-instances and that delta is at least the sensitivity ceiling, which
     together guarantee a qualifying element exists.
 
-    A hit-count compression, or the block compression of one, keys these
-    laws by hit counts.  When every vertex has one hit bit, every element of
-    every edge has the keys of the first edge's first vertex, so one verdict
-    decides the tournament: if it qualifies, every edge selects its first
-    vertex (:class:`_FirstVertexTournament`).  Other tournaments are asked
-    edge by edge, and one whose verdict fails raises at its first edge.
+    When the compression has input classes (:meth:`SetEncodedCompression.forced_class`)
+    and every vertex falls in one, every element of every edge has the keys
+    of the first edge's first vertex, so one verdict decides the tournament:
+    if it qualifies, every edge selects its first vertex
+    (:class:`_FirstVertexTournament`).  Other tournaments are asked edge by
+    edge, and one whose verdict fails raises at its first edge.
     """
     if edge_size > a.arity:
         raise ValueError("edge size exceeds the compression arity")
@@ -277,12 +271,10 @@ def selector_from_compression(
         )
 
     tournament = HypergraphTournament(vertices, edge_size, selector, vertex_bits)
-    ids = tournament.ids
-    hit = a.base if isinstance(a, BlockCompression) else a
-    if isinstance(hit, HitCountCompression) and len(ids) >= edge_size:
-        hits = hit.hit_language.member[ids]
+    ids, classes = tournament.ids, a.forced_class()
+    if classes is not None and len(ids) >= edge_size and one_class(classes, ids):
         first = tuple(ids[:edge_size].tolist())
-        if (hits.all() or not hits.any()) and verdict(a.conditioned_keys(first[1:], first[0])):
+        if verdict(a.conditioned_keys(first[1:], first[0])):
             return _FirstVertexTournament(ids, edge_size, selector, vertex_bits)
     return tournament
 
@@ -667,52 +659,3 @@ def verify_domination(tournament: HypergraphTournament, dominating: DominatingSe
     dominated = tournament.dominated([np.sort(g) for g in members], ids)
     undominated = ids[~dominated].tolist()
     return not undominated, undominated
-
-
-# ---------------------------------------------------------------------------
-# the block variant (large alphabets)
-# ---------------------------------------------------------------------------
-
-
-def partition_blocks(e: Sequence[int], block_size: int) -> tuple[Edge, ...]:
-    """Canonical partition of a sorted edge into consecutive equal blocks."""
-    e = canonical_set(e)
-    if block_size < 2:
-        raise ValueError("blocks need at least two elements")
-    if len(e) % block_size:
-        raise ValueError(f"edge of size {len(e)} does not split into blocks of {block_size}")
-    return tuple(e[i : i + block_size] for i in range(0, len(e), block_size))
-
-
-def _conditioned_pools(blocks: Sequence[Edge], v: int) -> tuple[tuple[Edge, ...], tuple[Edge, ...]]:
-    """The blocks with v's block conditioned to avoid v, and pinned to v."""
-    holder = [j for j, b in enumerate(blocks) if v in b]
-    if not holder:
-        raise ValueError(f"{v!r} is not in any block")
-    j = holder[0]
-    before, after = tuple(blocks[:j]), tuple(blocks[j + 1 :])
-    return before + (tuple(w for w in blocks[j] if w != v),) + after, before + ((v,),) + after
-
-
-class BlockCompression(SetEncodedCompression):
-    """Block variant of a deterministic, exact compression a, for the base
-    selector and reduction: g + (v,) splits into blocks of consecutive ids,
-    and a sees one pick per block, v's block without v against pinned to v.
-    The blocks are a's pools: a keys them, and its memo holds their laws.
-    No set is evaluated and no subset law asked for."""
-
-    def __init__(self, a: SetEncodedCompression, block_size: int):
-        if a.coin_bits != 0 or a.e_s != 0 or a.e_c != 0:
-            raise ValueError("the block reduction needs a deterministic, exact compression")
-        if block_size < 2:
-            raise ValueError("blocks need at least two elements")
-        super().__init__(a.arity * block_size, output_bits=a.output_bits)
-        self.base = a
-        self.block_size = block_size
-
-    def conditioned_keys(self, g: Sequence[int], v: int) -> tuple[Hashable, Hashable]:
-        without, pinned = _conditioned_pools(partition_blocks((*g, v), self.block_size), v)
-        return self.base.law_key(without), self.base.law_key(pinned)
-
-    def law(self, key: Hashable) -> FiniteDistribution:
-        return self.base.law(key)

@@ -23,6 +23,7 @@ import numpy as np
 
 from compresslab.budget import check_enumeration
 from compresslab.compression import CompressiveMap, SetEncodedCompression, canonical_set, enumerate_law
+from compresslab.compression import _conditioned_pools
 from compresslab.distributions import FiniteDistribution, Outcome
 from compresslab.reduction import Number, Oracle, SDQuery
 from compresslab.sensitivity import (
@@ -33,7 +34,7 @@ from compresslab.sensitivity import (
     pinsker_threshold,
     verify_kl_bound,
 )
-from compresslab.tournament import Edge, _conditioned_pools
+from compresslab.tournament import Edge
 
 # -- distribution algebra ----------------------------------------------------
 
@@ -347,7 +348,7 @@ def block_conditioned_distributions(
     The input set takes one uniformly chosen element from every block.  The
     first law conditions v's block to avoid v, the second pins it to v.
     Every pick is enumerated: the reference for
-    :class:`compresslab.tournament.BlockCompression`.
+    :class:`compresslab.compression.BlockCompression`.
     """
     blocks = [canonical_set(b) for b in blocks]
     if len({len(b) for b in blocks}) != 1:

@@ -384,6 +384,9 @@ def test_malformed_language_file_exit_2(tmp_path):
         ("yes-string", {"n": 3, "yes": "07"}),
         ("fractional-n", {"n": 3.9, "yes": ["7"]}),
         ("string-n", {"n": "3", "yes": ["7"]}),
+        ("hex-prefix", {"n": 3, "yes": ["0x7"]}),
+        ("hex-blanks-underscore", {"n": 3, "yes": [" 0_5 "]}),
+        ("hex-sign", {"n": 3, "yes": ["+3"]}),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))

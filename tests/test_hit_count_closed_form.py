@@ -33,13 +33,14 @@ from compresslab import (
     ToyLanguage,
     greedy_dominating_set,
     ideal_or_compression,
+    partition_blocks,
     random_tournament,
     selector_from_compression,
     statistical_distance,
     verify_domination,
 )
 from compresslab import tournament as tournament_module
-from compresslab.tournament import _FirstVertexTournament, partition_blocks
+from compresslab.tournament import _FirstVertexTournament
 from reference_routes import block_conditioned_distributions
 from test_batched_scan import reference_greedy
 

@@ -37,6 +37,7 @@ from compresslab import (
     subset_pools,
     transform_to_relaxed_or,
 )
+from compresslab.compression import one_class
 from reference_routes import threshold_oracle
 
 F = Fraction
@@ -224,6 +225,26 @@ def test_block_compression_laws_live_in_the_base_memo(default_keys):
     for g, v in (((0, 1, 6), 7), ((2, 3, 4), 5), ((0, 1, 6, 7, 8), 9)):
         for k in b.conditioned_keys(g, v):
             assert b.law(k) is a.law(k)
+
+
+@pytest.mark.parametrize("default_keys", [False, True])
+def test_block_compression_reads_its_base_classes(default_keys):
+    a = ideal_or_compression(ToyLanguage(4, {0b0001, 0b0110, 0b0111}), 3)
+    a = Opaque(a) if default_keys else a
+    assert BlockCompression(a, 2).forced_class() is a.forced_class()
+
+
+def test_block_keys_of_one_class_members_read_the_classes_alone():
+    # the conditioned_keys contract for blocks over a hit-count base: for g of
+    # one class, the keys depend only on |g|, g's class and v's class
+    b = BlockCompression(ideal_or_compression(ToyLanguage.random(4, seed=3), 2), 2)
+    classes = b.forced_class()
+    keys = {}
+    for g in combinations(range(16), 3):
+        if one_class(classes, g):
+            for v in sorted(set(range(16)) - set(g)):
+                keys.setdefault((bool(classes[g[0]]), bool(classes[v])), set()).add(b.conditioned_keys(g, v))
+    assert len(keys) == 4 and all(len(found) == 1 for found in keys.values())
 
 
 # wrong on purpose: the first accepts every no-instance outside the advice,

@@ -28,6 +28,7 @@ from compresslab import (
 )
 from compresslab import compression as compression_module
 from compresslab import reduction
+from compresslab.compression import one_class
 from compresslab.reduction import promise_gap, queries_for
 from reference_routes import threshold_oracle
 
@@ -304,14 +305,15 @@ def test_audit_noisy_within_budget():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda lang: ideal_or_compression(lang, 4),
-        lambda lang: noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3),
+        lambda lang: (ideal_or_compression(lang, 4), {}),
+        lambda lang: (noisy_or_compression(lang, 4, e_s=F(1, 8), e_c=F(1, 8), coin_bits=3), {}),
+        lambda lang: (ideal_or_compression(lang, 2), {"block_size": 2, "delta": 0.5}),
     ],
-    ids=["ideal-or", "noisy-or"],
+    ids=["ideal-or", "noisy-or", "block"],
 )
 def test_audit_builds_one_batch_per_hit_class(monkeypatch, make):
     lang = ToyLanguage.random(5, seed=11)
-    a = make(lang)
+    a, options = make(lang)
     batches = []
 
     def counting(v, *args, **kwargs):
@@ -319,7 +321,7 @@ def test_audit_builds_one_batch_per_hit_class(monkeypatch, make):
         return queries_for(v, *args, **kwargs)
 
     monkeypatch.setattr(reduction, "queries_for", counting)
-    report = audit_language(lang, a)
+    report = audit_language(lang, a, **options)
     assert report.advice_mode == "DOMSET" and report.agreement == 1.0
     assert sorted(lang.is_yes(v) for v in batches) == [False, True]
     assert sum(report.query_tags.values()) > 2 * report.advice_size
@@ -414,7 +416,38 @@ def _transformed_audit(language):
     return a.hit_language, a, a.arity, PromiseGap(1, F(1, 2))
 
 
-AUDIT_COMPRESSIONS = {"ideal-or": _ideal_audit, "noisy-or": _noisy_audit, "transformed-or": _transformed_audit}
+def _block_audit(language):
+    # blocks of 2 over a hit-count base: edges of 4 ids, two blocks each
+    return language, BlockCompression(ideal_or_compression(language, 2), 2), 4, PromiseGap(1, F(1, 2))
+
+
+AUDIT_COMPRESSIONS = {
+    "ideal-or": _ideal_audit,
+    "noisy-or": _noisy_audit,
+    "transformed-or": _transformed_audit,
+    "block": _block_audit,
+}
+
+
+def _audit_by_input(language, b, k, gap, answer):
+    """audit_language's report on b, and the advice, mode, size, tags and
+    mismatches of a per-input decide loop; a block audit wraps its base
+    compression itself."""
+    a, block_size = (b.base, b.block_size) if isinstance(b, BlockCompression) else (b, None)
+    t = k if block_size is None else k // block_size
+    report = audit_language(
+        language, a, edge_size=t, Delta=gap.Delta, delta=gap.delta, block_size=block_size, oracle=answer
+    )
+    advice = build_advice(language, b, k, gap)
+    tags = {"yes": 0, "no": 0, "gap": 0}
+    mismatches = []
+    for v in range(2**language.n):
+        verdict, batch = decide(v, advice, b, answer)
+        for q in batch:
+            tags[q.promise_tag.lower()] += 1
+        if verdict != language.is_yes(v):
+            mismatches.append(v)
+    return report, advice, tags, tuple(mismatches)
 
 
 @pytest.mark.parametrize("oracle", ["exact", "always-true"])
@@ -426,22 +459,27 @@ def test_grouped_audit_equals_a_per_input_decision_loop(compression_name, langua
     # an oracle that affirms every query misjudges each accepted no-instance
     language, a, t, gap = AUDIT_COMPRESSIONS[compression_name](AUDIT_LANGUAGES[language_name](n))
     answer = exact_sd_oracle if oracle == "exact" else (lambda q: True)
-    report = audit_language(language, a, edge_size=t, Delta=gap.Delta, delta=gap.delta, oracle=answer)
-    advice = build_advice(language, a, t, gap)
-    tags = {"yes": 0, "no": 0, "gap": 0}
-    mismatches = []
-    for v in range(2**n):
-        verdict, batch = decide(v, advice, a, answer)
-        for q in batch:
-            tags[q.promise_tag.lower()] += 1
-        if verdict != language.is_yes(v):
-            mismatches.append(v)
+    report, advice, tags, mismatches = _audit_by_input(language, a, t, gap, answer)
     assert (report.advice_mode, report.advice_size) == (advice.mode, advice.size)
     assert report.query_tags == tags
-    assert report.mismatches == tuple(mismatches)
+    assert report.mismatches == mismatches
     assert report.agreement == 1 - len(mismatches) / 2**n
     if oracle == "exact":
         assert not mismatches
+
+
+def test_audit_with_a_member_of_both_classes_decides_each_input():
+    # the audited language is not the compression's hit language, so the
+    # advice holds a member of both hit bits; in blocks, where v falls among
+    # its ids then sets the keys, and grouping inputs by hit bit would
+    # report agreement 0.5 with 4 mismatches
+    language = ToyLanguage.random(3, seed=0)
+    b = BlockCompression(ideal_or_compression(ToyLanguage.random(3, seed=18), 2), 2)
+    report, advice, tags, mismatches = _audit_by_input(language, b, 4, PromiseGap(1, 0.5), exact_sd_oracle)
+    assert not all(one_class(b.forced_class(), g) for g in advice.elements)
+    assert (report.advice_mode, report.advice_size, report.query_tags) == (advice.mode, advice.size, tags)
+    assert report.mismatches == mismatches == (0b010, 0b011)
+    assert report.agreement == 0.75
 
 
 def test_audit_rejects_empty_promise_gap():

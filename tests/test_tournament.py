@@ -19,6 +19,7 @@ from compresslab import (
     greedy_dominating_set,
     ideal_or_compression,
     noisy_or_compression,
+    partition_blocks,
     random_tournament,
     selector_from_compression,
     statistical_distance,
@@ -27,7 +28,6 @@ from compresslab import (
 from compresslab.tournament import (
     _lex_rows,
     _unrank,
-    partition_blocks,
 )
 from reference_routes import block_conditioned_distributions
 
