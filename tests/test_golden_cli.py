@@ -2,7 +2,9 @@
 
 Each file under tests/golden/verify_lemma/ is the stdout of one command line
 below, recorded from the earlier implementation that built the conditioned
-count tables from a per-coordinate digit array.  The reports carry floats
+count tables from a per-coordinate digit array, and of two multi-trial
+runs, recorded from the earlier implementation that verified one map per
+count pass.  The reports carry floats
 (KL sums, entropies, float-converted exact distances), so any change to the
 order of a float sum shows up here as a byte difference.
 
@@ -64,6 +66,9 @@ CASES = {
     "kl_t9_m3_r3": "kl --t 9 --m 3 --r 3 --trials 3 --seed 17",
     "vajda_t4_m2_r1_sigma3": "vajda --t 4 --m 2 --r 1 --sigma 3 --trials 5 --seed 13",
     "vajda_t3_m1_r2_sigma4": "vajda --t 3 --m 1 --r 2 --sigma 4 --trials 5 --seed 14",
+    # the benchmark's two multi-trial shapes with the most trials per run
+    "pinsker_t10_m4_r2": "pinsker --t 10 --m 4 --r 2 --trials 7 --seed 5",
+    "kl_t11_m2_r2": "kl --t 11 --m 2 --r 2 --trials 5 --seed 5",
 }
 
 
