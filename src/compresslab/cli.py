@@ -37,11 +37,12 @@ from .compression import (
 from .fcompression import SymmetricCompression, SymmetricFunction, find_pivot_view, transform_to_relaxed_or
 from .reduction import audit_language, build_advice, decide, promise_gap
 from .sensitivity import (
+    LEMMA_KL_BOUND,
+    LEMMA_PINSKER,
+    LEMMA_VAJDA,
     SLACK_TOL,
     pinsker_threshold,
-    verify_kl_bound,
-    verify_pinsker_sensitivity,
-    verify_vajda_sensitivity,
+    verify_batch,
 )
 from .tournament import (
     InvariantError,
@@ -55,6 +56,11 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+#: Table cells per batch of verify-lemma trials: consecutive trials whose
+#: tables together hold at most this many share one count pass
+#: (:func:`verify_batch`), and a map with more runs alone.
+BATCH_CELLS = 2**16
 
 
 class _Report:
@@ -150,25 +156,25 @@ def _build_compression(source: str, language: ToyLanguage, t: int):
 
 
 def _cmd_verify_lemma(args: argparse.Namespace) -> int:
-    verifier = {
-        "pinsker": verify_pinsker_sensitivity,
-        "kl": verify_kl_bound,
-        "vajda": verify_vajda_sensitivity,
-    }[args.lemma]
+    lemma = {"pinsker": LEMMA_PINSKER, "kl": LEMMA_KL_BOUND, "vajda": LEMMA_VAJDA}[args.lemma]
     sigma = args.sigma
     if args.lemma == "pinsker" and sigma != 2:
         raise ValueError("the noise-sensitivity bound is for binary alphabets; drop --sigma")
     report = _Report(args.out)
     failures = 0
-    for trial in range(args.trials):
-        # no map outlives its trial, so two tables are never held at once
-        child = np.random.SeedSequence([args.seed, trial])
-        rep = verifier(CompressiveMap.random(args.t, args.m, args.r, child, alphabet_size=sigma))
-        line = rep.to_json()
-        line["params"].update({"seed": args.seed, "trial": trial})
-        report.emit(line)
-        if not rep.holds(SLACK_TOL):
-            failures += 1
+    # a table has sigma**t * 2**r cells; a sigma below 2 is left to the first draw to reject
+    per_batch = max(1, BATCH_CELLS // max(1, sigma**args.t * 2**args.r))
+    for lo in range(0, args.trials, per_batch):
+        trials = range(lo, min(lo + per_batch, args.trials))
+        # the maps die with their batch, so a map above the cap is never held with another
+        seeds = [np.random.SeedSequence([args.seed, trial]) for trial in trials]
+        reports = verify_batch([CompressiveMap.random(args.t, args.m, args.r, seed, sigma) for seed in seeds], lemma)
+        for trial, rep in zip(trials, reports):
+            line = rep.to_json()
+            line["params"].update({"seed": args.seed, "trial": trial})
+            report.emit(line)
+            if not rep.holds(SLACK_TOL):
+                failures += 1
     report.emit({"config": _config(args), "instances": args.trials, "failures": failures})
     report.flush()
     return EXIT_OK if failures == 0 else EXIT_VIOLATION

@@ -11,7 +11,10 @@ Everything here is exact: output distributions are integer counts over a
 power-of-two denominator, so the resulting masses are exact rationals.  A
 map's output law under uniform inputs is read from its counts
 (:meth:`CompressiveMap.output_counts`,
-:meth:`CompressiveMap.conditioned_output_counts`).
+:meth:`CompressiveMap.conditioned_output_counts`); a batch of maps of one
+shape gets its conditioned counts from one fold
+(:meth:`CompressiveMap.batch_conditioned_counts`), each map's the same as
+it gets alone.
 Every law of a set-encoded compression is that of one uniform pick from
 each of several disjoint pools of ids (None picks nothing): a uniform subset
 is pools (w, None) plus (v,) per forced v (:func:`subset_pools`), and each
@@ -195,60 +198,79 @@ class CompressiveMap:
         Returns an int64 array of shape (arity, alphabet_size, 2**output_bits);
         entry [j, x, z] counts the (input, coin) rows with symbol x at
         coordinate j and output code z.  Each (j, x) slice sums to
-        alphabet_size**(arity-1) * 2**coin_bits.
-
-        The counts come from one fold of a code-major table, cur[z, i]: the
-        coins with output z on input i (mixed radix, first coordinate most
-        significant).  Viewed as (codes, s, rest), cur's sums over rest count
-        coordinate j by symbol, and its sum over the s slices is the next
-        table, with coordinate j folded out, first coordinate first.  After
-        j folds an entry is at most s**j * 2**r; cur is kept in the
-        narrowest unsigned dtype that holds that.
-
-        The working set stays within about twice the table's bytes.  A
-        deterministic map with at most 16 codes builds cur by a one-hot
-        comparison, 8 codes (the table's bytes) at a time, and the fold
-        reads about 2**m * s**t entries twice.  Any other map first counts
-        its leading coordinates one at a time, by a bincount of each
-        symbol's block of table rows (the last symbol is the code total
-        minus the others), until the other coordinates have no more (code,
-        input) pairs than the table has entries.  cur for those is built
-        one block of inputs at a time, each by one keyed bincount over about
-        BLOCK_CELLS keys and cells (at least the s**lead * 2**r keys of one
-        input), so its int64 temporaries stay small however large the table
-        is.  Maps with many codes thus cost about what per-coordinate
-        bincounts cost.
+        alphabet_size**(arity-1) * 2**coin_bits.  The one-map case of
+        :meth:`batch_conditioned_counts`.
         """
-        t, s, m_codes = self.arity, self.alphabet_size, 2**self.output_bits
-        n, coins = self.n_inputs, self.n_coins
-        out = np.empty((t, s, m_codes), dtype=np.int64)
+        return CompressiveMap.batch_conditioned_counts([self])[0]
+
+    @staticmethod
+    def batch_conditioned_counts(maps: Sequence["CompressiveMap"]) -> np.ndarray:
+        """:meth:`conditioned_output_counts` of a batch of B maps of one
+        shape, from one fold: an int64 array of shape (B, arity,
+        alphabet_size, 2**output_bits) whose [b] is map b's counts.
+
+        The counts come from one fold of a code-major table, cur[c, i]: the
+        coins with stacked code c = b * 2**m + z on input i, that is map b's
+        coins with output z (mixed radix, first coordinate most
+        significant).  Viewed as (codes, s, rest), cur's sums over rest
+        count coordinate j by symbol, and its sum over the s slices is the
+        next table, with coordinate j folded out, first coordinate first.
+        After j folds an entry is at most s**j * 2**r; cur is kept in the
+        narrowest unsigned dtype that holds that.  Each map's first stage
+        is built on its own and written into its rows of cur, so the fold's
+        numpy calls are shared by the batch and its counts are each map's
+        own.
+
+        The working set stays within about twice the batch's table bytes.
+        Deterministic maps with at most 16 codes build cur by a one-hot
+        comparison, 8 stacked codes per map (the tables' bytes) at a time,
+        and the fold reads about 2**m * s**t entries per map twice.  Any
+        other batch first counts its leading coordinates one at a time, by
+        a bincount of each symbol's block of table rows (the last symbol is
+        the code total minus the others), until the other coordinates have
+        no more (code, input) pairs than a table has entries.  A map's rows
+        of cur for those are built one block of inputs at a time, each by
+        one keyed bincount over about BLOCK_CELLS keys and cells (at least
+        the s**lead * 2**r keys of one input), so its int64 temporaries
+        stay small however large the table is.  Maps with many codes thus
+        cost about what per-coordinate bincounts cost.
+        """
+        f = maps[0]
+        shape = (f.arity, f.output_bits, f.coin_bits, f.alphabet_size)
+        if any((g.arity, g.output_bits, g.coin_bits, g.alphabet_size) != shape for g in maps):
+            raise ValueError("a batch of maps needs one arity, output width, coin width and alphabet")
+        t, s, m_codes = f.arity, f.alphabet_size, 2**f.output_bits
+        n, coins = f.n_inputs, f.n_coins
+        codes = len(maps) * m_codes
+        out = np.empty((t, s, codes), dtype=np.int64)
         if coins == 1 and m_codes <= 16:
-            lead, step = 0, self.table.nbytes // n
+            lead, step = 0, 8 * len(maps)  # the batch's table bytes per chunk
             chunks: Iterable[np.ndarray] = (
-                (self.table[:, 0] == np.arange(z, min(z + step, m_codes))[:, None]).view(np.uint8)
-                for z in range(0, m_codes, step)
+                _one_hot(maps, m_codes, lo, min(lo + step, codes)) for lo in range(0, codes, step)
             )
         else:
             lead = 0
             while lead < t and m_codes * s ** (t - lead) > n * coins:
                 lead += 1
             rest = s ** (t - lead)
-            rows = self.table.reshape(-1, rest, coins)
             width = max(1, BLOCK_CELLS // max(m_codes, s**lead * coins))
-            for lo in range(0, rest, width):
-                block = rows[:, lo : lo + width]
-                w = block.shape[1]
-                keyed = block * w
-                keyed += np.arange(w)[:, None]  # code * w + (input mod rest) - lo
-                counts = np.bincount(keyed.ravel(), minlength=m_codes * w).reshape(m_codes, w)
-                del keyed
-                if lo == 0:  # after the keys are freed: one block peaks as one bincount does
-                    first = np.empty((m_codes, rest), dtype=np.min_scalar_type(s**lead * coins))
-                first[:, lo : lo + w] = counts
+            first = None
+            for b, g in enumerate(maps):
+                rows = g.table.reshape(-1, rest, coins)
+                for lo in range(0, rest, width):
+                    block = rows[:, lo : lo + width]
+                    w = block.shape[1]
+                    keyed = block * w
+                    keyed += np.arange(w)[:, None]  # code * w + (input mod rest) - lo
+                    counts = np.bincount(keyed.ravel(), minlength=m_codes * w).reshape(m_codes, w)
+                    del keyed
+                    if first is None:  # after the keys are freed: one block peaks as one bincount does
+                        first = np.empty((codes, rest), dtype=np.min_scalar_type(s**lead * coins))
+                    first[b * m_codes : (b + 1) * m_codes, lo : lo + w] = counts
             chunks = [first]
             del first, counts
         wide = np.min_scalar_type(n * coins // s)  # holds any one count
-        total = np.empty(m_codes, dtype=np.int64)
+        total = np.empty(codes, dtype=np.int64)
         z = 0
         for cur in chunks:
             mc = len(cur)
@@ -259,13 +281,15 @@ class CompressiveMap:
             total[z : z + mc] = cur.reshape(mc)
             z += mc
         del chunks, cur  # the leading coordinates need only the totals
-        for j in range(lead):
-            blocks = self.table.reshape(s**j, s, -1)
-            for x in range(s - 1):
-                out[j, x] = np.bincount(blocks[:, x, :].ravel(), minlength=m_codes)
-            np.add.reduce(out[j, : s - 1], axis=0, out=out[j, s - 1])
-            np.subtract(total, out[j, s - 1], out=out[j, s - 1])
-        return out
+        for b, g in enumerate(maps):
+            zs = slice(b * m_codes, (b + 1) * m_codes)
+            for j in range(lead):
+                blocks = g.table.reshape(s**j, s, -1)
+                for x in range(s - 1):
+                    out[j, x, zs] = np.bincount(blocks[:, x, :].ravel(), minlength=m_codes)
+                np.add.reduce(out[j, : s - 1, zs], axis=0, out=out[j, s - 1, zs])
+                np.subtract(total[zs], out[j, s - 1, zs], out=out[j, s - 1, zs])
+        return out.reshape(t, s, len(maps), m_codes).transpose(2, 0, 1, 3)
 
     # -- serialization ----------------------------------------------------------
 
@@ -298,6 +322,17 @@ class CompressiveMap:
         bits = np.unpackbits(raw, count=n_rows * m, bitorder="big").reshape(n_rows, m)
         codes = bits.astype(np.int64) @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
         return cls(t, m, r, codes.reshape(s**t, 2**r), s)
+
+
+def _one_hot(maps: Sequence[CompressiveMap], m_codes: int, lo: int, hi: int) -> np.ndarray:
+    """Stacked codes lo..hi-1 of deterministic maps as a (hi - lo, inputs)
+    uint8 table: entry [c - lo, i] is 1 when map c // m_codes has output
+    c % m_codes on input i."""
+    pieces = [
+        maps[b].table[:, 0] == np.arange(max(lo - b * m_codes, 0), min(hi - b * m_codes, m_codes))[:, None]
+        for b in range(lo // m_codes, (hi - 1) // m_codes + 1)
+    ]
+    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------

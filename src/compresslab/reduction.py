@@ -194,7 +194,7 @@ def queries_for(
     v: int,
     advice: Advice,
     a: SetEncodedCompression,
-    shared: dict[tuple, Any] | None = None,
+    shared: dict[PromiseGap, dict[tuple, SDQuery]] | None = None,
 ) -> list[SDQuery]:
     """The query batch for one input: one query per advice member g, on the
     laws of :meth:`SetEncodedCompression.conditioned_keys` (g, v), the pair
@@ -204,16 +204,18 @@ def queries_for(
     containing v produce no queries (the decision rejects beforehand).
     Equal queries are one object: within the batch, and across every call
     that passes the same ``shared`` dict, so each distinct distance is
-    computed once.  The laws themselves are memoised by the compression.
+    computed once.  ``shared`` holds one dict of queries per gap, keyed by
+    their pair of laws, so the gap is hashed once per call.  The laws
+    themselves are memoised by the compression.
     """
-    shared = {} if shared is None else shared
+    gap = advice.gap
+    by_laws = {} if shared is None else shared.setdefault(gap, {})
     queries = []
     for g in advice.elements:
         left, right = map(a.law, a.conditioned_keys(g, v))
-        key = (left, right, advice.gap)
-        q = shared.get(key)
+        q = by_laws.get((left, right))
         if q is None:
-            q = shared[key] = SDQuery(left, right, advice.gap)
+            q = by_laws[left, right] = SDQuery(left, right, gap)
         queries.append(q)
     return queries
 
@@ -223,7 +225,7 @@ def decide(
     advice: Advice,
     a: SetEncodedCompression,
     oracle: Oracle = exact_sd_oracle,
-    shared: dict[tuple, Any] | None = None,
+    shared: dict[PromiseGap, dict[tuple, SDQuery]] | None = None,
 ) -> tuple[bool, list[SDQuery]]:
     """The decision procedure: the verdict on one input and its query batch.
 
@@ -322,7 +324,7 @@ def audit_language(
     advice = build_advice(language, a, t if block_size is None else t * block_size, gap)
 
     tags = {"yes": 0, "no": 0, "gap": 0}
-    shared: dict[tuple, Any] = {}
+    shared: dict[PromiseGap, dict[tuple, SDQuery]] = {}
 
     def verdict(v: int, size: int) -> bool:
         accept, batch = decide(v, advice, a, oracle, shared)

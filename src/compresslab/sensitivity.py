@@ -24,6 +24,13 @@ table out as Fractions and floats.  Probabilities and statistical distances
 are exact rationals; logarithms are evaluated in floats, so certified
 slacks carry a 1e-9 tolerance.
 
+:func:`verify_batch` verifies a batch of B maps of one shape from one count
+pass (:meth:`CompressiveMap.batch_conditioned_counts`), and the three
+single-map verifiers are its B = 1 case.  The distance numerators of the
+batch are one int64 array with a leading batch axis; KL terms, means,
+witnesses and right sides are each map's own, so a map's report does not
+depend on the batch it is verified in, to the bit.
+
 The information I(output : input) on the KL and conditioned-distance right
 sides comes from the same count pass: H(output) from its full output
 counts, and H(output | input) as the input-average of each table row's coin
@@ -34,12 +41,15 @@ block's height, so the float result is the full table's, to the bit.  A
 row's coin entropy depends only on its tuple of coin codes, so a map with
 fewer such tuples, (2**m)**(2**r), than rows sums one representative row
 per tuple and gathers each row's entropy by its tuple's key: the same
-values, averaged over the same full-length array of rows.
+values, averaged over the same full-length array of rows.  A batch of such
+maps sums the representative rows once and gathers each map's rows on
+their own.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -58,8 +68,9 @@ SLACK_TOL = 1e-9
 
 LOG2_E = math.log2(math.e)
 
-#: The one count pass of a map (:func:`_uniform_counts`): full output counts,
-#: conditioned counts, and their two denominators.
+#: The one count pass of a batch of B maps of one shape (:func:`_batch_counts`):
+#: full output counts (B, 2**m), conditioned counts (B, t, s, 2**m), and their
+#: two denominators.
 Counts = tuple[np.ndarray, np.ndarray, int, int]
 
 
@@ -167,46 +178,54 @@ def _row_entropies(table: np.ndarray, m_codes: int) -> np.ndarray:
     return h_rows
 
 
-def _coin_entropy_bits(f: CompressiveMap) -> float:
-    """H(output | input) in bits: the input-average of each table row's coin entropy.
+def _coin_entropy_bits(maps: Sequence[CompressiveMap]) -> list[float]:
+    """H(output | input) in bits of each map of a batch of one shape: the
+    input-average of each table row's coin entropy.
 
     A row's entropy depends only on its tuple of coin codes, its key
     sum_c table[:, c] * (2**m)**c.  When there are fewer keys than rows,
-    :func:`_row_entropies` runs once over one representative row per key,
-    and each row's entropy is gathered by its key, the keys computed one
-    block of BLOCK_CELLS rows at a time so no key array over all rows is
-    held.  Otherwise it runs over the table's own rows.  Either way each
-    row's entropy is the same float sum, and the mean is taken over the
-    same full-length array of row entropies, so the result does not depend
-    on the route, to the bit.
+    :func:`_row_entropies` runs once per batch over one representative row
+    per key, and each row's entropy is gathered by its key, the keys
+    computed one block of BLOCK_CELLS rows at a time so no key array over
+    all rows is held.  Otherwise it runs over each map's own rows.  Either
+    way each row's entropy is the same float sum, and each map's mean is
+    taken over the same full-length array of its row entropies, so the
+    result does not depend on the route or the batch, to the bit.
     """
+    f = maps[0]
     m, n_coins, n = f.output_bits, f.n_coins, f.n_inputs
     m_codes = 2**m
     if m * n_coins >= (n - 1).bit_length():  # (2**m)**n_coins >= n, without the power
-        return float(_row_entropies(f.table, m_codes).mean())
+        return [float(_row_entropies(g.table, m_codes).mean()) for g in maps]
     shifts = m * np.arange(n_coins)
     h_keys = _row_entropies((np.arange(2 ** (m * n_coins))[:, None] >> shifts) & (m_codes - 1), m_codes)
     h_rows = np.empty(n)
-    for lo in range(0, n, BLOCK_CELLS):
-        block = f.table[lo : lo + BLOCK_CELLS]
-        key = block[:, 0].copy()
-        for c in range(1, n_coins):
-            key += block[:, c] << shifts[c]
-        np.take(h_keys, key, out=h_rows[lo : lo + len(block)])
-    return float(h_rows.mean())
+    entropies = []
+    for g in maps:
+        for lo in range(0, n, BLOCK_CELLS):
+            block = g.table[lo : lo + BLOCK_CELLS]
+            key = block[:, 0].copy()
+            for c in range(1, n_coins):
+                key += block[:, c] << shifts[c]
+            np.take(h_keys, key, out=h_rows[lo : lo + len(block)])
+        entropies.append(float(h_rows.mean()))
+    return entropies
 
 
-def _uniform_counts(f: CompressiveMap) -> Counts:
-    """(full counts, conditioned counts, full denom, conditioned denom)."""
-    cond = f.conditioned_output_counts()
-    full = cond[0].sum(axis=0)
-    n_full = f.n_inputs * f.n_coins
-    n_cond = n_full // f.alphabet_size
-    return full, cond, n_full, n_cond
+def _batch_counts(maps: Sequence[CompressiveMap]) -> Counts:
+    """(full counts, conditioned counts, full denom, conditioned denom) of a
+    batch of maps of one shape, from one count pass."""
+    cond = CompressiveMap.batch_conditioned_counts(maps)
+    full = cond[:, 0].sum(axis=1)
+    n_full = maps[0].n_inputs * maps[0].n_coins
+    return full, cond, n_full, n_full // maps[0].alphabet_size
 
 
-def _term_table(f: CompressiveMap, lemma: str, counts: Counts | None = None) -> tuple[np.ndarray, int | None]:
-    """The lemma's (t, s) terms as one array, with their common denominator.
+def _term_table(
+    maps: Sequence[CompressiveMap], lemma: str, counts: Counts | None = None
+) -> tuple[np.ndarray, int | None]:
+    """The lemma's (t, s) terms of each map of a batch as one (B, t, s) array,
+    with their common denominator.
 
     The distance terms share the denominator 2 * n1 * n2, so they come as
     an int64 table of numerators, sum_z |c1[z] * n2 - c2[z] * n1|; int64 is
@@ -214,20 +233,24 @@ def _term_table(f: CompressiveMap, lemma: str, counts: Counts | None = None) -> 
     KL terms are float bits, each summed over z in code order, with
     denominator None.
     """
+    f = maps[0]
     if lemma == LEMMA_PINSKER and f.alphabet_size != 2:
         raise ValueError("the noise-sensitivity terms need a binary alphabet")
-    full, cond, n_full, n_cond = _uniform_counts(f) if counts is None else counts
+    full, cond, n_full, n_cond = _batch_counts(maps) if counts is None else counts
     if lemma == LEMMA_PINSKER:
         # d(out | j=0, out | j=1), one column
-        return np.abs(cond[:, 0] * n_cond - cond[:, 1] * n_cond).sum(axis=1, keepdims=True), 2 * n_cond * n_cond
+        return np.abs(cond[:, :, 0] * n_cond - cond[:, :, 1] * n_cond).sum(axis=2, keepdims=True), 2 * n_cond * n_cond
     if lemma == LEMMA_VAJDA:
         # d(out | j!=x, out | j=x)
         n_ne = n_full - n_cond
-        return np.abs((full - cond) * n_cond - cond * n_ne).sum(axis=2), 2 * n_ne * n_cond
+        return np.abs((full[:, None, None] - cond) * n_cond - cond * n_ne).sum(axis=3), 2 * n_ne * n_cond
     if lemma == LEMMA_KL_BOUND:
         t, s = f.arity, f.alphabet_size
-        kl = [[_count_kl_bits(cond[j, x], n_cond, full, n_full) for x in range(s)] for j in range(t)]
-        return np.array(kl, dtype=np.float64), None
+        kl = [
+            [[_count_kl_bits(c[j, x], n_cond, full_b, n_full) for x in range(s)] for j in range(t)]
+            for c, full_b in zip(cond, full)
+        ]
+        return np.array(kl, dtype=np.float64).reshape(len(maps), t, s), None
     raise ValueError(f"unknown lemma {lemma!r}")
 
 
@@ -248,20 +271,13 @@ def coordinate_terms(f: CompressiveMap, lemma: str, counts: Counts | None = None
     PINSKER_SENS has one column, d(out | j=0, out | j=1) on binary alphabets;
     KL_BOUND has KL(out | j=x, out) in float bits; VAJDA_SENS has
     d(out | j!=x, out | j=x).  Distances are exact Fractions.  ``counts`` is
-    the :func:`_uniform_counts` tuple, so one caller can read several lemmas
+    the ``_batch_counts([f])`` tuple, so one caller can read several lemmas
     from one count pass.
     """
-    table, denom = _term_table(f, lemma, counts)
+    table, denom = _term_table([f], lemma, counts)
     if denom is None:
-        return table.tolist()
-    return [[Fraction(v, denom) for v in row] for row in table.tolist()]
-
-
-def _report(f: CompressiveMap, lemma: str, rhs: float, counts: Counts | None = None) -> LemmaReport:
-    """The mean of the lemma's terms against rhs; the witness is the first largest term."""
-    table, denom = _term_table(f, lemma, counts)
-    j, x = divmod(int(np.argmax(table)), table.shape[1])
-    return LemmaReport(lemma, float(_mean(table, denom)), rhs, j, x if table.shape[1] > 1 else None, _map_params(f))
+        return table[0].tolist()
+    return [[Fraction(v, denom) for v in row] for row in table[0].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -269,36 +285,78 @@ def _report(f: CompressiveMap, lemma: str, rhs: float, counts: Counts | None = N
 # ---------------------------------------------------------------------------
 
 
+def _information(maps: Sequence[CompressiveMap], full: np.ndarray) -> list[float]:
+    """I(output : input) in bits of each map of a batch, from its row of full
+    output counts: H(output) minus the input-average of the per-row coin
+    entropies (:func:`_coin_entropy_bits`); zero coin bits make the
+    conditional term vanish."""
+    n_full = maps[0].n_inputs * maps[0].n_coins
+    h_out = [_count_entropy_bits(counts, n_full) for counts in full]
+    if maps[0].coin_bits == 0:
+        return h_out
+    return [max(h - h_coin, 0.0) for h, h_coin in zip(h_out, _coin_entropy_bits(maps))]
+
+
 def map_input_mutual_information(f: CompressiveMap, counts: Counts | None = None) -> float:
     """I(output : input) in bits.
 
     Computed as H(output) minus the input-average of the per-row coin
     entropies; zero coin bits make the conditional term vanish.  H(output)
-    reads the full output counts of ``counts``, the count pass a verifier
-    has already made, else one bincount of the table.  The coin entropies
-    are summed in blocks of rows (:func:`_coin_entropy_bits`), so no
-    (inputs x codes) table is built, and each row's float sum is grouped as
-    that table's would be.
+    reads the full output counts of ``counts``, the ``_batch_counts([f])``
+    pass a verifier has already made, else one bincount of the table.  The
+    coin entropies are summed in blocks of rows (:func:`_coin_entropy_bits`),
+    so no (inputs x codes) table is built, and each row's float sum is
+    grouped as that table's would be.
     """
-    if counts is None:
-        h_out = _count_entropy_bits(f.output_counts(), f.n_inputs * f.n_coins)
+    return _information([f], f.output_counts()[None] if counts is None else counts[0])[0]
+
+
+def verify_batch(maps: Sequence[CompressiveMap], lemma: str) -> list[LemmaReport]:
+    """One report per map of a nonempty batch of maps of one shape, from one
+    count pass; the three single-map verifiers are its B = 1 case.
+
+    The batch shares its conditioned counts (one fold), its distance
+    numerators (one int64 array with a leading batch axis) and, on the
+    keyed coin-entropy route, its representative rows.  KL terms, means and
+    witnesses are each map's own, so every report equals the one its map
+    gets alone, to the bit.
+    """
+    f = maps[0]
+    if lemma == LEMMA_PINSKER:
+        return _reports(maps, lemma, [pinsker_threshold(f.output_bits, f.arity)] * len(maps))
+    if lemma not in (LEMMA_KL_BOUND, LEMMA_VAJDA):
+        raise ValueError(f"unknown lemma {lemma!r}")
+    counts = _batch_counts(maps)
+    info = _information(maps, counts[0])
+    if lemma == LEMMA_KL_BOUND:
+        rhs = [i / f.arity for i in info]
     else:
-        full, _, n_full, _ = counts
-        h_out = _count_entropy_bits(full, n_full)
-    if f.coin_bits == 0:
-        return h_out
-    return max(h_out - _coin_entropy_bits(f), 0.0)
+        rhs = [vajda_threshold(i, f.arity, f.alphabet_size) for i in info]
+    return _reports(maps, lemma, rhs, counts)
+
+
+def _reports(
+    maps: Sequence[CompressiveMap], lemma: str, rhs: Sequence[float], counts: Counts | None = None
+) -> list[LemmaReport]:
+    """The mean of each map's lemma terms against its rhs; the witness is the first largest term."""
+    table, denom = _term_table(maps, lemma, counts)
+    width = table.shape[2]
+    reports = []
+    for f, terms, bound in zip(maps, table, rhs):
+        j, x = divmod(int(np.argmax(terms)), width)
+        witness_x = x if width > 1 else None
+        reports.append(LemmaReport(lemma, float(_mean(terms, denom)), bound, j, witness_x, _map_params(f)))
+    return reports
 
 
 def verify_kl_bound(f: CompressiveMap) -> LemmaReport:
     """Report for the KL-vs-mutual-information bound, with the worst term as witness."""
-    counts = _uniform_counts(f)
-    return _report(f, LEMMA_KL_BOUND, map_input_mutual_information(f, counts) / f.arity, counts)
+    return verify_batch([f], LEMMA_KL_BOUND)[0]
 
 
 def verify_pinsker_sensitivity(f: CompressiveMap) -> LemmaReport:
     """Report comparing the average noise sensitivity against sqrt(2 ln 2 * m/t)."""
-    return _report(f, LEMMA_PINSKER, pinsker_threshold(f.output_bits, f.arity))
+    return verify_batch([f], LEMMA_PINSKER)[0]
 
 
 def verify_vajda_sensitivity(f: CompressiveMap) -> LemmaReport:
@@ -308,9 +366,7 @@ def verify_vajda_sensitivity(f: CompressiveMap) -> LemmaReport:
     right side combines the divergence ceiling with the 1/|alphabet| cost of
     resampling one coordinate.
     """
-    counts = _uniform_counts(f)
-    rhs = vajda_threshold(map_input_mutual_information(f, counts), f.arity, f.alphabet_size)
-    return _report(f, LEMMA_VAJDA, rhs, counts)
+    return verify_batch([f], LEMMA_VAJDA)[0]
 
 
 def _map_params(f: CompressiveMap) -> dict[str, Any]:
@@ -332,6 +388,7 @@ __all__ = [
     "map_input_mutual_information",
     "pinsker_threshold",
     "vajda_threshold",
+    "verify_batch",
     "verify_kl_bound",
     "verify_pinsker_sensitivity",
     "verify_vajda_sensitivity",

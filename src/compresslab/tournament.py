@@ -281,7 +281,7 @@ def selector_from_compression(
 
 # the random tournament's mix: Horner's rule modulo the Mersenne prime M
 _M = 2**61 - 1
-_P = 1099511628211
+_P = 2**40 + 435  # 1099511628211
 
 
 def _add_mod(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -315,11 +315,22 @@ class _RandomTournament(HypergraphTournament):
     @functools.cached_property
     def _leads(self) -> np.ndarray:
         """k x |V| leads, built at first use, which a greedy step reaches
-        only past its budget checks: none when k > |V| leaves no edge."""
+        only past its budget checks: none when k > |V| leaves no edge.
+
+        Row 0 is the keys (below 2**64) mod M, and row j + 1 is row j times
+        P mod M, exact in uint64: with P = 2**40 + 435, x * 2**40 mod M
+        rotates x's 61 bits, and x * 435 is split at bit 32 into two
+        products that stay far below 2**64."""
         leads = np.empty((self.edge_size, len(self._keys)), dtype=np.uint64)
-        for j, row in enumerate(leads):  # one row of Python ints at a time
-            scale = pow(_P, j, _M)
-            row[:] = [key * scale % _M for key in self._keys]
+        m = np.uint64(_M)
+        np.remainder(np.array(self._keys, dtype=np.uint64), m, out=leads[0])
+        for j in range(1, self.edge_size):
+            x = leads[j - 1]
+            high = (x >> np.uint64(32)) * np.uint64(435)
+            row = ((x << np.uint64(40)) & m) | (x >> np.uint64(21))
+            row += (x & np.uint64(0xFFFFFFFF)) * np.uint64(435)
+            row += ((high << np.uint64(32)) & m) + (high >> np.uint64(29))
+            np.remainder(row, m, out=leads[j])
         return leads
 
     def dominated(self, members: Sequence[np.ndarray], vs: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from compresslab.reduction import Number, Oracle, SDQuery
 from compresslab.sensitivity import (
     LEMMA_KL_BOUND,
     LEMMA_PINSKER,
-    _uniform_counts,
+    _batch_counts,
     coordinate_terms,
     pinsker_threshold,
     verify_kl_bound,
@@ -406,7 +406,7 @@ def pinsker_chain(f: CompressiveMap) -> dict[str, float]:
     """
     if f.alphabet_size != 2:
         raise ValueError("the chain is defined for binary alphabets")
-    counts = _uniform_counts(f)
+    counts = _batch_counts([f])
     sensitivity = float(_term_mean(coordinate_terms(f, LEMMA_PINSKER, counts)))
     avg_kl = _term_mean(coordinate_terms(f, LEMMA_KL_BOUND, counts))
     return {

@@ -433,14 +433,15 @@ def test_kl_terms_equal_numpy_scalar_reference():
 
 
 def test_verifiers_build_the_conditioned_table_once(monkeypatch):
+    # every count pass, of one map or a batch, goes through the batch entry point
     calls = []
-    build = CompressiveMap.conditioned_output_counts
+    build = CompressiveMap.batch_conditioned_counts
 
-    def counted(self):
-        calls.append(self)
-        return build(self)
+    def counted(maps):
+        calls.extend(maps)
+        return build(maps)
 
-    monkeypatch.setattr(CompressiveMap, "conditioned_output_counts", counted)
+    monkeypatch.setattr(CompressiveMap, "batch_conditioned_counts", staticmethod(counted))
     cases = [
         (verify_pinsker_sensitivity, CompressiveMap.random(5, 2, 1, seed=1)),
         (verify_kl_bound, CompressiveMap.random(4, 2, 0, seed=2)),
