@@ -319,33 +319,28 @@ def verify_batch(maps: Sequence[CompressiveMap], lemma: str) -> list[LemmaReport
     numerators (one int64 array with a leading batch axis) and, on the
     keyed coin-entropy route, its representative rows.  KL terms, means and
     witnesses are each map's own, so every report equals the one its map
-    gets alone, to the bit.
+    gets alone, to the bit.  Each witness is the first largest term.
     """
     f = maps[0]
+    counts = None
     if lemma == LEMMA_PINSKER:
-        return _reports(maps, lemma, [pinsker_threshold(f.output_bits, f.arity)] * len(maps))
-    if lemma not in (LEMMA_KL_BOUND, LEMMA_VAJDA):
-        raise ValueError(f"unknown lemma {lemma!r}")
-    counts = _batch_counts(maps)
-    info = _information(maps, counts[0])
-    if lemma == LEMMA_KL_BOUND:
-        rhs = [i / f.arity for i in info]
+        rhs = [pinsker_threshold(f.output_bits, f.arity)] * len(maps)
+    elif lemma in (LEMMA_KL_BOUND, LEMMA_VAJDA):
+        counts = _batch_counts(maps)
+        info = _information(maps, counts[0])
+        if lemma == LEMMA_KL_BOUND:
+            rhs = [i / f.arity for i in info]
+        else:
+            rhs = [vajda_threshold(i, f.arity, f.alphabet_size) for i in info]
     else:
-        rhs = [vajda_threshold(i, f.arity, f.alphabet_size) for i in info]
-    return _reports(maps, lemma, rhs, counts)
-
-
-def _reports(
-    maps: Sequence[CompressiveMap], lemma: str, rhs: Sequence[float], counts: Counts | None = None
-) -> list[LemmaReport]:
-    """The mean of each map's lemma terms against its rhs; the witness is the first largest term."""
+        raise ValueError(f"unknown lemma {lemma!r}")
     table, denom = _term_table(maps, lemma, counts)
     width = table.shape[2]
     reports = []
-    for f, terms, bound in zip(maps, table, rhs):
+    for g, terms, bound in zip(maps, table, rhs):
         j, x = divmod(int(np.argmax(terms)), width)
         witness_x = x if width > 1 else None
-        reports.append(LemmaReport(lemma, float(_mean(terms, denom)), bound, j, witness_x, _map_params(f)))
+        reports.append(LemmaReport(lemma, float(_mean(terms, denom)), bound, j, witness_x, _map_params(g)))
     return reports
 
 
