@@ -57,9 +57,10 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-#: Table cells per batch of verify-lemma trials: consecutive trials whose
-#: tables together hold at most this many share one count pass
-#: (:func:`verify_batch`), and a map with more runs alone.
+#: Cells per batch of verify-lemma trials: consecutive trials whose maps'
+#: working sets (:meth:`CompressiveMap.working_cells`, the larger of a
+#: map's table and its conditioned counts) together hold at most this many
+#: share one count pass (:func:`verify_batch`), and a map with more runs alone.
 BATCH_CELLS = 2**16
 
 
@@ -162,8 +163,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> int:
         raise ValueError("the noise-sensitivity bound is for binary alphabets; drop --sigma")
     report = _Report(args.out)
     failures = 0
-    # a table has sigma**t * 2**r cells; a sigma below 2 is left to the first draw to reject
-    per_batch = max(1, BATCH_CELLS // max(1, sigma**args.t * 2**args.r))
+    per_batch = max(1, BATCH_CELLS // CompressiveMap.working_cells(args.t, args.m, args.r, sigma))
     for lo in range(0, args.trials, per_batch):
         trials = range(lo, min(lo + per_batch, args.trials))
         # the maps die with their batch, so a map above the cap is never held with another

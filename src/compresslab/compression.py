@@ -116,6 +116,16 @@ class CompressiveMap:
         check_enumeration(2**output_bits, "output codes")
         return n_inputs, n_coins
 
+    @staticmethod
+    def working_cells(arity: int, output_bits: int, coin_bits: int, alphabet_size: int = 2) -> int:
+        """Cells one map of this shape adds to a batch's working set, after
+        the shape and budget checks: the larger of its table (s**t * 2**r
+        cells) and its conditioned counts (t * s * 2**m int64 cells, which
+        :meth:`batch_conditioned_counts` returns and the verifiers' distance
+        temporaries match)."""
+        n_inputs, n_coins = CompressiveMap._check_shape(arity, output_bits, coin_bits, alphabet_size)
+        return max(n_inputs * n_coins, arity * alphabet_size * 2**output_bits)
+
     # -- constructors -------------------------------------------------------
 
     @classmethod
@@ -221,7 +231,8 @@ class CompressiveMap:
         numpy calls are shared by the batch and its counts are each map's
         own.
 
-        The working set stays within about twice the batch's table bytes.
+        The working set stays within about twice the batch's table bytes
+        plus its counts (:meth:`working_cells` cells per map).
         Deterministic maps with at most 16 codes build cur by a one-hot
         comparison, 8 stacked codes per map (the tables' bytes) at a time,
         and the fold reads about 2**m * s**t entries per map twice.  Any
@@ -236,9 +247,10 @@ class CompressiveMap:
         cost about what per-coordinate bincounts cost.
         """
         f = maps[0]
-        shape = (f.arity, f.output_bits, f.coin_bits, f.alphabet_size)
-        if any((g.arity, g.output_bits, g.coin_bits, g.alphabet_size) != shape for g in maps):
-            raise ValueError("a batch of maps needs one arity, output width, coin width and alphabet")
+        if len(maps) > 1:
+            shape = (f.arity, f.output_bits, f.coin_bits, f.alphabet_size)
+            if any((g.arity, g.output_bits, g.coin_bits, g.alphabet_size) != shape for g in maps[1:]):
+                raise ValueError("a batch of maps needs one arity, output width, coin width and alphabet")
         t, s, m_codes = f.arity, f.alphabet_size, 2**f.output_bits
         n, coins = f.n_inputs, f.n_coins
         codes = len(maps) * m_codes
@@ -328,11 +340,15 @@ def _one_hot(maps: Sequence[CompressiveMap], m_codes: int, lo: int, hi: int) -> 
     """Stacked codes lo..hi-1 of deterministic maps as a (hi - lo, inputs)
     uint8 table: entry [c - lo, i] is 1 when map c // m_codes has output
     c % m_codes on input i."""
+    first, last = lo // m_codes, (hi - 1) // m_codes
+    if first == last:  # the chunk lies within one map
+        z = lo - first * m_codes
+        return (maps[first].table[:, 0] == np.arange(z, z + hi - lo)[:, None]).view(np.uint8)
     pieces = [
         maps[b].table[:, 0] == np.arange(max(lo - b * m_codes, 0), min(hi - b * m_codes, m_codes))[:, None]
-        for b in range(lo // m_codes, (hi - 1) // m_codes + 1)
+        for b in range(first, last + 1)
     ]
-    return (pieces[0] if len(pieces) == 1 else np.concatenate(pieces)).view(np.uint8)
+    return np.concatenate(pieces).view(np.uint8)
 
 
 # ---------------------------------------------------------------------------

@@ -124,9 +124,9 @@ def vajda_threshold(info_bits: float, arity: int, alphabet_size: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _count_kl_bits(cp: np.ndarray, np_total: int, cq: np.ndarray, nq_total: int) -> float:
+def _count_kl_bits(cp: Sequence[int], np_total: int, cq: Sequence[int], nq_total: int) -> float:
     total = 0.0
-    for a, b in zip(cp.tolist(), cq.tolist()):
+    for a, b in zip(cp, cq):
         if a:
             p = a / np_total
             q = b / nq_total
@@ -136,9 +136,9 @@ def _count_kl_bits(cp: np.ndarray, np_total: int, cq: np.ndarray, nq_total: int)
     return total
 
 
-def _count_entropy_bits(counts: np.ndarray, total: int) -> float:
+def _count_entropy_bits(counts: Sequence[int], total: int) -> float:
     out = 0.0
-    for c in counts.tolist():
+    for c in counts:
         if c:
             p = c / total
             out -= p * math.log2(p)
@@ -223,15 +223,15 @@ def _batch_counts(maps: Sequence[CompressiveMap]) -> Counts:
 
 def _term_table(
     maps: Sequence[CompressiveMap], lemma: str, counts: Counts | None = None
-) -> tuple[np.ndarray, int | None]:
-    """The lemma's (t, s) terms of each map of a batch as one (B, t, s) array,
-    with their common denominator.
+) -> tuple[Sequence[np.ndarray], int | None]:
+    """The lemma's (t, s) terms of each map of a batch, indexed by map, with
+    their common denominator.
 
     The distance terms share the denominator 2 * n1 * n2, so they come as
-    an int64 table of numerators, sum_z |c1[z] * n2 - c2[z] * n1|; int64 is
-    safe because counts and denominators are bounded by the row budget.
-    KL terms are float bits, each summed over z in code order, with
-    denominator None.
+    one (B, t, s) int64 array of numerators, sum_z |c1[z] * n2 - c2[z] * n1|;
+    int64 is safe because counts and denominators are bounded by the row
+    budget.  KL terms are float bits, each summed over z in code order, one
+    (t, s) array per map, with denominator None.
     """
     f = maps[0]
     if lemma == LEMMA_PINSKER and f.alphabet_size != 2:
@@ -245,12 +245,12 @@ def _term_table(
         n_ne = n_full - n_cond
         return np.abs((full[:, None, None] - cond) * n_cond - cond * n_ne).sum(axis=3), 2 * n_ne * n_cond
     if lemma == LEMMA_KL_BOUND:
-        t, s = f.arity, f.alphabet_size
-        kl = [
-            [[_count_kl_bits(c[j, x], n_cond, full_b, n_full) for x in range(s)] for j in range(t)]
-            for c, full_b in zip(cond, full)
+        # one count list at a time besides the map's full counts, read once per map
+        tables = [
+            np.array([[_count_kl_bits(c_jx.tolist(), n_cond, full_b, n_full) for c_jx in c_j] for c_j in c])
+            for c, full_b in zip(cond, full.tolist())
         ]
-        return np.array(kl, dtype=np.float64).reshape(len(maps), t, s), None
+        return tables, None
     raise ValueError(f"unknown lemma {lemma!r}")
 
 
@@ -291,24 +291,23 @@ def _information(maps: Sequence[CompressiveMap], full: np.ndarray) -> list[float
     entropies (:func:`_coin_entropy_bits`); zero coin bits make the
     conditional term vanish."""
     n_full = maps[0].n_inputs * maps[0].n_coins
-    h_out = [_count_entropy_bits(counts, n_full) for counts in full]
+    h_out = [_count_entropy_bits(counts, n_full) for counts in full.tolist()]
     if maps[0].coin_bits == 0:
         return h_out
     return [max(h - h_coin, 0.0) for h, h_coin in zip(h_out, _coin_entropy_bits(maps))]
 
 
-def map_input_mutual_information(f: CompressiveMap, counts: Counts | None = None) -> float:
+def map_input_mutual_information(f: CompressiveMap) -> float:
     """I(output : input) in bits.
 
     Computed as H(output) minus the input-average of the per-row coin
     entropies; zero coin bits make the conditional term vanish.  H(output)
-    reads the full output counts of ``counts``, the ``_batch_counts([f])``
-    pass a verifier has already made, else one bincount of the table.  The
-    coin entropies are summed in blocks of rows (:func:`_coin_entropy_bits`),
-    so no (inputs x codes) table is built, and each row's float sum is
-    grouped as that table's would be.
+    reads one bincount of the table.  The coin entropies are summed in
+    blocks of rows (:func:`_coin_entropy_bits`), so no (inputs x codes)
+    table is built, and each row's float sum is grouped as that table's
+    would be.
     """
-    return _information([f], f.output_counts()[None] if counts is None else counts[0])[0]
+    return _information([f], f.output_counts()[None])[0]
 
 
 def verify_batch(maps: Sequence[CompressiveMap], lemma: str) -> list[LemmaReport]:
@@ -322,10 +321,10 @@ def verify_batch(maps: Sequence[CompressiveMap], lemma: str) -> list[LemmaReport
     gets alone, to the bit.  Each witness is the first largest term.
     """
     f = maps[0]
-    counts = None
     if lemma == LEMMA_PINSKER:
+        counts = None
         rhs = [pinsker_threshold(f.output_bits, f.arity)] * len(maps)
-    elif lemma in (LEMMA_KL_BOUND, LEMMA_VAJDA):
+    elif lemma == LEMMA_KL_BOUND or lemma == LEMMA_VAJDA:
         counts = _batch_counts(maps)
         info = _information(maps, counts[0])
         if lemma == LEMMA_KL_BOUND:
@@ -334,11 +333,11 @@ def verify_batch(maps: Sequence[CompressiveMap], lemma: str) -> list[LemmaReport
             rhs = [vajda_threshold(i, f.arity, f.alphabet_size) for i in info]
     else:
         raise ValueError(f"unknown lemma {lemma!r}")
-    table, denom = _term_table(maps, lemma, counts)
-    width = table.shape[2]
+    tables, denom = _term_table(maps, lemma, counts)
     reports = []
-    for g, terms, bound in zip(maps, table, rhs):
-        j, x = divmod(int(np.argmax(terms)), width)
+    for g, terms, bound in zip(maps, tables, rhs):
+        width = terms.shape[1]
+        j, x = divmod(int(terms.argmax()), width)
         witness_x = x if width > 1 else None
         reports.append(LemmaReport(lemma, float(_mean(terms, denom)), bound, j, witness_x, _map_params(g)))
     return reports

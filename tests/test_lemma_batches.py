@@ -125,6 +125,9 @@ def run_cli(argv: list[str]) -> list[dict]:
         # exactly the cap, and above it: one map per batch
         ("pinsker --t 14 --m 3 --r 2 --trials 2 --seed 4", [1, 1]),
         ("kl --t 17 --m 1 --r 0 --trials 2 --seed 4", [1, 1]),
+        # 4-cell tables but 2 * 2 * 2**17 conditioned counts: the counts set the size
+        ("kl --t 2 --m 17 --r 0 --trials 3 --seed 4", [1, 1, 1]),
+        ("vajda --t 3 --m 12 --r 0 --trials 5 --seed 4", [2, 2, 1]),
     ],
 )
 def test_cli_verifies_consecutive_trials_in_batches_under_the_cap(monkeypatch, argv, sizes):
@@ -149,3 +152,9 @@ def test_cli_verifies_consecutive_trials_in_batches_under_the_cap(monkeypatch, a
         want["params"].update({"seed": args["--seed"], "trial": trial})
         assert line == json.loads(json.dumps(want))
     assert lines[-1]["instances"] == args["--trials"] == len(lines) - 1
+
+
+def test_cli_checks_the_shape_before_the_first_batch(capsys):
+    # the batch size is read from the shape's budget check, so even zero trials of a shape over the budget fail
+    assert cli.main(["verify-lemma", "kl", "--t", "40", "--trials", "0"]) == cli.EXIT_BUDGET
+    assert json.loads(capsys.readouterr().err)["kind"] == "budget"
