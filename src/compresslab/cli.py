@@ -40,7 +40,6 @@ from .sensitivity import (
     LEMMA_KL_BOUND,
     LEMMA_PINSKER,
     LEMMA_VAJDA,
-    SLACK_TOL,
     pinsker_threshold,
     verify_batch,
 )
@@ -173,7 +172,7 @@ def _cmd_verify_lemma(args: argparse.Namespace) -> int:
             line = rep.to_json()
             line["params"].update({"seed": args.seed, "trial": trial})
             report.emit(line)
-            if not rep.holds(SLACK_TOL):
+            if not rep.holds():
                 failures += 1
     report.emit({"config": _config(args), "instances": args.trials, "failures": failures})
     report.flush()
@@ -234,7 +233,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     v = parse_bits(args.input, language.n)
     gap = promise_gap(compression, args.t, args.Delta, args.delta)
     advice = build_advice(language, compression, args.t, gap)
-    verdict, batch = decide(v, advice, compression)
+    verdict, batch = decide(v, advice)
     report.emit(
         {
             "input": args.input,

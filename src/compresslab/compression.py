@@ -247,10 +247,9 @@ class CompressiveMap:
         cost about what per-coordinate bincounts cost.
         """
         f = maps[0]
-        if len(maps) > 1:
-            shape = (f.arity, f.output_bits, f.coin_bits, f.alphabet_size)
-            if any((g.arity, g.output_bits, g.coin_bits, g.alphabet_size) != shape for g in maps[1:]):
-                raise ValueError("a batch of maps needs one arity, output width, coin width and alphabet")
+        shape = (f.arity, f.output_bits, f.coin_bits, f.alphabet_size)
+        if any((g.arity, g.output_bits, g.coin_bits, g.alphabet_size) != shape for g in maps[1:]):
+            raise ValueError("a batch of maps needs one arity, output width, coin width and alphabet")
         t, s, m_codes = f.arity, f.alphabet_size, 2**f.output_bits
         n, coins = f.n_inputs, f.n_coins
         codes = len(maps) * m_codes
@@ -340,15 +339,12 @@ def _one_hot(maps: Sequence[CompressiveMap], m_codes: int, lo: int, hi: int) -> 
     """Stacked codes lo..hi-1 of deterministic maps as a (hi - lo, inputs)
     uint8 table: entry [c - lo, i] is 1 when map c // m_codes has output
     c % m_codes on input i."""
-    first, last = lo // m_codes, (hi - 1) // m_codes
-    if first == last:  # the chunk lies within one map
-        z = lo - first * m_codes
-        return (maps[first].table[:, 0] == np.arange(z, z + hi - lo)[:, None]).view(np.uint8)
-    pieces = [
-        maps[b].table[:, 0] == np.arange(max(lo - b * m_codes, 0), min(hi - b * m_codes, m_codes))[:, None]
-        for b in range(first, last + 1)
-    ]
-    return np.concatenate(pieces).view(np.uint8)
+    chunk = np.empty((hi - lo, maps[0].n_inputs), dtype=bool)
+    for b in range(lo // m_codes, (hi - 1) // m_codes + 1):
+        z0, z1 = max(lo - b * m_codes, 0), min(hi - b * m_codes, m_codes)
+        row = b * m_codes + z0 - lo
+        np.equal(maps[b].table[:, 0], np.arange(z0, z1)[:, None], out=chunk[row : row + z1 - z0])
+    return chunk.view(np.uint8)
 
 
 # ---------------------------------------------------------------------------

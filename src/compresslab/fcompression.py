@@ -78,14 +78,13 @@ class PivotView:
 
     The transformed values satisfy transformed[pivot] = 0 and
     transformed[pivot + 1] = 1 with pivot <= t/2.  complement_source means
-    the view reads yes-counts against the complemented language;
-    complement_target means the view flips the output bit.
+    the view reads yes-counts against the complemented language; a view
+    that flips the output bit has it flipped in ``transformed``.
     """
 
     view: str
     pivot: int
     complement_source: bool
-    complement_target: bool
     transformed: SymmetricFunction
 
     def __post_init__(self):
@@ -109,18 +108,18 @@ def find_pivot_view(f: SymmetricFunction) -> PivotView:
     if f.is_constant:
         raise ValueError("constant function has no pivot")
     candidates = (
-        (VIEW_IDENTITY, f, False, False),
-        (VIEW_COMPLEMENT, f.complement(), False, True),
-        (VIEW_REVERSED, f.reversed_counts(), True, False),
-        (VIEW_REVERSED_COMPLEMENT, f.reversed_counts().complement(), True, True),
+        (VIEW_IDENTITY, f, False),
+        (VIEW_COMPLEMENT, f.complement(), False),
+        (VIEW_REVERSED, f.reversed_counts(), True),
+        (VIEW_REVERSED_COMPLEMENT, f.reversed_counts().complement(), True),
     )
-    for name, g, comp_src, comp_tgt in candidates:
+    for name, g, comp_src in candidates:
         if g.values[0] == 0 and g.values[1] == 1:
-            return PivotView(name, 0, comp_src, comp_tgt, g)
-    for name, g, comp_src, comp_tgt in candidates:
+            return PivotView(name, 0, comp_src, g)
+    for name, g, comp_src in candidates:
         for i in range(1, f.t // 2 + 1):
             if g.values[i] == 0 and g.values[i + 1] == 1:
-                return PivotView(name, i, comp_src, comp_tgt, g)
+                return PivotView(name, i, comp_src, g)
     raise AssertionError("non-constant values admit no pivot view; unreachable")
 
 
@@ -204,16 +203,12 @@ class TransformedOrCompression(HitCountCompression):
         return counts
 
 
-def transform_to_relaxed_or(
-    a: SymmetricCompression, yes_pool: Sequence[int] | None = None
-) -> TransformedOrCompression:
+def transform_to_relaxed_or(a: SymmetricCompression) -> TransformedOrCompression:
     """Turn a non-constant symmetric compression into a relaxed OR.
 
-    Without a pool, the first 2t yes-instances of the pivot view's source
-    language are used; the pool checks are the constructor's.
+    The pool is the first 2t yes-instances of the pivot view's source
+    language; the pool checks are the constructor's.
     """
     view = find_pivot_view(a.f)
-    if yes_pool is None:
-        source = a.hit_language.complement() if view.complement_source else a.hit_language
-        yes_pool = source.yes_instances()[: 2 * a.arity]
-    return TransformedOrCompression(a, view, yes_pool)
+    source = a.hit_language.complement() if view.complement_source else a.hit_language
+    return TransformedOrCompression(a, view, source.yes_instances()[: 2 * a.arity])

@@ -5,11 +5,12 @@ the whole reduction (:class:`PromiseGap`, defaults from :func:`promise_gap`).
 The advice for one input length is built under it (:func:`build_advice`):
 a dominating set of the tournament on the no-instances, whose selector runs
 at delta, or the no-instance list itself when it is small.  The advice
-carries its gap, so :func:`decide` asks every query at the delta the
-advice was built at.  To decide an input v, the algorithm rejects when the
-list holds v or an advice member contains it, and otherwise asks, for
-every member g, whether the output laws of the compression on a random
-subset of g with and without v are far apart.
+carries its gap and its compression, so :func:`decide` reads everything it
+asks from the advice alone, at the delta the advice was built at.  To
+decide an input v, the algorithm rejects when the list holds v or an advice
+member contains it, and otherwise asks, for every member g, whether the
+output laws of the compression on a random subset of g with and without v
+are far apart.
 One-yes sets keep the laws at distance at least 1 - (e_s + e_c), while a
 dominating member of a no-instance keeps them within the selector
 threshold, so the conjunction of oracle answers decides membership exactly.
@@ -27,7 +28,7 @@ distances and promise tags are exact too; there is no float mode.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Literal
@@ -110,16 +111,18 @@ def exact_sd_oracle(query: SDQuery) -> bool:
 
 @dataclass(frozen=True)
 class Advice:
-    """Per-input-length advice, with the promise gap it was built at.
+    """Per-input-length advice, with the promise gap and the compression it
+    was built at.
 
     FULL_V advice lists every no-instance (used when there are at most
     edge-size many); DOMSET advice carries the greedy dominating set of the
-    tournament on the no-instances, whose selector ran at ``gap.delta``.
-    Instances are n-bit vertex ids.
+    tournament of ``compression`` on the no-instances, whose selector ran at
+    ``gap.delta``.  Instances are n-bit vertex ids.
     """
 
     n: int
     gap: PromiseGap
+    compression: SetEncodedCompression = field(repr=False)
     vertices: tuple[int, ...] = ()
     dominating: DominatingSet | None = None
 
@@ -140,6 +143,12 @@ class Advice:
         """The inputs rejected without queries: the listed no-instances of
         FULL_V advice, the ids inside some member of DOMSET advice."""
         return frozenset(self.vertices).union(*self.elements)
+
+    @cached_property
+    def query_memo(self) -> dict[tuple[FiniteDistribution, FiniteDistribution], SDQuery]:
+        """The queries asked under this advice, keyed by their pair of laws,
+        so that equal queries are one object (:func:`queries_for`)."""
+        return {}
 
 
 def promise_gap(
@@ -171,18 +180,18 @@ def build_advice(
     With at most edge_size no-instances the list itself is the advice.
     Otherwise the tournament selector runs at exactly ``gap.delta`` (the
     gap defaults as in :func:`promise_gap`) and the greedy dominating set
-    becomes the advice.  Either way the advice carries the gap.
+    becomes the advice.  Either way the advice carries the gap and ``a``.
     """
     t = a.arity if edge_size is None else edge_size
     gap = promise_gap(a, t) if gap is None else gap
     no_instances = language.no_instances()
     if len(no_instances) <= t:
-        return Advice(language.n, gap, vertices=tuple(no_instances.tolist()))
+        return Advice(language.n, gap, a, vertices=tuple(no_instances.tolist()))
     tournament = selector_from_compression(a, no_instances, t, gap.delta, language.n)
     dom = greedy_dominating_set(tournament)
     if dom.size > t * 2 * language.n:
         raise InvariantError("advice grew past the polynomial guardrail")
-    return Advice(language.n, gap, dominating=dom)
+    return Advice(language.n, gap, a, dominating=dom)
 
 
 # ---------------------------------------------------------------------------
@@ -190,43 +199,30 @@ def build_advice(
 # ---------------------------------------------------------------------------
 
 
-def queries_for(
-    v: int,
-    advice: Advice,
-    a: SetEncodedCompression,
-    shared: dict[PromiseGap, dict[tuple, SDQuery]] | None = None,
-) -> list[SDQuery]:
+def queries_for(v: int, advice: Advice) -> list[SDQuery]:
     """The query batch for one input: one query per advice member g, on the
-    laws of :meth:`SetEncodedCompression.conditioned_keys` (g, v), the pair
-    the selector compared for v in the edge g + (v,), under the advice's gap.
+    laws of :meth:`SetEncodedCompression.conditioned_keys` (g, v) of the
+    advice's compression, the pair the selector compared for v in the edge
+    g + (v,), under the advice's gap.
 
     Pure in (v, advice); oracle answers never influence it.  Members
     containing v produce no queries (the decision rejects beforehand).
-    Equal queries are one object: within the batch, and across every call
-    that passes the same ``shared`` dict, so each distinct distance is
-    computed once.  ``shared`` holds one dict of queries per gap, keyed by
-    their pair of laws, so the gap is hashed once per call.  The laws
-    themselves are memoised by the compression.
+    Equal queries are one object, across every call on the same advice
+    (:attr:`Advice.query_memo`), so each distinct distance is computed once.
+    The laws themselves are memoised by the compression.
     """
-    gap = advice.gap
-    by_laws = {} if shared is None else shared.setdefault(gap, {})
+    a, gap, memo = advice.compression, advice.gap, advice.query_memo
     queries = []
     for g in advice.elements:
         left, right = map(a.law, a.conditioned_keys(g, v))
-        q = by_laws.get((left, right))
+        q = memo.get((left, right))
         if q is None:
-            q = by_laws[left, right] = SDQuery(left, right, gap)
+            q = memo[left, right] = SDQuery(left, right, gap)
         queries.append(q)
     return queries
 
 
-def decide(
-    v: int,
-    advice: Advice,
-    a: SetEncodedCompression,
-    oracle: Oracle = exact_sd_oracle,
-    shared: dict[PromiseGap, dict[tuple, SDQuery]] | None = None,
-) -> tuple[bool, list[SDQuery]]:
+def decide(v: int, advice: Advice, oracle: Oracle = exact_sd_oracle) -> tuple[bool, list[SDQuery]]:
     """The decision procedure: the verdict on one input and its query batch.
 
     v is rejected with an empty batch, calling no oracle, when it is in
@@ -238,7 +234,7 @@ def decide(
         raise ValueError(f"input {v} is not an id of the advice length {advice.n}")
     if v in advice.rejected:
         return False, []
-    batch = queries_for(v, advice, a, shared)
+    batch = queries_for(v, advice)
     return all(oracle(q) for q in batch), batch
 
 
@@ -302,9 +298,9 @@ def audit_language(
     or block, costs two query batches, and its verdicts, gathered by label,
     meet the membership vector in one array comparison.  Without classes,
     or with a member of both classes, each input is decided on its own.
-    This treats the oracle as a function of the query, as the shared query
-    objects already do: an oracle whose answer depends on anything else
-    gets one answer per class, not per input.
+    This treats the oracle as a function of the query, as the advice's
+    query memo already does: an oracle whose answer depends on anything
+    else gets one answer per class, not per input.
 
     A block size selects block ("tlogt") mode: the same audit on
     ``BlockCompression(a, block_size)``, with edges of edge_size blocks and
@@ -324,10 +320,9 @@ def audit_language(
     advice = build_advice(language, a, t if block_size is None else t * block_size, gap)
 
     tags = {"yes": 0, "no": 0, "gap": 0}
-    shared: dict[PromiseGap, dict[tuple, SDQuery]] = {}
 
     def verdict(v: int, size: int) -> bool:
-        accept, batch = decide(v, advice, a, oracle, shared)
+        accept, batch = decide(v, advice, oracle)
         for q in batch:
             tags[q.promise_tag.lower()] += size
         return accept

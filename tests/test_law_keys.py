@@ -1,7 +1,7 @@
 """Law-keyed selectors and audits against plain enumeration without memos.
 
-The selector built by `selector_from_compression` and the audit's shared
-queries look laws up by law key.  Here every tournament is built again with a
+The selector built by `selector_from_compression` and the queries memoised
+on the audit's advice look laws up by law key.  Here every tournament is built again with a
 plain selector (reference enumeration plus statistical distance, no memo) and
 with the default law keys of a compression seen through evaluate only, and
 every audit is recomputed query by query, input by input, also under

@@ -131,16 +131,18 @@ def test_advice_empty_language():
 def test_advice_mode_is_read_from_its_contents():
     # no stored mode: DOMSET exactly when a dominating set is present, so
     # no DOMSET advice without one can be built
-    assert [f.name for f in dataclasses.fields(Advice)] == ["n", "gap", "vertices", "dominating"]
+    assert [f.name for f in dataclasses.fields(Advice)] == ["n", "gap", "compression", "vertices", "dominating"]
     gap = PromiseGap(1, 0.5)
-    empty = Advice(3, gap)
-    assert (empty.mode, empty.size, empty.elements, empty.rejected) == ("FULL_V", 0, (), frozenset())
-    listed = Advice(3, gap, vertices=(1, 4))
-    assert (listed.mode, listed.size, listed.rejected) == ("FULL_V", 2, {1, 4})
     lang = ToyLanguage(3, {0b111})
-    built = build_advice(lang, ideal_or_compression(lang, 3), gap=gap)
-    assert built.gap is gap
-    dominating = Advice(3, gap, dominating=built.dominating)
+    a = ideal_or_compression(lang, 3)
+    empty = Advice(3, gap, a)
+    assert (empty.mode, empty.size, empty.elements, empty.rejected) == ("FULL_V", 0, (), frozenset())
+    listed = Advice(3, gap, a, vertices=(1, 4))
+    assert (listed.mode, listed.size, listed.rejected) == ("FULL_V", 2, {1, 4})
+    built = build_advice(lang, a, gap=gap)
+    assert built.gap is gap and built.compression is a
+    assert "compression" not in repr(built) and "query_memo" not in repr(built)
+    dominating = Advice(3, gap, a, dominating=built.dominating)
     assert dominating == built and dominating.mode == "DOMSET"
     assert dominating.rejected == {v for g in built.elements for v in g}
 
@@ -152,10 +154,10 @@ def test_decide_single_yes_language():
     lang = ToyLanguage(3, {0b111})
     a = ideal_or_compression(lang, 3)
     advice = build_advice(lang, a)
-    assert decide(0b111, advice, a)[0]
-    assert not decide(0b000, advice, a)[0]
+    assert decide(0b111, advice)[0]
+    assert not decide(0b000, advice)[0]
     # every query for the yes-instance is at full distance
-    for q in queries_for(0b111, advice, a):
+    for q in queries_for(0b111, advice):
         assert q.distance == 1
 
 
@@ -170,7 +172,7 @@ def test_decide_rejects_member_without_oracle_calls():
         calls.append(q)
         return True
 
-    assert decide(inside, advice, a, oracle=counting_oracle) == (False, [])
+    assert decide(inside, advice, oracle=counting_oracle) == (False, [])
     assert calls == []
 
 
@@ -179,8 +181,8 @@ def test_decide_full_v_mode():
     a = ideal_or_compression(lang, 4)
     advice = build_advice(lang, a)
     assert advice.mode == "FULL_V"
-    assert decide(0b11, advice, a) == (False, [])
-    assert decide(0b00, advice, a) == (True, [])
+    assert decide(0b11, advice) == (False, [])
+    assert decide(0b00, advice) == (True, [])
 
 
 def test_full_v_advice_cannot_carry_an_empty_promise_gap():
@@ -199,7 +201,7 @@ def test_decide_length_mismatch():
     a = ideal_or_compression(lang, 3)
     advice = build_advice(lang, a)
     with pytest.raises(ValueError, match="length"):
-        decide(0b1000, advice, a)
+        decide(0b1000, advice)
 
 
 def test_query_batch_is_oracle_independent():
@@ -209,12 +211,24 @@ def test_query_batch_is_oracle_independent():
     for v in range(2**lang.n):
         if any(v in g for g in advice.elements):
             continue
-        first = queries_for(v, advice, a)
-        second = queries_for(v, advice, a)
+        first = queries_for(v, advice)
+        second = queries_for(v, advice)
         assert first == second
-        assert decide(v, advice, a, oracle=lambda q: True)[1] == first
-        assert decide(v, advice, a, oracle=lambda q: False)[1] == first
-        assert queries_for(v, advice, a) == first
+        assert decide(v, advice, oracle=lambda q: True)[1] == first
+        assert decide(v, advice, oracle=lambda q: False)[1] == first
+        assert queries_for(v, advice) == first
+
+
+def test_one_class_shares_its_query_objects_across_decisions():
+    # the advice holds one query memo: two no-instances of one hit class
+    # outside the advice ask equal queries, and get the same objects, so
+    # each distinct distance is measured once per advice
+    language, a, k, gap = HIT_COUNT_ADVICE["ideal-or-n6-t2"]()
+    advice = build_advice(language, a, k, gap)
+    outside = [v for v in language.no_instances().tolist() if v not in advice.rejected]
+    first, second = (decide(v, advice)[1] for v in outside[:2])
+    assert first and len(first) == len(second)
+    assert all(p is q for p, q in zip(first, second))
 
 
 # -- correctness invariants ---------------------------------------------------------
@@ -247,7 +261,7 @@ def test_domination_soundness_over_built_advice():
     for v in lang.no_instances():
         if any(v in g for g in advice.elements):
             continue
-        distances = [q.distance for q in queries_for(v, advice, a)]
+        distances = [q.distance for q in queries_for(v, advice)]
         assert any(d <= delta for d in distances)
     # block advice: whenever g + (v,) selects v, the query for (g, v) is on the NO side
     parity = ToyLanguage(5, [v for v in range(32) if bin(v).count("1") % 2])
@@ -264,7 +278,7 @@ def test_domination_soundness_over_built_advice():
         for v in lang.no_instances().tolist():
             if v in advice.rejected:
                 continue
-            for g, q in zip(advice.elements, queries_for(v, advice, b)):
+            for g, q in zip(advice.elements, queries_for(v, advice)):
                 edge = [format(w, f"0{lang.n}b") for w in g + (v,)]
                 if tournament.select(edge) == edge[-1]:
                     selected += 1
@@ -276,11 +290,11 @@ def test_oracle_policy_independence():
     lang = ToyLanguage(3, {0b011, 0b111})
     a = ideal_or_compression(lang, 4)
     advice = build_advice(lang, a, gap=PromiseGap(1, 0.5))
-    baseline = {v: decide(v, advice, a)[0] for v in range(2**lang.n)}
+    baseline = {v: decide(v, advice)[0] for v in range(2**lang.n)}
     for theta in (0.50001, 0.6, 0.75, 0.9, 1.0):
         oracle = threshold_oracle(theta)
         for v in range(2**lang.n):
-            assert decide(v, advice, a, oracle=oracle)[0] == baseline[v]
+            assert decide(v, advice, oracle=oracle)[0] == baseline[v]
 
 
 # -- audits -----------------------------------------------------------------------
@@ -442,7 +456,7 @@ def _audit_by_input(language, b, k, gap, answer):
     tags = {"yes": 0, "no": 0, "gap": 0}
     mismatches = []
     for v in range(2**language.n):
-        verdict, batch = decide(v, advice, b, answer)
+        verdict, batch = decide(v, advice, answer)
         for q in batch:
             tags[q.promise_tag.lower()] += 1
         if verdict != language.is_yes(v):
@@ -521,13 +535,13 @@ def test_block_decide_micro():
     a = BlockCompression(ideal_or_compression(lang, 2), 2)
     advice = build_advice(lang, a, 4, PromiseGap(1, 0.5))
     assert advice.mode == "DOMSET"
-    assert decide(0b111, advice, a)[0]
+    assert decide(0b111, advice)[0]
     for v in lang.no_instances():
-        assert not decide(v, advice, a)[0]
+        assert not decide(v, advice)[0]
     # members reject without oracle calls
     inside = advice.elements[0][0]
     calls = []
-    assert decide(inside, advice, a, oracle=lambda q: calls.append(q) or True) == (False, [])
+    assert decide(inside, advice, oracle=lambda q: calls.append(q) or True) == (False, [])
     assert calls == []
 
 
@@ -553,7 +567,7 @@ def test_block_queries_oracle_independent():
     a = BlockCompression(ideal_or_compression(lang, 2), 2)
     advice = build_advice(lang, a, 4, PromiseGap(1, 0.5))
     v = 0b111
-    assert queries_for(v, advice, a) == queries_for(v, advice, a)
+    assert queries_for(v, advice) == queries_for(v, advice)
 
 
 def test_block_batch_carries_the_callers_Delta():
@@ -563,9 +577,9 @@ def test_block_batch_carries_the_callers_Delta():
     outside = [v for v in range(2**lang.n) if v not in advice.rejected]
     assert outside
     for v in outside:
-        _, batch = decide(v, advice, a)
+        _, batch = decide(v, advice)
         assert batch and all(q.gap is advice.gap and q.gap.Delta == 0.6 for q in batch)
-        assert all(q.gap.Delta == 0.6 for q in queries_for(v, advice, a))
+        assert all(q.gap.Delta == 0.6 for q in queries_for(v, advice))
 
 
 @pytest.mark.parametrize("name", ["ideal-or-n6-t2", "noisy-or-n10-t16", "transformed-0111", "block-n7-t2-sigma2"])
@@ -576,14 +590,13 @@ def test_every_query_carries_the_advice_gap(monkeypatch, name):
     gap = promise_gap(b, k) if gap is None else gap
     advice = build_advice(language, b, k, gap)
     assert advice.gap is gap and advice.mode == "DOMSET"
-    shared = {}
-    batches = [decide(v, advice, b, shared=shared)[1] for v in range(2**language.n)]
+    batches = [decide(v, advice)[1] for v in range(2**language.n)]
     assert any(batches)
     assert all(q.gap is gap for batch in batches for q in batch)
     seen = []
 
-    def recording(v, advice, *args, **kwargs):
-        batch = queries_for(v, advice, *args, **kwargs)
+    def recording(v, advice):
+        batch = queries_for(v, advice)
         seen.append((advice.gap, batch))
         return batch
 
